@@ -35,17 +35,6 @@ readFileText(const std::string &path, const std::string &context)
     return buffer.str();
 }
 
-void
-writeText(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        fatal("campaign merge: cannot write '", path, "'");
-    out << text;
-    if (!out.flush())
-        fatal("campaign merge: failed writing '", path, "'");
-}
-
 /** Pin the calling (child) process to the interleaved CPU set of one
  *  launcher slot: cpu % stride == worker % stride, stride = the
  *  concurrent worker count clamped to the online CPU count so every
@@ -297,12 +286,12 @@ mergeCampaign(const std::string &dir)
             buffer += line;
             buffer += '\n';
         }
-        writeText(outDir + "/checkpoint.jsonl", buffer);
+        writeFileAtomically(outDir + "/checkpoint.jsonl", buffer);
     }
-    writeText(outDir + "/results.json",
-              joinSerializedResults(orderedJson));
-    writeText(outDir + "/results.csv",
-              joinResultsCsv(csvHeader, orderedCsv));
+    writeFileAtomically(outDir + "/results.json",
+                        joinSerializedResults(orderedJson));
+    writeFileAtomically(outDir + "/results.csv",
+                        joinResultsCsv(csvHeader, orderedCsv));
     merged.writeStats(summary.stats);
 
     for (std::size_t k = 0; k < manifest.shardCount; ++k) {

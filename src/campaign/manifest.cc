@@ -1,8 +1,5 @@
 #include "campaign/manifest.hh"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -40,21 +37,6 @@ validStatus(const std::string &status)
 {
     return status == "pending" || status == "partial" ||
         status == "complete";
-}
-
-/** Write-then-rename, same contract as the store's cache writes: a
- *  reader never observes a torn manifest or shard.json. */
-void
-writeAtomically(const std::string &path, const JsonValue &doc)
-{
-    static std::atomic<std::uint64_t> counter{0};
-    std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
-        "." + std::to_string(counter.fetch_add(1));
-    doc.writeFile(tmp);
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec)
-        fatal("campaign: cannot move '", tmp, "': ", ec.message());
 }
 
 /** The version/fingerprint preamble both files share. */
@@ -195,7 +177,7 @@ loadManifest(const std::string &dir)
 void
 saveManifest(const std::string &dir, const CampaignManifest &m)
 {
-    writeAtomically(dir + "/campaign.json", m.toJson());
+    m.toJson().writeFile(dir + "/campaign.json");
 }
 
 ShardState
@@ -235,7 +217,7 @@ saveShardState(const std::string &shardDir,
     v.set("shard_count", JsonValue::makeNumber((double)shardCount));
     v.set("attempts", JsonValue::makeNumber((double)state.attempts));
     v.set("completed", JsonValue::makeBool(state.completed));
-    writeAtomically(shardDir + "/shard.json", v);
+    v.writeFile(shardDir + "/shard.json");
 }
 
 } // namespace campaign

@@ -1,6 +1,7 @@
 #include "serve/server.hh"
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -141,12 +142,16 @@ QueryServer::run()
             warn("serve: accept: ", std::strerror(errno));
             continue;
         }
+        waiting_.fetch_add(1, std::memory_order_relaxed);
         bool queued = pool_->submit([this, fd] {
+            waiting_.fetch_sub(1, std::memory_order_relaxed);
             handleConnection(fd);
             ::close(fd);
         });
-        if (!queued)
+        if (!queued) {
+            waiting_.fetch_sub(1, std::memory_order_relaxed);
             ::close(fd);
+        }
     }
 }
 
@@ -301,6 +306,25 @@ QueryServer::dispatch(const HttpRequest &request)
             errorBody("no such endpoint '" + path + "'")};
 }
 
+bool
+QueryServer::awaitNextRequest(int fd) const
+{
+    auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::milliseconds(options_.keepAliveTimeoutMillis);
+    for (;;) {
+        pollfd idle{fd, POLLIN, 0};
+        int ready = ::poll(&idle, 1, kIdlePollMillis);
+        if (ready > 0)
+            return true;  // bytes or a hangup; recv() tells which
+        if (ready < 0 && errno != EINTR)
+            return false;
+        if (waiting_.load(std::memory_order_relaxed) > 0 ||
+            std::chrono::steady_clock::now() >= deadline)
+            return false;
+    }
+}
+
 void
 QueryServer::handleConnection(int fd)
 {
@@ -312,6 +336,8 @@ QueryServer::handleConnection(int fd)
     std::string carry;  // pipelined bytes past the previous request
     for (int served = 0; served < options_.maxRequestsPerConnection;
          ++served) {
+        if (served > 0 && carry.empty() && !awaitNextRequest(fd))
+            return;
         HttpRequestParser parser(options_.maxBodyBytes);
         bool midRequest = false;
         if (!carry.empty()) {

@@ -51,7 +51,9 @@ struct ServeOptions
     int jobs = 4;       ///< connection worker threads
     std::size_t maxBodyBytes = 1 << 20;  ///< /query body cap (413 above)
     /** How long a keep-alive connection may sit idle (also the
-     *  mid-request receive window) before the worker gives up on it. */
+     *  mid-request receive window) before the worker gives up on it.
+     *  An idle connection is closed sooner when another connection is
+     *  waiting for a worker; the client reconnects. */
     int keepAliveTimeoutMillis = 5000;
     /** Requests served per connection before the server answers
      *  "Connection: close" and recycles the worker (bounds how long
@@ -120,7 +122,17 @@ class QueryServer
     static void installSighupHandler();
 
   private:
+    /** How often an idle keep-alive connection checks whether another
+     *  connection is waiting for its worker. */
+    static constexpr int kIdlePollMillis = 10;
+
     void handleConnection(int fd);
+    /** Wait for the next request on an idle keep-alive connection.
+     *  false: close it, because it sat idle for keepAliveTimeoutMillis
+     *  or because another connection is waiting for a worker (an idle
+     *  connection must not hold one of the `jobs` workers while a
+     *  client that has a request waits). */
+    bool awaitNextRequest(int fd) const;
     HttpResponse handleQuery(const HttpRequest &request);
     HttpResponse handleReload();
 
@@ -133,6 +145,8 @@ class QueryServer
     std::shared_ptr<const StoreIndex> index_;
 
     std::atomic<bool> stop_{false};
+    /** Accepted connections not yet picked up by a worker. */
+    std::atomic<int> waiting_{0};
     std::atomic<std::uint64_t> queries_{0};
     std::atomic<std::uint64_t> badRequests_{0};
     std::atomic<std::uint64_t> reloads_{0};

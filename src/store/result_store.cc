@@ -1,9 +1,6 @@
 #include "store/result_store.hh"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
@@ -97,41 +94,44 @@ hasObject(const JsonValue &doc, const std::string &key)
 std::string
 sweepFingerprint(const SweepConfig &config)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("format", JsonValue::makeNumber(kFormatVersion));
-    JsonValue cells = JsonValue::makeArray();
+    std::string text;
+    JsonWriter w(text);
+    w.beginObject();
+    w.key("format").number(kFormatVersion);
+    w.key("cells").beginArray();
     for (const auto &cell : config.cells)
-        cells.append(toJson(cell));
-    v.set("cells", std::move(cells));
-    JsonValue capacities = JsonValue::makeArray();
+        writeJson(w, cell);
+    w.endArray();
+    w.key("capacities_bytes").beginArray();
     for (double capacity : config.capacitiesBytes)
-        capacities.append(JsonValue::makeNumber(capacity));
-    v.set("capacities_bytes", std::move(capacities));
-    JsonValue targets = JsonValue::makeArray();
+        w.number(capacity);
+    w.endArray();
+    w.key("targets").beginArray();
     for (OptTarget target : config.targets)
-        targets.append(JsonValue::makeString(optTargetName(target)));
-    v.set("targets", std::move(targets));
-    JsonValue traffics = JsonValue::makeArray();
+        w.string(optTargetName(target));
+    w.endArray();
+    w.key("traffics").beginArray();
     for (const auto &traffic : config.traffics)
-        traffics.append(toJson(traffic));
-    v.set("traffics", std::move(traffics));
+        writeJson(w, traffic);
+    w.endArray();
     // The reliability axis changes slot count and row annotations, so
     // it guards checkpoint reuse like any other sweep dimension. An
     // empty axis fingerprints as its implicit single default spec —
     // spelling out {ecc: "none"} and omitting the block are the same
     // sweep.
-    JsonValue rel = JsonValue::makeArray();
+    w.key("reliability").beginArray();
     if (config.reliability.empty()) {
-        rel.append(reliability::ReliabilitySpec{}.toJson());
+        w.value(reliability::ReliabilitySpec{}.toJson());
     } else {
         for (const auto &spec : config.reliability)
-            rel.append(spec.toJson());
+            w.value(spec.toJson());
     }
-    v.set("reliability", std::move(rel));
-    v.set("word_bits", JsonValue::makeNumber(config.wordBits));
-    v.set("node_nm", JsonValue::makeNumber(config.nodeNm));
-    v.set("sram_node_nm", JsonValue::makeNumber(config.sramNodeNm));
-    return hexHash(v.dump(-1));
+    w.endArray();
+    w.key("word_bits").number(config.wordBits);
+    w.key("node_nm").number(config.nodeNm);
+    w.key("sram_node_nm").number(config.sramNodeNm);
+    w.endObject();
+    return hexHash(text);
 }
 
 ResultStore::ResultStore(std::string dir, std::string cacheDir)
@@ -153,18 +153,20 @@ ResultStore::characterizationKey(const MemCell &cell,
                                  const ArrayConfig &config,
                                  OptTarget target)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("format", JsonValue::makeNumber(kFormatVersion));
-    v.set("cell", toJson(cell));
-    v.set("capacity_bytes",
-          JsonValue::makeNumber(config.capacityBytes));
-    v.set("word_bits", JsonValue::makeNumber(config.wordBits));
-    v.set("node_nm", JsonValue::makeNumber(config.nodeNm));
-    v.set("min_area_efficiency",
-          JsonValue::makeNumber(config.minAreaEfficiency));
-    v.set("max_banks", JsonValue::makeNumber(config.maxBanks));
-    v.set("target", JsonValue::makeString(optTargetName(target)));
-    return v.dump(-1);
+    std::string key;
+    JsonWriter w(key);
+    w.beginObject();
+    w.key("format").number(kFormatVersion);
+    w.key("cell");
+    writeJson(w, cell);
+    w.key("capacity_bytes").number(config.capacityBytes);
+    w.key("word_bits").number(config.wordBits);
+    w.key("node_nm").number(config.nodeNm);
+    w.key("min_area_efficiency").number(config.minAreaEfficiency);
+    w.key("max_banks").number(config.maxBanks);
+    w.key("target").string(optTargetName(target));
+    w.endObject();
+    return key;
 }
 
 std::string
@@ -207,35 +209,19 @@ ResultStore::lookupArray(const std::string &key, ArrayResult &out)
     return outcome;
 }
 
-namespace {
-
-/** Write-then-rename so readers never observe a torn entry. The tmp
- *  name is unique per writer (pid + counter): concurrent writers of
- *  the same key — duplicate cells in one sweep, or two processes
- *  sharing a cache directory — each rename a complete file, and
- *  last-rename-wins leaves a valid entry either way. */
-void
-writeAtomically(const std::string &path, const JsonValue &doc)
-{
-    static std::atomic<std::uint64_t> counter{0};
-    std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
-        "." + std::to_string(counter.fetch_add(1));
-    doc.writeFile(tmp, -1);
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec)
-        fatal("result store: cannot move '", tmp, "': ", ec.message());
-}
-
-} // namespace
-
 void
 ResultStore::storeArray(const std::string &key, const ArrayResult &array)
 {
-    JsonValue doc = JsonValue::makeObject();
-    doc.set("key", JsonValue::makeString(key));
-    doc.set("array", toJson(array));
-    writeAtomically(cachePath(key), doc);
+    std::string entry;
+    JsonWriter w(entry);
+    w.beginObject().key("key").string(key).key("array");
+    writeJson(w, array);
+    w.endObject();
+    entry += '\n';
+    // Concurrent writers of one key (duplicate cells in a sweep, or
+    // processes sharing a cache directory) each rename a complete
+    // file; the last rename wins with a valid entry either way.
+    writeFileAtomically(cachePath(key), entry);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.cacheStores;
 }
@@ -243,33 +229,40 @@ ResultStore::storeArray(const std::string &key, const ArrayResult &array)
 void
 ResultStore::storeInvalid(const std::string &key)
 {
-    JsonValue doc = JsonValue::makeObject();
-    doc.set("key", JsonValue::makeString(key));
-    doc.set("invalid", JsonValue::makeBool(true));
-    writeAtomically(cachePath(key), doc);
+    std::string entry;
+    JsonWriter(entry).beginObject().key("key").string(key).key("invalid")
+        .boolean(true).endObject();
+    entry += '\n';
+    writeFileAtomically(cachePath(key), entry);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.cacheStores;
 }
 
-namespace {
-
-JsonValue
-checkpointHeader(const std::string &fingerprint, std::size_t slots)
-{
-    JsonValue header = JsonValue::makeObject();
-    header.set("format", JsonValue::makeNumber(kFormatVersion));
-    header.set("fingerprint", JsonValue::makeString(fingerprint));
-    header.set("slots", JsonValue::makeNumber((double)slots));
-    return header;
-}
-
-} // namespace
-
 std::string
 checkpointHeaderLine(const std::string &fingerprint, std::size_t slots)
 {
-    return checkpointHeader(fingerprint, slots).dump(-1);
+    std::string line;
+    JsonWriter(line).beginObject().key("format").number(kFormatVersion)
+        .key("fingerprint").string(fingerprint)
+        .key("slots").number((double)slots).endObject();
+    return line;
 }
+
+namespace {
+
+/** Append one journal entry line, {"slot": n, "result": {...}}\n. */
+void
+appendCheckpointLine(std::string &out, std::size_t slot,
+                     const EvalResult &result)
+{
+    JsonWriter w(out);
+    w.beginObject().key("slot").number((double)slot).key("result");
+    writeJson(w, result);
+    w.endObject();
+    out += '\n';
+}
+
+} // namespace
 
 CheckpointScan
 scanCheckpoint(const std::string &dir)
@@ -340,30 +333,15 @@ ResultStore::openCheckpoint(const std::string &fingerprint,
         // appending: the original file may end in a torn, newline-less
         // partial write that a plain append would merge with the next
         // entry, corrupting it for any later resume.
-        std::string tmp = path + ".tmp";
-        {
-            std::ofstream out(tmp, std::ios::trunc);
-            out << checkpointHeader(fingerprint, slots).dump(-1) << '\n';
-            for (const auto &[slot, result] : done) {
-                JsonValue entry = JsonValue::makeObject();
-                entry.set("slot", JsonValue::makeNumber((double)slot));
-                entry.set("result", toJson(result));
-                out << entry.dump(-1) << '\n';
-            }
-            if (!out.flush())
-                fatal("result store: cannot write '", tmp, "'");
-        }
-        std::error_code ec;
-        std::filesystem::rename(tmp, path, ec);
-        if (ec) {
-            fatal("result store: cannot move '", tmp, "': ",
-                  ec.message());
-        }
+        std::string journal = checkpointHeaderLine(fingerprint, slots);
+        journal += '\n';
+        for (const auto &[slot, result] : done)
+            appendCheckpointLine(journal, slot, result);
+        writeFileAtomically(path, journal);
         checkpoint_.open(path, std::ios::app);
     } else {
         checkpoint_.open(path, std::ios::trunc);
-        checkpoint_ << checkpointHeader(fingerprint, slots).dump(-1)
-                    << '\n';
+        checkpoint_ << checkpointHeaderLine(fingerprint, slots) << '\n';
         checkpoint_.flush();
     }
     if (!checkpoint_)
@@ -374,12 +352,13 @@ ResultStore::openCheckpoint(const std::string &fingerprint,
 void
 ResultStore::checkpointSlot(std::size_t slot, const EvalResult &result)
 {
-    JsonValue entry = JsonValue::makeObject();
-    entry.set("slot", JsonValue::makeNumber((double)slot));
-    entry.set("result", toJson(result));
-    std::string line = entry.dump(-1);
+    // Encoded outside the lock into a per-thread buffer that keeps its
+    // capacity, so journaling a slot allocates nothing after the first.
+    thread_local std::string line;
+    line.clear();
+    appendCheckpointLine(line, slot, result);
     std::lock_guard<std::mutex> lock(mutex_);
-    checkpoint_ << line << '\n';
+    checkpoint_ << line;
     checkpoint_.flush();
     ++stats_.checkpointComputed;
 }
@@ -435,30 +414,32 @@ resultCsvColumns()
 
 namespace {
 
-/** Value of one identity (non-metric) CSV column. Unknown headers are
- *  a programming error: the schema and this accessor ship together. */
-std::string
-identityCsvValue(const std::string &header, const EvalResult &r)
+/** Append the cell of one identity (non-metric) CSV column. Unknown
+ *  headers are a programming error: the schema and this accessor ship
+ *  together. */
+void
+appendIdentityCsv(std::string &out, const std::string &header,
+                  const EvalResult &r)
 {
-    auto num = [](double v) { return JsonValue::formatNumber(v); };
     if (header == "cell")
-        return Table::csvEscape(r.array.cell.name);
-    if (header == "tech")
-        return Table::csvEscape(techName(r.array.cell.tech));
-    if (header == "traffic")
-        return Table::csvEscape(r.traffic.name);
-    if (header == "capacity_bytes")
-        return num(r.array.capacityBytes);
-    if (header == "word_bits")
-        return num(r.array.wordBits);
-    if (header == "node_nm")
-        return num(r.array.nodeNm);
-    if (header == "ecc_scheme")
-        return Table::csvEscape(r.reliability.scheme);
-    if (header == "scrub_interval_sec")
-        return num(r.reliability.scrubIntervalSec);
-    panic("results.csv schema: identity column '", header,
-          "' has no accessor");
+        out += Table::csvEscape(r.array.cell.name);
+    else if (header == "tech")
+        out += Table::csvEscape(techName(r.array.cell.tech));
+    else if (header == "traffic")
+        out += Table::csvEscape(r.traffic.name);
+    else if (header == "capacity_bytes")
+        JsonWriter::appendNumber(out, r.array.capacityBytes);
+    else if (header == "word_bits")
+        JsonWriter::appendNumber(out, r.array.wordBits);
+    else if (header == "node_nm")
+        JsonWriter::appendNumber(out, r.array.nodeNm);
+    else if (header == "ecc_scheme")
+        out += Table::csvEscape(r.reliability.scheme);
+    else if (header == "scrub_interval_sec")
+        JsonWriter::appendNumber(out, r.reliability.scrubIntervalSec);
+    else
+        panic("results.csv schema: identity column '", header,
+              "' has no accessor");
 }
 
 } // namespace
@@ -466,27 +447,35 @@ identityCsvValue(const std::string &header, const EvalResult &r)
 std::string
 serializeResults(const std::vector<EvalResult> &results)
 {
-    return toJson(results).dump(2) + "\n";
+    std::string out;
+    if (!results.empty()) {
+        // One allocation instead of a doubling chain (a copy and fresh
+        // pages per step): rows differ only in names and digits, so
+        // the first row, at the two extra indent levels it gets inside
+        // the envelope, sizes them all, with 1/8 slack.
+        std::string first;
+        JsonWriter probe(first, 2);
+        writeJson(probe, results.front());
+        std::size_t lines =
+            (std::size_t)std::count(first.begin(), first.end(), '\n') + 1;
+        std::size_t row = first.size() + 4 * lines + 2;
+        out.reserve((row + row / 8) * results.size() + 64);
+    }
+    JsonWriter w(out, 2);
+    writeJson(w, results);
+    out += '\n';
+    return out;
 }
 
 void
 ResultStore::writeResults(const std::vector<EvalResult> &results)
 {
-    // serializeResults, not writeFile: the query server's responses
-    // must be byte-identical to this artifact for the same rows, so
-    // both go through the one serializer.
-    std::string jsonPath = dir_ + "/results.json";
-    std::ofstream json(jsonPath);
-    if (!json)
-        fatal("result store: cannot write '", jsonPath, "'");
-    json << serializeResults(results);
-    if (!json.flush())
-        fatal("result store: failed writing '", jsonPath, "'");
-
-    std::string path = dir_ + "/results.csv";
-    std::ofstream csv(path);
-    if (!csv)
-        fatal("result store: cannot write '", path, "'");
+    // serializeResults: the query server's responses must be
+    // byte-identical to this artifact for the same rows, so both go
+    // through the one serializer. Both artifacts are written
+    // write-then-rename, so a kill mid-write never leaves a torn file
+    // beside a complete journal.
+    writeFileAtomically(dir_ + "/results.json", serializeResults(results));
 
     const auto &columns = resultCsvColumns();
     // Resolve the metric-backed columns once, not per row.
@@ -496,23 +485,25 @@ ResultStore::writeResults(const std::vector<EvalResult> &results)
         if (!columns[c].metric.empty())
             accessors[c] = &metrics::MetricRegistry::instance().require(
                 columns[c].metric, "results.csv schema");
-    for (std::size_t c = 0; c < columns.size(); ++c)
-        csv << (c ? "," : "") << columns[c].header;
-    csv << '\n';
+    std::string csv;
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+        if (c)
+            csv += ',';
+        csv += columns[c].header;
+    }
+    csv += '\n';
     for (const auto &r : results) {
         for (std::size_t c = 0; c < columns.size(); ++c) {
             if (c)
-                csv << ',';
-            if (accessors[c]) {
-                csv << JsonValue::formatNumber(accessors[c]->eval(r));
-            } else {
-                csv << identityCsvValue(columns[c].header, r);
-            }
+                csv += ',';
+            if (accessors[c])
+                JsonWriter::appendNumber(csv, accessors[c]->eval(r));
+            else
+                appendIdentityCsv(csv, columns[c].header, r);
         }
-        csv << '\n';
+        csv += '\n';
     }
-    if (!csv.flush())
-        fatal("result store: failed writing '", path, "'");
+    writeFileAtomically(dir_ + "/results.csv", csv);
 }
 
 void

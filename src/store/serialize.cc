@@ -61,35 +61,33 @@ asInt(const JsonValue &doc, const std::string &key)
 
 } // namespace
 
-JsonValue
-toJson(const MemCell &cell)
+void
+writeJson(JsonWriter &w, const MemCell &cell)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("name", JsonValue::makeString(cell.name));
-    v.set("tech", JsonValue::makeString(techName(cell.tech)));
-    v.set("flavor", JsonValue::makeString(flavorKey(cell.flavor)));
-    v.set("sense_mode",
-          JsonValue::makeString(senseModeKey(cell.senseMode)));
-    v.set("bits_per_cell", JsonValue::makeNumber(cell.bitsPerCell));
-    v.set("area_f2", JsonValue::makeNumber(cell.areaF2));
-    v.set("aspect_ratio", JsonValue::makeNumber(cell.aspectRatio));
-    v.set("read_voltage", JsonValue::makeNumber(cell.readVoltage));
-    v.set("write_voltage", JsonValue::makeNumber(cell.writeVoltage));
-    v.set("resistance_on", JsonValue::makeNumber(cell.resistanceOn));
-    v.set("resistance_off", JsonValue::makeNumber(cell.resistanceOff));
-    v.set("set_pulse", JsonValue::makeNumber(cell.setPulse));
-    v.set("reset_pulse", JsonValue::makeNumber(cell.resetPulse));
-    v.set("set_current", JsonValue::makeNumber(cell.setCurrent));
-    v.set("reset_current", JsonValue::makeNumber(cell.resetCurrent));
-    v.set("read_energy_per_bit",
-          JsonValue::makeNumber(cell.readEnergyPerBit));
-    v.set("endurance", JsonValue::makeNumber(cell.endurance));
-    v.set("retention", JsonValue::makeNumber(cell.retention));
-    v.set("non_volatile", JsonValue::makeBool(cell.nonVolatile));
-    v.set("cell_leakage", JsonValue::makeNumber(cell.cellLeakage));
-    v.set("min_node_nm", JsonValue::makeNumber(cell.minNodeNm));
-    v.set("mlc_capable", JsonValue::makeBool(cell.mlcCapable));
-    return v;
+    w.beginObject();
+    w.key("name").string(cell.name);
+    w.key("tech").string(techName(cell.tech));
+    w.key("flavor").string(flavorKey(cell.flavor));
+    w.key("sense_mode").string(senseModeKey(cell.senseMode));
+    w.key("bits_per_cell").number(cell.bitsPerCell);
+    w.key("area_f2").number(cell.areaF2);
+    w.key("aspect_ratio").number(cell.aspectRatio);
+    w.key("read_voltage").number(cell.readVoltage);
+    w.key("write_voltage").number(cell.writeVoltage);
+    w.key("resistance_on").number(cell.resistanceOn);
+    w.key("resistance_off").number(cell.resistanceOff);
+    w.key("set_pulse").number(cell.setPulse);
+    w.key("reset_pulse").number(cell.resetPulse);
+    w.key("set_current").number(cell.setCurrent);
+    w.key("reset_current").number(cell.resetCurrent);
+    w.key("read_energy_per_bit").number(cell.readEnergyPerBit);
+    w.key("endurance").number(cell.endurance);
+    w.key("retention").number(cell.retention);
+    w.key("non_volatile").boolean(cell.nonVolatile);
+    w.key("cell_leakage").number(cell.cellLeakage);
+    w.key("min_node_nm").number(cell.minNodeNm);
+    w.key("mlc_capable").boolean(cell.mlcCapable);
+    w.endObject();
 }
 
 MemCell
@@ -121,16 +119,15 @@ cellFromJson(const JsonValue &doc)
     return cell;
 }
 
-JsonValue
-toJson(const TrafficPattern &traffic)
+void
+writeJson(JsonWriter &w, const TrafficPattern &traffic)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("name", JsonValue::makeString(traffic.name));
-    v.set("reads_per_sec", JsonValue::makeNumber(traffic.readsPerSec));
-    v.set("writes_per_sec",
-          JsonValue::makeNumber(traffic.writesPerSec));
-    v.set("exec_time", JsonValue::makeNumber(traffic.execTime));
-    return v;
+    w.beginObject();
+    w.key("name").string(traffic.name);
+    w.key("reads_per_sec").number(traffic.readsPerSec);
+    w.key("writes_per_sec").number(traffic.writesPerSec);
+    w.key("exec_time").number(traffic.execTime);
+    w.endObject();
 }
 
 TrafficPattern
@@ -144,17 +141,16 @@ trafficFromJson(const JsonValue &doc)
     return traffic;
 }
 
-JsonValue
-toJson(const Organization &org)
+void
+writeJson(JsonWriter &w, const Organization &org)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("banks", JsonValue::makeNumber(org.banks));
-    v.set("subarrays_per_bank",
-          JsonValue::makeNumber(org.subarraysPerBank));
-    v.set("rows", JsonValue::makeNumber(org.subarray.rows));
-    v.set("cols", JsonValue::makeNumber(org.subarray.cols));
-    v.set("sensed_bits", JsonValue::makeNumber(org.subarray.sensedBits));
-    return v;
+    w.beginObject();
+    w.key("banks").number(org.banks);
+    w.key("subarrays_per_bank").number(org.subarraysPerBank);
+    w.key("rows").number(org.subarray.rows);
+    w.key("cols").number(org.subarray.cols);
+    w.key("sensed_bits").number(org.subarray.sensedBits);
+    w.endObject();
 }
 
 Organization
@@ -169,21 +165,18 @@ organizationFromJson(const JsonValue &doc)
     return org;
 }
 
-JsonValue
-toJson(const reliability::ReliabilityResult &rel)
+void
+writeJson(JsonWriter &w, const reliability::ReliabilityResult &rel)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("scheme", JsonValue::makeString(rel.scheme));
-    v.set("scrub_interval_sec",
-          JsonValue::makeNumber(rel.scrubIntervalSec));
-    v.set("raw_ber", JsonValue::makeNumber(rel.rawBer));
-    v.set("scrubbed_ber", JsonValue::makeNumber(rel.scrubbedBer));
-    v.set("uncorrectable_word_rate",
-          JsonValue::makeNumber(rel.uncorrectableWordRate));
-    v.set("uncorrectable_image_rate",
-          JsonValue::makeNumber(rel.uncorrectableImageRate));
-    v.set("ecc_overhead", JsonValue::makeNumber(rel.eccOverhead));
-    return v;
+    w.beginObject();
+    w.key("scheme").string(rel.scheme);
+    w.key("scrub_interval_sec").number(rel.scrubIntervalSec);
+    w.key("raw_ber").number(rel.rawBer);
+    w.key("scrubbed_ber").number(rel.scrubbedBer);
+    w.key("uncorrectable_word_rate").number(rel.uncorrectableWordRate);
+    w.key("uncorrectable_image_rate").number(rel.uncorrectableImageRate);
+    w.key("ecc_overhead").number(rel.eccOverhead);
+    w.endObject();
 }
 
 reliability::ReliabilityResult
@@ -202,27 +195,27 @@ reliabilityResultFromJson(const JsonValue &doc)
     return rel;
 }
 
-JsonValue
-toJson(const ArrayResult &array)
+void
+writeJson(JsonWriter &w, const ArrayResult &array)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("cell", toJson(array.cell));
-    v.set("node_nm", JsonValue::makeNumber(array.nodeNm));
-    v.set("capacity_bytes", JsonValue::makeNumber(array.capacityBytes));
-    v.set("word_bits", JsonValue::makeNumber(array.wordBits));
-    v.set("org", toJson(array.org));
-    v.set("read_latency", JsonValue::makeNumber(array.readLatency));
-    v.set("write_latency", JsonValue::makeNumber(array.writeLatency));
-    v.set("read_energy", JsonValue::makeNumber(array.readEnergy));
-    v.set("write_energy", JsonValue::makeNumber(array.writeEnergy));
-    v.set("leakage", JsonValue::makeNumber(array.leakage));
-    v.set("area_m2", JsonValue::makeNumber(array.areaM2));
-    v.set("area_efficiency",
-          JsonValue::makeNumber(array.areaEfficiency));
-    v.set("read_bandwidth", JsonValue::makeNumber(array.readBandwidth));
-    v.set("write_bandwidth",
-          JsonValue::makeNumber(array.writeBandwidth));
-    return v;
+    w.beginObject();
+    w.key("cell");
+    writeJson(w, array.cell);
+    w.key("node_nm").number(array.nodeNm);
+    w.key("capacity_bytes").number(array.capacityBytes);
+    w.key("word_bits").number(array.wordBits);
+    w.key("org");
+    writeJson(w, array.org);
+    w.key("read_latency").number(array.readLatency);
+    w.key("write_latency").number(array.writeLatency);
+    w.key("read_energy").number(array.readEnergy);
+    w.key("write_energy").number(array.writeEnergy);
+    w.key("leakage").number(array.leakage);
+    w.key("area_m2").number(array.areaM2);
+    w.key("area_efficiency").number(array.areaEfficiency);
+    w.key("read_bandwidth").number(array.readBandwidth);
+    w.key("write_bandwidth").number(array.writeBandwidth);
+    w.endObject();
 }
 
 ArrayResult
@@ -246,26 +239,26 @@ arrayResultFromJson(const JsonValue &doc)
     return array;
 }
 
-JsonValue
-toJson(const EvalResult &result)
+void
+writeJson(JsonWriter &w, const EvalResult &result)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("array", toJson(result.array));
-    v.set("traffic", toJson(result.traffic));
-    v.set("dynamic_power", JsonValue::makeNumber(result.dynamicPower));
-    v.set("leakage_power", JsonValue::makeNumber(result.leakagePower));
-    v.set("total_power", JsonValue::makeNumber(result.totalPower));
-    v.set("latency_load", JsonValue::makeNumber(result.latencyLoad));
-    v.set("slowdown", JsonValue::makeNumber(result.slowdown));
-    v.set("total_access_latency",
-          JsonValue::makeNumber(result.totalAccessLatency));
-    v.set("meets_read_bandwidth",
-          JsonValue::makeBool(result.meetsReadBandwidth));
-    v.set("meets_write_bandwidth",
-          JsonValue::makeBool(result.meetsWriteBandwidth));
-    v.set("reliability", toJson(result.reliability));
-    v.set("lifetime_sec", JsonValue::makeNumber(result.lifetimeSec));
-    return v;
+    w.beginObject();
+    w.key("array");
+    writeJson(w, result.array);
+    w.key("traffic");
+    writeJson(w, result.traffic);
+    w.key("dynamic_power").number(result.dynamicPower);
+    w.key("leakage_power").number(result.leakagePower);
+    w.key("total_power").number(result.totalPower);
+    w.key("latency_load").number(result.latencyLoad);
+    w.key("slowdown").number(result.slowdown);
+    w.key("total_access_latency").number(result.totalAccessLatency);
+    w.key("meets_read_bandwidth").boolean(result.meetsReadBandwidth);
+    w.key("meets_write_bandwidth").boolean(result.meetsWriteBandwidth);
+    w.key("reliability");
+    writeJson(w, result.reliability);
+    w.key("lifetime_sec").number(result.lifetimeSec);
+    w.endObject();
 }
 
 EvalResult
@@ -291,16 +284,16 @@ evalResultFromJson(const JsonValue &doc)
     return result;
 }
 
-JsonValue
-toJson(const std::vector<EvalResult> &results)
+void
+writeJson(JsonWriter &w, const std::vector<EvalResult> &results)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("format", JsonValue::makeNumber(kFormatVersion));
-    JsonValue array = JsonValue::makeArray();
+    w.beginObject();
+    w.key("format").number(kFormatVersion);
+    w.key("results").beginArray();
     for (const auto &result : results)
-        array.append(toJson(result));
-    v.set("results", std::move(array));
-    return v;
+        writeJson(w, result);
+    w.endArray();
+    w.endObject();
 }
 
 std::vector<EvalResult>
@@ -317,18 +310,33 @@ evalResultsFromJson(const JsonValue &doc)
     return results;
 }
 
+namespace {
+
+/** The compact encoding of one record. */
+template <typename Record>
+std::string
+compact(const Record &record)
+{
+    std::string out;
+    JsonWriter w(out);
+    writeJson(w, record);
+    return out;
+}
+
+} // namespace
+
 bool
 identical(const ArrayResult &a, const ArrayResult &b)
 {
     // Serialization covers every field losslessly, so comparing the
-    // compact dumps compares the structs bit-for-bit.
-    return toJson(a).dump(-1) == toJson(b).dump(-1);
+    // compact encodings compares the structs bit-for-bit.
+    return compact(a) == compact(b);
 }
 
 bool
 identical(const EvalResult &a, const EvalResult &b)
 {
-    return toJson(a).dump(-1) == toJson(b).dump(-1);
+    return compact(a) == compact(b);
 }
 
 } // namespace store

@@ -4,10 +4,11 @@
  * encodings of ArrayResult and EvalResult (and the MemCell, traffic,
  * and organization records they embed).
  *
- * Doubles are written in shortest-exact form (util/json), so
- * fromJson(toJson(x)) reproduces every field bit-for-bit — the
- * property the characterization cache, resumable checkpoints, and
- * golden-file regression tier all depend on.
+ * Encoders stream straight into a JsonWriter (no DOM); decoders read
+ * a parsed JsonValue. Doubles are written in shortest-exact form
+ * (util/json), so decoding what writeJson wrote reproduces every field
+ * bit-for-bit — the property the characterization cache, resumable
+ * checkpoints, and golden-file regression tier all depend on.
  */
 
 #ifndef NVMEXP_STORE_SERIALIZE_HH
@@ -28,27 +29,29 @@ namespace store {
  *  rates, overhead) and sweep fingerprints the reliability axis. */
 constexpr int kFormatVersion = 2;
 
-JsonValue toJson(const MemCell &cell);
+/** Each writeJson emits one JSON object at the writer's position,
+ *  members in a fixed order; the *FromJson decoders read it back. */
+void writeJson(JsonWriter &w, const MemCell &cell);
 MemCell cellFromJson(const JsonValue &doc);
 
-JsonValue toJson(const TrafficPattern &traffic);
+void writeJson(JsonWriter &w, const TrafficPattern &traffic);
 TrafficPattern trafficFromJson(const JsonValue &doc);
 
-JsonValue toJson(const Organization &org);
+void writeJson(JsonWriter &w, const Organization &org);
 Organization organizationFromJson(const JsonValue &doc);
 
-JsonValue toJson(const reliability::ReliabilityResult &rel);
+void writeJson(JsonWriter &w, const reliability::ReliabilityResult &rel);
 reliability::ReliabilityResult
 reliabilityResultFromJson(const JsonValue &doc);
 
-JsonValue toJson(const ArrayResult &array);
+void writeJson(JsonWriter &w, const ArrayResult &array);
 ArrayResult arrayResultFromJson(const JsonValue &doc);
 
-JsonValue toJson(const EvalResult &result);
+void writeJson(JsonWriter &w, const EvalResult &result);
 EvalResult evalResultFromJson(const JsonValue &doc);
 
 /** Whole-sweep encodings: {"format": v, "results": [...]}. */
-JsonValue toJson(const std::vector<EvalResult> &results);
+void writeJson(JsonWriter &w, const std::vector<EvalResult> &results);
 std::vector<EvalResult> evalResultsFromJson(const JsonValue &doc);
 
 /** Exact field-by-field equality via the serialized form: doubles

@@ -1,8 +1,13 @@
 #include "util/json.hh"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -157,17 +162,9 @@ JsonValue::memberNames() const
 std::string
 JsonValue::formatNumber(double value)
 {
-    if (std::isnan(value))
-        return "NaN";
-    if (std::isinf(value))
-        return value > 0.0 ? "Infinity" : "-Infinity";
-    // std::to_chars emits the shortest decimal form that parses back
-    // to the exact same bits, independent of the C locale (snprintf
-    // would print a ',' decimal point under e.g. de_DE and corrupt
-    // every store artifact).
-    char buffer[40];
-    auto r = std::to_chars(buffer, buffer + sizeof(buffer), value);
-    return std::string(buffer, r.ptr);
+    std::string out;
+    JsonWriter::appendNumber(out, value);
+    return out;
 }
 
 bool
@@ -214,109 +211,212 @@ JsonValue::parseNumber(const std::string &text, double &out)
     return true;
 }
 
-namespace {
-
-void
-dumpString(std::ostringstream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          case '\b': os << "\\b"; break;
-          case '\f': os << "\\f"; break;
-          default:   os << c; break;
-        }
-    }
-    os << '"';
-}
-
-void
-dumpValue(std::ostringstream &os, const JsonValue &v, int indent,
-          int depth)
-{
-    auto newline = [&](int d) {
-        if (indent >= 0) {
-            os << '\n';
-            for (int i = 0; i < indent * d; ++i)
-                os << ' ';
-        }
-    };
-    switch (v.kind()) {
-      case JsonValue::Kind::Null:
-        os << "null";
-        break;
-      case JsonValue::Kind::Bool:
-        os << (v.asBool() ? "true" : "false");
-        break;
-      case JsonValue::Kind::Number:
-        os << JsonValue::formatNumber(v.asNumber());
-        break;
-      case JsonValue::Kind::String:
-        dumpString(os, v.asString());
-        break;
-      case JsonValue::Kind::Array: {
-        const auto &elements = v.asArray();
-        if (elements.empty()) {
-            os << "[]";
-            break;
-        }
-        os << '[';
-        for (std::size_t i = 0; i < elements.size(); ++i) {
-            if (i)
-                os << ',';
-            newline(depth + 1);
-            dumpValue(os, elements[i], indent, depth + 1);
-        }
-        newline(depth);
-        os << ']';
-        break;
-      }
-      case JsonValue::Kind::Object: {
-        const auto &names = v.memberNames();
-        if (names.empty()) {
-            os << "{}";
-            break;
-        }
-        os << '{';
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            if (i)
-                os << ',';
-            newline(depth + 1);
-            dumpString(os, names[i]);
-            os << (indent >= 0 ? ": " : ":");
-            dumpValue(os, v.at(names[i]), indent, depth + 1);
-        }
-        newline(depth);
-        os << '}';
-        break;
-      }
-    }
-}
-
-} // namespace
-
 std::string
 JsonValue::dump(int indent) const
 {
-    std::ostringstream os;
-    dumpValue(os, *this, indent, 0);
-    return os.str();
+    std::string out;
+    JsonWriter(out, indent).value(*this);
+    return out;
 }
 
 void
-JsonValue::writeFile(const std::string &path, int indent) const
+JsonValue::writeFile(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write JSON file '", path, "'");
-    out << dump(indent) << '\n';
-    if (!out.flush())
-        fatal("failed writing JSON file '", path, "'");
+    std::string text = dump();
+    text += '\n';
+    writeFileAtomically(path, text);
+}
+
+void
+JsonWriter::appendNumber(std::string &out, double value)
+{
+    if (std::isnan(value)) {
+        out += "NaN";
+        return;
+    }
+    if (std::isinf(value)) {
+        out += value > 0.0 ? "Infinity" : "-Infinity";
+        return;
+    }
+    // std::to_chars emits the shortest decimal form that parses back
+    // to the exact same bits, independent of the C locale (snprintf
+    // would print a ',' decimal point under e.g. de_DE and corrupt
+    // every store artifact).
+    char buffer[40];
+    auto r = std::to_chars(buffer, buffer + sizeof(buffer), value);
+    out.append(buffer, (std::size_t)(r.ptr - buffer));
+}
+
+void
+JsonWriter::appendString(std::string &out, std::string_view value)
+{
+    static const char hex[] = "0123456789abcdef";
+    out += '"';
+    // Copy runs of bytes that need no escape in one append each.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < value.size(); ++i) {
+        auto c = (unsigned char)value[i];
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(value.data() + run, i - run);
+        run = i + 1;
+        switch (c) {
+          case '"':  out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          default: {
+            const char escape[] = {'\\', 'u', '0', '0', hex[c >> 4],
+                                   hex[c & 0xF]};
+            out.append(escape, sizeof(escape));
+            break;
+          }
+        }
+    }
+    out.append(value.data() + run, value.size() - run);
+    out += '"';
+}
+
+void
+JsonWriter::newline()
+{
+    if (indent_ >= 0) {
+        out_ += '\n';
+        out_.append((std::size_t)indent_ * (std::size_t)depth_, ' ');
+    }
+}
+
+void
+JsonWriter::separate()
+{
+    if (afterKey_) {
+        afterKey_ = false;
+        return;
+    }
+    if (depth_ == 0)
+        return;
+    if (!first_)
+        out_ += ',';
+    first_ = false;
+    newline();
+}
+
+JsonWriter &
+JsonWriter::open(char bracket)
+{
+    separate();
+    out_ += bracket;
+    ++depth_;
+    first_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::close(char bracket)
+{
+    --depth_;
+    if (!first_)
+        newline();
+    out_ += bracket;
+    first_ = false;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view name)
+{
+    separate();
+    appendString(out_, name);
+    out_ += ':';
+    if (indent_ >= 0)
+        out_ += ' ';
+    afterKey_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::number(double value)
+{
+    separate();
+    appendNumber(out_, value);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::string(std::string_view value)
+{
+    separate();
+    appendString(out_, value);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::boolean(bool value)
+{
+    separate();
+    out_ += value ? "true" : "false";
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::null()
+{
+    separate();
+    out_ += "null";
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(const JsonValue &doc)
+{
+    switch (doc.kind()) {
+      case JsonValue::Kind::Null:
+        return null();
+      case JsonValue::Kind::Bool:
+        return boolean(doc.asBool());
+      case JsonValue::Kind::Number:
+        return number(doc.asNumber());
+      case JsonValue::Kind::String:
+        return string(doc.asString());
+      case JsonValue::Kind::Array:
+        beginArray();
+        for (const auto &element : doc.asArray())
+            value(element);
+        return endArray();
+      case JsonValue::Kind::Object:
+        beginObject();
+        for (const auto &name : doc.memberNames())
+            key(name).value(doc.at(name));
+        return endObject();
+    }
+    panic("unhandled JsonValue::Kind");
+}
+
+void
+writeFileAtomically(const std::string &path, std::string_view bytes)
+{
+    static std::atomic<std::uint64_t> counter{0};
+    std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+        std::to_string(counter.fetch_add(1));
+    bool written = false;
+    {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        written = out.write(bytes.data(), (std::streamsize)bytes.size()) &&
+            out.flush();
+    }
+    std::error_code ec;
+    if (written)
+        std::filesystem::rename(tmp, path, ec);
+    if (!written || ec) {
+        std::error_code ignored;
+        std::filesystem::remove(tmp, ignored);
+        if (!written)
+            fatal("cannot write '", tmp, "' (for '", path, "')");
+        fatal("cannot move '", tmp, "' to '", path, "': ", ec.message());
+    }
 }
 
 namespace {
@@ -492,6 +592,7 @@ class JsonParser
                   case 'r':  v.string_ += '\r'; break;
                   case 'b':  v.string_ += '\b'; break;
                   case 'f':  v.string_ += '\f'; break;
+                  case 'u':  appendCodePoint(v.string_); break;
                   default:   fail("unsupported escape sequence");
                 }
             } else {
@@ -499,6 +600,71 @@ class JsonParser
             }
         }
         return v;
+    }
+
+    /** The four hex digits of a \u escape, `pos_` just past the 'u'. */
+    unsigned
+    parseHex4()
+    {
+        if (text_.size() - pos_ < 4)
+            fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+            char c = text_[pos_];
+            unsigned digit = 0;
+            if (c >= '0' && c <= '9')
+                digit = (unsigned)(c - '0');
+            else if (c >= 'a' && c <= 'f')
+                digit = (unsigned)(c - 'a' + 10);
+            else if (c >= 'A' && c <= 'F')
+                digit = (unsigned)(c - 'A' + 10);
+            else
+                fail("bad hex digit in \\u escape");
+            code = code * 16 + digit;
+            ++pos_;
+        }
+        return code;
+    }
+
+    /** Decode one \u escape (a surrogate pair takes two) and append
+     *  the code point as UTF-8. A lone surrogate fails at its offset. */
+    void
+    appendCodePoint(std::string &out)
+    {
+        std::size_t escape = pos_ - 2;
+        unsigned code = parseHex4();
+        if (code >= 0xDC00 && code <= 0xDFFF) {
+            pos_ = escape;
+            fail("lone low surrogate in \\u escape");
+        }
+        if (code >= 0xD800 && code <= 0xDBFF) {
+            if (text_.compare(pos_, 2, "\\u") != 0) {
+                pos_ = escape;
+                fail("lone high surrogate in \\u escape");
+            }
+            pos_ += 2;
+            unsigned low = parseHex4();
+            if (low < 0xDC00 || low > 0xDFFF) {
+                pos_ = escape;
+                fail("lone high surrogate in \\u escape");
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+        if (code < 0x80) {
+            out += (char)code;
+        } else if (code < 0x800) {
+            out += (char)(0xC0 | (code >> 6));
+            out += (char)(0x80 | (code & 0x3F));
+        } else if (code < 0x10000) {
+            out += (char)(0xE0 | (code >> 12));
+            out += (char)(0x80 | ((code >> 6) & 0x3F));
+            out += (char)(0x80 | (code & 0x3F));
+        } else {
+            out += (char)(0xF0 | (code >> 18));
+            out += (char)(0x80 | ((code >> 12) & 0x3F));
+            out += (char)(0x80 | ((code >> 6) & 0x3F));
+            out += (char)(0x80 | (code & 0x3F));
+        }
     }
 
     JsonValue

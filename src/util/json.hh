@@ -1,20 +1,22 @@
 /**
  * @file
- * Minimal JSON parser and writer for the configuration front-end and
- * the result store.
+ * Minimal JSON parser, DOM, and streaming writer for the configuration
+ * front-end and the result store.
  *
  * Supports the full JSON value grammar (objects, arrays, strings with
- * the common escapes, numbers, booleans, null) plus `//` line
- * comments, which configuration files are allowed to use, and the
- * JSON5-style literals `Infinity`, `-Infinity`, and `NaN` so
- * serialized metrics (e.g. unlimited lifetimes) survive a round trip.
- * Errors are reported with line/column context via fatal().
+ * every escape including \uXXXX and surrogate pairs, numbers,
+ * booleans, null) plus `//` line comments, which configuration files
+ * are allowed to use, and the JSON5-style literals `Infinity`,
+ * `-Infinity`, and `NaN` so serialized metrics (e.g. unlimited
+ * lifetimes) survive a round trip. Errors are reported with
+ * line/column context via fatal().
  *
- * Writing: values built with the make*()/set()/append() builders dump
- * with exact double round-trip (shortest decimal form that parses
- * back bit-identically), so serialize -> parse -> serialize is
- * byte-stable — the property the result store's resume and golden-file
- * tiers rely on.
+ * Writing: JsonWriter is the one emitter. Result artifacts stream
+ * straight through it; the JsonValue DOM (configs, queries, parsed
+ * documents) dumps through it too. Doubles print in exact round-trip
+ * form (shortest decimal that parses back bit-identically), so
+ * serialize -> parse -> serialize is byte-stable — the property the
+ * result store's resume and golden-file tiers rely on.
  */
 
 #ifndef NVMEXP_UTIL_JSON_HH
@@ -23,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nvmexp {
@@ -86,20 +89,20 @@ class JsonValue
     static JsonValue parseFile(const std::string &path);
 
     /**
-     * Serialize. indent >= 0 pretty-prints with that many spaces per
-     * level; indent < 0 emits the compact single-line form (used for
-     * checkpoint journal lines).
+     * Serialize through JsonWriter. indent >= 0 pretty-prints with
+     * that many spaces per level; indent < 0 emits the compact
+     * single-line form.
      */
     std::string dump(int indent = 2) const;
 
-    /** Write dump() + trailing newline to a file; fatal() on failure. */
-    void writeFile(const std::string &path, int indent = 2) const;
+    /** Write dump() + trailing newline to a file, write-then-rename
+     *  (writeFileAtomically); fatal() on failure. */
+    void writeFile(const std::string &path) const;
 
     /**
-     * Format a double as the shortest decimal string that strtod()
-     * parses back to the exact same bits ("inf"-style values dump as
-     * Infinity/NaN literals). Shared by dump() and the store's
-     * content-hash keys.
+     * Format a double as the shortest decimal string that parses back
+     * to the exact same bits ("inf"-style values dump as Infinity/NaN
+     * literals): JsonWriter::appendNumber into a new string.
      */
     static std::string formatNumber(double value);
 
@@ -128,6 +131,80 @@ class JsonValue
     std::map<std::string, JsonValue> object_;
     std::vector<std::string> memberOrder_;
 };
+
+/**
+ * Streaming JSON emitter: appends one document to a caller-owned
+ * string, with no intermediate DOM. Every JSON text the program writes
+ * comes from here (JsonValue::dump() walks its tree through one), so
+ * artifacts, cache keys, and responses share one set of rules:
+ *
+ *  - Layout. indent >= 0 puts each array element and object member on
+ *    its own line, indented `indent` spaces per level, with ": " after
+ *    a member name; indent < 0 is the compact single-line form. Empty
+ *    containers print as [] and {} in both.
+ *  - Numbers. Shortest exact round-trip decimal (std::to_chars, so
+ *    independent of the C locale); NaN and +/-infinity print as the
+ *    NaN, Infinity, -Infinity literals JsonValue::parse() accepts.
+ *  - Strings. '"' and '\\' are backslash-escaped, \b \f \n \r \t use
+ *    their short escapes, every other byte below 0x20 is written as
+ *    \u00XX (lower-case hex), and all other bytes, UTF-8 included,
+ *    pass through unchanged.
+ *
+ * Calls must nest: key() only directly inside an object and followed
+ * by exactly one value, every begin matched by its end. The writer
+ * does not check; its callers are fixed encoders.
+ */
+class JsonWriter
+{
+  public:
+    explicit JsonWriter(std::string &out, int indent = -1)
+        : out_(out), indent_(indent)
+    {
+    }
+
+    JsonWriter &beginObject() { return open('{'); }
+    JsonWriter &endObject() { return close('}'); }
+    JsonWriter &beginArray() { return open('['); }
+    JsonWriter &endArray() { return close(']'); }
+
+    /** An object member's name; the next call writes its value. */
+    JsonWriter &key(std::string_view name);
+
+    JsonWriter &number(double value);
+    JsonWriter &string(std::string_view value);
+    JsonWriter &boolean(bool value);
+    JsonWriter &null();
+
+    /** A whole DOM value (e.g. a config fragment) at this position. */
+    JsonWriter &value(const JsonValue &doc);
+
+    /** Append one number to `out` by the rules above, outside any
+     *  document layout (CSV cells, formatNumber()). */
+    static void appendNumber(std::string &out, double value);
+
+  private:
+    static void appendString(std::string &out, std::string_view value);
+    JsonWriter &open(char bracket);
+    JsonWriter &close(char bracket);
+    /** Separator and line break before a value or member name. */
+    void separate();
+    void newline();
+
+    std::string &out_;
+    int indent_;
+    int depth_ = 0;
+    bool first_ = true;     ///< innermost open container has no element
+    bool afterKey_ = false; ///< a member name awaits its value
+};
+
+/**
+ * Write `bytes` to `path` so no reader ever sees a partial file: the
+ * bytes go to a temporary file beside it (unique per process and call,
+ * so concurrent writers of one path each rename a complete file) that
+ * is then renamed over `path`. fatal() naming both paths when the write
+ * or the rename fails; the temporary is removed first.
+ */
+void writeFileAtomically(const std::string &path, std::string_view bytes);
 
 } // namespace nvmexp
 

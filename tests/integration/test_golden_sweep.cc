@@ -42,10 +42,11 @@ class GoldenSweep : public testsupport::QuietTest
 
 TEST_F(GoldenSweep, MetricsMatchTheCommittedReference)
 {
-    JsonValue current = store::toJson(runSweep(referenceSweep()));
+    std::string current =
+        store::serializeResults(runSweep(referenceSweep()));
 
     if (std::getenv("NVMEXP_REGOLD")) {
-        current.writeFile(goldenPath());
+        writeFileAtomically(goldenPath(), current);
         GTEST_SKIP() << "regenerated " << kGoldenRelPath;
     }
 
@@ -53,12 +54,18 @@ TEST_F(GoldenSweep, MetricsMatchTheCommittedReference)
     std::vector<std::string> diffs;
     // Tolerance 0: the store's exact double serialization makes the
     // golden comparison bitwise; any drift is a real model change.
-    bool same = testsupport::jsonNear(golden, current, 0.0, diffs);
+    bool same = testsupport::jsonNear(golden, JsonValue::parse(current),
+                                      0.0, diffs);
     for (const auto &diff : diffs)
         ADD_FAILURE() << diff;
     EXPECT_TRUE(same)
         << "reference sweep diverged from " << kGoldenRelPath
         << "; if intentional, regenerate with NVMEXP_REGOLD=1";
+    // Byte-exact too: the golden pins the serializer's layout, number
+    // and escape formatting, not only the values.
+    EXPECT_TRUE(testsupport::fileText(goldenPath()) == current)
+        << "serialized reference sweep is not byte-identical to "
+        << kGoldenRelPath;
 }
 
 TEST_F(GoldenSweep, StoreRoundTripAndCacheReproduceTheReference)
@@ -83,12 +90,15 @@ TEST_F(GoldenSweep, StoreRoundTripAndCacheReproduceTheReference)
     EXPECT_GT(stats.cacheHits, 0u);
 
     JsonValue golden = JsonValue::parseFile(goldenPath());
-    JsonValue roundTripped = store::toJson(store::loadResults(dir));
+    JsonValue roundTripped =
+        JsonValue::parse(store::serializeResults(store::loadResults(dir)));
     std::vector<std::string> diffs;
     bool same = testsupport::jsonNear(golden, roundTripped, 0.0, diffs);
     for (const auto &diff : diffs)
         ADD_FAILURE() << diff;
     EXPECT_TRUE(same);
+    EXPECT_TRUE(testsupport::fileText(dir + "/results.json") ==
+                testsupport::fileText(goldenPath()));
 }
 
 } // namespace

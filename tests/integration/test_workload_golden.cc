@@ -22,7 +22,7 @@
 #include "../support/golden_compare.hh"
 #include "celldb/tentpole.hh"
 #include "core/sweep.hh"
-#include "store/serialize.hh"
+#include "store/result_store.hh"
 #include "util/logging.hh"
 
 namespace nvmexp {
@@ -76,10 +76,10 @@ TEST_F(WorkloadGolden, NewWorkloadMetricsMatchTheCommittedReference)
 {
     auto results = runSweep(workloadReferenceSweep());
     ASSERT_EQ(results.size(), 2u * 4u);  // cells x patterns
-    JsonValue current = store::toJson(results);
+    std::string current = store::serializeResults(results);
 
     if (std::getenv("NVMEXP_REGOLD")) {
-        current.writeFile(goldenPath());
+        writeFileAtomically(goldenPath(), current);
         GTEST_SKIP() << "regenerated " << kGoldenRelPath;
     }
 
@@ -88,12 +88,16 @@ TEST_F(WorkloadGolden, NewWorkloadMetricsMatchTheCommittedReference)
     // Tolerance 0: generators are deterministic and the store
     // serializes doubles exactly, so any drift is a real change to a
     // traffic model.
-    bool same = testsupport::jsonNear(golden, current, 0.0, diffs);
+    bool same = testsupport::jsonNear(golden, JsonValue::parse(current),
+                                      0.0, diffs);
     for (const auto &diff : diffs)
         ADD_FAILURE() << diff;
     EXPECT_TRUE(same)
         << "workload reference sweep diverged from " << kGoldenRelPath
         << "; if intentional, regenerate with NVMEXP_REGOLD=1";
+    EXPECT_TRUE(testsupport::fileText(goldenPath()) == current)
+        << "serialized workload sweep is not byte-identical to "
+        << kGoldenRelPath;
 }
 
 TEST_F(WorkloadGolden, WorkloadSweepSurvivesStoreRoundTrip)
@@ -105,9 +109,8 @@ TEST_F(WorkloadGolden, WorkloadSweepSurvivesStoreRoundTrip)
     // expanded patterns flow through the same serialization the
     // explicit-traffic path uses.
     auto results = runSweep(workloadReferenceSweep());
-    JsonValue encoded = store::toJson(results);
     auto decoded = store::evalResultsFromJson(
-        JsonValue::parse(encoded.dump(-1)));
+        JsonValue::parse(store::serializeResults(results)));
     ASSERT_EQ(decoded.size(), results.size());
     for (std::size_t i = 0; i < results.size(); ++i)
         EXPECT_TRUE(store::identical(results[i], decoded[i])) << i;

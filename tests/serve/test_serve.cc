@@ -465,6 +465,41 @@ TEST_F(ServeTest, IdleKeepAliveTimeoutIsACleanCloseNotADrop)
     EXPECT_EQ(running.server().counters().dropped, 0u);
 }
 
+TEST_F(ServeTest, IdleKeepAliveConnectionYieldsItsWorker)
+{
+    // One worker and a long idle window: a kept-alive connection that
+    // sits idle must give the worker up to a client with a request
+    // instead of making it wait out the window.
+    serve::ServeOptions options = sharedOptions();
+    options.jobs = 1;
+    options.keepAliveTimeoutMillis = 20000;
+    RunningServer running(options);
+    const std::string expected = offlineAnswer("{}");
+
+    serve::HttpClient idle(running.port());
+    serve::HttpClientResult result;
+    std::string error;
+    ASSERT_TRUE(idle.exchange("POST", "/query", "{}", result, error))
+        << error;
+    EXPECT_EQ(result.headers.at("connection"), "keep-alive");
+
+    auto begin = std::chrono::steady_clock::now();
+    serve::HttpClient waiting(running.port());
+    ASSERT_TRUE(waiting.exchange("POST", "/query", "{}", result, error))
+        << error;
+    EXPECT_EQ(result.body, expected);
+    EXPECT_LT(std::chrono::steady_clock::now() - begin,
+              std::chrono::seconds(5));
+
+    // The idle client's next exchange reconnects transparently; the
+    // yield is a clean close, not a drop.
+    waiting.disconnect();
+    ASSERT_TRUE(idle.exchange("POST", "/query", "{}", result, error))
+        << error;
+    EXPECT_EQ(result.body, expected);
+    EXPECT_EQ(running.server().counters().dropped, 0u);
+}
+
 TEST_F(ServeTest, ExplicitConnectionCloseStillHonored)
 {
     RunningServer running(sharedOptions());

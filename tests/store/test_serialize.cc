@@ -1,16 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <vector>
 
+#include "../support/golden_compare.hh"
 #include "celldb/tentpole.hh"
-#include "store/serialize.hh"
+#include "store/result_store.hh"
 #include "util/random.hh"
 
 namespace nvmexp {
 namespace {
 
-using store::toJson;
+/** One record through store::writeJson (compact by default). */
+template <typename Record>
+std::string
+encode(const Record &record, int indent = -1)
+{
+    std::string out;
+    JsonWriter w(out, indent);
+    store::writeJson(w, record);
+    return out;
+}
 
 /** Doubles spanning the magnitudes the models produce, plus the
  *  awkward ones (negatives, subnormals, infinities, long fractions). */
@@ -112,7 +130,7 @@ TEST(StoreSerialize, RandomizedEvalResultRoundTripsExactly)
     for (int trial = 0; trial < 200; ++trial) {
         EvalResult original = randomEvalResult(rng);
         EvalResult restored = store::evalResultFromJson(
-            JsonValue::parse(toJson(original).dump(-1)));
+            JsonValue::parse(encode(original)));
 
         EXPECT_TRUE(store::identical(original, restored)) << trial;
         // Spot-check bitwise equality on representative fields (the
@@ -148,11 +166,11 @@ TEST(StoreSerialize, SerializationIsByteStable)
     Rng rng(42);
     for (int trial = 0; trial < 100; ++trial) {
         EvalResult original = randomEvalResult(rng);
-        std::string once = toJson(original).dump();
+        std::string once = encode(original, 2);
         EvalResult restored =
             store::evalResultFromJson(JsonValue::parse(once));
-        EXPECT_EQ(once, toJson(restored).dump()) << trial;
-        EXPECT_EQ(toJson(original).dump(-1), toJson(restored).dump(-1));
+        EXPECT_EQ(once, encode(restored, 2)) << trial;
+        EXPECT_EQ(encode(original), encode(restored));
     }
 }
 
@@ -165,7 +183,7 @@ TEST(StoreSerialize, RealCharacterizedArrayRoundTrips)
     ArrayResult array = designer.optimize(OptTarget::ReadEDP);
 
     ArrayResult restored = store::arrayResultFromJson(
-        JsonValue::parse(toJson(array).dump()));
+        JsonValue::parse(encode(array, 2)));
     EXPECT_TRUE(store::identical(array, restored));
     EXPECT_EQ(array.readLatency, restored.readLatency);
     EXPECT_EQ(array.areaM2, restored.areaM2);
@@ -176,13 +194,196 @@ TEST(StoreSerialize, ResultVectorRoundTripsWithFormatTag)
     Rng rng(7);
     std::vector<EvalResult> results = {randomEvalResult(rng),
                                        randomEvalResult(rng)};
-    JsonValue doc = toJson(results);
+    JsonValue doc = JsonValue::parse(encode(results, 2));
     EXPECT_EQ((int)doc.at("format").asNumber(), store::kFormatVersion);
-    auto restored = store::evalResultsFromJson(
-        JsonValue::parse(doc.dump()));
+    auto restored = store::evalResultsFromJson(doc);
     ASSERT_EQ(restored.size(), results.size());
     for (std::size_t i = 0; i < results.size(); ++i)
         EXPECT_TRUE(store::identical(results[i], restored[i]));
+}
+
+/** Doubles at the edges of the number formatter: the non-finite
+ *  literals, signed zero, the extremes and subnormals, exact integers
+ *  where the shortest form switches to an exponent, and (half the
+ *  time) an arbitrary non-NaN bit pattern. */
+double
+edgeDouble(Rng &rng)
+{
+    static const double specials[] = {
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        0.0, -0.0, DBL_MAX, -DBL_MAX, DBL_MIN, DBL_TRUE_MIN,
+        -DBL_TRUE_MIN, DBL_TRUE_MIN * 4097.0, DBL_EPSILON, 1e21, 1e22,
+        9007199254740993.0, 0.1, 1.0 / 3.0, 146.0,
+    };
+    if (rng.bernoulli(0.5))
+        return specials[rng.range(std::size(specials))];
+    std::uint64_t bits = rng();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof value);
+    return std::isnan(value) ? -0.0 : value;
+}
+
+/** Names heavy with what the escaper must handle: quotes, backslashes,
+ *  every control byte (NUL included), DEL, text that looks like an
+ *  escape, and 2-, 3- and 4-byte UTF-8. */
+std::string
+edgeName(Rng &rng)
+{
+    static const char *const pieces[] = {
+        "\"", "\\", "/", "\\u0041", ",", "{", "}", "[", "]", ":",
+        " ", "a", "Z", "9", "\x7f", "\xc2\xb5", "\xe2\x82\xac",
+        "\xf0\x9d\x84\x9e",
+    };
+    std::string name;
+    std::size_t length = rng.range(24);
+    for (std::size_t i = 0; i < length; ++i) {
+        if (rng.bernoulli(0.3))
+            name += (char)rng.range(0x20);
+        else
+            name += pieces[rng.range(std::size(pieces))];
+    }
+    return name;
+}
+
+/** Every double field of an EvalResult, in a fixed order. */
+template <typename Result>
+auto
+doubleFields(Result &r)
+{
+    auto &c = r.array.cell;
+    auto &a = r.array;
+    auto &t = r.traffic;
+    auto &rel = r.reliability;
+    return std::vector{
+        &c.areaF2, &c.aspectRatio, &c.readVoltage, &c.writeVoltage,
+        &c.resistanceOn, &c.resistanceOff, &c.setPulse, &c.resetPulse,
+        &c.setCurrent, &c.resetCurrent, &c.readEnergyPerBit,
+        &c.endurance, &c.retention, &c.cellLeakage, &a.capacityBytes,
+        &a.readLatency, &a.writeLatency, &a.readEnergy, &a.writeEnergy,
+        &a.leakage, &a.areaM2, &a.areaEfficiency, &a.readBandwidth,
+        &a.writeBandwidth, &t.readsPerSec, &t.writesPerSec, &t.execTime,
+        &r.dynamicPower, &r.leakagePower, &r.totalPower, &r.latencyLoad,
+        &r.slowdown, &r.totalAccessLatency, &r.lifetimeSec,
+        &rel.scrubIntervalSec, &rel.rawBer, &rel.scrubbedBer,
+        &rel.uncorrectableWordRate, &rel.uncorrectableImageRate,
+        &rel.eccOverhead,
+    };
+}
+
+EvalResult
+edgeEvalResult(Rng &rng)
+{
+    EvalResult r = randomEvalResult(rng);
+    for (double *field : doubleFields(r))
+        *field = edgeDouble(rng);
+    r.array.cell.name = edgeName(rng);
+    r.traffic.name = edgeName(rng);
+    r.reliability.scheme = edgeName(rng);
+    return r;
+}
+
+std::uint64_t
+bitsOf(double value)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+/** Field-by-field equality that does not go through the serializer:
+ *  doubles compare by bit pattern. */
+void
+expectBitIdentical(const EvalResult &expected, const EvalResult &actual)
+{
+    auto want = doubleFields(expected);
+    auto got = doubleFields(actual);
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(bitsOf(*want[i]), bitsOf(*got[i])) << "double #" << i;
+    const ArrayResult &a = expected.array;
+    const ArrayResult &b = actual.array;
+    EXPECT_EQ(a.cell.name, b.cell.name);
+    EXPECT_EQ(a.cell.tech, b.cell.tech);
+    EXPECT_EQ(a.cell.flavor, b.cell.flavor);
+    EXPECT_EQ(a.cell.senseMode, b.cell.senseMode);
+    EXPECT_EQ(a.cell.bitsPerCell, b.cell.bitsPerCell);
+    EXPECT_EQ(a.cell.nonVolatile, b.cell.nonVolatile);
+    EXPECT_EQ(a.cell.minNodeNm, b.cell.minNodeNm);
+    EXPECT_EQ(a.cell.mlcCapable, b.cell.mlcCapable);
+    EXPECT_EQ(a.nodeNm, b.nodeNm);
+    EXPECT_EQ(a.wordBits, b.wordBits);
+    EXPECT_EQ(a.org.banks, b.org.banks);
+    EXPECT_EQ(a.org.subarraysPerBank, b.org.subarraysPerBank);
+    EXPECT_EQ(a.org.subarray.rows, b.org.subarray.rows);
+    EXPECT_EQ(a.org.subarray.cols, b.org.subarray.cols);
+    EXPECT_EQ(a.org.subarray.sensedBits, b.org.subarray.sensedBits);
+    EXPECT_EQ(expected.traffic.name, actual.traffic.name);
+    EXPECT_EQ(expected.meetsReadBandwidth, actual.meetsReadBandwidth);
+    EXPECT_EQ(expected.meetsWriteBandwidth, actual.meetsWriteBandwidth);
+    EXPECT_EQ(expected.reliability.scheme, actual.reliability.scheme);
+}
+
+/** Raw control bytes other than line breaks: a strict JSON reader
+ *  rejects any inside a string, so the writer must leave none. */
+std::size_t
+controlBytes(const std::string &text)
+{
+    return (std::size_t)std::count_if(text.begin(), text.end(), [](char c) {
+        return (unsigned char)c < 0x20 && c != '\n';
+    });
+}
+
+/** Differential: the artifacts the store writes through JsonWriter
+ *  equal what the parser and JsonValue::dump() make of them, for
+ *  records full of edge-case numbers and names, and decode back to
+ *  the exact input. */
+TEST(StoreSerialize, WrittenArtifactsMatchParseThenDump)
+{
+    std::string dir = ::testing::TempDir() + "nvmexp_writer_differential";
+    std::filesystem::remove_all(dir);
+    Rng rng(0x5EED0012);
+    for (int trial = 0; trial < 40; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        std::vector<EvalResult> results(rng.range(4));
+        for (auto &result : results)
+            result = edgeEvalResult(rng);
+
+        store::ResultStore resultStore(dir);
+        resultStore.openCheckpoint("differential", results.size(),
+                                   false);
+        for (std::size_t slot = 0; slot < results.size(); ++slot)
+            resultStore.checkpointSlot(slot, results[slot]);
+        resultStore.closeCheckpoint();
+        resultStore.writeResults(results);
+
+        std::string text = testsupport::fileText(dir + "/results.json");
+        ASSERT_TRUE(text == store::serializeResults(results));
+        EXPECT_EQ(controlBytes(text), 0u);
+        JsonValue doc;
+        ASSERT_TRUE(JsonValue::tryParse(text, doc)) << text;
+        EXPECT_TRUE(doc.dump(2) + "\n" == text) << text;
+        auto decoded = store::evalResultsFromJson(doc);
+        ASSERT_EQ(decoded.size(), results.size());
+        for (std::size_t i = 0; i < results.size(); ++i)
+            expectBitIdentical(results[i], decoded[i]);
+
+        std::ifstream journal(dir + "/checkpoint.jsonl");
+        std::string line;
+        ASSERT_TRUE((bool)std::getline(journal, line));  // header
+        std::size_t slot = 0;
+        for (; std::getline(journal, line); ++slot) {
+            JsonValue entry;
+            ASSERT_TRUE(JsonValue::tryParse(line, entry)) << line;
+            EXPECT_TRUE(entry.dump(-1) == line) << line;
+            EXPECT_EQ(controlBytes(line), 0u) << line;
+            ASSERT_LT(slot, results.size());
+            EXPECT_EQ(entry.at("slot").asNumber(), (double)slot);
+            expectBitIdentical(results[slot], store::evalResultFromJson(
+                                                  entry.at("result")));
+        }
+        EXPECT_EQ(slot, results.size());
+    }
 }
 
 TEST(StoreSerialize, NonFiniteNumbersSurviveTheParser)

@@ -14,7 +14,9 @@
 #define NVMEXP_TESTS_SUPPORT_GOLDEN_COMPARE_HH
 
 #include <cmath>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -113,6 +115,16 @@ jsonNear(const JsonValue &expected, const JsonValue &actual,
       }
     }
     return same;
+}
+
+/** The exact bytes of a file, e.g. a golden ("" when unreadable). */
+inline std::string
+fileText(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
 }
 
 } // namespace testsupport

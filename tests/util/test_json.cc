@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <limits>
 
+#include "../support/golden_compare.hh"
 #include "util/json.hh"
 
 namespace nvmexp {
@@ -166,6 +169,135 @@ TEST(JsonWriterDeath, BuilderMisuseIsFatal)
     JsonValue object = JsonValue::makeObject();
     EXPECT_EXIT(object.append(JsonValue()),
                 ::testing::ExitedWithCode(1), "append on non-array");
+}
+
+TEST(JsonWriter, LayoutMatchesTheDumpFormat)
+{
+    std::string pretty;
+    JsonWriter w(pretty, 2);
+    w.beginObject();
+    w.key("empty_array").beginArray().endArray();
+    w.key("empty_object").beginObject().endObject();
+    w.key("list").beginArray();
+    w.number(1).null().beginObject().key("x").boolean(true).endObject();
+    w.endArray();
+    w.key("s").string("v");
+    w.endObject();
+    EXPECT_EQ(pretty, "{\n"
+                      "  \"empty_array\": [],\n"
+                      "  \"empty_object\": {},\n"
+                      "  \"list\": [\n"
+                      "    1,\n"
+                      "    null,\n"
+                      "    {\n"
+                      "      \"x\": true\n"
+                      "    }\n"
+                      "  ],\n"
+                      "  \"s\": \"v\"\n"
+                      "}");
+    // The DOM dumps through the same writer, in all three modes.
+    JsonValue doc = JsonValue::parse(pretty);
+    EXPECT_EQ(doc.dump(2), pretty);
+    EXPECT_EQ(doc.dump(-1), "{\"empty_array\":[],\"empty_object\":{},"
+                            "\"list\":[1,null,{\"x\":true}],\"s\":\"v\"}");
+    EXPECT_EQ(doc.dump(0), "{\n\"empty_array\": [],\n\"empty_object\": {},"
+                           "\n\"list\": [\n1,\nnull,\n{\n\"x\": true\n}\n],"
+                           "\n\"s\": \"v\"\n}");
+    EXPECT_EQ(JsonValue::makeArray().dump(2), "[]");
+    EXPECT_EQ(JsonValue::makeNumber(-0.0).dump(2), "-0");
+}
+
+TEST(JsonWriter, ControlCharactersAreEscapedAndRoundTrip)
+{
+    // Every byte below 0x20 without a short escape is written as
+    // \u00XX, so the text stays valid JSON for any parser.
+    for (int c = 0; c < 0x20; ++c) {
+        std::string raw = "a";
+        raw += (char)c;
+        raw += "b";
+        std::string text = JsonValue::makeString(raw).dump(-1);
+        for (char ch : text)
+            EXPECT_GE((unsigned char)ch, 0x20) << "byte " << c;
+        EXPECT_EQ(JsonValue::parse(text).asString(), raw) << "byte " << c;
+    }
+    EXPECT_EQ(JsonValue::makeString(std::string("\0\x01\x1f\x7f", 4))
+                  .dump(-1),
+              "\"\\u0000\\u0001\\u001f\x7f\"");
+    EXPECT_EQ(JsonValue::makeString("q\"b\\n\nt\tr\rb\bf\f").dump(-1),
+              R"("q\"b\\n\nt\tr\rb\bf\f")");
+    // UTF-8 passes through unchanged.
+    EXPECT_EQ(JsonValue::makeString("\xc2\xb5s-cache").dump(-1),
+              "\"\xc2\xb5s-cache\"");
+}
+
+TEST(Json, ParsesUnicodeEscapesToUtf8)
+{
+    // What Python's json.dump writes for non-ASCII names.
+    EXPECT_EQ(JsonValue::parse(R"({"name": "\u00b5s-cache"})")
+                  .at("name")
+                  .asString(),
+              "\xc2\xb5s-cache");
+    EXPECT_EQ(JsonValue::parse(R"("\u00B5")").asString(), "\xc2\xb5");
+    EXPECT_EQ(JsonValue::parse(R"("\u0041\u20ac")").asString(),
+              "A\xe2\x82\xac");
+    EXPECT_EQ(JsonValue::parse(R"("\ud834\udd1e")").asString(),
+              "\xf0\x9d\x84\x9e");
+    EXPECT_EQ(JsonValue::parse(R"("\u0000")").asString(),
+              std::string(1, '\0'));
+}
+
+TEST(JsonDeath, MalformedUnicodeEscapesAreRejectedWithTheirOffset)
+{
+    EXPECT_EXIT(JsonValue::parse(R"(["ab\ud800"])"),
+                ::testing::ExitedWithCode(1),
+                "line 1 column 5: lone high surrogate");
+    EXPECT_EXIT(JsonValue::parse(R"(["\ud800\u0041"])"),
+                ::testing::ExitedWithCode(1),
+                "line 1 column 3: lone high surrogate");
+    EXPECT_EXIT(JsonValue::parse("{\n \"k\": \"\\udc00\"}"),
+                ::testing::ExitedWithCode(1),
+                "line 2 column 8: lone low surrogate");
+    EXPECT_EXIT(JsonValue::parse(R"("\u12g4")"),
+                ::testing::ExitedWithCode(1), "bad hex digit");
+    JsonValue out;
+    EXPECT_FALSE(JsonValue::tryParse(R"("\ud800")", out));
+    EXPECT_FALSE(JsonValue::tryParse(R"("\u12)", out));
+    EXPECT_FALSE(JsonValue::tryParse(R"("\u12")", out));
+}
+
+std::vector<std::string>
+directoryEntries(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    return names;
+}
+
+TEST(AtomicWrite, ReplacesTheFileAndLeavesNoTemporary)
+{
+    std::string dir = ::testing::TempDir() + "nvmexp_atomic_write";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    writeFileAtomically(dir + "/out.txt", "first\n");
+    writeFileAtomically(dir + "/out.txt", std::string("sec\0ond\n", 8));
+    EXPECT_EQ(testsupport::fileText(dir + "/out.txt"),
+              std::string("sec\0ond\n", 8));
+    EXPECT_EQ(directoryEntries(dir), std::vector<std::string>{"out.txt"});
+}
+
+TEST(AtomicWriteDeath, FailedRenameNamesBothPathsAndCleansUp)
+{
+    std::string dir = ::testing::TempDir() + "nvmexp_atomic_rename";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir + "/target");
+    std::ofstream(dir + "/target/occupant") << "x";
+    EXPECT_EXIT(writeFileAtomically(dir + "/target", "bytes"),
+                ::testing::ExitedWithCode(1),
+                "cannot move '.*/target\\.tmp\\.[0-9]+\\.[0-9]+' to "
+                "'.*/target'");
+    // The child removed its temporary before exiting.
+    EXPECT_EQ(directoryEntries(dir), std::vector<std::string>{"target"});
 }
 
 } // namespace
