@@ -1,9 +1,8 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the refine path: constraint
- * filtering (legacy adapter vs declarative clauses, clause-count
- * scaling), 2-D and N-D Pareto extraction, top-k ranking, and the
- * full store-query pipeline.
+ * filtering (clause-count scaling), 2-D and N-D Pareto extraction,
+ * top-k ranking, and the full store-query pipeline.
  *
  * CI runs this with --benchmark_out=BENCH_query.json to seed the perf
  * trajectory of the filter-and-refine stage; the workload is a
@@ -22,22 +21,6 @@ using namespace nvmexp;
 using benchsupport::syntheticResults;
 
 namespace {
-
-void
-BM_FilterLegacyAdapter(benchmark::State &state)
-{
-    auto results = syntheticResults((std::size_t)state.range(0));
-    Constraints constraints;
-    constraints.minLifetimeSec = 365.0 * 86400.0;
-    constraints.maxPowerWatts = 0.25;
-    for (auto _ : state) {
-        auto kept = filterResults(results, constraints);
-        benchmark::DoNotOptimize(kept);
-    }
-    state.SetItemsProcessed((std::int64_t)state.iterations() *
-                            state.range(0));
-}
-BENCHMARK(BM_FilterLegacyAdapter)->Arg(1 << 10)->Arg(1 << 14);
 
 void
 BM_FilterConstraintSet(benchmark::State &state)

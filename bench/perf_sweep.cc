@@ -1,16 +1,17 @@
 /**
  * @file
  * google-benchmark coverage of the sweep inner loop: the batched
- * structure-of-arrays evaluation path (eval/batch.hh) against the
- * per-point reference path, across worker counts, with and without a
- * reliability axis, and the full store-backed run() cold vs warm.
+ * structure-of-arrays evaluation path (eval/batch.hh) across worker
+ * counts, with and without a reliability axis, against a
+ * single-threaded per-point reference loop over the same kernels, and
+ * the full store-backed run() cold vs warm.
  *
  * CI runs this with --benchmark_out=BENCH_sweep.json and diffs the
  * result against the committed snapshot (tools/bench_gate.py). The
  * gate compares ratios *within* one file — every benchmark normalized
  * by BM_SweepEvalScalar/1 — so the committed numbers stay meaningful
  * across machines; it also asserts the batched path's headline >= 2x
- * speedup over scalar on the wide sweep.
+ * speedup over the per-point loop on the wide sweep.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include <filesystem>
 
 #include "core/parallel_sweep.hh"
+#include "reliability/reliability.hh"
 #include "store/result_store.hh"
 #include "support/bench_fixtures.hh"
 
@@ -48,17 +50,48 @@ runnerFor(int jobs)
     return runners[jobs == 1 ? 0 : jobs == 4 ? 1 : 2];
 }
 
-/** Scalar reference path, reliability axis on (384 slots). The
- *  regression gate's normalization reference at Arg(1). */
+/**
+ * The per-point reference the batched path is measured against: every
+ * expanded slot (spec innermost) pays its own base and reliability
+ * evaluation, on one thread, into a pre-sized result vector — the
+ * same work the committed BENCH_sweep.json reference row timed, so
+ * its normalized ratios stay comparable. An empty spec list means the
+ * implicit default spec, as in the sweep engine.
+ */
+std::vector<EvalResult>
+evaluatePerPoint(const std::vector<ArrayResult> &arrays,
+                 const std::vector<TrafficPattern> &traffics,
+                 std::vector<reliability::ReliabilitySpec> specs)
+{
+    if (specs.empty())
+        specs.emplace_back();
+    std::vector<reliability::ReliabilityEvaluator> evaluators(
+        specs.begin(), specs.end());
+    const std::size_t nspecs = evaluators.size();
+    std::vector<EvalResult> results(arrays.size() * traffics.size() *
+                                    nspecs);
+    for (std::size_t idx = 0; idx < results.size(); ++idx) {
+        const ArrayResult &array =
+            arrays[idx / (traffics.size() * nspecs)];
+        results[idx] =
+            evaluate(array, traffics[(idx / nspecs) % traffics.size()]);
+        results[idx].reliability =
+            evaluators[idx % nspecs].evaluate(array);
+    }
+    return results;
+}
+
+/** Per-point reference, reliability axis on (384 slots). The
+ *  regression gate's normalization reference at Arg(1), the only
+ *  worker count it runs at. */
 void
 BM_SweepEvalScalar(benchmark::State &state)
 {
     const auto &arrays = benchArrays();
     SweepConfig config = benchsupport::wideSweep(true);
-    ParallelSweepRunner &runner = runnerFor((int)state.range(0));
     for (auto _ : state) {
-        auto results = runner.evaluateAllScalar(arrays, config.traffics,
-                                                config.reliability);
+        auto results = evaluatePerPoint(arrays, config.traffics,
+                                        config.reliability);
         benchmark::DoNotOptimize(results);
     }
     state.SetItemsProcessed(
@@ -66,7 +99,7 @@ BM_SweepEvalScalar(benchmark::State &state)
         (std::int64_t)(arrays.size() * config.traffics.size() *
                        config.reliability.size()));
 }
-BENCHMARK(BM_SweepEvalScalar)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_SweepEvalScalar)->Arg(1);
 
 /** Batched path over the same 384 slots: base evaluation hoisted per
  *  (array, traffic) run, reliability per (array, spec) entry. */
@@ -96,10 +129,9 @@ BM_SweepEvalScalarNoRel(benchmark::State &state)
 {
     const auto &arrays = benchArrays();
     SweepConfig config = benchsupport::wideSweep(false);
-    ParallelSweepRunner &runner = runnerFor((int)state.range(0));
     for (auto _ : state) {
-        auto results = runner.evaluateAllScalar(arrays, config.traffics,
-                                                config.reliability);
+        auto results = evaluatePerPoint(arrays, config.traffics,
+                                        config.reliability);
         benchmark::DoNotOptimize(results);
     }
     state.SetItemsProcessed(

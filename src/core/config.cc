@@ -1,10 +1,11 @@
 #include "core/config.hh"
 
+#include <cmath>
+
 #include "celldb/tentpole.hh"
 #include "core/dashboard.hh"
 #include "core/parallel_sweep.hh"
 #include "metrics/metric.hh"
-#include "metrics/refine.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 #include "workload/workload.hh"
@@ -77,6 +78,27 @@ customCellFromJson(const JsonValue &spec)
     cell.retention = spec.numberOr("retention_sec", cell.retention);
     cell.validate();
     return cell;
+}
+
+/**
+ * The integer value of an optional key: `fallback` when `doc` lacks
+ * it, else a whole number in [lo, hi] or a fatal naming the config
+ * (`context`), key, and value. The check runs on the double before
+ * any cast: a fraction would silently truncate, and converting a
+ * double outside int's range is undefined behavior.
+ */
+int
+integerKey(const JsonValue &doc, const std::string &key, int fallback,
+           int lo, int hi, const std::string &context)
+{
+    if (!doc.has(key))
+        return fallback;
+    double value = doc.at(key).asNumber();
+    if (!(value >= lo && value <= hi) || value != std::floor(value)) {
+        fatal(context, ": \"", key, "\" must be an integer in [", lo,
+              ", ", hi, "], got ", JsonValue::formatNumber(value));
+    }
+    return (int)value;
 }
 
 OptTarget
@@ -195,6 +217,7 @@ loadExperiment(const JsonValue &doc)
 {
     ExperimentConfig config;
     config.name = doc.stringOr("experiment", "experiment");
+    const std::string context = "config '" + config.name + "'";
 
     // Cells: names, "study-set", or inline custom definitions.
     CellCatalog catalog;
@@ -213,28 +236,26 @@ loadExperiment(const JsonValue &doc)
         }
     }
     if (config.sweep.cells.empty())
-        fatal("config '", config.name, "': no cells");
+        fatal(context, ": no cells");
 
     // Capacities, word width, nodes.
     config.sweep.capacitiesBytes.clear();
     for (const auto &mib : doc.at("capacities_mib").asArray())
         config.sweep.capacitiesBytes.push_back(mib.asNumber() * 1024.0 *
                                                1024.0);
-    config.sweep.wordBits = (int)doc.numberOr("word_bits", 512.0);
-    config.sweep.nodeNm = (int)doc.numberOr("node_nm", 22.0);
-    config.sweep.sramNodeNm = (int)doc.numberOr("sram_node_nm", 16.0);
+    // Word width within ArrayDesigner's range; nodes within
+    // techNodeFor's table.
+    config.sweep.wordBits =
+        integerKey(doc, "word_bits", 512, 8, 4096, context);
+    config.sweep.nodeNm = integerKey(doc, "node_nm", 22, 7, 130, context);
+    config.sweep.sramNodeNm =
+        integerKey(doc, "sram_node_nm", 16, 7, 130, context);
 
     // Worker threads: an explicit "jobs" key wins, else the process
-    // default (the CLI's --jobs flag). 0 = all hardware threads.
-    // Validate before the int cast: double-to-int conversion is UB
-    // outside int's range, and the CLI path enforces the same bounds
-    // (both go through ThreadPool::jobsInRange).
-    double jobs = doc.numberOr("jobs", (double)defaultSweepJobs());
-    if (!ThreadPool::jobsInRange(jobs)) {
-        fatal("config '", config.name, "': \"jobs\" must be in [0, ",
-              ThreadPool::kMaxThreads, "], got ", jobs);
-    }
-    config.sweep.jobs = (int)jobs;
+    // default (the CLI's --jobs flag, same range). 0 = all hardware
+    // threads.
+    config.sweep.jobs = integerKey(doc, "jobs", defaultSweepJobs(), 0,
+                                   ThreadPool::kMaxThreads, context);
 
     // Result store: only the config's own keys here. The CLI layers
     // its --out/--resume flags (and the $NVMEXP_STORE_DIR fallback)
@@ -243,45 +264,25 @@ loadExperiment(const JsonValue &doc)
     config.sweep.outDir = doc.stringOr("out_dir", "");
     config.sweep.resume = doc.boolOr("resume", false);
 
-    // Batched evaluation: on unless "batch": false (or the CLI's
-    // --no-batch) asks for the per-point reference path. Either path
-    // produces bit-identical results; "batch_size" only tunes the
-    // scheduling granularity, <= 0 meaning "pick a sensible default".
-    config.sweep.batch = doc.boolOr("batch", true);
-    double batchSize = doc.numberOr("batch_size", 0.0);
-    if (batchSize != (double)(int)batchSize || batchSize < 0.0 ||
-        batchSize > 1e9) {
-        fatal("config '", config.name,
-              "': \"batch_size\" must be an integer in [0, 1e9], got ",
-              batchSize);
-    }
-    config.sweep.batchSize = (int)batchSize;
-
     // Campaign block: how many shards `campaign plan` splits this
     // sweep into when --shards isn't given on the command line. The
     // shard count never affects result bytes (the merge is canonical),
-    // so like jobs/batch_size it lives outside the sweep fingerprint.
+    // so like jobs it lives outside the sweep fingerprint.
     if (doc.has("campaign")) {
         const JsonValue &c = doc.at("campaign");
         if (!c.isObject() || !c.has("shards") ||
             !c.at("shards").isNumber()) {
-            fatal("config '", config.name, "': \"campaign\" must be "
-                  "an object with a \"shards\" count");
+            fatal(context, ": \"campaign\" must be an object with a "
+                  "\"shards\" count");
         }
         for (const auto &key : c.memberNames()) {
             if (key != "shards") {
-                fatal("config '", config.name,
-                      "': unknown \"campaign\" key \"", key, "\"");
+                fatal(context, ": unknown \"campaign\" key \"", key,
+                      "\"");
             }
         }
-        double shards = c.at("shards").asNumber();
-        if (shards != (double)(int)shards || shards < 1.0 ||
-            shards > 4096.0) {
-            fatal("config '", config.name, "': \"campaign\" "
-                  "\"shards\" must be an integer in [1, 4096], got ",
-                  shards);
-        }
-        config.campaignShards = (std::size_t)shards;
+        config.campaignShards =
+            (std::size_t)integerKey(c, "shards", 0, 1, 4096, context);
     }
 
     // Optimization targets (default ReadEDP).
@@ -300,12 +301,13 @@ loadExperiment(const JsonValue &doc)
         for (const auto &spec : doc.at("traffic").asArray()) {
             if (spec.isObject() && spec.stringOr("kind", "") ==
                     "generic_grid") {
+                // steps^2 patterns: the largest shipped grid uses 3.
                 auto grid = genericTrafficGrid(
                     spec.at("read_lo").asNumber(),
                     spec.at("read_hi").asNumber(),
                     spec.at("write_lo").asNumber(),
                     spec.at("write_hi").asNumber(),
-                    (int)spec.numberOr("steps", 3.0),
+                    integerKey(spec, "steps", 3, 2, 1000, context),
                     config.sweep.wordBits);
                 config.sweep.traffics.insert(
                     config.sweep.traffics.end(), grid.begin(),
@@ -332,76 +334,27 @@ loadExperiment(const JsonValue &doc)
         config.sweep.workloads.push_back(spec);
     }
     if (config.sweep.traffics.empty() && config.sweep.workloads.empty())
-        fatal("config '", config.name,
-              "': needs \"traffic\" patterns or \"workloads\"");
+        fatal(context, ": needs \"traffic\" patterns or \"workloads\"");
 
     // Reliability axis: a "reliability" object or an "ecc" shorthand
     // (one scheme name, or the same object shape). Either promotes
     // reliability columns into the dashboard table.
     if (doc.has("reliability") && doc.has("ecc")) {
-        fatal("config '", config.name, "': give either \"reliability\" "
-              "or the \"ecc\" shorthand, not both");
+        fatal(context, ": give either \"reliability\" or the \"ecc\" "
+              "shorthand, not both");
     }
     if (doc.has("reliability") || doc.has("ecc")) {
         config.sweep.reliability = reliabilityFromJson(
             doc.at(doc.has("reliability") ? "reliability" : "ecc"),
-            "config '" + config.name + "'");
+            context);
         config.showReliability = true;
     }
 
-    // Constraints: either the declarative clause array
-    // (["total_power<0.5", {"metric": ..., "op": ..., "bound": ...}])
-    // or the legacy fixed-field object, adapted onto the same
-    // declarative layer. Both validate metric names at load time, so
-    // bad filters fail before any simulation runs.
-    if (doc.has("constraints")) {
-        const JsonValue &c = doc.at("constraints");
-        config.applyConstraints = true;
-        if (c.isArray()) {
-            config.constraints = metrics::ConstraintSet::fromJson(
-                c, "config '" + config.name + "'");
-        } else if (!c.isObject()) {
-            fatal("config '", config.name, "': \"constraints\" must "
-                  "be an array of clauses or a legacy fixed-field "
-                  "object");
-        } else {
-            Constraints legacy;
-            legacy.maxLatencyLoad = c.numberOr("max_latency_load", 1.0);
-            legacy.maxPowerWatts = c.numberOr("max_power_w", -1.0);
-            legacy.maxAreaM2 =
-                c.numberOr("max_area_mm2", -1.0) > 0.0
-                    ? c.at("max_area_mm2").asNumber() * 1e-6 : -1.0;
-            if (c.has("min_lifetime_years")) {
-                legacy.minLifetimeSec =
-                    c.at("min_lifetime_years").asNumber() * 365.0 *
-                    86400.0;
-            }
-            legacy.maxReadLatency =
-                c.numberOr("max_read_latency_ns", -1.0) > 0.0
-                    ? c.at("max_read_latency_ns").asNumber() * 1e-9
-                    : -1.0;
-            legacy.maxWriteLatency =
-                c.numberOr("max_write_latency_ns", -1.0) > 0.0
-                    ? c.at("max_write_latency_ns").asNumber() * 1e-9
-                    : -1.0;
-            legacy.requireBandwidth = c.boolOr("require_bandwidth",
-                                               true);
-            config.constraints =
-                metrics::ConstraintSet::fromLegacy(legacy);
-        }
-    }
-
-    // Pareto front and top-k refinement over named metrics.
-    if (doc.has("pareto")) {
-        config.paretoMetrics = metrics::paretoMetricsFromJson(
-            doc.at("pareto"), "config '" + config.name + "'");
-    }
-    if (doc.has("top_k")) {
-        metrics::TopSpec top = metrics::topSpecFromJson(
-            doc.at("top_k"), "config '" + config.name + "'");
-        config.topMetric = top.metric;
-        config.topK = top.k;
-    }
+    // Refine pipeline: the "constraints" clause array, "pareto", and
+    // "top_k", read exactly as a store's query.json reads them. Metric
+    // names validate here, so a bad filter fails before any
+    // simulation runs.
+    config.query = store::StoreQuery::fromRefineKeys(doc, context);
 
     config.outputCsv = doc.stringOr("output_csv", "");
     return config;
@@ -416,19 +369,8 @@ loadExperimentFile(const std::string &path)
 Table
 runExperiment(const ExperimentConfig &config)
 {
-    auto results = runSweep(config.sweep);
-    if (config.applyConstraints)
-        results = config.constraints.filter(results);
-    if (!config.paretoMetrics.empty()) {
-        results = metrics::paretoByMetrics(
-            results, config.paretoMetrics,
-            "config '" + config.name + "'");
-    }
-    if (!config.topMetric.empty()) {
-        results = metrics::topByMetric(results, config.topMetric,
-                                       config.topK,
-                                       "config '" + config.name + "'");
-    }
+    auto results = store::applyQuery(runSweep(config.sweep),
+                                     config.query);
 
     // The table is driven by the dashboard schema (core/dashboard.hh):
     // metric-backed columns evaluate their registry metric at display

@@ -4,9 +4,10 @@
  * release's `python run.py config/<study>.json` interface.
  *
  * A config file names the cells, capacities, optimization targets,
- * traffic patterns, and constraints of a design sweep; loadExperiment
- * turns it into a SweepConfig + Constraints and runExperiment produces
- * the combined results table (and optional CSV).
+ * traffic patterns, and refine pipeline of a design sweep;
+ * loadExperiment turns it into a SweepConfig + store::StoreQuery and
+ * runExperiment produces the combined results table (and optional
+ * CSV).
  */
 
 #ifndef NVMEXP_CORE_CONFIG_HH
@@ -17,7 +18,7 @@
 #include <vector>
 
 #include "core/sweep.hh"
-#include "metrics/constraints.hh"
+#include "store/result_store.hh"
 #include "util/json.hh"
 #include "util/table.hh"
 
@@ -29,21 +30,13 @@ struct ExperimentConfig
     std::string name = "experiment";
     SweepConfig sweep;
     /**
-     * Declarative refine pipeline (the paper's "filter and refine"
-     * stage), applied in order after the sweep: constraint clauses,
-     * then the Pareto front over `paretoMetrics` (when non-empty),
-     * then the `topK` best rows under `topMetric` (when set). The
-     * JSON "constraints" key accepts both the declarative clause
-     * array and the legacy fixed-field object (adapted via
-     * metrics::ConstraintSet::fromLegacy); "pareto" and "top_k" have
-     * no legacy form. The CLI's --filter/--pareto/--top flags layer
-     * onto the same fields.
+     * Refine pipeline (the paper's "filter and refine" stage) applied
+     * after the sweep through store::applyQuery: the config's
+     * "constraints" clause array, "pareto" metric list, and "top_k"
+     * object. The CLI's --filter/--pareto/--top flags layer onto it,
+     * and a non-empty query is persisted as the store's query.json.
      */
-    metrics::ConstraintSet constraints;
-    bool applyConstraints = false;
-    std::vector<std::string> paretoMetrics;
-    std::string topMetric;  ///< empty = no top-k stage
-    std::size_t topK = 0;
+    store::StoreQuery query;
     /** Config had a "reliability"/"ecc" block: the dashboard table
      *  grows ECC/failure-rate columns. Off by default so sweeps
      *  without a reliability axis print exactly as before. */

@@ -275,43 +275,20 @@ ParallelSweepRunner::evaluateAll(
     auto evaluators = reliabilityEvaluators(specs);
     BatchEvalContext context(arrays, traffics, evaluators);
     std::vector<EvalResult> results(context.points());
-    shardBatches(context, 0, results, nullptr, {});
-    return results;
-}
-
-std::vector<EvalResult>
-ParallelSweepRunner::evaluateAllScalar(
-    const std::vector<ArrayResult> &arrays,
-    const std::vector<TrafficPattern> &traffics,
-    const std::vector<reliability::ReliabilitySpec> &specs) const
-{
-    auto evaluators = reliabilityEvaluators(specs);
-    const std::size_t nspecs = evaluators.size();
-    std::vector<EvalResult> results(arrays.size() * traffics.size() *
-                                    nspecs);
-    shard(results.size(), [&](std::size_t idx) {
-        const ArrayResult &array =
-            arrays[idx / (traffics.size() * nspecs)];
-        const TrafficPattern &traffic =
-            traffics[(idx / nspecs) % traffics.size()];
-        results[idx] = evaluate(array, traffic);
-        results[idx].reliability =
-            evaluators[idx % nspecs].evaluate(array);
-    });
+    shardBatches(context, results, nullptr, {});
     return results;
 }
 
 void
 ParallelSweepRunner::shardBatches(
-    const BatchEvalContext &context, int batchSize,
-    std::vector<EvalResult> &results, const std::vector<char> *todo,
+    const BatchEvalContext &context, std::vector<EvalResult> &results,
+    const std::vector<char> *todo,
     const std::function<void(std::size_t)> &onSlot) const
 {
     std::size_t slots = context.points();
     if (slots == 0)
         return;
-    std::size_t size = batchSize > 0 ? (std::size_t)batchSize
-                                     : context.defaultBatchSize(jobs_);
+    std::size_t size = context.defaultBatchSize(jobs_);
     std::size_t batches = (slots + size - 1) / size;
     shard(batches, [&](std::size_t b) {
         context.evaluateRange(b * size,
@@ -334,16 +311,8 @@ ParallelSweepRunner::run(const SweepConfig &rawConfig) const
         fatal("sweep has no traffic patterns configured");
     lastStoreStats_ = store::StoreStats{};
     if (config.outDir.empty()) {
-        auto arrays = characterizeWithStore(config, nullptr);
-        if (!config.batch) {
-            return evaluateAllScalar(arrays, config.traffics,
-                                     config.reliability);
-        }
-        auto evaluators = reliabilityEvaluators(config.reliability);
-        BatchEvalContext context(arrays, config.traffics, evaluators);
-        std::vector<EvalResult> results(context.points());
-        shardBatches(context, config.batchSize, results, nullptr, {});
-        return results;
+        return evaluateAll(characterizeWithStore(config, nullptr),
+                           config.traffics, config.reliability);
     }
     return runStoreBacked(config, {});
 }
@@ -373,8 +342,8 @@ ParallelSweepRunner::runStoreBacked(
     auto arrays = characterizeWithStore(config, &resultStore);
 
     auto evaluators = reliabilityEvaluators(config.reliability);
-    const std::size_t nspecs = evaluators.size();
-    std::size_t slots = arrays.size() * config.traffics.size() * nspecs;
+    BatchEvalContext context(arrays, config.traffics, evaluators);
+    const std::size_t slots = context.points();
     // The journal always claims the FULL slot count, even for a shard
     // run that owns a subset: a campaign merge stitches shard journals
     // into one whose header is byte-identical to a single process's.
@@ -383,9 +352,9 @@ ParallelSweepRunner::runStoreBacked(
 
     // Index-addressed slots: replayed checkpoint entries and freshly
     // evaluated ones land in the same serial-order positions, so the
-    // output is byte-identical to an uninterrupted run — batched or
-    // not, at any batch size, under any worker count. Slots outside
-    // the owned selection are simply never evaluated or journaled.
+    // output is byte-identical to an uninterrupted run under any
+    // worker count, wherever the batches split. Slots outside the
+    // owned selection are simply never evaluated or journaled.
     std::vector<EvalResult> results(slots);
     std::vector<char> todo(slots, 1);
     if (owned) {
@@ -396,27 +365,9 @@ ParallelSweepRunner::runStoreBacked(
         results[slot] = result;
         todo[slot] = 0;
     }
-    if (config.batch) {
-        BatchEvalContext context(arrays, config.traffics, evaluators);
-        shardBatches(context, config.batchSize, results, &todo,
-                     [&](std::size_t idx) {
-                         resultStore.checkpointSlot(idx, results[idx]);
-                     });
-    } else {
-        shard(slots, [&](std::size_t idx) {
-            if (!todo[idx])
-                return;
-            const ArrayResult &array =
-                arrays[idx / (config.traffics.size() * nspecs)];
-            const TrafficPattern &traffic =
-                config.traffics[(idx / nspecs) %
-                                config.traffics.size()];
-            results[idx] = evaluate(array, traffic);
-            results[idx].reliability =
-                evaluators[idx % nspecs].evaluate(array);
-            resultStore.checkpointSlot(idx, results[idx]);
-        });
-    }
+    shardBatches(context, results, &todo, [&](std::size_t idx) {
+        resultStore.checkpointSlot(idx, results[idx]);
+    });
     resultStore.closeCheckpoint();
     if (owned) {
         // A shard store's results artifacts carry exactly the owned

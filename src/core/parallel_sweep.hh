@@ -6,8 +6,9 @@
  * embarrassingly parallel: every array characterization and every
  * (array, traffic) evaluation is independent. ParallelSweepRunner
  * shards those items across a ThreadPool while writing each result
- * into its serial-order slot, so the output is identical to the serial
- * runSweep/characterizeSweep regardless of worker count or scheduling.
+ * into its serial-order slot, so the output is identical regardless of
+ * worker count or scheduling. Evaluation always runs the batched path
+ * of eval/batch.hh.
  */
 
 #ifndef NVMEXP_CORE_PARALLEL_SWEEP_HH
@@ -109,23 +110,13 @@ class ParallelSweepRunner
      *  innermost), each row annotated with its spec's failure rates
      *  and overhead. An empty spec list means the implicit default
      *  spec, reproducing the two-argument overload exactly. Runs the
-     *  batched path (eval/batch.hh); results are bit-identical to
-     *  evaluateAllScalar. */
+     *  batched path (eval/batch.hh), which every sweep evaluates
+     *  through. */
     std::vector<EvalResult>
     evaluateAll(const std::vector<ArrayResult> &arrays,
                 const std::vector<TrafficPattern> &traffics,
                 const std::vector<reliability::ReliabilitySpec> &specs)
         const;
-
-    /** The per-point reference path: every expanded slot pays its own
-     *  base and reliability evaluation. Kept as the second opinion
-     *  the differential tier (and `"batch": false` sweeps) compare
-     *  the batched path against. */
-    std::vector<EvalResult>
-    evaluateAllScalar(const std::vector<ArrayResult> &arrays,
-                      const std::vector<TrafficPattern> &traffics,
-                      const std::vector<reliability::ReliabilitySpec>
-                          &specs) const;
 
     /** Optimize one array per cell at a fixed capacity/word width,
      *  results in cell order. */
@@ -154,9 +145,9 @@ class ParallelSweepRunner
                    const std::function<bool(std::size_t)> &owned) const;
 
     /** Shard the context's slots over the workers in contiguous
-     *  batches of `batchSize` (<= 0 picks the context default). todo
-     *  and onSlot pass through to evaluateRange() unchanged. */
-    void shardBatches(const BatchEvalContext &context, int batchSize,
+     *  batches of the context's defaultBatchSize(). todo and onSlot
+     *  pass through to evaluateRange() unchanged. */
+    void shardBatches(const BatchEvalContext &context,
                       std::vector<EvalResult> &results,
                       const std::vector<char> *todo,
                       const std::function<void(std::size_t)> &onSlot)

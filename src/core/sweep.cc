@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "core/parallel_sweep.hh"
-#include "metrics/constraints.hh"
 
 namespace nvmexp {
 
@@ -18,24 +17,6 @@ std::vector<EvalResult>
 runSweep(const SweepConfig &config)
 {
     return ParallelSweepRunner(config.jobs).run(config);
-}
-
-bool
-satisfies(const EvalResult &result, const Constraints &constraints)
-{
-    // The legacy fixed-field struct is a thin adapter over the
-    // declarative layer: each enabled field becomes the equivalent
-    // (metric, op, bound) clause, and every comparison dispatches
-    // through the metric registry.
-    return metrics::ConstraintSet::fromLegacy(constraints)
-        .satisfied(result);
-}
-
-std::vector<EvalResult>
-filterResults(const std::vector<EvalResult> &in,
-              const Constraints &constraints)
-{
-    return metrics::ConstraintSet::fromLegacy(constraints).filter(in);
 }
 
 const EvalResult *

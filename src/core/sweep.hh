@@ -5,9 +5,9 @@
  *
  * A SweepConfig crosses cells x capacities x optimization targets x
  * traffic patterns; runSweep characterizes each array once and
- * evaluates it against every pattern. Constraint filters and Pareto
- * helpers support the "filter and refine" interaction the paper's
- * dashboard provides.
+ * evaluates it against every pattern. The Pareto helpers here back the
+ * "filter and refine" interaction the paper's dashboard provides; its
+ * constraint clauses live in metrics/constraints.hh.
  */
 
 #ifndef NVMEXP_CORE_SWEEP_HH
@@ -60,25 +60,6 @@ struct SweepConfig
      *  hardware threads. Results are identical for any value. */
     int jobs = 1;
     /**
-     * Evaluate the (array x traffic x spec) inner loop through the
-     * batched structure-of-arrays path (eval/batch.hh): the base
-     * evaluation is computed once per (array, traffic) pair and the
-     * reliability terms once per (array, spec), instead of once per
-     * expanded point. On by default; `"batch": false` (CLI
-     * --no-batch) falls back to the per-point scalar path. Results,
-     * artifacts, and the store fingerprint are bit-identical either
-     * way — the flag exists as an escape hatch and as the reference
-     * for the differential test tier.
-     */
-    bool batch = true;
-    /**
-     * Evaluation slots per batched work item ("batch_size" config
-     * key); <=0 picks a size that keeps every worker busy. Pure
-     * scheduling granularity: results and artifacts are identical
-     * for any value.
-     */
-    int batchSize = 0;
-    /**
      * Result-store directory (CLI --out / config "out_dir"): persists
      * results.json/.csv, a content-hashed characterization cache, and
      * an evaluation checkpoint journal there. Empty disables
@@ -118,25 +99,6 @@ std::vector<EvalResult> runSweep(const SweepConfig &config);
 /** Characterize arrays only (no traffic): cells x capacities x
  *  targets. */
 std::vector<ArrayResult> characterizeSweep(const SweepConfig &config);
-
-/** System-level constraints for filtering (paper Sec. II-C). */
-struct Constraints
-{
-    double maxLatencyLoad = 1.0;    ///< long-pole load ceiling
-    double maxPowerWatts = -1.0;    ///< <0 = unconstrained
-    double maxAreaM2 = -1.0;
-    double minLifetimeSec = -1.0;
-    double maxReadLatency = -1.0;
-    double maxWriteLatency = -1.0;
-    bool requireBandwidth = true;
-};
-
-/** Keep only results satisfying the constraints. */
-std::vector<EvalResult> filterResults(const std::vector<EvalResult> &in,
-                                      const Constraints &constraints);
-
-/** True iff one result satisfies the constraints. */
-bool satisfies(const EvalResult &result, const Constraints &constraints);
 
 /**
  * 2-D Pareto front (minimize both keys) over any result vector.

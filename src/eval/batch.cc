@@ -12,7 +12,7 @@ BatchEvalContext::BatchEvalContext(
       ntraffics_(traffics.size()), nspecs_(evaluators.size()),
       points_(arrays.size() * traffics.size() * evaluators.size())
 {
-    // The scalar path validates per point; once per pattern reaches
+    // evaluate() validates per point; once per pattern reaches
     // the same verdict (validate() depends on the pattern alone).
     for (const auto &traffic : traffics_)
         traffic.validate();

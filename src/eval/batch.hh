@@ -18,15 +18,17 @@
  * (array, traffic) base exactly once per contiguous run of slots.
  * The per-point work left over is a struct copy.
  *
- * Bitwise identity with the scalar path is a hard requirement (the
- * differential test tier pins it), which is why the hoisted terms are
- * produced by the *same* scalar kernels — evaluate() and
- * ReliabilityEvaluator::evaluate() — on the same inputs, rather than
- * by re-derived vectorized math: re-expressing the arithmetic in
- * separate loops would leave the results at the mercy of per-site
- * floating-point contraction choices. The speedup comes from doing
- * the expensive work once per (pair | array x spec) instead of once
- * per point, not from reordering any individual computation.
+ * This is the only evaluation path of the sweep engine. Bitwise
+ * identity with per-point evaluation is a hard requirement (the
+ * per-point oracle in tests/eval/test_batch_equivalence.cc pins it),
+ * which is why the hoisted terms are produced by the *same* scalar
+ * kernels — evaluate() and ReliabilityEvaluator::evaluate() — on the
+ * same inputs, rather than by re-derived vectorized math:
+ * re-expressing the arithmetic in separate loops would leave the
+ * results at the mercy of per-site floating-point contraction
+ * choices. The speedup comes from doing the expensive work once per
+ * (pair | array x spec) instead of once per point, not from
+ * reordering any individual computation.
  */
 
 #ifndef NVMEXP_EVAL_BATCH_HH
@@ -66,11 +68,11 @@ class BatchEvalContext
     std::size_t points() const { return points_; }
 
     /**
-     * Slots per batched work item when the sweep doesn't pin one
-     * ("batch_size" <= 0): enough batches to keep `jobs` workers
-     * busy, but never splitting below one spec-run so the
-     * per-(array, traffic) base amortizes. Scheduling only — any
-     * batch size produces identical results.
+     * Slots per batched work item, the size the sweep engine always
+     * uses: enough batches to keep `jobs` workers busy, but never
+     * splitting below one spec-run so the per-(array, traffic) base
+     * amortizes. Scheduling only — splitting the slots into ranges of
+     * any size produces identical results.
      */
     std::size_t defaultBatchSize(int jobs) const;
 

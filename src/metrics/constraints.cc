@@ -206,38 +206,21 @@ ConstraintSet::toJson() const
 ConstraintSet
 ConstraintSet::fromJson(const JsonValue &doc, const std::string &context)
 {
+    // The fixed-field object form went away because it ignored
+    // unknown keys: {"max_power": 1e-9} filtered nothing. Name the
+    // clauses its defaults stood for, so a migration is one edit.
+    if (!doc.isArray()) {
+        fatal(context.empty() ? std::string() : context + ": ",
+              "\"constraints\" must be an array of clauses, e.g. "
+              "[\"latency_load<=1\", \"meets_read_bw>=1\", "
+              "\"meets_write_bw>=1\"] (the clauses the removed "
+              "fixed-field object implied by default; README "
+              "\"Metrics and filter-and-refine\" maps each of its keys "
+              "to a clause)");
+    }
     ConstraintSet out;
     for (const auto &entry : doc.asArray())
         out.add(ConstraintClause::fromJson(entry, context));
-    return out;
-}
-
-ConstraintSet
-ConstraintSet::fromLegacy(const Constraints &legacy)
-{
-    ConstraintSet out;
-    if (legacy.maxLatencyLoad > 0.0) {
-        out.add({"latency_load", ConstraintOp::LE,
-                 legacy.maxLatencyLoad});
-    }
-    if (legacy.maxPowerWatts > 0.0)
-        out.add({"total_power", ConstraintOp::LE, legacy.maxPowerWatts});
-    if (legacy.maxAreaM2 > 0.0)
-        out.add({"area_m2", ConstraintOp::LE, legacy.maxAreaM2});
-    if (legacy.minLifetimeSec > 0.0) {
-        out.add({"lifetime_sec", ConstraintOp::GE,
-                 legacy.minLifetimeSec});
-    }
-    if (legacy.maxReadLatency > 0.0)
-        out.add({"read_latency", ConstraintOp::LE, legacy.maxReadLatency});
-    if (legacy.maxWriteLatency > 0.0) {
-        out.add({"write_latency", ConstraintOp::LE,
-                 legacy.maxWriteLatency});
-    }
-    if (legacy.requireBandwidth) {
-        out.add({"meets_read_bw", ConstraintOp::GE, 1.0});
-        out.add({"meets_write_bw", ConstraintOp::GE, 1.0});
-    }
     return out;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Declarative constraints: the fixed-field Constraints struct
- * generalized to a set of (metric, op, bound) clauses over the metric
- * registry.
+ * Declarative constraints: a set of (metric, op, bound) clauses over
+ * the metric registry, the one constraint representation of the
+ * "filter and refine" stage.
  *
  * A clause is expressible in three equivalent forms that convert
  * losslessly into each other:
@@ -74,11 +74,7 @@ struct ConstraintClause
                                      const std::string &context = "");
 };
 
-/**
- * An ANDed set of clauses: the declarative replacement for the
- * legacy Constraints struct (kept as a thin adapter via fromLegacy so
- * satisfies()/filterResults() callers migrate incrementally).
- */
+/** An ANDed set of clauses. */
 class ConstraintSet
 {
   public:
@@ -108,23 +104,11 @@ class ConstraintSet
 
     /** Serialize as a JSON array of clause objects. */
     JsonValue toJson() const;
-    /** Parse a JSON array of clause objects / text strings. */
+    /** Parse a JSON array of clause objects / text strings; fatal
+     *  (with `context`) on anything else, including the removed
+     *  fixed-field object form ({"max_power_w": ...}). */
     static ConstraintSet fromJson(const JsonValue &doc,
                                   const std::string &context = "");
-
-    /**
-     * Adapter from the legacy fixed-field struct: each enabled field
-     * becomes the equivalent clause over the same underlying value
-     * (e.g. maxAreaM2 compares "area_m2", not the display-oriented
-     * "area_mm2", so the comparison is bit-identical to the old
-     * hard-coded filter for every ordered value). One deliberate
-     * semantic change: the old reject-style checks let a NaN metric
-     * value pass every constraint, while clauses require the
-     * comparison to hold, so NaN-valued rows now fail filters — the
-     * safe dashboard behavior. Sweep metrics are NaN-free, so study
-     * and golden outputs are unaffected.
-     */
-    static ConstraintSet fromLegacy(const Constraints &legacy);
 
   private:
     std::vector<ConstraintClause> clauses_;  ///< declared order

@@ -110,9 +110,8 @@ StoreIndex::query(const store::StoreQuery &query) const
 {
     const auto &registry = metrics::MetricRegistry::instance();
 
-    // Stage 1+2: constraints, then programmatic predicates, in row
-    // order — same pass set as ConstraintSet::satisfied over full
-    // rows, read from the columns.
+    // Stage 1: constraints, in row order — same pass set as
+    // ConstraintSet::satisfied over full rows, read from the columns.
     std::vector<const std::vector<double> *> clauseColumns;
     clauseColumns.reserve(query.constraints.size());
     for (const auto &clause : query.constraints.clauses())
@@ -126,15 +125,11 @@ StoreIndex::query(const store::StoreQuery &query) const
             pass = query.constraints.clauses()[c].holds(
                 (*clauseColumns[c])[row]);
         }
-        for (std::size_t p = 0; pass && p < query.predicates.size();
-             ++p) {
-            pass = query.predicates[p](results_[row]);
-        }
         if (pass)
             kept.push_back(row);
     }
 
-    // Stage 3: Pareto. Row indices run through the very template
+    // Stage 2: Pareto. Row indices run through the very template
     // applyQuery's metrics::paretoByMetrics dispatches to, with keys
     // reading the columns (direction-folded exactly like
     // Metric::ascending), so the keep set and order are identical.
@@ -173,7 +168,7 @@ StoreIndex::query(const store::StoreQuery &query) const
         kept = paretoFrontND(rankable, keys);
     }
 
-    // Stage 4: top-k, mirroring metrics::topByMetric (NaN keys
+    // Stage 3: top-k, mirroring metrics::topByMetric (NaN keys
     // dropped, stable sort on the direction-folded key, best first).
     if (!query.topMetric.empty()) {
         const auto &col = column(query.topMetric, "store query");

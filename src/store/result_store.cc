@@ -542,10 +542,6 @@ loadStats(const std::string &dir)
 JsonValue
 StoreQuery::toJson() const
 {
-    if (!predicates.empty()) {
-        fatal("store query: programmatic predicates cannot be "
-              "serialized; express them as metric constraints");
-    }
     JsonValue v = JsonValue::makeObject();
     v.set("format", JsonValue::makeNumber(kFormatVersion));
     if (!constraints.empty())
@@ -596,18 +592,25 @@ StoreQuery::fromJson(const JsonValue &doc)
                   ", this build reads format ", kFormatVersion);
         }
     }
+    return fromRefineKeys(doc, "store query");
+}
+
+StoreQuery
+StoreQuery::fromRefineKeys(const JsonValue &doc,
+                           const std::string &context)
+{
     StoreQuery query;
     if (doc.has("constraints")) {
         query.constraints = metrics::ConstraintSet::fromJson(
-            doc.at("constraints"), "store query");
+            doc.at("constraints"), context);
     }
     if (doc.has("pareto")) {
-        query.paretoMetrics = metrics::paretoMetricsFromJson(
-            doc.at("pareto"), "store query");
+        query.paretoMetrics =
+            metrics::paretoMetricsFromJson(doc.at("pareto"), context);
     }
     if (doc.has("top_k")) {
-        metrics::TopSpec top = metrics::topSpecFromJson(
-            doc.at("top_k"), "store query");
+        metrics::TopSpec top =
+            metrics::topSpecFromJson(doc.at("top_k"), context);
         query.topMetric = top.metric;
         query.topK = top.k;
     }
@@ -618,21 +621,7 @@ std::vector<EvalResult>
 applyQuery(const std::vector<EvalResult> &results,
            const StoreQuery &query)
 {
-    std::vector<EvalResult> out;
-    out.reserve(results.size());
-    for (const auto &result : results) {
-        if (!query.constraints.satisfied(result))
-            continue;
-        bool keep = true;
-        for (const auto &predicate : query.predicates) {
-            if (!predicate(result)) {
-                keep = false;
-                break;
-            }
-        }
-        if (keep)
-            out.push_back(result);
-    }
+    std::vector<EvalResult> out = query.constraints.filter(results);
     if (!query.paretoMetrics.empty())
         out = metrics::paretoByMetrics(out, query.paretoMetrics,
                                        "store query");

@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -220,23 +219,22 @@ StoreStats loadStats(const std::string &dir);
 
 /**
  * Offline "filter and refine": the dashboard interaction (paper
- * Fig. 2) over a persisted store instead of a live sweep.
+ * Fig. 2) over a persisted store instead of a live sweep, and the one
+ * representation of a refine pipeline — a config's refine keys, the
+ * CLI's --filter/--pareto/--top flags, query.json, and the server's
+ * /query body all land here.
  *
  * Queries are expressed over the named-metric vocabulary
- * (src/metrics), so everything except the programmatic `predicates`
- * escape hatch serializes losslessly: a query can be written to a
- * store (query.json), read back, and re-applied with identical
- * results. Stages apply in order: constraints -> predicates -> Pareto
- * -> top-k.
+ * (src/metrics), so every query serializes losslessly: it can be
+ * written to a store (query.json), read back, and re-applied with
+ * identical results. Stages apply in order: constraints -> Pareto ->
+ * top-k.
  */
 struct StoreQuery
 {
     /** Declarative (metric, op, bound) clauses, ANDed; applied
      *  first. */
     metrics::ConstraintSet constraints;
-
-    /** Arbitrary programmatic predicates, ANDed (not serialized). */
-    std::vector<std::function<bool(const EvalResult &)>> predicates;
 
     /** When non-empty, reduce to the N-D Pareto front over these
      *  metric names (direction-folded per the registry). */
@@ -247,10 +245,27 @@ struct StoreQuery
     std::string topMetric;
     std::size_t topK = 0;
 
-    /** Lossless serialization of the declarative parts; fatal if
-     *  `predicates` are present (they cannot be serialized). */
+    /** True when no stage is set: the query keeps every row. */
+    bool empty() const
+    {
+        return constraints.empty() && paretoMetrics.empty() &&
+               topMetric.empty();
+    }
+
+    /** Lossless serialization (the query.json document). */
     JsonValue toJson() const;
+    /** Parse a query.json document: the refine keys plus an optional
+     *  "format"; any other key is fatal. */
     static StoreQuery fromJson(const JsonValue &doc);
+
+    /**
+     * Read the "constraints", "pareto", and "top_k" members of `doc`
+     * (each optional; other members are left to the caller), every
+     * metric name validated against the registry. Shared by configs
+     * and query.json; a malformed member is fatal with `context`.
+     */
+    static StoreQuery fromRefineKeys(const JsonValue &doc,
+                                     const std::string &context);
 };
 
 /** Apply a query to in-memory results (input order preserved). */

@@ -59,12 +59,10 @@ TEST_F(ConfigTest, LoadsFullSchema)
     EXPECT_EQ(config.sweep.targets.size(), 2u);
     EXPECT_EQ(config.sweep.traffics.size(), 2u);
     EXPECT_DOUBLE_EQ(config.sweep.traffics[1].readsPerSec, 2e6);
-    EXPECT_TRUE(config.applyConstraints);
-    // The legacy fixed-field object adapts onto declarative clauses:
-    // latency load ceiling, lifetime floor, and the two bandwidth
-    // requirements requireBandwidth implies.
-    ASSERT_EQ(config.constraints.size(), 4u);
-    const auto &lifetime = config.constraints.clauses()[1];
+    // Latency load ceiling, lifetime floor, and the two bandwidth
+    // requirements, in declared order.
+    ASSERT_EQ(config.query.constraints.size(), 4u);
+    const auto &lifetime = config.query.constraints.clauses()[1];
     EXPECT_EQ(lifetime.metric, "lifetime_sec");
     EXPECT_EQ(lifetime.op, metrics::ConstraintOp::GE);
     EXPECT_NEAR(lifetime.bound, 365.0 * 86400.0, 1.0);
@@ -82,7 +80,7 @@ TEST_F(ConfigTest, StudySetExpands)
     // Defaults applied.
     EXPECT_EQ(config.sweep.targets.size(), 1u);
     EXPECT_EQ(config.sweep.wordBits, 512);
-    EXPECT_FALSE(config.applyConstraints);
+    EXPECT_TRUE(config.query.empty());
 }
 
 TEST_F(ConfigTest, GenericGridTrafficExpands)
@@ -119,7 +117,7 @@ TEST_F(ConfigTest, RunExperimentProducesDashboardRows)
 {
     ExperimentConfig config =
         loadExperiment(JsonValue::parse(basicConfigJson()));
-    config.applyConstraints = false;
+    config.query = {};
     Table table = runExperiment(config);
     // 2 cells x 2 capacities x 2 targets x 2 traffics.
     EXPECT_EQ(table.numRows(), 16u);
@@ -131,7 +129,7 @@ TEST_F(ConfigTest, ConstraintsFilterRows)
     ExperimentConfig config =
         loadExperiment(JsonValue::parse(basicConfigJson()));
     Table filtered = runExperiment(config);
-    config.applyConstraints = false;
+    config.query = {};
     Table all = runExperiment(config);
     EXPECT_LT(filtered.numRows(), all.numRows());
 }
@@ -266,8 +264,8 @@ TEST_F(ConfigTest, ConfigWithoutTrafficOrWorkloadsIsFatal)
 
 TEST_F(ConfigTest, JobsKeyValidatedLikeTheCliFlag)
 {
-    // Both input paths funnel through ThreadPool::jobsInRange, so the
-    // JSON "jobs" key accepts exactly the --jobs range [0, kMaxThreads].
+    // The JSON "jobs" key accepts exactly the integers of the --jobs
+    // range [0, kMaxThreads] that ThreadPool::jobsInRange checks.
     auto configWithJobs = [](const std::string &jobs) {
         return JsonValue::parse(R"({
             "cells": ["SRAM"],
@@ -344,14 +342,11 @@ TEST_F(ConfigTest, DeclarativeConstraintArrayLoads)
             "total_power<0.5",
             {"metric": "lifetime_years", "op": ">=", "bound": 3}
         ])")));
-    EXPECT_TRUE(config.applyConstraints);
-    ASSERT_EQ(config.constraints.size(), 2u);
-    EXPECT_EQ(config.constraints.clauses()[0].text(),
-              "total_power<0.5");
-    EXPECT_EQ(config.constraints.clauses()[1].metric,
-              "lifetime_years");
-    EXPECT_EQ(config.constraints.clauses()[1].op,
-              metrics::ConstraintOp::GE);
+    const auto &clauses = config.query.constraints.clauses();
+    ASSERT_EQ(clauses.size(), 2u);
+    EXPECT_EQ(clauses[0].text(), "total_power<0.5");
+    EXPECT_EQ(clauses[1].metric, "lifetime_years");
+    EXPECT_EQ(clauses[1].op, metrics::ConstraintOp::GE);
 }
 
 TEST_F(ConfigTest, ParetoAndTopKeysLoad)
@@ -361,10 +356,10 @@ TEST_F(ConfigTest, ParetoAndTopKeysLoad)
             R"("pareto": ["total_power", "latency_load",
                           "read_latency"],
                "top_k": {"metric": "read_edp", "k": 4})")));
-    ASSERT_EQ(config.paretoMetrics.size(), 3u);
-    EXPECT_EQ(config.paretoMetrics[2], "read_latency");
-    EXPECT_EQ(config.topMetric, "read_edp");
-    EXPECT_EQ(config.topK, 4u);
+    ASSERT_EQ(config.query.paretoMetrics.size(), 3u);
+    EXPECT_EQ(config.query.paretoMetrics[2], "read_latency");
+    EXPECT_EQ(config.query.topMetric, "read_edp");
+    EXPECT_EQ(config.query.topK, 4u);
 }
 
 TEST_F(ConfigTest, RunExperimentAppliesParetoAndTopK)
@@ -373,17 +368,17 @@ TEST_F(ConfigTest, RunExperimentAppliesParetoAndTopK)
     // traffics = 16 rows.
     ExperimentConfig config =
         loadExperiment(JsonValue::parse(basicConfigJson()));
-    config.applyConstraints = false;
+    config.query = {};
     Table all = runExperiment(config);
 
-    config.paretoMetrics = {"total_power", "read_latency"};
+    config.query.paretoMetrics = {"total_power", "read_latency"};
     Table front = runExperiment(config);
     EXPECT_LT(front.numRows(), all.numRows());
     EXPECT_GE(front.numRows(), 1u);
 
-    config.paretoMetrics.clear();
-    config.topMetric = "total_power";
-    config.topK = 3;
+    config.query.paretoMetrics.clear();
+    config.query.topMetric = "total_power";
+    config.query.topK = 3;
     Table top = runExperiment(config);
     EXPECT_EQ(top.numRows(), 3u);
 }
@@ -427,12 +422,94 @@ TEST_F(ConfigTest, RefineKeyErrorPathsAreFatalAtLoadTime)
                     R"("pareto": [])"))),
                 ::testing::ExitedWithCode(1), "at least one metric");
 
-    // "constraints" must be the clause array or the legacy object —
-    // a bare string must not silently load as the default filter.
+    // "constraints" must be the clause array — a bare string must not
+    // silently load as some default filter.
     EXPECT_EXIT(loadExperiment(JsonValue::parse(minimalConfigJson(
                     R"("constraints": "total_power<0.5")"))),
                 ::testing::ExitedWithCode(1),
-                "array of clauses or a legacy");
+                "must be an array of clauses");
+}
+
+TEST_F(ConfigTest, LegacyConstraintObjectIsFatalWithTheClauseSpelling)
+{
+    // The fixed-field object ignored unknown keys, so the typo
+    // "max_power" (for "max_power_w") filtered nothing. Any object
+    // form now fails at load, naming the config and the clauses.
+    for (const char *legacy :
+         {R"({"max_latency_load": 1.0, "require_bandwidth": true})",
+          R"({"max_power": 1e-9})", "{}"}) {
+        EXPECT_EXIT(
+            loadExperiment(JsonValue::parse(minimalConfigJson(
+                std::string(R"("experiment": "old", "constraints": )") +
+                legacy))),
+            ::testing::ExitedWithCode(1),
+            "config 'old': \"constraints\" must be an array of "
+            "clauses, e\\.g\\. \\[\"latency_load<=1\", "
+            "\"meets_read_bw>=1\", \"meets_write_bw>=1\"\\]")
+            << legacy;
+    }
+}
+
+TEST_F(ConfigTest, IntegerKeysRejectFractionsAndOutOfRangeValues)
+{
+    // Each key is checked as a double before any cast: a fraction
+    // would silently truncate, and an out-of-int-range value is UB.
+    struct Case
+    {
+        const char *key;
+        const char *bad;
+    };
+    const Case cases[] = {
+        {"word_bits", "64.9"},    {"word_bits", "1e12"},
+        {"word_bits", "4"},       {"node_nm", "22.5"},
+        {"node_nm", "5"},         {"sram_node_nm", "16.5"},
+        {"sram_node_nm", "131"},  {"jobs", "1.5"},
+        {"jobs", "257"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EXIT(loadExperiment(JsonValue::parse(minimalConfigJson(
+                        std::string(R"("experiment": "ints", ")") +
+                        c.key + "\": " + c.bad))),
+                    ::testing::ExitedWithCode(1),
+                    std::string("config 'ints': \"") + c.key +
+                        "\" must be an integer in \\[.*got")
+            << c.key << " = " << c.bad;
+    }
+
+    for (const char *shards : {"2.5", "0", "4097"}) {
+        EXPECT_EXIT(loadExperiment(JsonValue::parse(minimalConfigJson(
+                        std::string(R"("campaign": {"shards": )") +
+                        shards + "}"))),
+                    ::testing::ExitedWithCode(1),
+                    "\"shards\" must be an integer in \\[1, 4096\\]")
+            << shards;
+    }
+
+    // A generic grid has steps^2 patterns: "steps": 2.9 used to run a
+    // 2x2 grid.
+    for (const char *steps : {"2.9", "1", "1001"}) {
+        EXPECT_EXIT(loadExperiment(JsonValue::parse(
+                        std::string(R"({"cells": ["SRAM"],
+                            "capacities_mib": [2],
+                            "traffic": [{"kind": "generic_grid",
+                                "read_lo": 1e9, "read_hi": 1e10,
+                                "write_lo": 1e6, "write_hi": 1e8,
+                                "steps": )") + steps + "}]}")),
+                    ::testing::ExitedWithCode(1),
+                    "\"steps\" must be an integer in \\[2, 1000\\]")
+            << steps;
+    }
+
+    // In-range whole numbers load unchanged.
+    ExperimentConfig ok = loadExperiment(JsonValue::parse(
+        minimalConfigJson(R"("word_bits": 64, "node_nm": 45,
+                             "sram_node_nm": 7, "jobs": 2,
+                             "campaign": {"shards": 4096})")));
+    EXPECT_EQ(ok.sweep.wordBits, 64);
+    EXPECT_EQ(ok.sweep.nodeNm, 45);
+    EXPECT_EQ(ok.sweep.sramNodeNm, 7);
+    EXPECT_EQ(ok.sweep.jobs, 2);
+    EXPECT_EQ(ok.campaignShards, 4096u);
 }
 
 } // namespace

@@ -1,12 +1,11 @@
 /**
  * @file
  * Differential tier for the batched sweep evaluation path
- * (eval/batch.hh): the batched structure-of-arrays inner loop must be
- * bitwise indistinguishable from the per-point reference path — same
- * EvalResults (reliability sub-object included), same store
- * fingerprint, same on-disk artifacts — across every shipped config,
- * randomized sweep axes, any batch size, any worker count, and
- * through a mid-batch checkpoint resume.
+ * (eval/batch.hh), the sweep engine's only evaluation path: it must be
+ * bitwise indistinguishable from the per-point oracle below — same
+ * EvalResults, reliability sub-object included — across every shipped
+ * config, randomized sweep axes, any split of the slots into ranges,
+ * any worker count, and through a mid-batch checkpoint resume.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +19,7 @@
 #include "celldb/tentpole.hh"
 #include "core/config.hh"
 #include "core/parallel_sweep.hh"
+#include "eval/batch.hh"
 #include "reliability/reliability.hh"
 #include "store/result_store.hh"
 #include "util/random.hh"
@@ -77,14 +77,41 @@ expandedTraffics(const SweepConfig &config)
     return traffics;
 }
 
+/**
+ * The per-point oracle: every expanded slot (spec innermost) pays its
+ * own base and reliability evaluation. This is the definition the
+ * batched path must reproduce bit for bit. No specs means the implicit
+ * default spec, as in the sweep engine.
+ */
+std::vector<EvalResult>
+perPointOracle(const std::vector<ArrayResult> &arrays,
+               const std::vector<TrafficPattern> &traffics,
+               std::vector<reliability::ReliabilitySpec> specs)
+{
+    if (specs.empty())
+        specs.emplace_back();
+    std::vector<EvalResult> results;
+    for (const auto &array : arrays) {
+        for (const auto &traffic : traffics) {
+            for (const auto &spec : specs) {
+                results.push_back(evaluate(array, traffic));
+                results.back().reliability =
+                    reliability::ReliabilityEvaluator(spec).evaluate(
+                        array);
+            }
+        }
+    }
+    return results;
+}
+
 void
 expectIdentical(const std::vector<EvalResult> &batched,
-                const std::vector<EvalResult> &scalar,
+                const std::vector<EvalResult> &expected,
                 const std::string &label)
 {
-    ASSERT_EQ(batched.size(), scalar.size()) << label;
+    ASSERT_EQ(batched.size(), expected.size()) << label;
     for (std::size_t i = 0; i < batched.size(); ++i) {
-        EXPECT_TRUE(store::identical(batched[i], scalar[i]))
+        EXPECT_TRUE(store::identical(batched[i], expected[i]))
             << label << " slot " << i;
     }
 }
@@ -119,8 +146,8 @@ class BatchEquivalenceTest : public testsupport::QuietTest
     }
 };
 
-/** Every shipped study config, evaluated batched and per point at one
- *  and at eight workers: all four runs bitwise identical. */
+/** Every shipped study config, evaluated batched at one and at eight
+ *  workers: both runs bitwise identical to the per-point oracle. */
 TEST_F(BatchEquivalenceTest, ShippedConfigsMatchScalarAtAnyJobCount)
 {
     const std::string configDir =
@@ -143,16 +170,16 @@ TEST_F(BatchEquivalenceTest, ShippedConfigsMatchScalarAtAnyJobCount)
         auto arrays = characterizer.characterize(sweep);
         ASSERT_FALSE(arrays.empty()) << entry.path();
 
+        auto oracle = perPointOracle(arrays, traffics,
+                                     sweep.reliability);
         for (int jobs : {1, 8}) {
             ParallelSweepRunner runner(jobs);
             auto batched = runner.evaluateAll(arrays, traffics,
                                               sweep.reliability);
-            auto scalar = runner.evaluateAllScalar(arrays, traffics,
-                                                   sweep.reliability);
             std::string label = entry.path().filename().string();
             label += " -j";
             label += std::to_string(jobs);
-            expectIdentical(batched, scalar, label);
+            expectIdentical(batched, oracle, label);
         }
         ++checked;
     }
@@ -161,24 +188,9 @@ TEST_F(BatchEquivalenceTest, ShippedConfigsMatchScalarAtAnyJobCount)
     EXPECT_GE(checked, 8u);
 }
 
-/** The batch flag and batch size are invisible to the store: a
- *  sweep's fingerprint (which guards checkpoint replay) must not
- *  depend on either. */
-TEST_F(BatchEquivalenceTest, FingerprintIgnoresBatchSettings)
-{
-    SweepConfig config = reliabilitySweep();
-    std::string base = store::sweepFingerprint(config);
-    SweepConfig toggled = config;
-    toggled.batch = false;
-    EXPECT_EQ(base, store::sweepFingerprint(toggled));
-    toggled.batch = true;
-    toggled.batchSize = 7;
-    EXPECT_EQ(base, store::sweepFingerprint(toggled));
-}
-
 /** Property test over randomized sweep axes: random subsets of a
  *  pre-characterized array universe x random traffics x random
- *  reliability specs, batched == scalar at 1 and 8 workers. */
+ *  reliability specs, batched == oracle at 1 and 8 workers. */
 TEST_F(BatchEquivalenceTest, RandomizedAxesMatchScalar)
 {
     // Characterize the full universe once; trials draw arrays from it
@@ -224,58 +236,75 @@ TEST_F(BatchEquivalenceTest, RandomizedAxesMatchScalar)
             specs.push_back(spec);
         }
 
+        auto oracle = perPointOracle(arrays, traffics, specs);
         for (int jobs : {1, 8}) {
             ParallelSweepRunner runner(jobs);
             auto batched = runner.evaluateAll(arrays, traffics, specs);
-            auto scalar =
-                runner.evaluateAllScalar(arrays, traffics, specs);
             std::string label = "trial ";
             label += std::to_string(trial);
             label += " -j";
             label += std::to_string(jobs);
-            expectIdentical(batched, scalar, label);
+            expectIdentical(batched, oracle, label);
         }
     }
 }
 
-/** Batch size is pure scheduling granularity: every size — including
- *  1, primes that straddle spec runs, the whole sweep, and one past
- *  it — and the per-point path produce byte-identical results.json
- *  and results.csv. */
-TEST_F(BatchEquivalenceTest, BatchSizesProduceIdenticalArtifacts)
+/** Range boundaries are pure scheduling: evaluating the 96 slots as
+ *  contiguous ranges of any size — 1, primes that straddle spec runs,
+ *  the whole sweep, one past it — matches one full-range pass and the
+ *  oracle. With a todo mask (checkpoint-replayed slots), masked slots
+ *  stay untouched and onSlot fires exactly for the live ones. */
+TEST_F(BatchEquivalenceTest, AnyRangeSplitMatchesOneFullPass)
 {
     SweepConfig config = reliabilitySweep();
-    config.jobs = 4;
-    config.outDir = storeDir("sizes");
+    auto arrays = ParallelSweepRunner(4).characterize(config);
+    std::vector<reliability::ReliabilityEvaluator> evaluators(
+        config.reliability.begin(), config.reliability.end());
+    BatchEvalContext context(arrays, config.traffics, evaluators);
+    const std::size_t slots = context.points();
+    ASSERT_EQ(slots, 96u);
 
-    ParallelSweepRunner runner(config.jobs);
-    auto reference = runner.run(config);
-    ASSERT_EQ(reference.size(), 96u);
-    std::string goldenJson = readFile(config.outDir + "/results.json");
-    std::string goldenCsv = readFile(config.outDir + "/results.csv");
+    std::vector<EvalResult> full(slots);
+    context.evaluateRange(0, slots, full);
+    expectIdentical(full,
+                    perPointOracle(arrays, config.traffics,
+                                   config.reliability),
+                    "full pass vs oracle");
 
-    int slots = (int)reference.size();
-    std::vector<int> sizes = {1, 3, 7, slots, slots + 1};
-    for (int size : sizes) {
-        SweepConfig sized = config;
-        sized.batchSize = size;
-        auto results = runner.run(sized);
-        expectIdentical(results, reference,
-                        "batch_size " + std::to_string(size));
-        EXPECT_EQ(readFile(config.outDir + "/results.json"),
-                  goldenJson)
-            << "batch_size " << size;
-        EXPECT_EQ(readFile(config.outDir + "/results.csv"), goldenCsv)
-            << "batch_size " << size;
+    // Masked slots cut into spec runs at varying offsets, so some runs
+    // lose their first slot and must still compute their base.
+    std::vector<char> todo(slots, 1);
+    std::size_t live = slots;
+    for (std::size_t idx = 0; idx < slots; ++idx) {
+        if (idx % 5 == 1 || idx % 7 == 3) {
+            todo[idx] = 0;
+            --live;
+        }
     }
 
-    // The "batch": false escape hatch lands on the same bytes.
-    SweepConfig scalar = config;
-    scalar.batch = false;
-    auto results = runner.run(scalar);
-    expectIdentical(results, reference, "batch false");
-    EXPECT_EQ(readFile(config.outDir + "/results.json"), goldenJson);
-    EXPECT_EQ(readFile(config.outDir + "/results.csv"), goldenCsv);
+    for (std::size_t size : {std::size_t{1}, std::size_t{3},
+                             std::size_t{7}, slots, slots + 1}) {
+        std::string label = "range size " + std::to_string(size);
+        std::vector<EvalResult> split(slots);
+        std::vector<EvalResult> masked(slots);
+        std::size_t fired = 0;
+        for (std::size_t begin = 0; begin < slots; begin += size) {
+            // The last range may overrun: evaluateRange clamps it.
+            context.evaluateRange(begin, begin + size, split);
+            context.evaluateRange(begin, begin + size, masked, &todo,
+                                  [&](std::size_t idx) {
+                                      EXPECT_TRUE(todo[idx]) << idx;
+                                      ++fired;
+                                  });
+        }
+        expectIdentical(split, full, label);
+        EXPECT_EQ(fired, live) << label;
+        for (std::size_t idx = 0; idx < slots; ++idx) {
+            EXPECT_TRUE(store::identical(
+                masked[idx], todo[idx] ? full[idx] : EvalResult{}))
+                << label << " slot " << idx;
+        }
+    }
 }
 
 /** A sweep killed mid-batch leaves a journal whose completed slots
@@ -283,10 +312,10 @@ TEST_F(BatchEquivalenceTest, BatchSizesProduceIdenticalArtifacts)
  *  them and recompute only the rest, byte-identically. */
 TEST_F(BatchEquivalenceTest, MidBatchCheckpointResumeReplaysExactly)
 {
+    // 96 slots at 4 jobs run in default batches of 6 slots, so a
+    // journal holding 3 completed slots tears mid-batch.
     SweepConfig config = reliabilitySweep();
     config.jobs = 4;
-    config.batchSize = 5;  // slots 0..4 in one batch; a 3-slot journal
-                           // tears mid-batch
     config.outDir = storeDir("uninterrupted");
     ParallelSweepRunner runner(config.jobs);
     auto fresh = runner.run(config);
@@ -343,13 +372,13 @@ TEST_F(BatchEquivalenceTest, SpecAxisChangeKeepsCharacterizationCached)
     EXPECT_EQ(warm.checkpointLoaded, 0u);
     EXPECT_EQ(warm.checkpointComputed, results.size());
 
-    // And the cache-served batched rows still match a cold scalar
-    // reference run.
-    SweepConfig reference = config;
-    reference.outDir.clear();
-    reference.batch = false;
-    auto expected = runner.run(reference);
-    expectIdentical(results, expected, "cache-served vs cold scalar");
+    // And the cache-served batched rows still match the oracle over
+    // freshly characterized (store-less) arrays.
+    SweepConfig storeless = config;
+    storeless.outDir.clear();
+    auto expected = perPointOracle(runner.characterize(storeless),
+                                   config.traffics, config.reliability);
+    expectIdentical(results, expected, "cache-served vs cold oracle");
 }
 
 } // namespace

@@ -143,6 +143,22 @@ TEST_F(LintTest, UnknownConstraintMetricIsDiagnosed)
               std::string::npos);
 }
 
+TEST_F(LintTest, LegacyConstraintObjectIsDiagnosed)
+{
+    auto path = write(
+        "legacy.json",
+        validConfig("  \"constraints\": {\"max_latency_load\": 1.0,"
+                    " \"require_bandwidth\": true}"));
+    LintReport report = lintConfigFile(path);
+    expectOneDiagnostic(report, path, "constraints");
+    // The diagnostic gives the clause spelling to migrate to.
+    EXPECT_NE(report.diagnostics[0].message.find(
+                  "[\"latency_load<=1\", \"meets_read_bw>=1\", "
+                  "\"meets_write_bw>=1\"]"),
+              std::string::npos)
+        << report.diagnostics[0].message;
+}
+
 TEST_F(LintTest, UnknownWorkloadIsDiagnosed)
 {
     auto path = write(

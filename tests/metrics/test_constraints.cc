@@ -126,64 +126,92 @@ TEST_F(ConstraintsTest, CheapestFirstOrderingNeverChangesTheOutcome)
               true);
 }
 
-/** The pre-refactor fixed-field filter, kept verbatim as the
- *  reference the fromLegacy adapter must reproduce exactly. */
-bool
-legacyReferenceSatisfies(const EvalResult &result,
-                         const Constraints &constraints)
+/** Bounds over the raw EvalResult fields the dashboard filters most
+ *  often on; a bound <= 0 (or requireBandwidth false) is unset. */
+struct FieldBounds
 {
-    if (constraints.maxLatencyLoad > 0.0 &&
-        result.latencyLoad > constraints.maxLatencyLoad)
+    double maxLatencyLoad = -1.0;
+    double maxPowerWatts = -1.0;
+    double maxAreaM2 = -1.0;
+    double minLifetimeSec = -1.0;
+    double maxReadLatency = -1.0;
+    double maxWriteLatency = -1.0;
+    bool requireBandwidth = false;
+};
+
+/** Hand-written comparisons against the raw fields: the reference a
+ *  clause set over the same metrics must reproduce exactly. */
+bool
+referenceSatisfies(const EvalResult &result, const FieldBounds &bounds)
+{
+    if (bounds.maxLatencyLoad > 0.0 &&
+        result.latencyLoad > bounds.maxLatencyLoad)
         return false;
-    if (constraints.maxPowerWatts > 0.0 &&
-        result.totalPower > constraints.maxPowerWatts)
+    if (bounds.maxPowerWatts > 0.0 &&
+        result.totalPower > bounds.maxPowerWatts)
         return false;
-    if (constraints.maxAreaM2 > 0.0 &&
-        result.array.areaM2 > constraints.maxAreaM2)
+    if (bounds.maxAreaM2 > 0.0 && result.array.areaM2 > bounds.maxAreaM2)
         return false;
-    if (constraints.minLifetimeSec > 0.0 &&
-        result.lifetimeSec < constraints.minLifetimeSec)
+    if (bounds.minLifetimeSec > 0.0 &&
+        result.lifetimeSec < bounds.minLifetimeSec)
         return false;
-    if (constraints.maxReadLatency > 0.0 &&
-        result.array.readLatency > constraints.maxReadLatency)
+    if (bounds.maxReadLatency > 0.0 &&
+        result.array.readLatency > bounds.maxReadLatency)
         return false;
-    if (constraints.maxWriteLatency > 0.0 &&
-        result.array.writeLatency > constraints.maxWriteLatency)
+    if (bounds.maxWriteLatency > 0.0 &&
+        result.array.writeLatency > bounds.maxWriteLatency)
         return false;
-    if (constraints.requireBandwidth &&
+    if (bounds.requireBandwidth &&
         (!result.meetsReadBandwidth || !result.meetsWriteBandwidth))
         return false;
     return true;
 }
 
-TEST_F(ConstraintsTest, FromLegacyReproducesTheFixedFieldFilter)
+TEST_F(ConstraintsTest, ClauseSetsMatchHandWrittenFieldComparisons)
 {
     const auto &results = sweepResults();
     Rng rng(0xC0415);
     for (int round = 0; round < 50; ++round) {
-        Constraints legacy;
-        legacy.maxLatencyLoad = rng.uniform() < 0.3
+        FieldBounds bounds;
+        bounds.maxLatencyLoad = rng.uniform() < 0.3
             ? -1.0 : rng.uniform() * 2.0;
-        legacy.maxPowerWatts = rng.uniform() < 0.3
+        bounds.maxPowerWatts = rng.uniform() < 0.3
             ? -1.0 : rng.uniform() * 0.5;
-        legacy.maxAreaM2 = rng.uniform() < 0.5
+        bounds.maxAreaM2 = rng.uniform() < 0.5
             ? -1.0 : rng.uniform() * 1e-5;
-        legacy.minLifetimeSec = rng.uniform() < 0.5
+        bounds.minLifetimeSec = rng.uniform() < 0.5
             ? -1.0 : rng.uniform() * 10.0 * 365.0 * 86400.0;
-        legacy.maxReadLatency = rng.uniform() < 0.5
+        bounds.maxReadLatency = rng.uniform() < 0.5
             ? -1.0 : rng.uniform() * 100e-9;
-        legacy.maxWriteLatency = rng.uniform() < 0.5
+        bounds.maxWriteLatency = rng.uniform() < 0.5
             ? -1.0 : rng.uniform() * 500e-9;
-        legacy.requireBandwidth = rng.uniform() < 0.5;
+        bounds.requireBandwidth = rng.uniform() < 0.5;
 
-        ConstraintSet declarative = ConstraintSet::fromLegacy(legacy);
+        // One clause per set bound, over the metric reading that
+        // field.
+        ConstraintSet clauses;
+        const std::pair<const char *, double> ceilings[] = {
+            {"latency_load", bounds.maxLatencyLoad},
+            {"total_power", bounds.maxPowerWatts},
+            {"area_m2", bounds.maxAreaM2},
+            {"read_latency", bounds.maxReadLatency},
+            {"write_latency", bounds.maxWriteLatency},
+        };
+        for (const auto &[metric, bound] : ceilings) {
+            if (bound > 0.0)
+                clauses.add({metric, ConstraintOp::LE, bound});
+        }
+        if (bounds.minLifetimeSec > 0.0) {
+            clauses.add({"lifetime_sec", ConstraintOp::GE,
+                         bounds.minLifetimeSec});
+        }
+        if (bounds.requireBandwidth) {
+            clauses.add("meets_read_bw>=1");
+            clauses.add("meets_write_bw>=1");
+        }
+
         for (const auto &r : results) {
-            EXPECT_EQ(declarative.satisfied(r),
-                      legacyReferenceSatisfies(r, legacy))
-                << "round " << round;
-            // And the production adapter path agrees too.
-            EXPECT_EQ(satisfies(r, legacy),
-                      legacyReferenceSatisfies(r, legacy))
+            EXPECT_EQ(clauses.satisfied(r), referenceSatisfies(r, bounds))
                 << "round " << round;
         }
     }

@@ -74,15 +74,6 @@ TEST_F(StoreIndexTest, ConstraintFilteringMatchesOfflinePath)
     expectIdentical(sweepRows(), query, "constraints");
 }
 
-TEST_F(StoreIndexTest, PredicatesRunOverFullRows)
-{
-    store::StoreQuery query;
-    query.predicates.push_back([](const EvalResult &r) {
-        return r.traffic.name != "heavy";
-    });
-    expectIdentical(sweepRows(), query, "predicate");
-}
-
 TEST_F(StoreIndexTest, ParetoFrontsMatchForTwoAndMoreDimensions)
 {
     store::StoreQuery two;

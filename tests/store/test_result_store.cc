@@ -290,16 +290,6 @@ TEST_F(ResultStoreTest, QueryStoreFiltersAndExtractsPareto)
     config.outDir = storeDir("query");
     auto results = runSweep(config);
 
-    // Predicate: only the "hot" traffic rows.
-    store::StoreQuery query;
-    query.predicates.push_back([](const EvalResult &r) {
-        return r.traffic.name == "hot";
-    });
-    auto hot = store::queryStore(config.outDir, query);
-    EXPECT_EQ(hot.size(), 4u);
-    for (const auto &r : hot)
-        EXPECT_EQ(r.traffic.name, "hot");
-
     // Declarative constraint clauses filter rows.
     store::StoreQuery constrained;
     constrained.constraints.add("total_power<1e-15");
@@ -360,13 +350,6 @@ TEST_F(ResultStoreTest, StoreQuerySerializesLosslessly)
     ASSERT_EQ(direct.size(), viaJson.size());
     for (std::size_t i = 0; i < direct.size(); ++i)
         EXPECT_TRUE(store::identical(direct[i], viaJson[i]));
-
-    // Programmatic predicates are the one non-serializable part.
-    store::StoreQuery withPredicate;
-    withPredicate.predicates.push_back(
-        [](const EvalResult &) { return true; });
-    EXPECT_EXIT(withPredicate.toJson(), ::testing::ExitedWithCode(1),
-                "cannot be serialized");
 }
 
 TEST_F(ResultStoreTest, StoreQueryRejectsUnknownKeysFatally)

@@ -105,8 +105,8 @@ basicConfigJson()
              "write_bytes_per_sec": 1e7},
             {"name": "b", "reads": 1e6, "writes": 1e5, "exec_time": 0.5}
         ],
-        "constraints": {"max_latency_load": 1.0,
-                        "min_lifetime_years": 1},
+        "constraints": ["latency_load<=1", "lifetime_sec>=31536000",
+                        "meets_read_bw>=1", "meets_write_bw>=1"],
         "output_csv": ""
     })";
 }

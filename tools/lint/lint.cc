@@ -81,11 +81,10 @@ knownConfigKeys()
         "experiment",  "cells",       "capacities_mib",
         "word_bits",   "node_nm",     "sram_node_nm",
         "jobs",        "out_dir",     "resume",
-        "batch",       "batch_size",  "targets",
-        "traffic",     "workloads",   "workload",
-        "reliability", "ecc",         "constraints",
-        "pareto",      "top_k",       "output_csv",
-        "campaign",
+        "targets",     "traffic",     "workloads",
+        "workload",    "reliability", "ecc",
+        "constraints", "pareto",      "top_k",
+        "output_csv",  "campaign",
     };
     return keys;
 }
@@ -161,6 +160,12 @@ checkConfigSections(LintReport &report, const std::string &path,
                 metrics::ConstraintClause::fromJson(clauses[i], key);
             });
         }
+    } else if (doc.has("constraints")) {
+        // Not a clause array, e.g. the removed fixed-field object; the
+        // diagnostic gives the clause spelling to migrate to.
+        guarded(report, path, "constraints", [&] {
+            metrics::ConstraintSet::fromJson(doc.at("constraints"));
+        });
     }
 
     if (doc.has("pareto")) {

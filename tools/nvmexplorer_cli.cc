@@ -19,9 +19,7 @@
 #include "campaign/campaign.hh"
 #include "core/config.hh"
 #include "core/parallel_sweep.hh"
-#include "metrics/constraints.hh"
 #include "metrics/metric.hh"
-#include "metrics/refine.hh"
 #include "reliability/reliability.hh"
 #include "serve/server.hh"
 #include "store/result_store.hh"
@@ -38,8 +36,8 @@ usage()
 {
     std::cout <<
         "usage: nvmexplorer_cli [-q] [--jobs N] [--out DIR] [--resume]\n"
-        "                       [--no-batch] [--filter EXPR]...\n"
-        "                       [--pareto METRICS] [--top K METRIC]\n"
+        "                       [--filter EXPR]... [--pareto METRICS]\n"
+        "                       [--top K METRIC]\n"
         "                       <config.json> [more configs...]\n"
         "       nvmexplorer_cli query --store DIR [--filter EXPR]...\n"
         "                       [--pareto METRICS] [--top K METRIC]\n"
@@ -69,9 +67,6 @@ usage()
         "  --resume   continue an interrupted sweep from DIR's\n"
         "             checkpoint journal (results are byte-identical\n"
         "             to an uninterrupted run)\n"
-        "  --no-batch evaluate the sweep per point instead of in\n"
-        "             batches (slower reference path; results are\n"
-        "             bit-identical either way)\n"
         "  --filter 'METRIC<BOUND'\n"
         "             keep only rows satisfying the clause (repeatable,\n"
         "             ANDed; operators < <= > >= == !=); appended to a\n"
@@ -161,6 +156,60 @@ listEcc()
     }
 }
 
+/**
+ * Parse the refine flag at argv[argi], if it is one, into `query`:
+ * --filter appends a clause, --pareto and --top replace their stage.
+ * Metric names are validated here, so a typo fails before any
+ * simulation runs. Shared by the sweep and `query` command lines.
+ * @return argv entries consumed; 0 when argv[argi] is no refine flag.
+ */
+int
+parseRefineFlag(int argc, char **argv, int argi, store::StoreQuery &query)
+{
+    if (std::strcmp(argv[argi], "--filter") == 0) {
+        if (argi + 1 >= argc)
+            fatal("--filter needs a 'metric<bound' clause");
+        query.constraints.add(argv[argi + 1], "--filter");
+        return 2;
+    }
+    if (std::strcmp(argv[argi], "--pareto") == 0) {
+        if (argi + 1 >= argc)
+            fatal("--pareto needs a comma-separated metric list");
+        std::string list = argv[argi + 1];
+        query.paretoMetrics.clear();
+        for (std::size_t begin = 0; begin <= list.size();) {
+            std::size_t comma = list.find(',', begin);
+            if (comma == std::string::npos)
+                comma = list.size();
+            std::string name = list.substr(begin, comma - begin);
+            if (name.empty())
+                fatal("--pareto: empty metric name in '", list, "'");
+            metrics::MetricRegistry::instance().require(name, "--pareto");
+            query.paretoMetrics.push_back(name);
+            begin = comma + 1;
+        }
+        return 2;
+    }
+    if (std::strcmp(argv[argi], "--top") == 0) {
+        if (argi + 2 >= argc)
+            fatal("--top needs a count and a metric name");
+        errno = 0;
+        char *end = nullptr;
+        long k = std::strtol(argv[argi + 1], &end, 10);
+        if (end == argv[argi + 1] || *end != '\0' || errno != 0 ||
+            k < 1) {
+            fatal("--top: '", argv[argi + 1],
+                  "' must be a positive integer");
+        }
+        query.topMetric = argv[argi + 2];
+        metrics::MetricRegistry::instance().require(query.topMetric,
+                                                    "--top");
+        query.topK = (std::size_t)k;
+        return 3;
+    }
+    return 0;
+}
+
 /** Parsed common flags of the `query`/`serve` subcommands. */
 struct StoreCommandArgs
 {
@@ -168,8 +217,7 @@ struct StoreCommandArgs
     std::string queryFile;  ///< `query` only: serialized query.json
     int port = 0;
     int jobs = 4;
-    store::StoreQuery query;
-    bool queryFlagsUsed = false;  ///< --filter/--pareto/--top present
+    store::StoreQuery query;  ///< `query` only: --filter/--pareto/--top
 };
 
 /** Parse argv[argi..] for `query`/`serve`; fatal on bad flags. */
@@ -218,51 +266,10 @@ parseStoreCommand(const char *command, int argc, char **argv, int argi,
             if (argi + 1 >= argc)
                 fatal("query: --query needs a file");
             out.queryFile = argv[++argi];
-        } else if (!isServe &&
-                   std::strcmp(argv[argi], "--filter") == 0) {
-            if (argi + 1 >= argc)
-                fatal("query: --filter needs a 'metric<bound' clause");
-            out.query.constraints.add(argv[argi + 1], "--filter");
-            out.queryFlagsUsed = true;
-            ++argi;
-        } else if (!isServe &&
-                   std::strcmp(argv[argi], "--pareto") == 0) {
-            if (argi + 1 >= argc)
-                fatal("query: --pareto needs a comma-separated metric "
-                      "list");
-            std::string list = argv[argi + 1];
-            out.query.paretoMetrics.clear();
-            for (std::size_t begin = 0; begin <= list.size();) {
-                std::size_t comma = list.find(',', begin);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                std::string name = list.substr(begin, comma - begin);
-                if (name.empty())
-                    fatal("--pareto: empty metric name in '", list, "'");
-                metrics::MetricRegistry::instance().require(name,
-                                                            "--pareto");
-                out.query.paretoMetrics.push_back(name);
-                begin = comma + 1;
-            }
-            out.queryFlagsUsed = true;
-            ++argi;
-        } else if (!isServe && std::strcmp(argv[argi], "--top") == 0) {
-            if (argi + 2 >= argc)
-                fatal("query: --top needs a count and a metric name");
-            errno = 0;
-            char *end = nullptr;
-            long k = std::strtol(argv[argi + 1], &end, 10);
-            if (end == argv[argi + 1] || *end != '\0' || errno != 0 ||
-                k < 1) {
-                fatal("--top: '", argv[argi + 1],
-                      "' must be a positive integer");
-            }
-            out.query.topMetric = argv[argi + 2];
-            metrics::MetricRegistry::instance().require(
-                out.query.topMetric, "--top");
-            out.query.topK = (std::size_t)k;
-            out.queryFlagsUsed = true;
-            argi += 2;
+        } else if (int used = isServe ? 0
+                                      : parseRefineFlag(argc, argv, argi,
+                                                        out.query)) {
+            argi += used - 1;  // the loop header steps past the flag
         } else {
             fatal(command, ": unknown argument '", argv[argi],
                   "' (see --help)");
@@ -282,7 +289,7 @@ runQueryCommand(int argc, char **argv, int argi)
     StoreCommandArgs args =
         parseStoreCommand("query", argc, argv, argi, false);
     if (!args.queryFile.empty()) {
-        if (args.queryFlagsUsed) {
+        if (!args.query.empty()) {
             fatal("query: --query FILE replaces the "
                   "--filter/--pareto/--top flags; pass one or the "
                   "other");
@@ -633,57 +640,15 @@ main(int argc, char **argv)
     int argi = 1;
     std::string outDir;
     bool resume = false;
-    bool noBatch = false;
-    // Refine flags, validated eagerly so a typo'd metric name fails
-    // before any simulation runs.
-    metrics::ConstraintSet cliFilter;
-    std::vector<std::string> cliPareto;
-    std::string cliTopMetric;
-    std::size_t cliTopK = 0;
+    store::StoreQuery cliQuery;  ///< --filter/--pareto/--top
     while (argi < argc && argv[argi][0] == '-' &&
            std::strcmp(argv[argi], "-") != 0) {
         if (std::strcmp(argv[argi], "-q") == 0) {
             setQuiet(true);
             ++argi;
-        } else if (std::strcmp(argv[argi], "--filter") == 0) {
-            if (argi + 1 >= argc)
-                fatal("--filter needs a 'metric<bound' clause");
-            cliFilter.add(argv[argi + 1], "--filter");
-            argi += 2;
-        } else if (std::strcmp(argv[argi], "--pareto") == 0) {
-            if (argi + 1 >= argc)
-                fatal("--pareto needs a comma-separated metric list");
-            std::string list = argv[argi + 1];
-            cliPareto.clear();
-            for (std::size_t begin = 0; begin <= list.size();) {
-                std::size_t comma = list.find(',', begin);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                std::string name = list.substr(begin, comma - begin);
-                if (name.empty())
-                    fatal("--pareto: empty metric name in '", list, "'");
-                metrics::MetricRegistry::instance().require(name,
-                                                            "--pareto");
-                cliPareto.push_back(name);
-                begin = comma + 1;
-            }
-            argi += 2;
-        } else if (std::strcmp(argv[argi], "--top") == 0) {
-            if (argi + 2 >= argc)
-                fatal("--top needs a count and a metric name");
-            errno = 0;
-            char *end = nullptr;
-            long k = std::strtol(argv[argi + 1], &end, 10);
-            if (end == argv[argi + 1] || *end != '\0' || errno != 0 ||
-                k < 1) {
-                fatal("--top: '", argv[argi + 1],
-                      "' must be a positive integer");
-            }
-            cliTopMetric = argv[argi + 2];
-            metrics::MetricRegistry::instance().require(cliTopMetric,
-                                                        "--top");
-            cliTopK = (std::size_t)k;
-            argi += 3;
+        } else if (int used = parseRefineFlag(argc, argv, argi,
+                                              cliQuery)) {
+            argi += used;
         } else if (std::strcmp(argv[argi], "--jobs") == 0 ||
                    std::strcmp(argv[argi], "-j") == 0) {
             if (argi + 1 >= argc)
@@ -707,9 +672,6 @@ main(int argc, char **argv)
             argi += 2;
         } else if (std::strcmp(argv[argi], "--resume") == 0) {
             resume = true;
-            ++argi;
-        } else if (std::strcmp(argv[argi], "--no-batch") == 0) {
-            noBatch = true;
             ++argi;
         } else if (std::strcmp(argv[argi], "--list-metrics") == 0) {
             listMetrics();
@@ -755,11 +717,6 @@ main(int argc, char **argv)
         }
         if (resume)
             config.sweep.resume = true;
-        // Unlike --out/--resume, --no-batch overrides even a config's
-        // own "batch": true — it exists to force the per-point
-        // reference path when validating a batched-path suspicion.
-        if (noBatch)
-            config.sweep.batch = false;
         if (config.sweep.resume && config.sweep.outDir.empty()) {
             fatal("--resume needs a store: pass --out or set "
                   "\"out_dir\" in the config");
@@ -767,15 +724,13 @@ main(int argc, char **argv)
         // Refine flags layer onto the config's own pipeline: --filter
         // clauses are ANDed after the config's constraints, while
         // --pareto/--top override the corresponding keys outright.
-        for (const auto &clause : cliFilter.clauses())
-            config.constraints.add(clause);
-        if (!cliFilter.empty())
-            config.applyConstraints = true;
-        if (!cliPareto.empty())
-            config.paretoMetrics = cliPareto;
-        if (!cliTopMetric.empty()) {
-            config.topMetric = cliTopMetric;
-            config.topK = cliTopK;
+        for (const auto &clause : cliQuery.constraints.clauses())
+            config.query.constraints.add(clause);
+        if (!cliQuery.paretoMetrics.empty())
+            config.query.paretoMetrics = cliQuery.paretoMetrics;
+        if (!cliQuery.topMetric.empty()) {
+            config.query.topMetric = cliQuery.topMetric;
+            config.query.topK = cliQuery.topK;
         }
         inform("running experiment '", config.name, "' (",
                config.sweep.cells.size(), " cells x ",
@@ -793,16 +748,9 @@ main(int argc, char **argv)
             // applied to: query.json round-trips through
             // StoreQuery::fromJson, so the exact dashboard view can
             // be reproduced offline from the store alone.
-            if (config.applyConstraints ||
-                !config.paretoMetrics.empty() ||
-                !config.topMetric.empty()) {
-                store::StoreQuery query;
-                query.constraints = config.constraints;
-                query.paretoMetrics = config.paretoMetrics;
-                query.topMetric = config.topMetric;
-                query.topK = config.topK;
-                query.toJson().writeFile(config.sweep.outDir +
-                                         "/query.json");
+            if (!config.query.empty()) {
+                config.query.toJson().writeFile(config.sweep.outDir +
+                                                "/query.json");
             }
             store::StoreStats stats =
                 store::loadStats(config.sweep.outDir);
