@@ -1,20 +1,13 @@
 /**
  * @file
- * google-benchmark coverage of distributed sweep campaigns: the full
- * plan -> fork-N-workers -> merge lifecycle at 1, 2, and 4 shards
- * over the campaign-sized sweep (1536 store-backed slots), plus the
- * merge step in isolation.
+ * google-benchmark coverage of sweep campaigns: the full plan -> run
+ * -> merge lifecycle over the campaign-sized sweep (1536 store-backed
+ * slots) in one process, plus the merge step in isolation.
  *
- * BM_CampaignRun/1 is the single-process baseline; /2 and /4 are the
- * same sweep fanned out to forked worker processes. The shard work is
- * CPU-bound (evaluation + artifact serialization), so the multi-shard
- * wall-clock win tracks the machine's core count: tools/bench_gate.py
- * enforces the >= 1.8x 4-shard speedup only on runners with at least
- * 4 CPUs (the gate's --speedup flag carries the CPU floor), the same
- * reasoning it applies to multi-worker thread ratios.
- *
- * CI appends this binary's JSON to perf_sweep's and diffs the merged
- * file against the committed BENCH_sweep.json snapshot.
+ * Both rows time wall clock (UseRealTime): the shard work is mostly
+ * journal and artifact writes, so time spent in the file system
+ * counts. CI appends this binary's JSON to perf_sweep's and gates the
+ * merged file against the committed BENCH_sweep.json snapshot.
  */
 
 #include <benchmark/benchmark.h>
@@ -37,21 +30,21 @@ campaignDir(const std::string &name)
             ("nvmexp_perf_campaign_" + name)).string();
 }
 
-/** The in-process worker launchCampaign forks: one single-threaded
- *  runner per worker process, exactly what the CLI launcher execs. */
-campaign::ShardWorker
-forkedWorker(const std::string &dir, const SweepConfig &config)
+/** Plan `shards` shards of `config` into `dir` and run each in this
+ *  process, one job apiece. */
+void
+planAndRun(const std::string &dir, const SweepConfig &config,
+           std::size_t shards)
 {
-    return [&dir, &config](std::size_t shard) -> int {
-        ParallelSweepRunner runner(1);
-        campaign::runShard(dir, config, shard, runner);
-        return 0;
-    };
+    campaign::planCampaign(dir, config, shards);
+    ParallelSweepRunner runner(1);
+    for (std::size_t k = 0; k < shards; ++k)
+        campaign::runShard(dir, config, k, runner);
 }
 
-/** Full campaign lifecycle at Arg(0) shards: plan, fork one worker
- *  process per shard, wait, merge. Fresh directory every iteration —
- *  this measures cold end-to-end wall clock, merge included. */
+/** Full campaign lifecycle at Arg(0) shards: plan, run every shard
+ *  in-process, merge. Fresh directory every iteration — this measures
+ *  cold end-to-end wall clock, merge included. */
 void
 BM_CampaignRun(benchmark::State &state)
 {
@@ -59,25 +52,18 @@ BM_CampaignRun(benchmark::State &state)
     SweepConfig config = benchsupport::campaignSweep();
     std::string dir =
         campaignDir("run" + std::to_string(shards));
-    campaign::LaunchOptions options;
-    options.workers = shards;
     for (auto _ : state) {
         state.PauseTiming();
         std::filesystem::remove_all(dir);
         state.ResumeTiming();
-        campaign::planCampaign(dir, config, shards);
-        if (!campaign::launchCampaign(dir, options,
-                                      forkedWorker(dir, config))) {
-            state.SkipWithError("campaign launch failed");
-            break;
-        }
+        planAndRun(dir, config, shards);
         auto summary = campaign::mergeCampaign(dir);
         benchmark::DoNotOptimize(summary);
     }
     std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_CampaignRun)
-    ->Arg(1)->Arg(2)->Arg(4)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -90,14 +76,7 @@ BM_CampaignMerge(benchmark::State &state)
     SweepConfig config = benchsupport::campaignSweep();
     std::string dir = campaignDir("merge");
     std::filesystem::remove_all(dir);
-    campaign::planCampaign(dir, config, 4);
-    campaign::LaunchOptions options;
-    options.workers = 4;
-    if (!campaign::launchCampaign(dir, options,
-                                  forkedWorker(dir, config))) {
-        state.SkipWithError("campaign launch failed");
-        return;
-    }
+    planAndRun(dir, config, 4);
     for (auto _ : state) {
         auto summary = campaign::mergeCampaign(dir);
         benchmark::DoNotOptimize(summary);

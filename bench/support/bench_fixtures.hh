@@ -107,9 +107,8 @@ wideSweep(bool reliabilityAxis)
  * The campaign-sized sweep: the wide sweep's 16 arrays x 6 traffics
  * crossed with a 16-spec reliability axis (4 ECC schemes x 4 scrub
  * intervals) = 1536 evaluation slots. Big enough that the store-backed
- * per-slot cost (journal + artifact serialization, ~75us/slot)
- * dominates the campaign's fixed costs (fork, characterization,
- * merge), which is the regime multi-process sharding is for.
+ * per-slot cost (journal + artifact serialization) dominates the
+ * campaign's fixed costs (planning, characterization, merge).
  */
 inline SweepConfig
 campaignSweep()

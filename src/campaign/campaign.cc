@@ -1,12 +1,5 @@
 #include "campaign/campaign.hh"
 
-#include <sched.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -33,31 +26,6 @@ readFileText(const std::string &path, const std::string &context)
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return buffer.str();
-}
-
-/** Pin the calling (child) process to the interleaved CPU set of one
- *  launcher slot: cpu % stride == worker % stride, stride = the
- *  concurrent worker count clamped to the online CPU count so every
- *  worker keeps at least one CPU. Best-effort: failure warns. */
-void
-pinToWorkerSet(std::size_t worker, std::size_t workers)
-{
-    long online = ::sysconf(_SC_NPROCESSORS_ONLN);
-    if (online < 1 || workers == 0)
-        return;
-    std::size_t stride = std::min(workers, (std::size_t)online);
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    for (long cpu = 0; cpu < online && cpu < CPU_SETSIZE; ++cpu) {
-        if ((std::size_t)cpu % stride == worker % stride)
-            CPU_SET(cpu, &set);
-    }
-    if (CPU_COUNT(&set) == 0)
-        return;
-    if (::sched_setaffinity(0, sizeof(set), &set) != 0) {
-        warn("campaign launch: sched_setaffinity failed: ",
-             std::strerror(errno));
-    }
 }
 
 } // namespace
@@ -104,7 +72,7 @@ planCampaign(const std::string &dir, const SweepConfig &config,
     manifest.granularity = plan.runLength;
     for (std::size_t k = 0; k < shardCount; ++k)
         manifest.shards.push_back(
-            ShardEntry{k, shardDirName(k), "pending", 0});
+            ShardEntry{k, "pending", 0});
     saveManifest(dir, manifest);
     return manifest;
 }
@@ -125,7 +93,7 @@ runShard(const std::string &dir, const SweepConfig &config,
               manifest.fingerprint,
               " (config edited after `campaign plan`?)");
     }
-    std::string shardDir = dir + "/" + manifest.shards[shard].dir;
+    std::string shardDir = dir + "/" + shardDirName(shard);
     std::error_code ec;
     std::filesystem::create_directories(shardDir, ec);
     if (ec) {
@@ -133,7 +101,7 @@ runShard(const std::string &dir, const SweepConfig &config,
               ec.message());
     }
     // The attempt is recorded before any work so a kill at any point
-    // still counts against the retry budget.
+    // still shows in the shard's attempt count.
     ShardState state = loadShardState(shardDir, manifest.fingerprint);
     ++state.attempts;
     state.completed = false;
@@ -170,7 +138,7 @@ mergeCampaign(const std::string &dir)
     std::string csvHeader;
 
     for (std::size_t k = 0; k < manifest.shardCount; ++k) {
-        std::string shardDir = dir + "/" + manifest.shards[k].dir;
+        std::string shardDir = dir + "/" + shardDirName(k);
         std::string context = "campaign merge: shard " +
             std::to_string(k) + " ('" + shardDir + "')";
 
@@ -295,7 +263,7 @@ mergeCampaign(const std::string &dir)
     merged.writeStats(summary.stats);
 
     for (std::size_t k = 0; k < manifest.shardCount; ++k) {
-        std::string shardDir = dir + "/" + manifest.shards[k].dir;
+        std::string shardDir = dir + "/" + shardDirName(k);
         manifest.shards[k].status = "complete";
         manifest.shards[k].attempts =
             loadShardState(shardDir, manifest.fingerprint).attempts;
@@ -328,8 +296,7 @@ campaignStatus(const std::string &dir)
     // journal header, and per-shard owned counts need it.
     std::vector<std::size_t> doneSlots(status.manifest.shardCount, 0);
     for (std::size_t k = 0; k < status.manifest.shardCount; ++k) {
-        std::string shardDir =
-            dir + "/" + status.manifest.shards[k].dir;
+        std::string shardDir = dir + "/" + shardDirName(k);
         store::CheckpointScan scan = store::scanCheckpoint(shardDir);
         if (!scan.headerOk || scan.format != store::kFormatVersion ||
             scan.fingerprint != status.manifest.fingerprint)
@@ -343,8 +310,7 @@ campaignStatus(const std::string &dir)
         doneSlots[k] = seen.size();
     }
     for (std::size_t k = 0; k < status.manifest.shardCount; ++k) {
-        std::string shardDir =
-            dir + "/" + status.manifest.shards[k].dir;
+        std::string shardDir = dir + "/" + shardDirName(k);
         ShardState state =
             loadShardState(shardDir, status.manifest.fingerprint);
         ShardProgress progress;
@@ -360,118 +326,6 @@ campaignStatus(const std::string &dir)
         status.shards.push_back(std::move(progress));
     }
     return status;
-}
-
-bool
-launchCampaign(const std::string &dir, const LaunchOptions &options,
-               const ShardWorker &worker)
-{
-    CampaignManifest manifest = loadManifest(dir);
-    std::size_t nshards = manifest.shardCount;
-    std::size_t workers = options.workers
-        ? std::min(options.workers, nshards)
-        : nshards;
-
-    std::vector<std::size_t> queue;
-    for (std::size_t k = 0; k < nshards; ++k) {
-        ShardState state = loadShardState(
-            dir + "/" + manifest.shards[k].dir, manifest.fingerprint);
-        manifest.shards[k].attempts = state.attempts;
-        if (state.completed) {
-            manifest.shards[k].status = "complete";
-            inform("campaign launch: shard ", k,
-                   " already complete; skipping");
-        } else {
-            queue.push_back(k);
-        }
-    }
-    saveManifest(dir, manifest);
-
-    // A worker that dies before it can even bump its attempt counter
-    // (exec failure, fork bomb protection, ...) must not retry
-    // forever: launches this invocation count against the budget too.
-    std::vector<std::uint64_t> launches(nshards, 0);
-    std::vector<char> failed(nshards, 0);
-    std::map<pid_t, std::size_t> running;
-    bool ok = true;
-
-    auto giveUp = [&](std::size_t shard, std::uint64_t attempts) {
-        warn("campaign launch: shard ", shard, " failed after ",
-             attempts, " attempts; giving up");
-        failed[shard] = 1;
-        ok = false;
-    };
-
-    std::size_t qi = 0;
-    while (qi < queue.size() || !running.empty()) {
-        while (qi < queue.size() && running.size() < workers) {
-            std::size_t shard = queue[qi++];
-            ++launches[shard];
-            pid_t pid = ::fork();
-            if (pid < 0) {
-                warn("campaign launch: fork failed for shard ", shard,
-                     ": ", std::strerror(errno));
-                giveUp(shard, launches[shard]);
-                continue;
-            }
-            if (pid == 0) {
-                if (options.pinCpus)
-                    pinToWorkerSet(shard, workers);
-                int rc = 1;
-                try {
-                    rc = worker(shard);
-                } catch (...) {
-                    rc = 1;
-                }
-                ::_exit(rc & 0xFF);
-            }
-            running.emplace(pid, shard);
-        }
-        if (running.empty())
-            break;
-        int wstatus = 0;
-        pid_t pid = ::waitpid(-1, &wstatus, 0);
-        if (pid < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("campaign launch: waitpid: ", std::strerror(errno));
-        }
-        auto it = running.find(pid);
-        if (it == running.end())
-            continue;
-        std::size_t shard = it->second;
-        running.erase(it);
-
-        std::string shardDir = dir + "/" + manifest.shards[shard].dir;
-        ShardState state =
-            loadShardState(shardDir, manifest.fingerprint);
-        manifest.shards[shard].attempts = state.attempts;
-        bool exitOk =
-            WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0;
-        if (exitOk && state.completed) {
-            manifest.shards[shard].status = "complete";
-            inform("campaign launch: shard ", shard,
-                   " complete (attempt ", state.attempts, ")");
-        } else {
-            manifest.shards[shard].status =
-                state.attempts ? "partial" : "pending";
-            std::uint64_t attempts =
-                std::max(state.attempts, launches[shard]);
-            if (attempts >= options.maxAttempts) {
-                giveUp(shard, attempts);
-            } else {
-                warn("campaign launch: shard ", shard,
-                     WIFSIGNALED(wstatus) ? " was killed (signal "
-                                          : " exited (status ",
-                     WIFSIGNALED(wstatus) ? WTERMSIG(wstatus)
-                                          : WEXITSTATUS(wstatus),
-                     "); retrying");
-                queue.push_back(shard);
-            }
-        }
-        saveManifest(dir, manifest);
-    }
-    return ok;
 }
 
 } // namespace campaign

@@ -18,17 +18,16 @@
  *                  artifact consistency) and splice the shard
  *                  journals/artifacts into <dir>/merged
  *   campaignStatus read-only progress snapshot
- *   launchCampaign single-node driver: forks N local workers
- *                  (optionally pinned round-robin to CPU sets) and
- *                  retries crashed shards until done or out of
- *                  attempts
+ *
+ * Nothing here starts workers: N `campaign run` processes, on one
+ * machine or many, run the shards in any order, and a crashed shard
+ * is retried by running it again.
  */
 
 #ifndef NVMEXP_CAMPAIGN_CAMPAIGN_HH
 #define NVMEXP_CAMPAIGN_CAMPAIGN_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,7 +48,7 @@ std::string mergedDir(const std::string &dir);
  * Create campaign `dir` and write its manifest for `shardCount`
  * shards of `config`'s sweep. Re-planning an existing campaign is a
  * no-op when fingerprint/shard count/granularity all match (so a
- * launcher can always plan first) and fatal otherwise.
+ * script can always plan first) and fatal otherwise.
  */
 CampaignManifest planCampaign(const std::string &dir,
                               const SweepConfig &config,
@@ -62,7 +61,9 @@ CampaignManifest planCampaign(const std::string &dir,
  * the campaign's sweep (fingerprint-checked against the manifest);
  * its outDir/cacheDir/resume are overridden with the shard store,
  * the campaign's shared cache, and true. Returns the shard's owned
- * rows in ascending slot order.
+ * rows in ascending slot order. Shards may run at the same time: each
+ * writes only its own shard directory and the shared cache, whose
+ * entries are written atomically.
  */
 std::vector<EvalResult> runShard(const std::string &dir,
                                  const SweepConfig &config,
@@ -112,37 +113,6 @@ struct CampaignStatus
 };
 
 CampaignStatus campaignStatus(const std::string &dir);
-
-/** Single-node launcher policy. */
-struct LaunchOptions
-{
-    /** Concurrent worker processes; 0 means one per shard. */
-    std::size_t workers = 0;
-    /** Give up on a shard once its cumulative attempt counter (which
-     *  survives across launcher invocations) reaches this. */
-    std::uint64_t maxAttempts = 3;
-    /** Pin each worker to an interleaved CPU set (cpu % workers ==
-     *  worker % workers), HPCAT-style, so co-resident workers don't
-     *  migrate onto each other's cores. */
-    bool pinCpus = false;
-};
-
-/** Runs one shard inside a forked child; returns the child's exit
- *  code. Either execs `campaign run` (the CLI) or calls runShard
- *  in-process (tests, bench). */
-using ShardWorker = std::function<int(std::size_t shard)>;
-
-/**
- * Fork-and-supervise local workers until every shard completes or
- * exhausts its attempts. Already-complete shards are skipped, crashed
- * ones retried (their stores resume). The manifest's shard table is
- * updated as shards finish. Returns true when all shards completed.
- *
- * The caller must not hold live thread pools when this forks; create
- * runners inside `worker` (each child is its own process).
- */
-bool launchCampaign(const std::string &dir, const LaunchOptions &options,
-                    const ShardWorker &worker);
 
 } // namespace campaign
 } // namespace nvmexp

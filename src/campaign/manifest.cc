@@ -32,6 +32,13 @@ hasBool(const JsonValue &doc, const std::string &key)
     return doc.isObject() && doc.has(key) && doc.at(key).isBool();
 }
 
+/** What `doc` holds under `key`, as diagnostics quote it. */
+std::string
+shown(const JsonValue &doc, const std::string &key)
+{
+    return doc.has(key) ? doc.at(key).dump(-1) : "nothing";
+}
+
 bool
 validStatus(const std::string &status)
 {
@@ -46,13 +53,12 @@ checkVersions(const JsonValue &doc, const std::string &context)
     if (!doc.isObject())
         fatal(context, ": document must be a JSON object");
     if (!hasNumber(doc, "format") ||
-        (int)doc.at("format").asNumber() != store::kFormatVersion) {
+        doc.at("format").asNumber() != store::kFormatVersion) {
         fatal(context, ": \"format\" must be the store format version ",
               store::kFormatVersion, " this build reads");
     }
     if (!hasNumber(doc, "campaign_format") ||
-        (int)doc.at("campaign_format").asNumber() !=
-            kCampaignFormatVersion) {
+        doc.at("campaign_format").asNumber() != kCampaignFormatVersion) {
         fatal(context, ": \"campaign_format\" must be ",
               kCampaignFormatVersion);
     }
@@ -91,7 +97,7 @@ CampaignManifest::toJson() const
     for (const auto &shard : shards) {
         JsonValue row = JsonValue::makeObject();
         row.set("id", JsonValue::makeNumber((double)shard.id));
-        row.set("dir", JsonValue::makeString(shard.dir));
+        row.set("dir", JsonValue::makeString(shardDirName(shard.id)));
         row.set("status", JsonValue::makeString(shard.status));
         row.set("attempts",
                 JsonValue::makeNumber((double)shard.attempts));
@@ -108,48 +114,39 @@ CampaignManifest::fromJson(const JsonValue &doc,
     checkVersions(doc, context);
     CampaignManifest m;
     m.fingerprint = doc.at("fingerprint").asString();
-    if (!hasNumber(doc, "shard_count") ||
-        doc.at("shard_count").asNumber() < 1) {
-        fatal(context, ": \"shard_count\" must be a positive integer");
-    }
-    m.shardCount = (std::size_t)doc.at("shard_count").asNumber();
-    if (!hasNumber(doc, "granularity") ||
-        doc.at("granularity").asNumber() < 1) {
-        fatal(context, ": \"granularity\" must be a positive integer");
-    }
-    m.granularity = (std::size_t)doc.at("granularity").asNumber();
+    m.shardCount = (std::size_t)wholeNumberKey(doc, "shard_count", 1,
+                                               kMaxExactInteger, context);
+    m.granularity = (std::size_t)wholeNumberKey(
+        doc, "granularity", 1, kMaxExactInteger, context);
     if (!doc.has("shards") || !doc.at("shards").isArray())
         fatal(context, ": \"shards\" must be the shard table array");
     const auto &table = doc.at("shards").asArray();
     if (table.size() != m.shardCount) {
-        fatal(context, ": shard table has ", table.size(),
-              " entries for shard_count ", m.shardCount);
+        fatal(context, ": shard table \"shards\" has ", table.size(),
+              " entries for \"shard_count\" ", m.shardCount);
     }
     for (std::size_t k = 0; k < table.size(); ++k) {
         const JsonValue &row = table[k];
+        std::string rowContext =
+            context + ": shards[" + std::to_string(k) + "]";
         ShardEntry entry;
-        if (!hasNumber(row, "id") ||
-            (std::size_t)row.at("id").asNumber() != k) {
-            fatal(context, ": shard table entry ", k,
-                  " must carry \"id\": ", k);
+        entry.id = (std::size_t)wholeNumberKey(
+            row, "id", (std::int64_t)k, (std::int64_t)k, rowContext);
+        // The layout is fixed, so a shard store can never sit outside
+        // the campaign directory or in another shard's.
+        if (!hasString(row, "dir") ||
+            row.at("dir").asString() != shardDirName(k)) {
+            fatal(rowContext, ": \"dir\" must be \"", shardDirName(k),
+                  "\", got ", shown(row, "dir"));
         }
-        entry.id = k;
-        if (!hasString(row, "dir") || row.at("dir").asString().empty())
-            fatal(context, ": shard ", k, " needs a non-empty \"dir\"");
-        entry.dir = row.at("dir").asString();
         if (!hasString(row, "status") ||
             !validStatus(row.at("status").asString())) {
-            fatal(context, ": shard ", k,
-                  " \"status\" must be pending, partial, or complete");
+            fatal(rowContext, ": \"status\" must be pending, "
+                  "partial, or complete, got ", shown(row, "status"));
         }
         entry.status = row.at("status").asString();
-        if (!hasNumber(row, "attempts") ||
-            row.at("attempts").asNumber() < 0) {
-            fatal(context, ": shard ", k,
-                  " \"attempts\" must be a non-negative integer");
-        }
-        entry.attempts =
-            (std::uint64_t)row.at("attempts").asNumber();
+        entry.attempts = (std::uint64_t)wholeNumberKey(
+            row, "attempts", 0, kMaxExactInteger, rowContext);
         m.shards.push_back(std::move(entry));
     }
     return m;
@@ -196,7 +193,9 @@ loadShardState(const std::string &shardDir,
     if (!hasString(doc, "fingerprint") ||
         doc.at("fingerprint").asString() != fingerprint)
         return state;
-    if (hasNumber(doc, "attempts") && doc.at("attempts").asNumber() >= 0)
+    if (hasNumber(doc, "attempts") &&
+        isWholeNumber(doc.at("attempts").asNumber(), 0,
+                      (double)kMaxExactInteger))
         state.attempts = (std::uint64_t)doc.at("attempts").asNumber();
     if (hasBool(doc, "completed"))
         state.completed = doc.at("completed").asBool();

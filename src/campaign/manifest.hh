@@ -17,11 +17,11 @@
  *                              stats.json) plus its shard.json
  *   <dir>/merged/              the canonical merged store
  *
- * Single-writer discipline: campaign.json is written only by the
- * coordinating process (plan / status / launcher / merge). A shard
- * worker writes only inside its own shard directory — its store plus
- * shard.json ({attempts, completed}) — so concurrent workers never
- * race on a shared file. Both files are written atomically
+ * Single-writer discipline: campaign.json is written only by `plan`
+ * and `merge`. A shard worker writes only inside its own shard
+ * directory — its store plus shard.json ({attempts, completed}) — and
+ * the shared cache, so concurrent workers never race on a shared file
+ * other than cache entries. Both files are written atomically
  * (write-then-rename); a torn shard.json reads as "no progress" and
  * simply causes a redundant (resume, hence cheap) retry.
  */
@@ -46,8 +46,7 @@ constexpr int kCampaignFormatVersion = 1;
 /** One row of the manifest's shard table. */
 struct ShardEntry
 {
-    std::size_t id = 0;
-    std::string dir;           ///< store dir, relative to campaign dir
+    std::size_t id = 0;        ///< its store is shardDirName(id)
     std::string status;        ///< "pending" | "partial" | "complete"
     std::uint64_t attempts = 0;
 };
@@ -64,8 +63,10 @@ struct CampaignManifest
     ShardPlan plan() const;
 
     JsonValue toJson() const;
-    /** Validating parse; fatal() with `context` on any structural
-     *  problem (wrong versions, inconsistent shard table, ...). */
+    /** Validating parse; fatal() naming `context` and the key on any
+     *  structural problem (wrong versions, inconsistent shard table, a
+     *  count that is not a whole number in range, a shard "dir" other
+     *  than shardDirName(id), ...). */
     static CampaignManifest fromJson(const JsonValue &doc,
                                      const std::string &context);
 };
@@ -87,7 +88,8 @@ struct ShardState
 };
 
 /** Lenient read of <shardDir>/shard.json: a missing, torn, or
- *  foreign-fingerprint file reads as zero progress. */
+ *  foreign-fingerprint file reads as zero progress, and an
+ *  "attempts" that is not a whole number in range reads as 0. */
 ShardState loadShardState(const std::string &shardDir,
                           const std::string &fingerprint);
 

@@ -1,7 +1,5 @@
 #include "core/config.hh"
 
-#include <cmath>
-
 #include "celldb/tentpole.hh"
 #include "core/dashboard.hh"
 #include "core/parallel_sweep.hh"
@@ -83,9 +81,7 @@ customCellFromJson(const JsonValue &spec)
 /**
  * The integer value of an optional key: `fallback` when `doc` lacks
  * it, else a whole number in [lo, hi] or a fatal naming the config
- * (`context`), key, and value. The check runs on the double before
- * any cast: a fraction would silently truncate, and converting a
- * double outside int's range is undefined behavior.
+ * (`context`), key, and value (wholeNumberKey).
  */
 int
 integerKey(const JsonValue &doc, const std::string &key, int fallback,
@@ -93,12 +89,7 @@ integerKey(const JsonValue &doc, const std::string &key, int fallback,
 {
     if (!doc.has(key))
         return fallback;
-    double value = doc.at(key).asNumber();
-    if (!(value >= lo && value <= hi) || value != std::floor(value)) {
-        fatal(context, ": \"", key, "\" must be an integer in [", lo,
-              ", ", hi, "], got ", JsonValue::formatNumber(value));
-    }
-    return (int)value;
+    return (int)wholeNumberKey(doc, key, lo, hi, context);
 }
 
 OptTarget

@@ -132,11 +132,7 @@ topSpecFromJson(const JsonValue &doc, const std::string &context)
         fatal(context, ": \"top_k\" k must be a positive integer");
     }
     double k = doc.at("k").asNumber();
-    // Range-check with floor() before any integer cast: converting an
-    // out-of-size_t-range double is undefined behavior, so the guard
-    // must not perform the conversion it is guarding. 2^53 keeps every
-    // accepted k exactly representable.
-    if (!(k >= 1.0) || k > 9007199254740992.0 || k != std::floor(k)) {
+    if (!isWholeNumber(k, 1, (double)kMaxExactInteger)) {
         fatal(context, ": \"top_k\" k must be a positive integer, "
               "got ", JsonValue::formatNumber(k));
     }

@@ -419,6 +419,25 @@ writeFileAtomically(const std::string &path, std::string_view bytes)
     }
 }
 
+bool
+isWholeNumber(double value, double lo, double hi)
+{
+    return value >= lo && value <= hi && value == std::floor(value);
+}
+
+std::int64_t
+wholeNumberKey(const JsonValue &doc, const std::string &key,
+               std::int64_t lo, std::int64_t hi, const std::string &context)
+{
+    const JsonValue *member = doc.has(key) ? &doc.at(key) : nullptr;
+    if (!member || !member->isNumber() ||
+        !isWholeNumber(member->asNumber(), (double)lo, (double)hi)) {
+        fatal(context, ": \"", key, "\" must be an integer in [", lo,
+              ", ", hi, "], got ", member ? member->dump(-1) : "nothing");
+    }
+    return (std::int64_t)member->asNumber();
+}
+
 namespace {
 
 /** Thrown instead of fatal() when parsing leniently (tryParse). */
@@ -432,8 +451,10 @@ struct JsonParseAbort
 class JsonParser
 {
   public:
-    explicit JsonParser(const std::string &text, bool lenient = false)
-        : text_(text), lenient_(lenient)
+    /** `source` names the file being parsed in error messages. */
+    explicit JsonParser(const std::string &text, bool lenient = false,
+                        std::string source = "")
+        : text_(text), lenient_(lenient), source_(std::move(source))
     {
     }
 
@@ -462,8 +483,9 @@ class JsonParser
                 ++col;
             }
         }
-        fatal("JSON parse error at line ", line, " column ", col, ": ",
-              what);
+        fatal("JSON parse error",
+              source_.empty() ? std::string() : " in '" + source_ + "'",
+              " at line ", line, " column ", col, ": ", what);
     }
 
     void
@@ -757,6 +779,7 @@ class JsonParser
     const std::string &text_;
     std::size_t pos_ = 0;
     bool lenient_ = false;
+    std::string source_;
 };
 
 JsonValue
@@ -786,7 +809,8 @@ JsonValue::parseFile(const std::string &path)
         fatal("cannot open config file '", path, "'");
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    return parse(buffer.str());
+    std::string text = buffer.str();
+    return JsonParser(text, false, path).parseDocument();
 }
 
 } // namespace nvmexp

@@ -22,6 +22,7 @@
 #ifndef NVMEXP_UTIL_JSON_HH
 #define NVMEXP_UTIL_JSON_HH
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -85,7 +86,7 @@ class JsonValue
      *  success, false on any syntax error. */
     static bool tryParse(const std::string &text, JsonValue &out);
 
-    /** Parse the contents of a file. */
+    /** Parse the contents of a file; a parse error names `path`. */
     static JsonValue parseFile(const std::string &path);
 
     /**
@@ -205,6 +206,24 @@ class JsonWriter
  * or the rename fails; the temporary is removed first.
  */
 void writeFileAtomically(const std::string &path, std::string_view bytes);
+
+/** 2^53: a double holds every whole number up to here exactly. */
+constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
+
+/**
+ * True when `value` is a whole number in [lo, hi]. The test runs on
+ * the double, before any cast: NaN, +/-Infinity, fractions and values
+ * out of range fail, where a cast would truncate or be undefined
+ * behavior.
+ */
+bool isWholeNumber(double value, double lo, double hi);
+
+/** Member `key` of `doc` as a whole number in [lo, hi], or a fatal
+ *  naming `context` (the file), the key, and the value it holds (a
+ *  missing or non-number member too). */
+std::int64_t wholeNumberKey(const JsonValue &doc, const std::string &key,
+                            std::int64_t lo, std::int64_t hi,
+                            const std::string &context);
 
 } // namespace nvmexp
 

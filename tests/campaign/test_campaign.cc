@@ -2,19 +2,24 @@
  * @file
  * Differential tier for distributed sweep campaigns: shards run as
  * independent store-backed workers (any shard count, any worker
- * count, killed and retried mid-shard) must merge into a store
- * byte-identical to a single-process `--out` run of the same config —
- * checkpoint journal included. Also pins the merge's refusal
- * diagnostics, the manifest round trip, the status snapshot, and the
- * single-node launcher's retry policy.
+ * count, all at once, killed and retried mid-shard) must merge into a
+ * store byte-identical to a single-process `--out` run of the same
+ * config — checkpoint journal included. Also pins the merge's refusal
+ * diagnostics, the manifest round trip and its validation, and the
+ * status snapshot.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/campaign.hh"
@@ -22,7 +27,9 @@
 #include "core/parallel_sweep.hh"
 #include "reliability/reliability.hh"
 #include "store/result_store.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
+#include "util/random.hh"
 
 #include "../support/fixtures.hh"
 
@@ -285,7 +292,8 @@ TEST_F(CampaignTest, PlanIsIdempotentButRefusesConflicts)
     std::string dir = freshDir("campaign");
     campaign::CampaignManifest first =
         campaign::planCampaign(dir, config, 3);
-    // Same config, same shard count: a no-op (launchers always plan).
+    // Same config, same shard count: a no-op (scripts may always
+    // plan first).
     campaign::CampaignManifest again =
         campaign::planCampaign(dir, config, 3);
     EXPECT_EQ(again.fingerprint, first.fingerprint);
@@ -311,7 +319,6 @@ TEST_F(CampaignTest, ManifestRoundTripsThroughJson)
     ASSERT_EQ(loaded.shards.size(), 5u);
     for (std::size_t k = 0; k < 5; ++k) {
         EXPECT_EQ(loaded.shards[k].id, k);
-        EXPECT_EQ(loaded.shards[k].dir, campaign::shardDirName(k));
         EXPECT_EQ(loaded.shards[k].status, "pending");
         EXPECT_EQ(loaded.shards[k].attempts, 0u);
     }
@@ -358,83 +365,212 @@ TEST_F(CampaignTest, StatusTracksShardLifecycles)
               32u);
 }
 
-/** The single-node launcher forks real worker processes, skips done
- *  shards, and retries a crashing one until its store completes. */
-TEST_F(CampaignTest, LauncherRetriesCrashingWorkerProcesses)
+/** Every shard of a plan running at once, each its own worker with
+ *  one job, all writing the shared characterization cache: what N
+ *  concurrent `campaign run` processes do. The merged artifacts are
+ *  the single-process bytes (stats.json is not compared: which shard
+ *  hits or misses a shared cache entry depends on timing). */
+TEST_F(CampaignTest, ConcurrentShardsMergeIdentically)
 {
-    SweepConfig config = specSweep();
+    SweepConfig config = wideSpecSweep();
     Reference ref = referenceRun(config, freshDir("reference"));
     std::string dir = freshDir("campaign");
     campaign::planCampaign(dir, config, 3);
 
-    // Shard 1's first attempt does real work, then "dies" leaving the
-    // torn store a mid-write kill would: journal cut short, results
-    // artifacts gone, nonzero exit. The sentinel lives on the shared
-    // filesystem, so the retry — a fresh process — sees it and runs
-    // clean.
-    std::string sentinel = dir + "/shard1-crashed-once";
-    auto worker = [&](std::size_t shard) -> int {
-        ParallelSweepRunner runner(1);
-        auto rows = campaign::runShard(dir, config, shard, runner);
-        if (rows.empty())
-            return 1;
-        if (shard == 1 && !std::filesystem::exists(sentinel)) {
-            std::string shardDir =
-                dir + "/" + campaign::shardDirName(1);
-            auto lines = readLines(shardDir + "/checkpoint.jsonl");
-            lines.resize(2);  // header + 1 journaled slot
-            writeLines(shardDir + "/checkpoint.jsonl", lines);
-            std::filesystem::remove(shardDir + "/results.json");
-            std::filesystem::remove(shardDir + "/results.csv");
-            writeText(sentinel, "x\n");
-            return 1;
-        }
-        return 0;
-    };
+    std::vector<std::size_t> rows(3, 0);
+    std::vector<std::thread> workers;
+    for (std::size_t k = 0; k < 3; ++k) {
+        workers.emplace_back([&, k] {
+            ParallelSweepRunner runner(1);
+            rows[k] = campaign::runShard(dir, config, k, runner).size();
+        });
+    }
+    for (auto &worker : workers)
+        worker.join();
+    EXPECT_EQ(rows[0] + rows[1] + rows[2], 96u);
 
-    campaign::LaunchOptions options;
-    options.workers = 2;
-    options.maxAttempts = 3;
-    EXPECT_TRUE(campaign::launchCampaign(dir, options, worker));
-
-    campaign::CampaignStatus status = campaign::campaignStatus(dir);
-    EXPECT_TRUE(status.allComplete());
-    EXPECT_GE(status.shards[1].attempts, 2u);
-
-    campaign::mergeCampaign(dir);
-    expectMergedMatches(dir, ref, "launched");
-
-    // Relaunching a finished campaign is a no-op (all shards skipped),
-    // and the merge output is untouched.
-    EXPECT_TRUE(campaign::launchCampaign(dir, options, worker));
-    expectMergedMatches(dir, ref, "relaunched");
+    campaign::MergeSummary summary = campaign::mergeCampaign(dir);
+    EXPECT_EQ(summary.stats.checkpointComputed, 96u);
+    expectMergedMatches(dir, ref, "concurrent shards");
 }
 
-/** A worker that always dies exhausts its attempt budget; the launcher
- *  reports failure instead of spinning. */
-TEST_F(CampaignTest, LauncherGivesUpAfterMaxAttempts)
+/** `doc` with member `key` set to `value`, or deleted when `value` is
+ *  null; `row` >= 0 edits that row of the "shards" table instead. */
+JsonValue
+edited(const JsonValue &doc, int row, const std::string &key,
+       const JsonValue *value)
 {
+    JsonValue out = JsonValue::makeObject();
+    for (const auto &name : doc.memberNames()) {
+        if (row >= 0 && name == "shards" && doc.at(name).isArray()) {
+            JsonValue table = JsonValue::makeArray();
+            const auto &rows = doc.at(name).asArray();
+            for (std::size_t k = 0; k < rows.size(); ++k)
+                table.append((int)k == row && rows[k].isObject()
+                                 ? edited(rows[k], -1, key, value)
+                                 : rows[k]);
+            out.set(name, table);
+        } else if (row >= 0 || name != key) {
+            out.set(name, doc.at(name));
+        } else if (value) {
+            out.set(name, *value);
+        }
+    }
+    return out;
+}
+
+/** Counts are checked as doubles before any cast and shard dirs are
+ *  pinned to shards/shard-<id>. Unchecked, granularity 1e300 cast to 0
+ *  and divided by it (SIGFPE), 2.5 truncated, NaN read as 2^63, and
+ *  dir "../outside" put a shard store outside the campaign. */
+TEST_F(CampaignTest, ManifestRefusesNonWholeCountsAndForeignDirs)
+{
+    std::string root = freshDir("root");
+    std::string dir = root + "/campaign";
     SweepConfig config = specSweep();
-    std::string dir = freshDir("campaign");
-    campaign::planCampaign(dir, config, 2);
+    campaign::planCampaign(dir, config, 3);
+    const JsonValue pristine = JsonValue::parseFile(dir + "/campaign.json");
 
-    auto worker = [&](std::size_t shard) -> int {
-        if (shard == 1)
-            return 7;  // crashes every time
-        ParallelSweepRunner runner(1);
-        return campaign::runShard(dir, config, shard, runner).empty()
-            ? 1 : 0;
+    struct Case
+    {
+        int row;
+        std::string key, raw;
     };
+    std::vector<Case> cases = {{-1, "shard_count", "0"},
+                               {-1, "granularity", "-0"},
+                               {1, "dir", "\"../outside\""},
+                               {1, "dir", "\"shards/shard-2\""}};
+    for (const char *raw : {"2.5", "-1", "NaN", "Infinity", "-Infinity",
+                            "9007199254740994", "1e300"}) {
+        cases.push_back({-1, "shard_count", raw});
+        cases.push_back({-1, "granularity", raw});
+        cases.push_back({1, "id", raw});
+        cases.push_back({2, "attempts", raw});
+    }
+    ScopedFatalThrows guard;
+    ParallelSweepRunner runner(1);
+    for (const Case &c : cases) {
+        JsonValue value = JsonValue::parse(c.raw);
+        edited(pristine, c.row, c.key, &value)
+            .writeFile(dir + "/campaign.json");
+        std::string label = c.key + " = " + c.raw;
+        for (const auto &reader : std::vector<std::function<void()>>{
+                 [&] { campaign::loadManifest(dir); },
+                 [&] { campaign::campaignStatus(dir); },
+                 [&] { campaign::runShard(dir, config, 1, runner); }}) {
+            try {
+                reader();
+                ADD_FAILURE() << label << " was accepted";
+            } catch (const FatalError &e) {
+                std::string error = e.what();
+                EXPECT_NE(error.find("campaign.json"), std::string::npos)
+                    << label << ": " << error;
+                EXPECT_NE(error.find('"' + c.key + "\" must be"),
+                          std::string::npos) << label << ": " << error;
+                EXPECT_NE(error.find("got " + value.dump(-1)),
+                          std::string::npos) << label << ": " << error;
+            }
+        }
+    }
+    EXPECT_FALSE(std::filesystem::exists(root + "/outside"));
+}
 
-    campaign::LaunchOptions options;
-    options.workers = 2;
-    options.maxAttempts = 2;
-    EXPECT_FALSE(campaign::launchCampaign(dir, options, worker));
+/** The lenient shard.json reader treats an attempt count that is not a
+ *  whole number in range as absent, like a torn file. */
+TEST_F(CampaignTest, ShardStateReadsBadAttemptCountsAsAbsent)
+{
+    std::string shardDir = freshDir("shard");
+    std::filesystem::create_directories(shardDir);
+    for (const char *raw : {"2.5", "-1", "NaN", "Infinity", "1e300",
+                            "9007199254740994"}) {
+        writeText(shardDir + "/shard.json",
+                  std::string("{\"fingerprint\": \"f\", \"completed\": "
+                              "true, \"attempts\": ") + raw + "}");
+        campaign::ShardState state =
+            campaign::loadShardState(shardDir, "f");
+        EXPECT_EQ(state.attempts, 0u) << raw;
+        EXPECT_TRUE(state.completed) << raw;
+    }
+}
 
-    campaign::CampaignStatus status = campaign::campaignStatus(dir);
-    EXPECT_FALSE(status.allComplete());
-    EXPECT_EQ(status.shards[0].state, "complete");
-    EXPECT_NE(status.shards[1].state, "complete");
+/** Seeded fuzz of the campaign files a user can edit, in the style of
+ *  tests/util/test_json_fuzz.cc (fixed seed, bounded rounds): one
+ *  member of campaign.json and of a shard.json set to a hostile value
+ *  or deleted, sometimes with the text cut short. No reader crashes or
+ *  hangs, and every refusal names campaign.json and the edited key
+ *  (or, for text that is not JSON, a line and column). */
+TEST_F(CampaignTest, FuzzedCampaignFilesAreRefusedByNameOrReadSafely)
+{
+    std::string dir = freshDir("campaign");
+    SweepConfig config = specSweep();
+    campaign::planCampaign(dir, config, 3);
+    ParallelSweepRunner runner(1);
+    for (std::size_t k = 0; k < 3; ++k)
+        campaign::runShard(dir, config, k, runner);
+    const std::string manifestPath = dir + "/campaign.json";
+    const JsonValue manifest = JsonValue::parseFile(manifestPath);
+    const std::string fingerprint = manifest.at("fingerprint").asString();
+
+    const double inf = std::numeric_limits<double>::infinity();
+    const JsonValue values[] = {
+        JsonValue::makeNumber(std::nan("")), JsonValue::makeNumber(inf),
+        JsonValue::makeNumber(-inf), JsonValue::makeNumber(1e300),
+        JsonValue::makeNumber(-0.0), JsonValue::makeNumber(0.5),
+        JsonValue::makeNumber(-1.0), JsonValue::makeNumber(0x1p53 + 2),
+        JsonValue::makeNumber(0.0), JsonValue::makeNumber(1.0),
+        JsonValue::makeNumber(2.0), JsonValue::makeNumber(3.0),
+        JsonValue::makeString("../outside"),
+        JsonValue::makeString("partial"), JsonValue::makeBool(true),
+        JsonValue(), JsonValue::makeArray(), JsonValue::makeObject()};
+    const char *const keys[] = {"format", "campaign_format", "fingerprint",
+                                "shard_count", "granularity", "shards",
+                                "id", "dir", "status", "attempts",
+                                "shard", "completed"};
+    Rng rng(0xCA4E1A);
+    int refused = 0, accepted = 0;
+    ScopedFatalThrows guard;
+    for (int round = 0; round < 1000; ++round) {
+        std::string key = keys[rng.range(std::size(keys))];
+        const JsonValue *value =
+            rng.bernoulli(0.2) ? nullptr
+                               : &values[rng.range(std::size(values))];
+        int row = (int)rng.range(4) - 1;
+        bool cut = rng.bernoulli(0.2);
+        std::size_t shard = rng.range(3);
+
+        std::string text = edited(manifest, row, key, value).dump(2);
+        if (cut)
+            text.resize(rng.range(text.size()));
+        writeText(manifestPath, text);
+        std::string shardDir = dir + "/" + campaign::shardDirName(shard);
+        std::string state = readFile(shardDir + "/shard.json");
+        std::string mutated =
+            edited(JsonValue::parse(state), -1, key, value).dump(2);
+        writeText(shardDir + "/shard.json",
+                  cut ? mutated.substr(0, rng.range(mutated.size()))
+                      : mutated);
+
+        EXPECT_LE(campaign::loadShardState(shardDir, fingerprint).attempts,
+                  (std::uint64_t)kMaxExactInteger);
+        try {
+            campaign::ShardPlan plan = campaign::loadManifest(dir).plan();
+            for (std::size_t slot = 0; slot < 32; ++slot)
+                ASSERT_LT(plan.shardOf(slot), plan.shardCount) << text;
+            campaign::campaignStatus(dir);
+            ++accepted;
+        } catch (const FatalError &e) {
+            std::string error = e.what();
+            EXPECT_NE(error.find("campaign.json"), std::string::npos)
+                << error;
+            EXPECT_TRUE(error.find(" at line ") != std::string::npos ||
+                        error.find('"' + key + '"') != std::string::npos)
+                << key << ": " << error << "\n" << text;
+            ++refused;
+        }
+        writeText(shardDir + "/shard.json", state);
+    }
+    EXPECT_GT(refused, 300);
+    EXPECT_GT(accepted, 300);
 }
 
 } // namespace

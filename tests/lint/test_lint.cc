@@ -372,6 +372,26 @@ TEST_F(CampaignLintTest, InconsistentShardStateIsDiagnosed)
     expectOneDiagnostic(report, state, "shard");
 }
 
+TEST_F(CampaignLintTest, ShardStateCountsThatAreNotWholeAreDiagnosed)
+{
+    write("campaign.json", manifestJson("00000000aaaaaaaa", "partial"));
+    write("shards/shard-1/checkpoint.jsonl",
+          journalHeader("00000000aaaaaaaa"));
+    // Checked as doubles before any cast: 1e300 is no shard id (the
+    // cast is undefined behavior) and 2.5 no attempt count.
+    auto state = write("shards/shard-1/shard.json",
+                       "{\"format\": 2, \"campaign_format\": 1,\n"
+                       " \"fingerprint\": \"00000000aaaaaaaa\",\n"
+                       " \"shard\": 1e300, \"shard_count\": 2,\n"
+                       " \"attempts\": 2.5, \"completed\": false}\n");
+    LintReport report = lintCampaignDir(dir_.string());
+    ASSERT_EQ(report.diagnostics.size(), 2u);
+    EXPECT_EQ(report.diagnostics[0].file, state);
+    EXPECT_EQ(report.diagnostics[0].key, "shard");
+    EXPECT_EQ(report.diagnostics[1].file, state);
+    EXPECT_EQ(report.diagnostics[1].key, "attempts");
+}
+
 TEST_F(CampaignLintTest, MergedStoreFingerprintMismatchIsDiagnosed)
 {
     write("campaign.json", manifestJson("00000000aaaaaaaa", "pending"));

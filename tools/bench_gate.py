@@ -17,14 +17,6 @@ The gate also enforces the batched path's headline win: the fresh file
 must show the scalar reference running at least --min-speedup times
 slower than its batched counterpart (0 disables the check).
 
-Additional intra-file speedup requirements take the repeatable
---speedup SLOW,FAST,MIN[,MINCPUS] flag: the fresh run must show SLOW
-taking at least MIN times longer than FAST. A MINCPUS field bounds
-hardware-dependent checks: multi-process wall-clock wins (the campaign
-benchmarks) need real cores, so the check is reported but skipped on
-runners with fewer CPUs — the same reason the default filter keeps
-only single-threaded entries.
-
 Exit status: 0 clean, 1 regression or missing data.
 """
 
@@ -38,7 +30,7 @@ DEFAULT_BATCHED = "BM_SweepEvalBatched/1"
 # Single-threaded entries only: multi-worker ratios depend on how many
 # cores the runner has, which is exactly what normalization can't fix.
 # The campaign rows carry google-benchmark's /real_time suffix (they
-# time forked children, where CPU time is meaningless).
+# time file-system work, so wall clock is what counts).
 DEFAULT_FILTER = r"(/1$)|(/1/real_time$)|(NoRel)|(CampaignMerge)"
 
 
@@ -47,17 +39,13 @@ TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 def load_times(paths):
     """benchmark name -> real_time in ns for the plain iteration rows
-    of every file in `paths`, plus the smallest num_cpus seen."""
+    of every file in `paths`."""
     if isinstance(paths, str):
         paths = [paths]
     times = {}
-    num_cpus = None
     for path in paths:
         with open(path) as handle:
             doc = json.load(handle)
-        cpus = doc.get("context", {}).get("num_cpus")
-        if cpus is not None:
-            num_cpus = cpus if num_cpus is None else min(num_cpus, cpus)
         for row in doc.get("benchmarks", []):
             if row.get("run_type", "iteration") != "iteration":
                 continue  # skip _mean/_median/_stddev aggregates
@@ -65,16 +53,7 @@ def load_times(paths):
             times[row["name"]] = float(row["real_time"]) * scale
     if not times:
         sys.exit(f"error: {', '.join(paths)} hold no benchmark rows")
-    return times, num_cpus
-
-
-def parse_speedup_spec(spec):
-    parts = spec.split(",")
-    if len(parts) not in (3, 4):
-        sys.exit(f"error: --speedup wants SLOW,FAST,MIN[,MINCPUS], "
-                 f"got '{spec}'")
-    min_cpus = int(parts[3]) if len(parts) == 4 else 0
-    return parts[0], parts[1], float(parts[2]), min_cpus
+    return times
 
 
 def normalized(times, reference, path):
@@ -107,15 +86,10 @@ def main():
     parser.add_argument("--batched", default=DEFAULT_BATCHED,
                         help="batched counterpart of the reference "
                              "(default %(default)s)")
-    parser.add_argument("--speedup", action="append", default=[],
-                        metavar="SLOW,FAST,MIN[,MINCPUS]",
-                        help="require fresh[SLOW]/fresh[FAST] >= MIN; "
-                             "skipped (reported) when the fresh run's "
-                             "machine has fewer than MINCPUS CPUs")
     args = parser.parse_args()
 
-    committed, _ = load_times(args.committed)
-    fresh, fresh_cpus = load_times(args.fresh)
+    committed = load_times(args.committed)
+    fresh = load_times(args.fresh)
     fresh_label = ", ".join(args.fresh)
     committed_norm = normalized(committed, args.reference, args.committed)
     fresh_norm = normalized(fresh, args.reference, fresh_label)
@@ -146,24 +120,6 @@ def main():
               f"(required x{args.min_speedup:.2f}) [{verdict}]")
         if speedup < args.min_speedup:
             failures.append("batched-speedup")
-
-    for spec in args.speedup:
-        slow, fast, minimum, min_cpus = parse_speedup_spec(spec)
-        for name in (slow, fast):
-            if name not in fresh:
-                sys.exit(f"error: {fresh_label} lacks '{name}'")
-        speedup = fresh[slow] / fresh[fast]
-        if min_cpus and (fresh_cpus is None or fresh_cpus < min_cpus):
-            print(f"speedup {slow} vs {fast}: x{speedup:.2f} "
-                  f"(required x{minimum:.2f} on >= {min_cpus} CPUs) "
-                  f"[SKIPPED: runner has "
-                  f"{fresh_cpus if fresh_cpus is not None else '?'}]")
-            continue
-        verdict = "ok" if speedup >= minimum else "TOO SLOW"
-        print(f"speedup {slow} vs {fast}: x{speedup:.2f} "
-              f"(required x{minimum:.2f}) [{verdict}]")
-        if speedup < minimum:
-            failures.append(f"speedup:{fast}")
 
     if failures:
         print(f"bench gate FAILED: {', '.join(failures)}")

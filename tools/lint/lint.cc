@@ -293,9 +293,8 @@ lintBenchFile(const std::string &path)
         return report;
     }
 
-    // bench_gate.py bounds hardware-dependent speedup checks with
-    // context.num_cpus; a snapshot without it silently skips those
-    // checks on every runner.
+    // A snapshot records the machine it was measured on: timings
+    // from different core counts are not comparable.
     if (!doc.has("context") || !doc.at("context").isObject()) {
         report.add(path, "context", "missing \"context\" object");
     } else {
@@ -304,9 +303,8 @@ lintBenchFile(const std::string &path)
             !context.at("num_cpus").isNumber() ||
             context.at("num_cpus").asNumber() < 1) {
             report.add(path, "context.num_cpus",
-                       "missing or non-positive CPU count (bench_gate "
-                       "silently skips MINCPUS-bounded checks without "
-                       "it)");
+                       "missing or non-positive CPU count (a snapshot "
+                       "must record the machine it was measured on)");
         }
     }
 
@@ -498,23 +496,25 @@ checkShardState(LintReport &report, const std::string &path,
                    "does not match the campaign fingerprint " +
                        manifest.fingerprint);
     }
+    // Counts are checked as doubles, never cast: a cast of an
+    // out-of-range double is undefined behavior.
     if (!doc.has("shard") || !doc.at("shard").isNumber() ||
-        (std::size_t)doc.at("shard").asNumber() != shard) {
+        doc.at("shard").asNumber() != (double)shard) {
         report.add(path, "shard",
                    "must be this shard's id " + std::to_string(shard));
     }
     if (!doc.has("shard_count") ||
         !doc.at("shard_count").isNumber() ||
-        (std::size_t)doc.at("shard_count").asNumber() !=
-            manifest.shardCount) {
+        doc.at("shard_count").asNumber() != (double)manifest.shardCount) {
         report.add(path, "shard_count",
                    "must be the campaign's shard count " +
                        std::to_string(manifest.shardCount));
     }
     if (!doc.has("attempts") || !doc.at("attempts").isNumber() ||
-        doc.at("attempts").asNumber() < 0)
+        !isWholeNumber(doc.at("attempts").asNumber(), 0,
+                       (double)kMaxExactInteger))
         report.add(path, "attempts",
-                   "must be a non-negative attempt count");
+                   "must be a whole, non-negative attempt count");
     if (!doc.has("completed") || !doc.at("completed").isBool())
         report.add(path, "completed", "must be a boolean");
 }
@@ -535,13 +535,9 @@ lintCampaignDir(const std::string &dir)
                  [&] { manifest = campaign::loadManifest(dir); }))
         return report;
 
-    std::set<std::string> shardDirs;
     for (const auto &shard : manifest.shards) {
         std::string key = "shards[" + std::to_string(shard.id) + "]";
-        if (!shardDirs.insert(shard.dir).second)
-            report.add(manifestPath, key,
-                       "duplicate shard dir '" + shard.dir + "'");
-        std::string shardDir = dir + "/" + shard.dir;
+        std::string shardDir = dir + "/" + campaign::shardDirName(shard.id);
         if (!fs::is_directory(shardDir)) {
             // A pending shard legitimately has no store yet; any
             // other status claims work that left no artifacts.

@@ -5,8 +5,6 @@
  * C++ analog of the original release's `python run.py <config>`.
  */
 
-#include <unistd.h>
-
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +21,7 @@
 #include "reliability/reliability.hh"
 #include "serve/server.hh"
 #include "store/result_store.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 #include "workload/workload.hh"
@@ -47,8 +46,6 @@ usage()
         "                       [--shards N]\n"
         "       nvmexplorer_cli campaign run --dir DIR --shard K/N\n"
         "                       [--jobs N]\n"
-        "       nvmexplorer_cli campaign launch --dir DIR [--workers N]\n"
-        "                       [--jobs N] [--retries N] [--pin]\n"
         "       nvmexplorer_cli campaign merge --dir DIR\n"
         "       nvmexplorer_cli campaign status --dir DIR\n"
         "\n"
@@ -101,13 +98,11 @@ usage()
         "\n"
         "The `campaign` subcommands shard one sweep across worker\n"
         "processes. `plan` writes DIR/campaign.json and snapshots the\n"
-        "config; `run` evaluates one shard (kill-safe: a retry resumes\n"
-        "from the shard's journal); `launch` forks one local worker\n"
-        "per shard (--workers bounds concurrency, --pin pins workers\n"
-        "round-robin to CPU sets, crashed shards retry up to --retries\n"
-        "attempts); `merge` validates every shard and splices them\n"
-        "into DIR/merged, byte-identical to a single-process --out\n"
-        "run; `status` prints per-shard progress.\n";
+        "config; `run` evaluates one shard, and the shards may run at\n"
+        "once, here or on other machines (kill-safe: re-running a\n"
+        "shard resumes from its journal); `merge` validates every\n"
+        "shard and splices them into DIR/merged, byte-identical to a\n"
+        "single-process --out run; `status` prints per-shard progress.\n";
 }
 
 /** `--list-metrics`: the registry is the single source of truth for
@@ -352,9 +347,6 @@ struct CampaignArgs
     bool shardSet = false;
     int jobs = 0;
     bool jobsSet = false;
-    std::size_t workers = 0;     ///< launch: 0 = one per shard
-    std::uint64_t retries = 3;   ///< launch: per-shard attempt budget
-    bool pin = false;            ///< launch: pin workers to CPU sets
 };
 
 CampaignArgs
@@ -401,8 +393,7 @@ parseCampaignArgs(const std::string &command, int argc, char **argv,
                 (long)out.shardCount - 1);
             out.shardSet = true;
             ++argi;
-        } else if ((command == "campaign run" ||
-                    command == "campaign launch") &&
+        } else if (command == "campaign run" &&
                    (std::strcmp(argv[argi], "--jobs") == 0 ||
                     std::strcmp(argv[argi], "-j") == 0)) {
             if (argi + 1 >= argc)
@@ -411,23 +402,6 @@ parseCampaignArgs(const std::string &command, int argc, char **argv,
                                        0, ThreadPool::kMaxThreads);
             out.jobsSet = true;
             ++argi;
-        } else if (command == "campaign launch" &&
-                   std::strcmp(argv[argi], "--workers") == 0) {
-            if (argi + 1 >= argc)
-                fatal(cmd, ": --workers needs a process count");
-            out.workers = (std::size_t)parseCount(
-                cmd, "--workers", argv[argi + 1], 1, 4096);
-            ++argi;
-        } else if (command == "campaign launch" &&
-                   std::strcmp(argv[argi], "--retries") == 0) {
-            if (argi + 1 >= argc)
-                fatal(cmd, ": --retries needs an attempt budget");
-            out.retries = (std::uint64_t)parseCount(
-                cmd, "--retries", argv[argi + 1], 1, 1000);
-            ++argi;
-        } else if (command == "campaign launch" &&
-                   std::strcmp(argv[argi], "--pin") == 0) {
-            out.pin = true;
         } else {
             fatal(cmd, ": unknown argument '", argv[argi],
                   "' (see --help)");
@@ -454,8 +428,8 @@ int
 runCampaignCommand(int argc, char **argv, int argi)
 {
     if (argi >= argc) {
-        fatal("campaign: needs a subcommand: plan, run, launch, "
-              "merge, or status");
+        fatal("campaign: needs a subcommand: plan, run, merge, or "
+              "status");
     }
     std::string sub = argv[argi++];
 
@@ -489,18 +463,14 @@ runCampaignCommand(int argc, char **argv, int argi)
             fatal("campaign plan: cannot re-read '", args.configFile,
                   "'");
         }
-        std::ofstream snapshot(args.dir + "/config.json");
-        snapshot << bytes.str();
-        if (!snapshot.flush()) {
-            fatal("campaign plan: cannot write '", args.dir,
-                  "/config.json'");
-        }
+        writeFileAtomically(args.dir + "/config.json", bytes.str());
         inform("campaign '", args.dir, "': fingerprint ",
                manifest.fingerprint, ", ", manifest.shardCount,
                " shards, granularity ", manifest.granularity,
-               " slots; run `campaign launch --dir ", args.dir,
-               "` or one `campaign run --shard K/",
-               manifest.shardCount, "` per shard");
+               " slots; run one `campaign run --dir ", args.dir,
+               " --shard K/", manifest.shardCount,
+               "` per shard (at once or in any order), then "
+               "`campaign merge --dir ", args.dir, "`");
         return 0;
     }
 
@@ -524,51 +494,6 @@ runCampaignCommand(int argc, char **argv, int argi)
         inform("campaign run: shard ", args.shard, "/",
                manifest.shardCount, " complete (", rows.size(),
                " slots)");
-        return 0;
-    }
-
-    if (sub == "launch") {
-        CampaignArgs args =
-            parseCampaignArgs("campaign launch", argc, argv, argi);
-        campaign::CampaignManifest manifest =
-            campaign::loadManifest(args.dir);
-        // Each worker is a fresh `campaign run` process image: exec
-        // keeps the forked child free of this process's state (and is
-        // exactly what a cluster launcher would spawn per node).
-        std::string shardCount =
-            std::to_string(manifest.shardCount);
-        campaign::ShardWorker worker =
-            [&args, &shardCount](std::size_t shard) {
-                std::string shardSpec =
-                    std::to_string(shard) + "/" + shardCount;
-                std::vector<const char *> childArgv = {
-                    "nvmexplorer_cli", "campaign", "run",
-                    "--dir", args.dir.c_str(),
-                    "--shard", shardSpec.c_str()};
-                std::string jobs = std::to_string(args.jobs);
-                if (args.jobsSet) {
-                    childArgv.push_back("--jobs");
-                    childArgv.push_back(jobs.c_str());
-                }
-                if (isQuiet())
-                    childArgv.push_back("-q");
-                childArgv.push_back(nullptr);
-                ::execv("/proc/self/exe",
-                        const_cast<char *const *>(childArgv.data()));
-                return 127; // exec failed
-            };
-        campaign::LaunchOptions options;
-        options.workers = args.workers;
-        options.maxAttempts = args.retries;
-        options.pinCpus = args.pin;
-        if (!campaign::launchCampaign(args.dir, options, worker)) {
-            fatal("campaign launch: not all shards completed (see "
-                  "warnings above; `campaign status --dir ", args.dir,
-                  "` for details)");
-        }
-        inform("campaign launch: all ", manifest.shardCount,
-               " shards complete; run `campaign merge --dir ",
-               args.dir, "`");
         return 0;
     }
 
@@ -623,7 +548,7 @@ runCampaignCommand(int argc, char **argv, int argi)
     }
 
     fatal("campaign: unknown subcommand '", sub,
-          "' (plan, run, launch, merge, or status)");
+          "' (plan, run, merge, or status)");
 }
 
 } // namespace
