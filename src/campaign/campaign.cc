@@ -1,10 +1,8 @@
 #include "campaign/campaign.hh"
 
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "campaign/stitch.hh"
 #include "store/result_store.hh"
@@ -18,14 +16,12 @@ namespace {
 std::string
 readFileText(const std::string &path, const std::string &context)
 {
-    std::ifstream in(path);
-    if (!in) {
+    std::string text;
+    if (!readFile(path, text)) {
         fatal(context, ": cannot read '", path,
               "' (worker did not finish?); re-run the shard");
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
+    return text;
 }
 
 } // namespace

@@ -1,8 +1,6 @@
 #include "campaign/manifest.hh"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "store/result_store.hh"
 #include "util/logging.hh"
@@ -183,12 +181,9 @@ loadShardState(const std::string &shardDir,
 {
     ShardState state;
     std::string path = shardDir + "/shard.json";
-    std::ifstream in(path);
-    std::ostringstream buffer;
-    if (in)
-        buffer << in.rdbuf();
+    std::string text;
     JsonValue doc;
-    if (!in || !JsonValue::tryParse(buffer.str(), doc))
+    if (!readFile(path, text) || !JsonValue::tryParse(text, doc))
         return state;
     if (!hasString(doc, "fingerprint") ||
         doc.at("fingerprint").asString() != fingerprint)

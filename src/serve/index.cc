@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 
 #include "metrics/metric.hh"
-#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace nvmexp {
@@ -14,17 +12,10 @@ namespace serve {
 bool
 readStoreFingerprint(const std::string &dir, std::string &out)
 {
-    std::ifstream in(dir + "/checkpoint.jsonl");
-    std::string line;
-    if (!in || !std::getline(in, line))
+    store::CheckpointHeader header = store::readCheckpointHeader(dir);
+    if (!header.headerOk)
         return false;
-    JsonValue header;
-    if (!JsonValue::tryParse(line, header) || !header.isObject() ||
-        !header.has("fingerprint") ||
-        !header.at("fingerprint").isString()) {
-        return false;
-    }
-    out = header.at("fingerprint").asString();
+    out = header.fingerprint;
     return true;
 }
 

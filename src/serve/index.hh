@@ -82,7 +82,8 @@ class StoreIndex
 
 /**
  * Read the sweep fingerprint from a store's checkpoint.jsonl header
- * line. @return false when the store has no readable header.
+ * (store::readCheckpointHeader). @return false unless the header is
+ * ok.
  */
 bool readStoreFingerprint(const std::string &dir, std::string &out);
 

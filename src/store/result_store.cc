@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
-#include <sstream>
+#include <limits>
 
 #include "metrics/metric.hh"
 #include "util/logging.hh"
@@ -29,21 +29,25 @@ StoreStats::toJson() const
 }
 
 StoreStats
-StoreStats::fromJson(const JsonValue &doc)
+StoreStats::fromJson(const JsonValue &doc, const std::string &context)
 {
-    if ((int)doc.at("format").asNumber() != kFormatVersion) {
-        fatal("store: stats written with format ",
-              doc.at("format").asNumber(), ", this build reads format ",
-              kFormatVersion);
+    std::int64_t format = wholeNumberKey(doc, "format", 0,
+                                         std::numeric_limits<int>::max(),
+                                         context);
+    if (format != kFormatVersion) {
+        fatal(context, ": stats written with format ", format,
+              ", this build reads format ", kFormatVersion);
     }
+    auto counter = [&](const char *key) {
+        return (std::uint64_t)wholeNumberKey(doc, key, 0, kMaxExactInteger,
+                                             context);
+    };
     StoreStats s;
-    s.cacheHits = (std::uint64_t)doc.at("cache_hits").asNumber();
-    s.cacheMisses = (std::uint64_t)doc.at("cache_misses").asNumber();
-    s.cacheStores = (std::uint64_t)doc.at("cache_stores").asNumber();
-    s.checkpointLoaded =
-        (std::uint64_t)doc.at("checkpoint_loaded").asNumber();
-    s.checkpointComputed =
-        (std::uint64_t)doc.at("checkpoint_computed").asNumber();
+    s.cacheHits = counter("cache_hits");
+    s.cacheMisses = counter("cache_misses");
+    s.cacheStores = counter("cache_stores");
+    s.checkpointLoaded = counter("checkpoint_loaded");
+    s.checkpointComputed = counter("checkpoint_computed");
     return s;
 }
 
@@ -67,26 +71,6 @@ hexHash(const std::string &text)
     std::snprintf(buffer, sizeof(buffer), "%016llx",
                   (unsigned long long)fnv1a64(text));
     return buffer;
-}
-
-/** Typed member guards for documents that may be corrupt: the
- *  fatal()-based accessors must never run on untrusted shapes. */
-bool
-hasString(const JsonValue &doc, const std::string &key)
-{
-    return doc.isObject() && doc.has(key) && doc.at(key).isString();
-}
-
-bool
-hasNumber(const JsonValue &doc, const std::string &key)
-{
-    return doc.isObject() && doc.has(key) && doc.at(key).isNumber();
-}
-
-bool
-hasObject(const JsonValue &doc, const std::string &key)
-{
-    return doc.isObject() && doc.has(key) && doc.at(key).isObject();
 }
 
 } // namespace
@@ -178,26 +162,21 @@ ResultStore::cachePath(const std::string &key) const
 ResultStore::CacheOutcome
 ResultStore::lookupArray(const std::string &key, ArrayResult &out)
 {
+    // A truncated or corrupt entry (disk trouble, torn copy, an edit)
+    // degrades to a miss and gets recomputed and overwritten — the
+    // cache is an optimization, never a correctness or availability
+    // dependency. The lenient decode refuses any entry that is not a
+    // well-formed record, and the byte-exact comparison of the full
+    // stored key covers every realistic corruption that still is one.
+    std::string text;
+    CacheEntry entry;
     CacheOutcome outcome = CacheOutcome::Miss;
-    std::string path = cachePath(key);
-    std::ifstream in(path);
-    std::ostringstream buffer;
-    if (in)
-        buffer << in.rdbuf();
-    // A truncated or corrupt entry (disk trouble, torn copy) degrades
-    // to a miss and gets recomputed and overwritten — the cache is an
-    // optimization, never a correctness or availability dependency.
-    // The non-fatal parse plus the byte-exact comparison of the full
-    // stored key covers every realistic corruption; the fatal()
-    // parser never sees untrusted bytes.
-    JsonValue doc;
-    if (in && JsonValue::tryParse(buffer.str(), doc) &&
-        hasString(doc, "key") && doc.at("key").asString() == key) {
-        if (doc.has("invalid") && doc.at("invalid").isBool() &&
-            doc.at("invalid").asBool()) {
+    if (readFile(cachePath(key), text) && tryReadJson(text, entry) &&
+        entry.key == key) {
+        if (entry.invalid) {
             outcome = CacheOutcome::HitInvalid;
-        } else if (hasObject(doc, "array")) {
-            out = arrayResultFromJson(doc.at("array"));
+        } else {
+            out = entry.array;
             outcome = CacheOutcome::Hit;
         }
     }
@@ -264,44 +243,69 @@ appendCheckpointLine(std::string &out, std::size_t slot,
 
 } // namespace
 
+namespace {
+
+/** The journal header line decoded; members checked before any cast. */
+CheckpointHeader
+parseHeaderLine(const std::string &line)
+{
+    CheckpointHeader header;
+    JsonValue doc;
+    if (!JsonValue::tryParse(line, doc))
+        return header;
+    header.headerParsed = true;
+    auto whole = [&](const char *key, std::int64_t max) {
+        return doc.isObject() && doc.has(key) && doc.at(key).isNumber() &&
+            isWholeNumber(doc.at(key).asNumber(), 0.0, (double)max);
+    };
+    header.headerOk = whole("format", std::numeric_limits<int>::max()) &&
+        whole("slots", kMaxExactInteger) && doc.has("fingerprint") &&
+        doc.at("fingerprint").isString();
+    if (header.headerOk) {
+        header.format = (int)doc.at("format").asNumber();
+        header.fingerprint = doc.at("fingerprint").asString();
+        header.slots = (std::size_t)doc.at("slots").asNumber();
+    }
+    return header;
+}
+
+} // namespace
+
+CheckpointHeader
+readCheckpointHeader(const std::string &dir)
+{
+    std::ifstream in(dir + "/checkpoint.jsonl");
+    std::string line;
+    if (!in || !std::getline(in, line))
+        return {};
+    return parseHeaderLine(line);
+}
+
 CheckpointScan
 scanCheckpoint(const std::string &dir)
 {
-    CheckpointScan scan;
-    std::ifstream in(dir + "/checkpoint.jsonl");
-    std::string line;
-    JsonValue header;
-    if (in && std::getline(in, line) &&
-        JsonValue::tryParse(line, header)) {
-        scan.headerParsed = true;
-        scan.headerOk = hasNumber(header, "format") &&
-            hasString(header, "fingerprint") &&
-            hasNumber(header, "slots");
-        if (scan.headerOk) {
-            scan.format = (int)header.at("format").asNumber();
-            scan.fingerprint = header.at("fingerprint").asString();
-            scan.slots = (std::size_t)header.at("slots").asNumber();
-        }
-    }
+    std::string text;
+    if (!readFile(dir + "/checkpoint.jsonl", text))
+        return {};
+    std::size_t end = std::min(text.find('\n'), text.size());
+    CheckpointScan scan{parseHeaderLine(text.substr(0, end)), {}};
     if (!scan.headerOk)
         return scan;
-    while (std::getline(in, line)) {
+    JournalEntry entry; // reused: keeps its strings' capacity
+    for (std::size_t begin = end + 1; begin < text.size(); begin = end + 1) {
+        end = std::min(text.find('\n', begin), text.size());
+        std::string_view line(text.data() + begin, end - begin);
         if (line.empty())
             continue;
         // The last line of an interrupted run may be torn at any
-        // byte; only lines that parse and carry the expected members
-        // are trusted.
-        JsonValue entry;
-        if (!JsonValue::tryParse(line, entry) ||
-            !hasNumber(entry, "slot") || !hasObject(entry, "result")) {
+        // byte; only lines that decode whole are trusted.
+        if (!tryReadJson(line, entry)) {
             warn("result store: skipping torn checkpoint line");
             continue;
         }
-        auto slot = (std::size_t)entry.at("slot").asNumber();
-        if (slot < scan.slots) {
+        if (entry.slot < scan.slots)
             scan.entries.push_back(
-                CheckpointEntry{slot, line, entry.at("result")});
-        }
+                CheckpointEntry{entry.slot, std::string(line)});
     }
     return scan;
 }
@@ -318,8 +322,13 @@ ResultStore::openCheckpoint(const std::string &fingerprint,
         bool match = scan.headerOk && scan.format == kFormatVersion &&
             scan.fingerprint == fingerprint && scan.slots == slots;
         if (match) {
-            for (const auto &entry : scan.entries)
-                done[entry.slot] = evalResultFromJson(entry.result);
+            // The scan decoded every kept line once already, so these
+            // strict decodes cannot fail.
+            JournalEntry decoded;
+            for (const auto &entry : scan.entries) {
+                readJson(entry.line, path, decoded);
+                done[entry.slot] = decoded.result;
+            }
         } else if (scan.headerParsed) {
             warn("result store: checkpoint in '", dir_,
                  "' belongs to a different sweep; restarting");
@@ -528,15 +537,20 @@ ResultStore::stats() const
 std::vector<EvalResult>
 loadResults(const std::string &dir)
 {
-    return evalResultsFromJson(
-        JsonValue::parseFile(dir + "/results.json"));
+    std::string path = dir + "/results.json";
+    std::string text;
+    if (!readFile(path, text))
+        fatal("result store: cannot read '", path, "'");
+    std::vector<EvalResult> results;
+    readJson(text, path, results);
+    return results;
 }
 
 StoreStats
 loadStats(const std::string &dir)
 {
-    return StoreStats::fromJson(
-        JsonValue::parseFile(dir + "/stats.json"));
+    std::string path = dir + "/stats.json";
+    return StoreStats::fromJson(JsonValue::parseFile(path), path);
 }
 
 JsonValue

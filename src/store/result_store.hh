@@ -63,7 +63,10 @@ struct StoreStats
     std::uint64_t cacheLookups() const { return cacheHits + cacheMisses; }
 
     JsonValue toJson() const;
-    static StoreStats fromJson(const JsonValue &doc);
+    /** Every member a whole number (checked before the cast); fatal()
+     *  naming `context` (the file), the key and the value otherwise. */
+    static StoreStats fromJson(const JsonValue &doc,
+                               const std::string &context);
 };
 
 /** 64-bit FNV-1a content hash (stable across platforms/runs). */
@@ -101,7 +104,9 @@ class ResultStore
                                            OptTarget target);
 
     /** @return Hit and fill `out`, HitInvalid for a cached negative,
-     *  Miss otherwise. Counts toward stats(). */
+     *  Miss otherwise — also for an entry that does not decode as a
+     *  CacheEntry (torn or edited), which the sweep then recomputes
+     *  and overwrites. Counts toward stats(). */
     CacheOutcome lookupArray(const std::string &key, ArrayResult &out);
 
     /** Persist one characterized array under its key. */
@@ -114,8 +119,9 @@ class ResultStore
      * Open the checkpoint journal for a sweep of `slots` evaluation
      * slots. With resume=true a journal whose fingerprint and slot
      * count match is replayed and the completed slots returned;
-     * otherwise (or on mismatch) the journal restarts empty. A
-     * malformed trailing line — the interrupted write — is skipped.
+     * otherwise (or on mismatch) the journal restarts empty. Lines
+     * that do not decode whole — the interrupted trailing write — are
+     * skipped (scanCheckpoint).
      */
     std::map<std::size_t, EvalResult>
     openCheckpoint(const std::string &fingerprint, std::size_t slots,
@@ -149,31 +155,43 @@ class ResultStore
     std::ofstream checkpoint_;
 };
 
-/** One validated checkpoint journal entry: the slot, the raw journal
- *  line (no trailing newline), and the parsed "result" member. */
+/** One validated checkpoint journal entry: the slot and the raw
+ *  journal line (no trailing newline), which decodes as a JournalEntry
+ *  (store/serialize). */
 struct CheckpointEntry
 {
     std::size_t slot = 0;
     std::string line;
-    JsonValue result;
 };
 
-/**
- * Read-only scan of one store's checkpoint journal, with exactly the
- * torn-write tolerance of the resume path: the header line must parse
- * and carry the expected members before any entries are trusted, and
- * entry lines that fail to parse (the interrupted trailing write) or
- * name an out-of-range slot are skipped. No comparison against an
- * expected fingerprint happens here — callers (resume, campaign merge,
- * campaign status) decide what a mismatch means for them.
- */
-struct CheckpointScan
+/** A checkpoint journal's first line: which sweep it belongs to. */
+struct CheckpointHeader
 {
     bool headerParsed = false; ///< first line parsed as JSON at all
-    bool headerOk = false;     ///< ...and carried format/fingerprint/slots
+    /** ...and carried a string fingerprint and whole-number format and
+     *  slots (checked before any cast) */
+    bool headerOk = false;
     int format = 0;
     std::string fingerprint;
     std::size_t slots = 0;
+};
+
+/** The header of `dir`'s journal: the one reader of it, for resume,
+ *  campaigns, the query server and the lint. */
+CheckpointHeader readCheckpointHeader(const std::string &dir);
+
+/**
+ * Read-only scan of one store's checkpoint journal, with exactly the
+ * torn-write tolerance of the resume path: the header must be ok
+ * before any entries are trusted, and entry lines that do not decode
+ * whole (the interrupted trailing write, an edit, a slot that is not a
+ * whole number) are skipped with a warning; entries naming a slot past
+ * the header's count are dropped. No comparison against an expected
+ * fingerprint happens here — callers (resume, campaign merge, campaign
+ * status) decide what a mismatch means for them.
+ */
+struct CheckpointScan : CheckpointHeader
+{
     std::vector<CheckpointEntry> entries; ///< validated, file order
 };
 
@@ -211,7 +229,9 @@ const std::vector<CsvColumn> &resultCsvColumns();
  */
 std::string serializeResults(const std::vector<EvalResult> &results);
 
-/** Load a store's serialized results; fatal() if absent/corrupt. */
+/** Load a store's results.json through the record decoders; fatal()
+ *  if it is absent or anything in it is malformed, naming the file,
+ *  line and column, and for a bad member its key and value. */
 std::vector<EvalResult> loadResults(const std::string &dir);
 
 /** Load a store's stats.json. */

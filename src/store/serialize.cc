@@ -1,5 +1,8 @@
 #include "store/serialize.hh"
 
+#include <bitset>
+#include <limits>
+
 #include "util/logging.hh"
 
 namespace nvmexp {
@@ -19,17 +22,6 @@ flavorKey(CellFlavor flavor)
     panic("unhandled CellFlavor");
 }
 
-CellFlavor
-flavorFromKey(const std::string &name)
-{
-    for (CellFlavor f : {CellFlavor::Optimistic, CellFlavor::Pessimistic,
-                         CellFlavor::Reference, CellFlavor::Custom}) {
-        if (name == flavorKey(f))
-            return f;
-    }
-    fatal("store: unknown cell flavor '", name, "'");
-}
-
 const char *
 senseModeKey(SenseMode mode)
 {
@@ -42,21 +34,195 @@ senseModeKey(SenseMode mode)
     panic("unhandled SenseMode");
 }
 
-SenseMode
-senseModeFromKey(const std::string &name)
+/** The member being decoded; its key names every rejection. */
+class Member
 {
-    for (SenseMode m : {SenseMode::Voltage, SenseMode::Current,
-                        SenseMode::FetGated, SenseMode::Charge}) {
-        if (name == senseModeKey(m))
-            return m;
+  public:
+    Member(JsonReader &r, std::string_view key) : r_(r), key_(key) {}
+
+    void
+    read(double &out)
+    {
+        expect(JsonValue::Kind::Number, "a number");
+        out = r_.number();
     }
-    fatal("store: unknown sense mode '", name, "'");
+
+    void
+    read(bool &out)
+    {
+        expect(JsonValue::Kind::Bool, "a boolean");
+        out = r_.boolean();
+    }
+
+    void
+    read(std::string &out)
+    {
+        expect(JsonValue::Kind::String, "a string");
+        out.assign(r_.string());
+    }
+
+    void
+    read(int &out)
+    {
+        out = (int)whole(std::numeric_limits<int>::max());
+    }
+
+    void
+    read(std::size_t &out)
+    {
+        out = (std::size_t)whole(kMaxExactInteger);
+    }
+
+    /** A nested record. */
+    template <typename Record>
+    void
+    read(Record &out)
+    {
+        expect(JsonValue::Kind::Object, "an object");
+        readJson(r_, out);
+    }
+
+    /** An array of records, appended to `out`. */
+    template <typename Record>
+    void
+    readEach(std::vector<Record> &out)
+    {
+        expect(JsonValue::Kind::Array, "an array");
+        r_.beginArray();
+        std::size_t begin = r_.offset();
+        while (r_.nextElement()) {
+            out.emplace_back();
+            read(out.back());
+            // Records of one kind encode to about the same size: the
+            // first sizes the rest, so the rows are never moved.
+            if (out.size() == 1) {
+                std::size_t first = r_.offset() - begin;
+                out.reserve(1 + (r_.size() - r_.offset()) / first);
+            }
+        }
+    }
+
+    /** The store format version, which must be this build's. */
+    void
+    readFormat()
+    {
+        int format = 0;
+        read(format);
+        if (format != kFormatVersion) {
+            reject("is " + std::to_string(format) +
+                   ", this build reads format " +
+                   std::to_string(kFormatVersion));
+        }
+    }
+
+    /** An enumerator spelled as `name(e)` for one of the first `count`
+     *  enumerators. */
+    template <typename Enum, typename Name>
+    void
+    readName(Enum &out, int count, Name name)
+    {
+        expect(JsonValue::Kind::String, "a string");
+        std::string_view text = r_.string();
+        for (int i = 0; i < count; ++i) {
+            if (text == name((Enum)i)) {
+                out = (Enum)i;
+                return;
+            }
+        }
+        std::string known;
+        for (int i = 0; i < count; ++i) {
+            if (i)
+                known += ", ";
+            known += name((Enum)i);
+        }
+        reject("must be one of " + known + ", got \"" + std::string(text) +
+               "\"");
+    }
+
+  private:
+    /** A whole number in [0, max], tested as a double before any
+     *  cast (out of range, the cast is undefined behavior). */
+    double
+    whole(std::int64_t max)
+    {
+        double value = 0.0;
+        read(value);
+        if (!isWholeNumber(value, 0.0, (double)max)) {
+            reject("must be a whole number in [0, " + std::to_string(max) +
+                   "], got " + JsonValue::formatNumber(value));
+        }
+        return value;
+    }
+
+    void
+    expect(JsonValue::Kind kind, const char *what)
+    {
+        if (r_.peek() != kind)
+            reject(std::string("must be ") + what);
+    }
+
+    [[noreturn]] void
+    reject(const std::string &what)
+    {
+        r_.reject("\"" + std::string(key_) + "\" " + what);
+    }
+
+    JsonReader &r_;
+    std::string_view key_;
+};
+
+/** One member of a record's encoding and how to decode its value. */
+template <typename Record>
+struct Field
+{
+    std::string_view key;
+    void (*read)(Member &, Record &) = nullptr;
+    bool optional = false;
+};
+
+/** Field::read for a member stored straight in `Record::*field`. */
+template <auto field, typename Record>
+void
+into(Member &m, Record &record)
+{
+    m.read(record.*field);
 }
 
-int
-asInt(const JsonValue &doc, const std::string &key)
+/**
+ * Decode the object at the reader's position, member by member, into
+ * `record` through `fields` (listed in writer order, which is tried
+ * first). A repeated member fails like the DOM's; an unknown member or
+ * a missing required one is rejected by name. @return which fields
+ * were present.
+ */
+template <typename Record, std::size_t N>
+std::bitset<N>
+readFields(JsonReader &r, const Field<Record> (&fields)[N], Record &record)
 {
-    return (int)doc.at(key).asNumber();
+    std::bitset<N> seen;
+    std::size_t next = 0;
+    std::string_view name;
+    r.beginObject();
+    while (r.nextMember(name)) {
+        std::size_t i = next;
+        if (i >= N || fields[i].key != name)
+            for (i = 0; i < N && fields[i].key != name; ++i) {
+            }
+        if (i == N)
+            r.reject("unknown member \"" + std::string(name) + "\"");
+        if (seen[i])
+            r.fail("duplicate member '" + std::string(name) + "'");
+        seen.set(i);
+        Member member(r, fields[i].key);
+        fields[i].read(member, record);
+        next = i + 1;
+    }
+    for (std::size_t i = 0; i < N; ++i) {
+        if (!seen[i] && !fields[i].optional)
+            r.reject("missing member \"" + std::string(fields[i].key) +
+                     "\"");
+    }
+    return seen;
 }
 
 } // namespace
@@ -90,33 +256,40 @@ writeJson(JsonWriter &w, const MemCell &cell)
     w.endObject();
 }
 
-MemCell
-cellFromJson(const JsonValue &doc)
+constexpr Field<MemCell> kCellFields[] = {
+    {"name", into<&MemCell::name>},
+    {"tech",
+     [](Member &m, MemCell &c) {
+         m.readName(c.tech, (int)CellTech::NumTech, techName);
+     }},
+    {"flavor",
+     [](Member &m, MemCell &c) { m.readName(c.flavor, 4, flavorKey); }},
+    {"sense_mode",
+     [](Member &m, MemCell &c) { m.readName(c.senseMode, 4, senseModeKey); }},
+    {"bits_per_cell", into<&MemCell::bitsPerCell>},
+    {"area_f2", into<&MemCell::areaF2>},
+    {"aspect_ratio", into<&MemCell::aspectRatio>},
+    {"read_voltage", into<&MemCell::readVoltage>},
+    {"write_voltage", into<&MemCell::writeVoltage>},
+    {"resistance_on", into<&MemCell::resistanceOn>},
+    {"resistance_off", into<&MemCell::resistanceOff>},
+    {"set_pulse", into<&MemCell::setPulse>},
+    {"reset_pulse", into<&MemCell::resetPulse>},
+    {"set_current", into<&MemCell::setCurrent>},
+    {"reset_current", into<&MemCell::resetCurrent>},
+    {"read_energy_per_bit", into<&MemCell::readEnergyPerBit>},
+    {"endurance", into<&MemCell::endurance>},
+    {"retention", into<&MemCell::retention>},
+    {"non_volatile", into<&MemCell::nonVolatile>},
+    {"cell_leakage", into<&MemCell::cellLeakage>},
+    {"min_node_nm", into<&MemCell::minNodeNm>},
+    {"mlc_capable", into<&MemCell::mlcCapable>},
+};
+
+void
+readJson(JsonReader &r, MemCell &cell)
 {
-    MemCell cell;
-    cell.name = doc.at("name").asString();
-    cell.tech = techFromName(doc.at("tech").asString());
-    cell.flavor = flavorFromKey(doc.at("flavor").asString());
-    cell.senseMode = senseModeFromKey(doc.at("sense_mode").asString());
-    cell.bitsPerCell = asInt(doc, "bits_per_cell");
-    cell.areaF2 = doc.at("area_f2").asNumber();
-    cell.aspectRatio = doc.at("aspect_ratio").asNumber();
-    cell.readVoltage = doc.at("read_voltage").asNumber();
-    cell.writeVoltage = doc.at("write_voltage").asNumber();
-    cell.resistanceOn = doc.at("resistance_on").asNumber();
-    cell.resistanceOff = doc.at("resistance_off").asNumber();
-    cell.setPulse = doc.at("set_pulse").asNumber();
-    cell.resetPulse = doc.at("reset_pulse").asNumber();
-    cell.setCurrent = doc.at("set_current").asNumber();
-    cell.resetCurrent = doc.at("reset_current").asNumber();
-    cell.readEnergyPerBit = doc.at("read_energy_per_bit").asNumber();
-    cell.endurance = doc.at("endurance").asNumber();
-    cell.retention = doc.at("retention").asNumber();
-    cell.nonVolatile = doc.at("non_volatile").asBool();
-    cell.cellLeakage = doc.at("cell_leakage").asNumber();
-    cell.minNodeNm = asInt(doc, "min_node_nm");
-    cell.mlcCapable = doc.at("mlc_capable").asBool();
-    return cell;
+    readFields(r, kCellFields, cell);
 }
 
 void
@@ -130,15 +303,17 @@ writeJson(JsonWriter &w, const TrafficPattern &traffic)
     w.endObject();
 }
 
-TrafficPattern
-trafficFromJson(const JsonValue &doc)
+constexpr Field<TrafficPattern> kTrafficFields[] = {
+    {"name", into<&TrafficPattern::name>},
+    {"reads_per_sec", into<&TrafficPattern::readsPerSec>},
+    {"writes_per_sec", into<&TrafficPattern::writesPerSec>},
+    {"exec_time", into<&TrafficPattern::execTime>},
+};
+
+void
+readJson(JsonReader &r, TrafficPattern &traffic)
 {
-    TrafficPattern traffic;
-    traffic.name = doc.at("name").asString();
-    traffic.readsPerSec = doc.at("reads_per_sec").asNumber();
-    traffic.writesPerSec = doc.at("writes_per_sec").asNumber();
-    traffic.execTime = doc.at("exec_time").asNumber();
-    return traffic;
+    readFields(r, kTrafficFields, traffic);
 }
 
 void
@@ -153,16 +328,19 @@ writeJson(JsonWriter &w, const Organization &org)
     w.endObject();
 }
 
-Organization
-organizationFromJson(const JsonValue &doc)
+constexpr Field<Organization> kOrganizationFields[] = {
+    {"banks", into<&Organization::banks>},
+    {"subarrays_per_bank", into<&Organization::subarraysPerBank>},
+    {"rows", [](Member &m, Organization &o) { m.read(o.subarray.rows); }},
+    {"cols", [](Member &m, Organization &o) { m.read(o.subarray.cols); }},
+    {"sensed_bits",
+     [](Member &m, Organization &o) { m.read(o.subarray.sensedBits); }},
+};
+
+void
+readJson(JsonReader &r, Organization &org)
 {
-    Organization org;
-    org.banks = asInt(doc, "banks");
-    org.subarraysPerBank = asInt(doc, "subarrays_per_bank");
-    org.subarray.rows = asInt(doc, "rows");
-    org.subarray.cols = asInt(doc, "cols");
-    org.subarray.sensedBits = asInt(doc, "sensed_bits");
-    return org;
+    readFields(r, kOrganizationFields, org);
 }
 
 void
@@ -179,20 +357,24 @@ writeJson(JsonWriter &w, const reliability::ReliabilityResult &rel)
     w.endObject();
 }
 
-reliability::ReliabilityResult
-reliabilityResultFromJson(const JsonValue &doc)
+using reliability::ReliabilityResult;
+
+constexpr Field<ReliabilityResult> kReliabilityFields[] = {
+    {"scheme", into<&ReliabilityResult::scheme>},
+    {"scrub_interval_sec", into<&ReliabilityResult::scrubIntervalSec>},
+    {"raw_ber", into<&ReliabilityResult::rawBer>},
+    {"scrubbed_ber", into<&ReliabilityResult::scrubbedBer>},
+    {"uncorrectable_word_rate",
+     into<&ReliabilityResult::uncorrectableWordRate>},
+    {"uncorrectable_image_rate",
+     into<&ReliabilityResult::uncorrectableImageRate>},
+    {"ecc_overhead", into<&ReliabilityResult::eccOverhead>},
+};
+
+void
+readJson(JsonReader &r, ReliabilityResult &rel)
 {
-    reliability::ReliabilityResult rel;
-    rel.scheme = doc.at("scheme").asString();
-    rel.scrubIntervalSec = doc.at("scrub_interval_sec").asNumber();
-    rel.rawBer = doc.at("raw_ber").asNumber();
-    rel.scrubbedBer = doc.at("scrubbed_ber").asNumber();
-    rel.uncorrectableWordRate =
-        doc.at("uncorrectable_word_rate").asNumber();
-    rel.uncorrectableImageRate =
-        doc.at("uncorrectable_image_rate").asNumber();
-    rel.eccOverhead = doc.at("ecc_overhead").asNumber();
-    return rel;
+    readFields(r, kReliabilityFields, rel);
 }
 
 void
@@ -218,25 +400,27 @@ writeJson(JsonWriter &w, const ArrayResult &array)
     w.endObject();
 }
 
-ArrayResult
-arrayResultFromJson(const JsonValue &doc)
+constexpr Field<ArrayResult> kArrayFields[] = {
+    {"cell", into<&ArrayResult::cell>},
+    {"node_nm", into<&ArrayResult::nodeNm>},
+    {"capacity_bytes", into<&ArrayResult::capacityBytes>},
+    {"word_bits", into<&ArrayResult::wordBits>},
+    {"org", into<&ArrayResult::org>},
+    {"read_latency", into<&ArrayResult::readLatency>},
+    {"write_latency", into<&ArrayResult::writeLatency>},
+    {"read_energy", into<&ArrayResult::readEnergy>},
+    {"write_energy", into<&ArrayResult::writeEnergy>},
+    {"leakage", into<&ArrayResult::leakage>},
+    {"area_m2", into<&ArrayResult::areaM2>},
+    {"area_efficiency", into<&ArrayResult::areaEfficiency>},
+    {"read_bandwidth", into<&ArrayResult::readBandwidth>},
+    {"write_bandwidth", into<&ArrayResult::writeBandwidth>},
+};
+
+void
+readJson(JsonReader &r, ArrayResult &array)
 {
-    ArrayResult array;
-    array.cell = cellFromJson(doc.at("cell"));
-    array.nodeNm = asInt(doc, "node_nm");
-    array.capacityBytes = doc.at("capacity_bytes").asNumber();
-    array.wordBits = asInt(doc, "word_bits");
-    array.org = organizationFromJson(doc.at("org"));
-    array.readLatency = doc.at("read_latency").asNumber();
-    array.writeLatency = doc.at("write_latency").asNumber();
-    array.readEnergy = doc.at("read_energy").asNumber();
-    array.writeEnergy = doc.at("write_energy").asNumber();
-    array.leakage = doc.at("leakage").asNumber();
-    array.areaM2 = doc.at("area_m2").asNumber();
-    array.areaEfficiency = doc.at("area_efficiency").asNumber();
-    array.readBandwidth = doc.at("read_bandwidth").asNumber();
-    array.writeBandwidth = doc.at("write_bandwidth").asNumber();
-    return array;
+    readFields(r, kArrayFields, array);
 }
 
 void
@@ -261,27 +445,25 @@ writeJson(JsonWriter &w, const EvalResult &result)
     w.endObject();
 }
 
-EvalResult
-evalResultFromJson(const JsonValue &doc)
+constexpr Field<EvalResult> kEvalFields[] = {
+    {"array", into<&EvalResult::array>},
+    {"traffic", into<&EvalResult::traffic>},
+    {"dynamic_power", into<&EvalResult::dynamicPower>},
+    {"leakage_power", into<&EvalResult::leakagePower>},
+    {"total_power", into<&EvalResult::totalPower>},
+    {"latency_load", into<&EvalResult::latencyLoad>},
+    {"slowdown", into<&EvalResult::slowdown>},
+    {"total_access_latency", into<&EvalResult::totalAccessLatency>},
+    {"meets_read_bandwidth", into<&EvalResult::meetsReadBandwidth>},
+    {"meets_write_bandwidth", into<&EvalResult::meetsWriteBandwidth>},
+    {"reliability", into<&EvalResult::reliability>},
+    {"lifetime_sec", into<&EvalResult::lifetimeSec>},
+};
+
+void
+readJson(JsonReader &r, EvalResult &result)
 {
-    EvalResult result;
-    result.array = arrayResultFromJson(doc.at("array"));
-    result.traffic = trafficFromJson(doc.at("traffic"));
-    result.dynamicPower = doc.at("dynamic_power").asNumber();
-    result.leakagePower = doc.at("leakage_power").asNumber();
-    result.totalPower = doc.at("total_power").asNumber();
-    result.latencyLoad = doc.at("latency_load").asNumber();
-    result.slowdown = doc.at("slowdown").asNumber();
-    result.totalAccessLatency =
-        doc.at("total_access_latency").asNumber();
-    result.meetsReadBandwidth =
-        doc.at("meets_read_bandwidth").asBool();
-    result.meetsWriteBandwidth =
-        doc.at("meets_write_bandwidth").asBool();
-    result.reliability =
-        reliabilityResultFromJson(doc.at("reliability"));
-    result.lifetimeSec = doc.at("lifetime_sec").asNumber();
-    return result;
+    readFields(r, kEvalFields, result);
 }
 
 void
@@ -296,18 +478,40 @@ writeJson(JsonWriter &w, const std::vector<EvalResult> &results)
     w.endObject();
 }
 
-std::vector<EvalResult>
-evalResultsFromJson(const JsonValue &doc)
+void
+readJson(JsonReader &r, std::vector<EvalResult> &results)
 {
-    if ((int)doc.at("format").asNumber() != kFormatVersion) {
-        fatal("store: results written with format ",
-              doc.at("format").asNumber(), ", this build reads format ",
-              kFormatVersion);
-    }
-    std::vector<EvalResult> results;
-    for (const auto &entry : doc.at("results").asArray())
-        results.push_back(evalResultFromJson(entry));
-    return results;
+    using Results = std::vector<EvalResult>;
+    static constexpr Field<Results> fields[] = {
+        {"format", [](Member &m, Results &) { m.readFormat(); }},
+        {"results", [](Member &m, Results &rows) { m.readEach(rows); }},
+    };
+    results.clear();
+    readFields(r, fields, results);
+}
+
+void
+readJson(JsonReader &r, JournalEntry &entry)
+{
+    static constexpr Field<JournalEntry> fields[] = {
+        {"slot", into<&JournalEntry::slot>},
+        {"result", into<&JournalEntry::result>},
+    };
+    readFields(r, fields, entry);
+}
+
+void
+readJson(JsonReader &r, CacheEntry &entry)
+{
+    static constexpr Field<CacheEntry> fields[] = {
+        {"key", into<&CacheEntry::key>},
+        {"array", into<&CacheEntry::array>, true},
+        {"invalid", into<&CacheEntry::invalid>, true},
+    };
+    entry.invalid = false;
+    auto seen = readFields(r, fields, entry);
+    if (seen[1] == seen[2] || (seen[2] && !entry.invalid))
+        r.reject("a cache entry holds \"array\" or \"invalid\": true");
 }
 
 namespace {

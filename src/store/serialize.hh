@@ -4,11 +4,12 @@
  * encodings of ArrayResult and EvalResult (and the MemCell, traffic,
  * and organization records they embed).
  *
- * Encoders stream straight into a JsonWriter (no DOM); decoders read
- * a parsed JsonValue. Doubles are written in shortest-exact form
- * (util/json), so decoding what writeJson wrote reproduces every field
- * bit-for-bit — the property the characterization cache, resumable
- * checkpoints, and golden-file regression tier all depend on.
+ * Encoders stream straight into a JsonWriter and decoders pull
+ * straight from a JsonReader, with no DOM either way. Doubles are
+ * written in shortest-exact form (util/json), so decoding what
+ * writeJson wrote reproduces every field bit-for-bit — the property
+ * the characterization cache, resumable checkpoints, and golden-file
+ * regression tier all depend on.
  */
 
 #ifndef NVMEXP_STORE_SERIALIZE_HH
@@ -29,30 +30,84 @@ namespace store {
  *  rates, overhead) and sweep fingerprints the reliability axis. */
 constexpr int kFormatVersion = 2;
 
-/** Each writeJson emits one JSON object at the writer's position,
- *  members in a fixed order; the *FromJson decoders read it back. */
+/**
+ * Each writeJson emits one JSON object at the writer's position,
+ * members in a fixed order; each readJson decodes one at the reader's
+ * position into the record. Members may come in any order, but every
+ * one must be present exactly once, with its kind: a number, a
+ * boolean, a string, a nested record, a name from the enum's
+ * vocabulary, or, for the integer fields (bits_per_cell, node_nm,
+ * word_bits, the organization counts, ...), a whole number in
+ * [0, INT_MAX] checked before any cast. Anything else — a missing,
+ * repeated or unknown member, a wrong kind, a bad integer — fails
+ * naming the key, through JsonReader::reject() (fail() for a repeated
+ * member, as in the DOM, and for malformed text), so a lenient reader
+ * turns it into a skip.
+ */
 void writeJson(JsonWriter &w, const MemCell &cell);
-MemCell cellFromJson(const JsonValue &doc);
+void readJson(JsonReader &r, MemCell &cell);
 
 void writeJson(JsonWriter &w, const TrafficPattern &traffic);
-TrafficPattern trafficFromJson(const JsonValue &doc);
+void readJson(JsonReader &r, TrafficPattern &traffic);
 
 void writeJson(JsonWriter &w, const Organization &org);
-Organization organizationFromJson(const JsonValue &doc);
+void readJson(JsonReader &r, Organization &org);
 
 void writeJson(JsonWriter &w, const reliability::ReliabilityResult &rel);
-reliability::ReliabilityResult
-reliabilityResultFromJson(const JsonValue &doc);
+void readJson(JsonReader &r, reliability::ReliabilityResult &rel);
 
 void writeJson(JsonWriter &w, const ArrayResult &array);
-ArrayResult arrayResultFromJson(const JsonValue &doc);
+void readJson(JsonReader &r, ArrayResult &array);
 
 void writeJson(JsonWriter &w, const EvalResult &result);
-EvalResult evalResultFromJson(const JsonValue &doc);
+void readJson(JsonReader &r, EvalResult &result);
 
-/** Whole-sweep encodings: {"format": v, "results": [...]}. */
+/** Whole-sweep encodings: {"format": v, "results": [...]}. Reading
+ *  rejects any "format" but kFormatVersion. */
 void writeJson(JsonWriter &w, const std::vector<EvalResult> &results);
-std::vector<EvalResult> evalResultsFromJson(const JsonValue &doc);
+void readJson(JsonReader &r, std::vector<EvalResult> &results);
+
+/** A checkpoint journal entry line, {"slot": n, "result": {...}}
+ *  (written by ResultStore::checkpointSlot); the slot is a whole
+ *  number in [0, 2^53]. */
+struct JournalEntry
+{
+    std::size_t slot = 0;
+    EvalResult result;
+};
+void readJson(JsonReader &r, JournalEntry &entry);
+
+/** A characterization cache entry (written by ResultStore::storeArray
+ *  and storeInvalid): {"key": k, "array": {...}} or, for a design
+ *  point with no valid organization, {"key": k, "invalid": true}. */
+struct CacheEntry
+{
+    std::string key;
+    bool invalid = false;
+    ArrayResult array; ///< unset when invalid
+};
+void readJson(JsonReader &r, CacheEntry &entry);
+
+/** readJson over all of `text` on a strict reader: anything malformed
+ *  is fatal, the message naming `source` (e.g. the file). */
+template <typename Record>
+void
+readJson(std::string_view text, std::string_view source, Record &out)
+{
+    JsonReader reader(text, source);
+    readJson(reader, out);
+    reader.end();
+}
+
+/** readJson over all of `text` on a lenient reader: false on any
+ *  syntax or schema error, for artifacts that may be torn or edited. */
+template <typename Record>
+bool
+tryReadJson(std::string_view text, Record &out)
+{
+    return JsonReader::tryRead(text,
+                               [&](JsonReader &r) { readJson(r, out); });
+}
 
 /** Exact field-by-field equality via the serialized form: doubles
  *  must match bit-for-bit, and (unlike operator== on doubles) two

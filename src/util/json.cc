@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <system_error>
 
 #include "util/logging.hh"
@@ -438,379 +437,472 @@ wholeNumberKey(const JsonValue &doc, const std::string &key,
     return (std::int64_t)member->asNumber();
 }
 
-namespace {
-
-/** Thrown instead of fatal() when parsing leniently (tryParse). */
-struct JsonParseAbort
+void
+JsonReader::failAt(std::size_t offset, std::string_view what,
+                   bool syntax) const
 {
-};
-
-} // namespace
-
-/** Recursive-descent parser with line/column tracking. */
-class JsonParser
-{
-  public:
-    /** `source` names the file being parsed in error messages. */
-    explicit JsonParser(const std::string &text, bool lenient = false,
-                        std::string source = "")
-        : text_(text), lenient_(lenient), source_(std::move(source))
-    {
-    }
-
-    JsonValue
-    parseDocument()
-    {
-        JsonValue value = parseValue();
-        skipWhitespace();
-        if (pos_ < text_.size())
-            fail("trailing content after document");
-        return value;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what)
-    {
-        if (lenient_)
-            throw JsonParseAbort{};
-        std::size_t line = 1, col = 1;
-        for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-            if (text_[i] == '\n') {
-                ++line;
-                col = 1;
-            } else {
-                ++col;
-            }
+    if (lenient_)
+        throw Abort{};
+    std::size_t line = 1, col = 1;
+    for (std::size_t i = 0; i < offset && i < text_.size(); ++i) {
+        if (text_[i] == '\n') {
+            ++line;
+            col = 1;
+        } else {
+            ++col;
         }
+    }
+    std::string where = " at line " + std::to_string(line) + " column " +
+        std::to_string(col) + ": ";
+    std::string source(source_);
+    if (syntax) {
         fatal("JSON parse error",
-              source_.empty() ? std::string() : " in '" + source_ + "'",
-              " at line ", line, " column ", col, ": ", what);
+              source.empty() ? std::string() : " in '" + source + "'",
+              where, what);
     }
+    fatal(source.empty() ? "JSON document" : "'" + source + "'", where,
+          what);
+}
 
-    void
-    skipWhitespace()
-    {
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-                ++pos_;
-            } else if (c == '/' && pos_ + 1 < text_.size() &&
-                       text_[pos_ + 1] == '/') {
-                while (pos_ < text_.size() && text_[pos_] != '\n')
-                    ++pos_;
-            } else {
-                break;
-            }
-        }
-    }
+void
+JsonReader::fail(std::string_view what) const
+{
+    failAt(pos_, what);
+}
 
-    char
-    peek()
-    {
-        skipWhitespace();
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
+void
+JsonReader::reject(std::string_view what) const
+{
+    failAt(pos_, what, /*syntax=*/false);
+}
 
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    bool
-    consumeIf(char c)
-    {
-        if (pos_ < text_.size() && peek() == c) {
+void
+JsonReader::skipWhitespace()
+{
+    while (pos_ < text_.size()) {
+        char c = text_[pos_];
+        if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
             ++pos_;
-            return true;
+        } else if (c == '/' && pos_ + 1 < text_.size() &&
+                   text_[pos_ + 1] == '/') {
+            while (pos_ < text_.size() && text_[pos_] != '\n')
+                ++pos_;
+        } else {
+            break;
         }
+    }
+}
+
+char
+JsonReader::skipToNext()
+{
+    skipWhitespace();
+    if (pos_ >= text_.size())
+        fail("unexpected end of input");
+    return text_[pos_];
+}
+
+void
+JsonReader::expect(char c)
+{
+    if (next() != c)
+        fail(std::string("expected '") + c + "'");
+    ++pos_;
+}
+
+JsonValue::Kind
+JsonReader::peek()
+{
+    switch (next()) {
+      case '{': return JsonValue::Kind::Object;
+      case '[': return JsonValue::Kind::Array;
+      case '"': return JsonValue::Kind::String;
+      case 't':
+      case 'f': return JsonValue::Kind::Bool;
+      case 'n': return JsonValue::Kind::Null;
+      default:  return JsonValue::Kind::Number;
+    }
+}
+
+void
+JsonReader::beginObject()
+{
+    expect('{');
+    afterOpen_ = true;
+}
+
+bool
+JsonReader::nextMember(std::string_view &name)
+{
+    char c = next();
+    if (c == '}') {
+        ++pos_;
+        afterOpen_ = false;
         return false;
     }
-
-    JsonValue
-    parseValue()
-    {
-        char c = peek();
-        switch (c) {
-          case '{': return parseObject();
-          case '[': return parseArray();
-          case '"': return parseString();
-          case 't':
-          case 'f': return parseBool();
-          case 'n': return parseNull();
-          case 'I':
-          case 'N': return parseNonFinite(false);
-          default:  return parseNumber();
-        }
+    if (!afterOpen_) {
+        if (c != ',')
+            fail("expected ','");
+        ++pos_;
     }
+    afterOpen_ = false;
+    if (next() != '"')
+        fail("expected a member name");
+    name = string();
+    expect(':');
+    return true;
+}
 
-    JsonValue
-    parseObject()
-    {
-        expect('{');
-        JsonValue v;
-        v.kind_ = JsonValue::Kind::Object;
-        if (consumeIf('}'))
-            return v;
-        while (true) {
-            if (peek() != '"')
-                fail("expected a member name");
-            JsonValue key = parseString();
-            expect(':');
-            JsonValue member = parseValue();
-            if (v.object_.count(key.string_))
-                fail("duplicate member '" + key.string_ + "'");
-            v.memberOrder_.push_back(key.string_);
-            v.object_.emplace(key.string_, std::move(member));
-            if (consumeIf('}'))
-                return v;
-            expect(',');
-        }
+void
+JsonReader::beginArray()
+{
+    expect('[');
+    afterOpen_ = true;
+}
+
+bool
+JsonReader::nextElement()
+{
+    char c = next();
+    if (c == ']') {
+        ++pos_;
+        afterOpen_ = false;
+        return false;
     }
-
-    JsonValue
-    parseArray()
-    {
-        expect('[');
-        JsonValue v;
-        v.kind_ = JsonValue::Kind::Array;
-        if (consumeIf(']'))
-            return v;
-        while (true) {
-            v.array_.push_back(parseValue());
-            if (consumeIf(']'))
-                return v;
-            expect(',');
-        }
+    if (!afterOpen_) {
+        if (c != ',')
+            fail("expected ','");
+        ++pos_;
     }
+    afterOpen_ = false;
+    return true;
+}
 
-    JsonValue
-    parseString()
-    {
-        expect('"');
-        JsonValue v;
-        v.kind_ = JsonValue::Kind::String;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
-                break;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    fail("dangling escape");
-                char e = text_[pos_++];
-                switch (e) {
-                  case '"':  v.string_ += '"'; break;
-                  case '\\': v.string_ += '\\'; break;
-                  case '/':  v.string_ += '/'; break;
-                  case 'n':  v.string_ += '\n'; break;
-                  case 't':  v.string_ += '\t'; break;
-                  case 'r':  v.string_ += '\r'; break;
-                  case 'b':  v.string_ += '\b'; break;
-                  case 'f':  v.string_ += '\f'; break;
-                  case 'u':  appendCodePoint(v.string_); break;
-                  default:   fail("unsupported escape sequence");
-                }
-            } else {
-                v.string_ += c;
-            }
-        }
-        return v;
+void
+JsonReader::literal(std::string_view word)
+{
+    if (text_.substr(pos_, word.size()) != word)
+        fail("bad literal");
+    pos_ += word.size();
+}
+
+bool
+JsonReader::boolean()
+{
+    if (next() == 't') {
+        literal("true");
+        return true;
     }
+    literal("false");
+    return false;
+}
 
-    /** The four hex digits of a \u escape, `pos_` just past the 'u'. */
-    unsigned
-    parseHex4()
-    {
-        if (text_.size() - pos_ < 4)
-            fail("truncated \\u escape");
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-            char c = text_[pos_];
-            unsigned digit = 0;
-            if (c >= '0' && c <= '9')
-                digit = (unsigned)(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                digit = (unsigned)(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F')
-                digit = (unsigned)(c - 'A' + 10);
-            else
-                fail("bad hex digit in \\u escape");
-            code = code * 16 + digit;
-            ++pos_;
-        }
-        return code;
+void
+JsonReader::null()
+{
+    next();
+    literal("null");
+}
+
+/** JSON5-style non-finite literals (written by the serializer). */
+double
+JsonReader::nonFinite(bool negative)
+{
+    if (text_.substr(pos_, 8) == "Infinity") {
+        pos_ += 8;
+        return negative ? -std::numeric_limits<double>::infinity()
+                        : std::numeric_limits<double>::infinity();
     }
-
-    /** Decode one \u escape (a surrogate pair takes two) and append
-     *  the code point as UTF-8. A lone surrogate fails at its offset. */
-    void
-    appendCodePoint(std::string &out)
-    {
-        std::size_t escape = pos_ - 2;
-        unsigned code = parseHex4();
-        if (code >= 0xDC00 && code <= 0xDFFF) {
-            pos_ = escape;
-            fail("lone low surrogate in \\u escape");
-        }
-        if (code >= 0xD800 && code <= 0xDBFF) {
-            if (text_.compare(pos_, 2, "\\u") != 0) {
-                pos_ = escape;
-                fail("lone high surrogate in \\u escape");
-            }
-            pos_ += 2;
-            unsigned low = parseHex4();
-            if (low < 0xDC00 || low > 0xDFFF) {
-                pos_ = escape;
-                fail("lone high surrogate in \\u escape");
-            }
-            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-        }
-        if (code < 0x80) {
-            out += (char)code;
-        } else if (code < 0x800) {
-            out += (char)(0xC0 | (code >> 6));
-            out += (char)(0x80 | (code & 0x3F));
-        } else if (code < 0x10000) {
-            out += (char)(0xE0 | (code >> 12));
-            out += (char)(0x80 | ((code >> 6) & 0x3F));
-            out += (char)(0x80 | (code & 0x3F));
-        } else {
-            out += (char)(0xF0 | (code >> 18));
-            out += (char)(0x80 | ((code >> 12) & 0x3F));
-            out += (char)(0x80 | ((code >> 6) & 0x3F));
-            out += (char)(0x80 | (code & 0x3F));
-        }
+    if (!negative && text_.substr(pos_, 3) == "NaN") {
+        pos_ += 3;
+        return std::numeric_limits<double>::quiet_NaN();
     }
+    fail("bad literal");
+}
 
-    JsonValue
-    parseBool()
-    {
-        JsonValue v;
-        v.kind_ = JsonValue::Kind::Bool;
-        if (text_.compare(pos_, 4, "true") == 0) {
-            v.bool_ = true;
-            pos_ += 4;
-        } else if (text_.compare(pos_, 5, "false") == 0) {
-            v.bool_ = false;
-            pos_ += 5;
-        } else {
-            fail("bad literal");
-        }
-        return v;
+double
+JsonReader::number()
+{
+    char c = next();
+    if (c == 'I' || c == 'N')
+        return nonFinite(false);
+    std::size_t start = pos_;
+    if (c == '-' || c == '+') {
+        ++pos_;
+        if (pos_ < text_.size() && text_[pos_] == 'I')
+            return nonFinite(c == '-');
     }
-
-    JsonValue
-    parseNull()
-    {
-        if (text_.compare(pos_, 4, "null") != 0)
-            fail("bad literal");
-        pos_ += 4;
-        return JsonValue();
-    }
-
-    /** JSON5-style non-finite literals (written by the serializer). */
-    JsonValue
-    parseNonFinite(bool negative)
-    {
-        JsonValue v;
-        v.kind_ = JsonValue::Kind::Number;
-        if (text_.compare(pos_, 8, "Infinity") == 0) {
-            pos_ += 8;
-            v.number_ = negative
-                ? -std::numeric_limits<double>::infinity()
-                : std::numeric_limits<double>::infinity();
-        } else if (!negative && text_.compare(pos_, 3, "NaN") == 0) {
-            pos_ += 3;
-            v.number_ = std::numeric_limits<double>::quiet_NaN();
-        } else {
-            fail("bad literal");
-        }
-        return v;
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        std::size_t start = pos_;
-        if (pos_ < text_.size() &&
-            (text_[pos_] == '-' || text_[pos_] == '+')) {
-            ++pos_;
-            if (pos_ < text_.size() && text_[pos_] == 'I')
-                return parseNonFinite(text_[start] == '-');
-        }
-        bool sawDigit = false;
-        while (pos_ < text_.size() &&
-               (std::isdigit((unsigned char)text_[pos_]) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '-' ||
-                text_[pos_] == '+')) {
-            sawDigit = sawDigit ||
-                std::isdigit((unsigned char)text_[pos_]);
-            ++pos_;
-        }
-        if (!sawDigit) {
-            pos_ = start;
-            fail("expected a value");
-        }
-        JsonValue v;
-        v.kind_ = JsonValue::Kind::Number;
-        // Locale-independent counterpart of formatNumber (strtod
-        // would expect a ',' decimal point under some locales).
-        // from_chars rejects a leading '+', which the scanner allows.
-        std::size_t first = start;
-        if (text_[first] == '+')
-            ++first;
+    // The token is the run of digit, '.', 'e', 'E' and sign characters
+    // here. Locale-independent from_chars (strtod would expect a ','
+    // decimal point under some locales) parses a prefix of it; it
+    // rejects a leading '+', which the scanner allows. Starting from a
+    // digit or '.', from_chars only reads token characters, so it runs
+    // straight on the text and the scan below finds the token's end.
+    std::size_t first = c == '+' ? start + 1 : start;
+    std::size_t mantissa =
+        first < text_.size() && text_[first] == '-' ? first + 1 : first;
+    char lead = mantissa < text_.size() ? text_[mantissa] : '\0';
+    double value = 0.0;
+    std::errc error = std::errc::invalid_argument;
+    if ((lead >= '0' && lead <= '9') || lead == '.') {
         auto r = std::from_chars(text_.data() + first,
-                                 text_.data() + pos_, v.number_);
-        if (r.ec != std::errc()) {
-            pos_ = start;
-            fail("bad number");
-        }
-        return v;
+                                 text_.data() + text_.size(), value);
+        error = r.ec;
+        if (error == std::errc())
+            pos_ = (std::size_t)(r.ptr - text_.data());
     }
+    bool sawDigit = error == std::errc();
+    while (pos_ < text_.size()) {
+        char d = text_[pos_];
+        if (d >= '0' && d <= '9')
+            sawDigit = true;
+        else if (d != '.' && d != 'e' && d != 'E' && d != '-' && d != '+')
+            break;
+        ++pos_;
+    }
+    if (!sawDigit)
+        failAt(start, "expected a value");
+    if (error != std::errc())
+        failAt(start, "bad number");
+    return value;
+}
 
-    const std::string &text_;
-    std::size_t pos_ = 0;
-    bool lenient_ = false;
-    std::string source_;
-};
+std::string_view
+JsonReader::string()
+{
+    expect('"');
+    // Most strings hold no escape: return them as a view of the text.
+    std::size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' &&
+           text_[pos_] != '\\')
+        ++pos_;
+    if (pos_ < text_.size() && text_[pos_] == '"')
+        return text_.substr(start, pos_++ - start);
+    unescaped_.assign(text_.data() + start, pos_ - start);
+    while (true) {
+        if (pos_ >= text_.size())
+            fail("unterminated string");
+        char c = text_[pos_++];
+        if (c == '"')
+            break;
+        if (c != '\\') {
+            unescaped_ += c;
+            continue;
+        }
+        if (pos_ >= text_.size())
+            fail("dangling escape");
+        switch (text_[pos_++]) {
+          case '"':  unescaped_ += '"'; break;
+          case '\\': unescaped_ += '\\'; break;
+          case '/':  unescaped_ += '/'; break;
+          case 'n':  unescaped_ += '\n'; break;
+          case 't':  unescaped_ += '\t'; break;
+          case 'r':  unescaped_ += '\r'; break;
+          case 'b':  unescaped_ += '\b'; break;
+          case 'f':  unescaped_ += '\f'; break;
+          case 'u':  appendCodePoint(unescaped_); break;
+          default:   fail("unsupported escape sequence");
+        }
+    }
+    return unescaped_;
+}
+
+/** The four hex digits of a \u escape, `pos_` just past the 'u'. */
+unsigned
+JsonReader::hex4()
+{
+    if (text_.size() - pos_ < 4)
+        fail("truncated \\u escape");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+        char c = text_[pos_];
+        unsigned digit = 0;
+        if (c >= '0' && c <= '9')
+            digit = (unsigned)(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            digit = (unsigned)(c - 'a' + 10);
+        else if (c >= 'A' && c <= 'F')
+            digit = (unsigned)(c - 'A' + 10);
+        else
+            fail("bad hex digit in \\u escape");
+        code = code * 16 + digit;
+        ++pos_;
+    }
+    return code;
+}
+
+/** Decode one \u escape (a surrogate pair takes two) and append the
+ *  code point as UTF-8. A lone surrogate fails at its offset. */
+void
+JsonReader::appendCodePoint(std::string &out)
+{
+    std::size_t escape = pos_ - 2;
+    unsigned code = hex4();
+    if (code >= 0xDC00 && code <= 0xDFFF)
+        failAt(escape, "lone low surrogate in \\u escape");
+    if (code >= 0xD800 && code <= 0xDBFF) {
+        if (text_.substr(pos_, 2) != "\\u")
+            failAt(escape, "lone high surrogate in \\u escape");
+        pos_ += 2;
+        unsigned low = hex4();
+        if (low < 0xDC00 || low > 0xDFFF)
+            failAt(escape, "lone high surrogate in \\u escape");
+        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+    }
+    if (code < 0x80) {
+        out += (char)code;
+    } else if (code < 0x800) {
+        out += (char)(0xC0 | (code >> 6));
+        out += (char)(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+        out += (char)(0xE0 | (code >> 12));
+        out += (char)(0x80 | ((code >> 6) & 0x3F));
+        out += (char)(0x80 | (code & 0x3F));
+    } else {
+        out += (char)(0xF0 | (code >> 18));
+        out += (char)(0x80 | ((code >> 12) & 0x3F));
+        out += (char)(0x80 | ((code >> 6) & 0x3F));
+        out += (char)(0x80 | (code & 0x3F));
+    }
+}
+
+void
+JsonReader::end()
+{
+    skipWhitespace();
+    if (pos_ < text_.size())
+        fail("trailing content after document");
+}
+
+/**
+ * Keeps its own stack of open containers, so nesting depth is bounded
+ * by memory, not the call stack. A repeated member name fails once its
+ * value has been read, and anything after the value fails too.
+ */
+JsonValue
+JsonValue::read(JsonReader &reader)
+{
+    struct Open
+    {
+        JsonValue container;
+        std::string key; ///< the member its next value fills
+    };
+    std::vector<Open> open;
+    while (true) {
+        // Start the value at the reader's position: a scalar is whole
+        // at once, a container opens.
+        JsonValue value;
+        bool whole = true;
+        switch (reader.peek()) {
+          case Kind::Object:
+            reader.beginObject();
+            open.emplace_back();
+            open.back().container.kind_ = Kind::Object;
+            whole = false;
+            break;
+          case Kind::Array:
+            reader.beginArray();
+            open.emplace_back();
+            open.back().container.kind_ = Kind::Array;
+            whole = false;
+            break;
+          case Kind::String:
+            value.kind_ = Kind::String;
+            value.string_ = reader.string();
+            break;
+          case Kind::Bool:
+            value.kind_ = Kind::Bool;
+            value.bool_ = reader.boolean();
+            break;
+          case Kind::Null:
+            reader.null();
+            break;
+          case Kind::Number:
+            value.kind_ = Kind::Number;
+            value.number_ = reader.number();
+            break;
+        }
+        // File each whole value into its container, and every
+        // container that closes behind it, until one has another
+        // member or element to read.
+        while (true) {
+            if (whole) {
+                if (open.empty()) {
+                    reader.end();
+                    return value;
+                }
+                Open &parent = open.back();
+                JsonValue &container = parent.container;
+                if (container.kind_ == Kind::Array) {
+                    container.array_.push_back(std::move(value));
+                } else if (container.object_
+                               .try_emplace(parent.key, std::move(value))
+                               .second) {
+                    container.memberOrder_.push_back(parent.key);
+                } else {
+                    reader.fail("duplicate member '" + parent.key + "'");
+                }
+            }
+            Open &top = open.back();
+            std::string_view name;
+            bool more = top.container.kind_ == Kind::Array
+                ? reader.nextElement()
+                : reader.nextMember(name);
+            if (more) {
+                top.key.assign(name);
+                break;
+            }
+            value = std::move(top.container);
+            open.pop_back();
+            whole = true;
+        }
+    }
+}
 
 JsonValue
 JsonValue::parse(const std::string &text)
 {
-    JsonParser parser(text);
-    return parser.parseDocument();
+    JsonReader reader(text);
+    return read(reader);
 }
 
 bool
 JsonValue::tryParse(const std::string &text, JsonValue &out)
 {
-    JsonParser parser(text, /*lenient=*/true);
-    try {
-        out = parser.parseDocument();
-        return true;
-    } catch (const JsonParseAbort &) {
+    JsonValue value;
+    if (!JsonReader::tryRead(text, [&](JsonReader &r) { value = read(r); }))
         return false;
-    }
+    out = std::move(value);
+    return true;
 }
 
 JsonValue
 JsonValue::parseFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
+    std::string text;
+    if (!readFile(path, text))
         fatal("cannot open config file '", path, "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string text = buffer.str();
-    return JsonParser(text, false, path).parseDocument();
+    JsonReader reader(text, path);
+    return read(reader);
+}
+
+bool
+readFile(const std::string &path, std::string &out)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    out.clear();
+    // Sized up front for a regular file; a pipe, which has no size,
+    // grows as it is read.
+    std::error_code ec;
+    std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (!ec)
+        out.reserve((std::size_t)size);
+    char chunk[1 << 16];
+    while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0)
+        out.append(chunk, (std::size_t)in.gcount());
+    return !in.bad();
 }
 
 } // namespace nvmexp

@@ -1,22 +1,25 @@
 /**
  * @file
- * Minimal JSON parser, DOM, and streaming writer for the configuration
- * front-end and the result store.
+ * JSON for the configuration front-end and the result store: one pull
+ * reader, one streaming writer, and a small DOM built on the reader.
  *
- * Supports the full JSON value grammar (objects, arrays, strings with
- * every escape including \uXXXX and surrogate pairs, numbers,
- * booleans, null) plus `//` line comments, which configuration files
- * are allowed to use, and the JSON5-style literals `Infinity`,
- * `-Infinity`, and `NaN` so serialized metrics (e.g. unlimited
- * lifetimes) survive a round trip. Errors are reported with
- * line/column context via fatal().
+ * Reading: JsonReader is the one grammar. It accepts the full JSON
+ * value grammar (objects, arrays, strings with every escape including
+ * \uXXXX and surrogate pairs, numbers, booleans, null) plus `//` line
+ * comments, which configuration files are allowed to use, and the
+ * JSON5-style literals `Infinity`, `-Infinity`, and `NaN` so
+ * serialized metrics (e.g. unlimited lifetimes) survive a round trip.
+ * Errors are reported with line/column context via fatal(), or, for
+ * input that may be corrupt, thrown for the caller to skip. The
+ * JsonValue DOM (configs, queries) is parsed through a JsonReader; the
+ * result store decodes its records straight from one, with no DOM.
  *
  * Writing: JsonWriter is the one emitter. Result artifacts stream
- * straight through it; the JsonValue DOM (configs, queries, parsed
- * documents) dumps through it too. Doubles print in exact round-trip
- * form (shortest decimal that parses back bit-identically), so
- * serialize -> parse -> serialize is byte-stable — the property the
- * result store's resume and golden-file tiers rely on.
+ * straight through it; the JsonValue DOM dumps through it too.
+ * Doubles print in exact round-trip form (shortest decimal that
+ * parses back bit-identically), so serialize -> parse -> serialize is
+ * byte-stable — the property the result store's resume and
+ * golden-file tiers rely on.
  */
 
 #ifndef NVMEXP_UTIL_JSON_HH
@@ -30,6 +33,8 @@
 #include <vector>
 
 namespace nvmexp {
+
+class JsonReader;
 
 /** A JSON value: parsed from text or built with the make* helpers. */
 class JsonValue
@@ -81,9 +86,9 @@ class JsonValue
     /** Parse a JSON document; fatal() with position on bad input. */
     static JsonValue parse(const std::string &text);
 
-    /** Non-fatal parse for artifacts that may be corrupt (cache
-     *  entries, checkpoint journals): @return true and fill `out` on
-     *  success, false on any syntax error. */
+    /** Non-fatal parse for documents that may be corrupt: @return
+     *  true and fill `out` on success, false (leaving `out` alone) on
+     *  any syntax error. */
     static bool tryParse(const std::string &text, JsonValue &out);
 
     /** Parse the contents of a file; a parse error names `path`. */
@@ -122,7 +127,9 @@ class JsonValue
     static bool parseNumber(const std::string &text, double &out);
 
   private:
-    friend class JsonParser;
+    /** The DOM builder behind parse(): the document at the reader,
+     *  one value and nothing after it. */
+    static JsonValue read(JsonReader &reader);
 
     Kind kind_ = Kind::Null;
     bool bool_ = false;
@@ -131,6 +138,131 @@ class JsonValue
     std::vector<JsonValue> array_;
     std::map<std::string, JsonValue> object_;
     std::vector<std::string> memberOrder_;
+};
+
+/**
+ * Pull reader over one JSON document in memory: the one JSON grammar
+ * (see the file comment). JsonValue::parse() builds its DOM through
+ * one; the result store decodes records straight into structs.
+ *
+ * Callers walk the document in order, as JsonWriter's callers write
+ * it: peek() names the kind of the next value, a typed call consumes
+ * it, beginObject()/nextMember() and beginArray()/nextElement() walk
+ * containers, and end() requires that nothing but whitespace follows.
+ * The reader does not track nesting; it checks that each token is the
+ * one its caller asks for. Repeated member names are for an object's
+ * consumer to reject: the DOM by its map, record decoders by their
+ * field tables.
+ *
+ * Failures are positioned at "line L column C". A reader calls fatal()
+ * ("JSON parse error in 'SOURCE' at line L column C: what"); the
+ * lenient one tryRead() runs throws Abort instead, for callers that
+ * skip corrupt input.
+ */
+class JsonReader
+{
+  public:
+    /** What the lenient reader of tryRead() throws on any failure. */
+    struct Abort
+    {
+    };
+
+    /** A strict reader; `source` (e.g. a file path) names the document
+     *  in diagnostics. Both views must outlive the reader. */
+    explicit JsonReader(std::string_view text, std::string_view source = {})
+        : text_(text), source_(source)
+    {
+    }
+
+    /**
+     * Kind of the next value, after whitespace and comments: Object,
+     * Array, String, Bool, Null by its first character, and Number for
+     * anything else (number() then rejects what is not one). fail()s at
+     * the end of input.
+     */
+    JsonValue::Kind peek();
+
+    /** Enter an object; the next call must be nextMember(). */
+    void beginObject();
+    /** Advance to the innermost object's next member: true with its
+     *  name in `name` (valid until the next call) and the reader at its
+     *  value, false once the closing brace is consumed. */
+    bool nextMember(std::string_view &name);
+
+    /** Enter an array; the next call must be nextElement(). */
+    void beginArray();
+    /** True with the reader at the innermost array's next element,
+     *  false once the closing bracket is consumed. */
+    bool nextElement();
+
+    /** Scalars; each fail()s unless the next value is one. */
+    double number();
+    bool boolean();
+    void null();
+    /** A string value, unescaped; valid until the next call. */
+    std::string_view string();
+
+    /** Require that only whitespace and comments remain. */
+    void end();
+
+    /** Bytes consumed so far, and the document's size. */
+    std::size_t offset() const { return pos_; }
+    std::size_t size() const { return text_.size(); }
+
+    /** Fail at the current position on malformed text. */
+    [[noreturn]] void fail(std::string_view what) const;
+    /** Fail at the current position on a well-formed document that is
+     *  not what the caller reads ("'SOURCE' at line L column C: what"). */
+    [[noreturn]] void reject(std::string_view what) const;
+
+    /**
+     * Run `read` on a lenient reader over `text`, then end(): true when
+     * nothing failed. For input that may be torn or edited (cache
+     * entries, journal lines), which the caller skips on false.
+     */
+    template <typename Read>
+    static bool
+    tryRead(std::string_view text, Read &&read)
+    {
+        JsonReader reader(text);
+        reader.lenient_ = true;
+        try {
+            read(reader);
+            reader.end();
+            return true;
+        } catch (const Abort &) {
+            return false;
+        }
+    }
+
+  private:
+    [[noreturn]] void failAt(std::size_t offset, std::string_view what,
+                             bool syntax = true) const;
+    void skipWhitespace();
+    /** The next character after whitespace; fail()s at end of input. */
+    char
+    next()
+    {
+        // Inline fast path: the reader already stands on a token.
+        if (pos_ < text_.size() && (unsigned char)text_[pos_] > ' ' &&
+            text_[pos_] != '/')
+            return text_[pos_];
+        return skipToNext();
+    }
+    char skipToNext();
+    void expect(char c);
+    /** Consume `literal` at the current position or fail. */
+    void literal(std::string_view word);
+    double nonFinite(bool negative);
+    unsigned hex4();
+    void appendCodePoint(std::string &out);
+
+    std::string_view text_;
+    std::string_view source_;
+    bool lenient_ = false;
+    std::size_t pos_ = 0;
+    bool afterOpen_ = false; ///< a container was just entered
+    std::string unescaped_;  ///< string()'s storage for escaped text
 };
 
 /**
@@ -206,6 +338,9 @@ class JsonWriter
  * or the rename fails; the temporary is removed first.
  */
 void writeFileAtomically(const std::string &path, std::string_view bytes);
+
+/** Read all of `path` into `out`; false when it cannot be read. */
+bool readFile(const std::string &path, std::string &out);
 
 /** 2^53: a double holds every whole number up to here exactly. */
 constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;

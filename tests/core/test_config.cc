@@ -1,10 +1,16 @@
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <thread>
 
 #include "../support/fixtures.hh"
 #include "core/config.hh"
 #include "core/parallel_sweep.hh"
+#include "store/result_store.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -150,6 +156,27 @@ TEST_F(ConfigTest, ShippedConfigFilesLoad)
                     !config.sweep.workloads.empty())
             << path;
     }
+}
+
+/** A config can come from a pipe (`nvmexplorer_cli <(gen-config)`):
+ *  a file with no size is read to its end, not refused. */
+TEST_F(ConfigTest, ConfigFileCanBeAPipe)
+{
+    std::string shipped =
+        std::string(NVMEXP_SOURCE_DIR) + "/config/main_dnn_study.json";
+    std::string fifo = ::testing::TempDir() + "nvmexp_config_fifo";
+    std::filesystem::remove(fifo);
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    std::thread writer([&] {
+        std::ofstream(fifo) << std::ifstream(shipped).rdbuf();
+    });
+    ExperimentConfig piped = loadExperimentFile(fifo);
+    writer.join();
+    ExperimentConfig file = loadExperimentFile(shipped);
+    EXPECT_EQ(piped.sweep.cells.size(), file.sweep.cells.size());
+    EXPECT_EQ(store::sweepFingerprint(piped.sweep),
+              store::sweepFingerprint(file.sweep));
+    std::filesystem::remove(fifo);
 }
 
 TEST_F(ConfigTest, WorkloadKeysThreadThroughToTheSweep)

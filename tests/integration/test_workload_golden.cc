@@ -109,8 +109,8 @@ TEST_F(WorkloadGolden, WorkloadSweepSurvivesStoreRoundTrip)
     // expanded patterns flow through the same serialization the
     // explicit-traffic path uses.
     auto results = runSweep(workloadReferenceSweep());
-    auto decoded = store::evalResultsFromJson(
-        JsonValue::parse(store::serializeResults(results)));
+    std::vector<EvalResult> decoded;
+    store::readJson(store::serializeResults(results), "", decoded);
     ASSERT_EQ(decoded.size(), results.size());
     for (std::size_t i = 0; i < results.size(); ++i)
         EXPECT_TRUE(store::identical(results[i], decoded[i])) << i;

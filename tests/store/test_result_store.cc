@@ -173,6 +173,194 @@ TEST_F(ResultStoreTest, CorruptCacheEntryDegradesToMiss)
     EXPECT_EQ(runner.lastStoreStats().cacheMisses, 0u);
 }
 
+/** `text` with every occurrence of `from` replaced by `to`. */
+std::string
+replaceAll(std::string text, const std::string &from, const std::string &to)
+{
+    for (std::size_t at = text.find(from); at != std::string::npos;
+         at = text.find(from, at + to.size()))
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+/** A cache entry that is still well-formed JSON but not the record a
+ *  store writes — a renamed member, a wrong kind, an integer that is
+ *  not whole, an unknown enum name — is a miss like a torn one: the
+ *  next sweep recomputes and overwrites it instead of dying. */
+TEST_F(ResultStoreTest, EditedCacheEntryThatStillParsesDegradesToMiss)
+{
+    SweepConfig config = smallSweep();
+    config.outDir = storeDir("edited");
+    runSweep(config);
+    std::string golden = readFile(config.outDir + "/results.json");
+
+    // Any entry holding an array (not a cached negative).
+    std::string victim;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             config.outDir + "/cache")) {
+        if (readFile(entry.path().string()).find("\"array\"") !=
+            std::string::npos)
+            victim = entry.path().string();
+    }
+    ASSERT_FALSE(victim.empty());
+    const std::string original = readFile(victim);
+
+    const std::pair<std::string, std::string> edits[] = {
+        {"\"read_latency\":", "\"read_latencx\":"},
+        {"\"read_latency\":", "\"read_latency\":\"fast\",\"x\":"},
+        {"\"banks\":", "\"banks\":2.5,\"b\":"},
+        {"\"banks\":", "\"banks\":1e300,\"b\":"},
+        {"\"rows\":", "\"rows\":-1,\"r\":"},
+        {"\"tech\":\"", "\"tech\":\"Unobtainium"},
+        {"\"mlc_capable\":", "\"mlc_capable\":0,\"m\":"},
+    };
+    for (const auto &[from, to] : edits) {
+        SCOPED_TRACE(to);
+        std::string edited = replaceAll(original, from, to);
+        ASSERT_NE(edited, original);
+        std::ofstream(victim, std::ios::trunc) << edited;
+
+        config.resume = false;
+        auto results = runSweep(config);
+        EXPECT_EQ(store::loadStats(config.outDir).cacheMisses, 1u);
+        EXPECT_EQ(readFile(victim), original);  // recomputed, rewritten
+        EXPECT_EQ(readFile(config.outDir + "/results.json"), golden);
+    }
+}
+
+/** Journal numbers are checked as doubles before any cast: a slot that
+ *  is not a whole number makes its line torn (skipped, recomputed on
+ *  resume), and a header whose format or slot count is not one is not
+ *  ok. Before the check, 1e300 cast to slot 0 and 2.5 to slot 2. */
+TEST_F(ResultStoreTest, JournalNumbersThatAreNotWholeAreTorn)
+{
+    SweepConfig config = smallSweep();
+    config.outDir = storeDir("journal_numbers");
+    runSweep(config);
+    std::string journal = config.outDir + "/checkpoint.jsonl";
+    const auto lines = readLines(journal);
+    ASSERT_EQ(lines.size(), 1u + 8u);
+    // Workers journal in completion order: find slot 0's line.
+    const std::string slotZero = "{\"slot\":0,";
+    std::size_t victim = 1;
+    while (victim < lines.size() && lines[victim].rfind(slotZero, 0) != 0)
+        ++victim;
+    ASSERT_LT(victim, lines.size());
+
+    for (const char *slot : {"1e300", "2.5", "-1", "NaN", "Infinity",
+                             "-Infinity", "\"0\""}) {
+        SCOPED_TRACE(slot);
+        auto edited = lines;
+        edited[victim] = "{\"slot\":" + std::string(slot) + "," +
+            lines[victim].substr(slotZero.size());
+        writeLines(journal, edited);
+        store::CheckpointScan scan = store::scanCheckpoint(config.outDir);
+        ASSERT_TRUE(scan.headerOk);
+        EXPECT_EQ(scan.entries.size(), 7u);
+        for (const auto &entry : scan.entries)
+            EXPECT_NE(entry.slot, 0u);
+    }
+
+    const std::string header = lines[0];
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"\"slots\":8", "\"slots\":1e300"},
+             {"\"slots\":8", "\"slots\":8.5"},
+             {"\"slots\":8", "\"slots\":-8"},
+             {"\"format\":2", "\"format\":2.5"},
+             {"\"format\":2", "\"format\":1e300"},
+             {"\"format\":2", "\"format\":NaN"}}) {
+        SCOPED_TRACE(to);
+        auto edited = lines;
+        edited[0] = replaceAll(header, from, to);
+        ASSERT_NE(edited[0], header);
+        writeLines(journal, edited);
+        store::CheckpointScan scan = store::scanCheckpoint(config.outDir);
+        EXPECT_TRUE(scan.headerParsed);
+        EXPECT_FALSE(scan.headerOk);
+        EXPECT_TRUE(scan.entries.empty());
+    }
+
+    // Resume recomputes exactly the slot whose line was refused.
+    std::string golden = readFile(config.outDir + "/results.json");
+    auto edited = lines;
+    edited[victim] = replaceAll(lines[victim], slotZero, "{\"slot\":1e300,");
+    writeLines(journal, edited);
+    config.resume = true;
+    runSweep(config);
+    store::StoreStats stats = store::loadStats(config.outDir);
+    EXPECT_EQ(stats.checkpointLoaded, 7u);
+    EXPECT_EQ(stats.checkpointComputed, 1u);
+    EXPECT_EQ(readFile(config.outDir + "/results.json"), golden);
+}
+
+/** The message a fatal() under ScopedFatalThrows carries, or "". */
+template <typename Fn>
+std::string
+fatalMessage(Fn &&fn)
+{
+    ScopedFatalThrows guard;
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** results.json and stats.json integers are checked before the cast
+ *  too; a bad one is fatal, naming the file, the key and the value. */
+TEST_F(ResultStoreTest, ArtifactIntegersThatAreNotWholeAreFatalByName)
+{
+    SweepConfig config = smallSweep();
+    config.outDir = storeDir("artifact_numbers");
+    runSweep(config);
+    const std::string resultsPath = config.outDir + "/results.json";
+    const std::string statsPath = config.outDir + "/stats.json";
+    const std::string results = readFile(resultsPath);
+    const std::string stats = readFile(statsPath);
+
+    struct Edit
+    {
+        std::string path, key, value;
+    };
+    const Edit edits[] = {
+        {resultsPath, "bits_per_cell", "2.5"},
+        {resultsPath, "node_nm", "1e300"},
+        {resultsPath, "word_bits", "-1"},
+        {resultsPath, "sensed_bits", "NaN"},
+        {resultsPath, "format", "2.5"},
+        {statsPath, "cache_hits", "1e300"},
+        {statsPath, "checkpoint_computed", "2.5"},
+        {statsPath, "format", "Infinity"},
+    };
+    for (const auto &edit : edits) {
+        SCOPED_TRACE(edit.key + " = " + edit.value);
+        const std::string &text = edit.path == resultsPath ? results : stats;
+        std::string needle = "\"" + edit.key + "\": ";
+        std::size_t at = text.find(needle);
+        ASSERT_NE(at, std::string::npos);
+        at += needle.size();
+        std::string edited = text.substr(0, at) + edit.value +
+            text.substr(text.find_first_of(",\n", at));
+        std::ofstream(edit.path, std::ios::trunc) << edited;
+
+        std::string error = fatalMessage([&] {
+            store::loadResults(config.outDir);
+            store::loadStats(config.outDir);
+        });
+        EXPECT_NE(error.find(edit.path), std::string::npos) << error;
+        EXPECT_NE(error.find("\"" + edit.key + "\""), std::string::npos)
+            << error;
+        std::ofstream(edit.path, std::ios::trunc) << text;
+    }
+    EXPECT_EQ(fatalMessage([&] {
+                  store::loadResults(config.outDir);
+                  store::loadStats(config.outDir);
+              }),
+              "");
+}
+
 TEST_F(ResultStoreTest, RunSweepPersistsLoadableResults)
 {
     SweepConfig config = smallSweep();

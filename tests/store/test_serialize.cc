@@ -1,17 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cfloat>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
-#include <limits>
 #include <vector>
 
 #include "../support/golden_compare.hh"
+#include "../support/random_results.hh"
 #include "celldb/tentpole.hh"
 #include "store/result_store.hh"
 #include "util/random.hh"
@@ -19,108 +15,11 @@
 namespace nvmexp {
 namespace {
 
-/** One record through store::writeJson (compact by default). */
-template <typename Record>
-std::string
-encode(const Record &record, int indent = -1)
-{
-    std::string out;
-    JsonWriter w(out, indent);
-    store::writeJson(w, record);
-    return out;
-}
-
-/** Doubles spanning the magnitudes the models produce, plus the
- *  awkward ones (negatives, subnormals, infinities, long fractions). */
-double
-randomDouble(Rng &rng)
-{
-    switch (rng.range(8)) {
-      case 0: return 0.0;
-      case 1: return std::numeric_limits<double>::infinity();
-      case 2: return rng.uniform();                        // [0, 1)
-      case 3: return rng.gaussian() * 1e-12;               // ~energies
-      case 4: return rng.gaussian() * 1e9;                 // ~rates
-      case 5: return -rng.uniform() * 1e3;
-      case 6: return rng.uniform() * 5e-324 * 1e4;         // subnormal-ish
-      default: return rng.uniform() * std::pow(10.0, (double)rng.range(40) - 20.0);
-    }
-}
-
-MemCell
-randomCell(Rng &rng)
-{
-    MemCell cell;
-    cell.name = "cell-" + std::to_string(rng.range(1000000));
-    cell.tech = (CellTech)rng.range((std::uint64_t)CellTech::NumTech);
-    cell.flavor = (CellFlavor)rng.range(4);
-    cell.senseMode = (SenseMode)rng.range(4);
-    cell.bitsPerCell = 1 + (int)rng.range(2);
-    cell.areaF2 = randomDouble(rng);
-    cell.aspectRatio = randomDouble(rng);
-    cell.readVoltage = randomDouble(rng);
-    cell.writeVoltage = randomDouble(rng);
-    cell.resistanceOn = randomDouble(rng);
-    cell.resistanceOff = randomDouble(rng);
-    cell.setPulse = randomDouble(rng);
-    cell.resetPulse = randomDouble(rng);
-    cell.setCurrent = randomDouble(rng);
-    cell.resetCurrent = randomDouble(rng);
-    cell.readEnergyPerBit = randomDouble(rng);
-    cell.endurance = randomDouble(rng);
-    cell.retention = randomDouble(rng);
-    cell.nonVolatile = rng.bernoulli(0.5);
-    cell.cellLeakage = randomDouble(rng);
-    cell.minNodeNm = 1 + (int)rng.range(90);
-    cell.mlcCapable = rng.bernoulli(0.5);
-    return cell;
-}
-
-EvalResult
-randomEvalResult(Rng &rng)
-{
-    EvalResult r;
-    r.array.cell = randomCell(rng);
-    r.array.nodeNm = 1 + (int)rng.range(90);
-    r.array.capacityBytes = randomDouble(rng);
-    r.array.wordBits = 1 + (int)rng.range(1024);
-    r.array.org.banks = 1 + (int)rng.range(16);
-    r.array.org.subarraysPerBank = 1 + (int)rng.range(64);
-    r.array.org.subarray.rows = 1 << rng.range(12);
-    r.array.org.subarray.cols = 1 << rng.range(12);
-    r.array.org.subarray.sensedBits = 1 + (int)rng.range(512);
-    r.array.readLatency = randomDouble(rng);
-    r.array.writeLatency = randomDouble(rng);
-    r.array.readEnergy = randomDouble(rng);
-    r.array.writeEnergy = randomDouble(rng);
-    r.array.leakage = randomDouble(rng);
-    r.array.areaM2 = randomDouble(rng);
-    r.array.areaEfficiency = randomDouble(rng);
-    r.array.readBandwidth = randomDouble(rng);
-    r.array.writeBandwidth = randomDouble(rng);
-    r.traffic.name = "traffic,with \"quotes\"\n" +
-        std::to_string(rng.range(1000));
-    r.traffic.readsPerSec = randomDouble(rng);
-    r.traffic.writesPerSec = randomDouble(rng);
-    r.traffic.execTime = randomDouble(rng);
-    r.dynamicPower = randomDouble(rng);
-    r.leakagePower = randomDouble(rng);
-    r.totalPower = randomDouble(rng);
-    r.latencyLoad = randomDouble(rng);
-    r.slowdown = randomDouble(rng);
-    r.totalAccessLatency = randomDouble(rng);
-    r.meetsReadBandwidth = rng.bernoulli(0.5);
-    r.meetsWriteBandwidth = rng.bernoulli(0.5);
-    r.lifetimeSec = randomDouble(rng);
-    r.reliability.scheme = "scheme-" + std::to_string(rng.range(100));
-    r.reliability.scrubIntervalSec = randomDouble(rng);
-    r.reliability.rawBer = randomDouble(rng);
-    r.reliability.scrubbedBer = randomDouble(rng);
-    r.reliability.uncorrectableWordRate = randomDouble(rng);
-    r.reliability.uncorrectableImageRate = randomDouble(rng);
-    r.reliability.eccOverhead = randomDouble(rng);
-    return r;
-}
+using testsupport::decode;
+using testsupport::edgeEvalResult;
+using testsupport::encode;
+using testsupport::expectBitIdentical;
+using testsupport::randomEvalResult;
 
 /** Property: deserialize(serialize(r)) == r, exactly, for randomized
  *  EvalResults (including non-finite metrics and hostile strings). */
@@ -129,8 +28,7 @@ TEST(StoreSerialize, RandomizedEvalResultRoundTripsExactly)
     Rng rng(20260729);
     for (int trial = 0; trial < 200; ++trial) {
         EvalResult original = randomEvalResult(rng);
-        EvalResult restored = store::evalResultFromJson(
-            JsonValue::parse(encode(original)));
+        EvalResult restored = decode<EvalResult>(encode(original));
 
         EXPECT_TRUE(store::identical(original, restored)) << trial;
         // Spot-check bitwise equality on representative fields (the
@@ -167,8 +65,7 @@ TEST(StoreSerialize, SerializationIsByteStable)
     for (int trial = 0; trial < 100; ++trial) {
         EvalResult original = randomEvalResult(rng);
         std::string once = encode(original, 2);
-        EvalResult restored =
-            store::evalResultFromJson(JsonValue::parse(once));
+        EvalResult restored = decode<EvalResult>(once);
         EXPECT_EQ(once, encode(restored, 2)) << trial;
         EXPECT_EQ(encode(original), encode(restored));
     }
@@ -182,8 +79,7 @@ TEST(StoreSerialize, RealCharacterizedArrayRoundTrips)
     ArrayDesigner designer(catalog.optimistic(CellTech::STT), config);
     ArrayResult array = designer.optimize(OptTarget::ReadEDP);
 
-    ArrayResult restored = store::arrayResultFromJson(
-        JsonValue::parse(encode(array, 2)));
+    ArrayResult restored = decode<ArrayResult>(encode(array, 2));
     EXPECT_TRUE(store::identical(array, restored));
     EXPECT_EQ(array.readLatency, restored.readLatency);
     EXPECT_EQ(array.areaM2, restored.areaM2);
@@ -196,133 +92,12 @@ TEST(StoreSerialize, ResultVectorRoundTripsWithFormatTag)
                                        randomEvalResult(rng)};
     JsonValue doc = JsonValue::parse(encode(results, 2));
     EXPECT_EQ((int)doc.at("format").asNumber(), store::kFormatVersion);
-    auto restored = store::evalResultsFromJson(doc);
+    auto restored = decode<std::vector<EvalResult>>(encode(results, 2));
     ASSERT_EQ(restored.size(), results.size());
     for (std::size_t i = 0; i < results.size(); ++i)
         EXPECT_TRUE(store::identical(results[i], restored[i]));
 }
 
-/** Doubles at the edges of the number formatter: the non-finite
- *  literals, signed zero, the extremes and subnormals, exact integers
- *  where the shortest form switches to an exponent, and (half the
- *  time) an arbitrary non-NaN bit pattern. */
-double
-edgeDouble(Rng &rng)
-{
-    static const double specials[] = {
-        std::numeric_limits<double>::quiet_NaN(),
-        std::numeric_limits<double>::infinity(),
-        -std::numeric_limits<double>::infinity(),
-        0.0, -0.0, DBL_MAX, -DBL_MAX, DBL_MIN, DBL_TRUE_MIN,
-        -DBL_TRUE_MIN, DBL_TRUE_MIN * 4097.0, DBL_EPSILON, 1e21, 1e22,
-        9007199254740993.0, 0.1, 1.0 / 3.0, 146.0,
-    };
-    if (rng.bernoulli(0.5))
-        return specials[rng.range(std::size(specials))];
-    std::uint64_t bits = rng();
-    double value = 0.0;
-    std::memcpy(&value, &bits, sizeof value);
-    return std::isnan(value) ? -0.0 : value;
-}
-
-/** Names heavy with what the escaper must handle: quotes, backslashes,
- *  every control byte (NUL included), DEL, text that looks like an
- *  escape, and 2-, 3- and 4-byte UTF-8. */
-std::string
-edgeName(Rng &rng)
-{
-    static const char *const pieces[] = {
-        "\"", "\\", "/", "\\u0041", ",", "{", "}", "[", "]", ":",
-        " ", "a", "Z", "9", "\x7f", "\xc2\xb5", "\xe2\x82\xac",
-        "\xf0\x9d\x84\x9e",
-    };
-    std::string name;
-    std::size_t length = rng.range(24);
-    for (std::size_t i = 0; i < length; ++i) {
-        if (rng.bernoulli(0.3))
-            name += (char)rng.range(0x20);
-        else
-            name += pieces[rng.range(std::size(pieces))];
-    }
-    return name;
-}
-
-/** Every double field of an EvalResult, in a fixed order. */
-template <typename Result>
-auto
-doubleFields(Result &r)
-{
-    auto &c = r.array.cell;
-    auto &a = r.array;
-    auto &t = r.traffic;
-    auto &rel = r.reliability;
-    return std::vector{
-        &c.areaF2, &c.aspectRatio, &c.readVoltage, &c.writeVoltage,
-        &c.resistanceOn, &c.resistanceOff, &c.setPulse, &c.resetPulse,
-        &c.setCurrent, &c.resetCurrent, &c.readEnergyPerBit,
-        &c.endurance, &c.retention, &c.cellLeakage, &a.capacityBytes,
-        &a.readLatency, &a.writeLatency, &a.readEnergy, &a.writeEnergy,
-        &a.leakage, &a.areaM2, &a.areaEfficiency, &a.readBandwidth,
-        &a.writeBandwidth, &t.readsPerSec, &t.writesPerSec, &t.execTime,
-        &r.dynamicPower, &r.leakagePower, &r.totalPower, &r.latencyLoad,
-        &r.slowdown, &r.totalAccessLatency, &r.lifetimeSec,
-        &rel.scrubIntervalSec, &rel.rawBer, &rel.scrubbedBer,
-        &rel.uncorrectableWordRate, &rel.uncorrectableImageRate,
-        &rel.eccOverhead,
-    };
-}
-
-EvalResult
-edgeEvalResult(Rng &rng)
-{
-    EvalResult r = randomEvalResult(rng);
-    for (double *field : doubleFields(r))
-        *field = edgeDouble(rng);
-    r.array.cell.name = edgeName(rng);
-    r.traffic.name = edgeName(rng);
-    r.reliability.scheme = edgeName(rng);
-    return r;
-}
-
-std::uint64_t
-bitsOf(double value)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof bits);
-    return bits;
-}
-
-/** Field-by-field equality that does not go through the serializer:
- *  doubles compare by bit pattern. */
-void
-expectBitIdentical(const EvalResult &expected, const EvalResult &actual)
-{
-    auto want = doubleFields(expected);
-    auto got = doubleFields(actual);
-    for (std::size_t i = 0; i < want.size(); ++i)
-        EXPECT_EQ(bitsOf(*want[i]), bitsOf(*got[i])) << "double #" << i;
-    const ArrayResult &a = expected.array;
-    const ArrayResult &b = actual.array;
-    EXPECT_EQ(a.cell.name, b.cell.name);
-    EXPECT_EQ(a.cell.tech, b.cell.tech);
-    EXPECT_EQ(a.cell.flavor, b.cell.flavor);
-    EXPECT_EQ(a.cell.senseMode, b.cell.senseMode);
-    EXPECT_EQ(a.cell.bitsPerCell, b.cell.bitsPerCell);
-    EXPECT_EQ(a.cell.nonVolatile, b.cell.nonVolatile);
-    EXPECT_EQ(a.cell.minNodeNm, b.cell.minNodeNm);
-    EXPECT_EQ(a.cell.mlcCapable, b.cell.mlcCapable);
-    EXPECT_EQ(a.nodeNm, b.nodeNm);
-    EXPECT_EQ(a.wordBits, b.wordBits);
-    EXPECT_EQ(a.org.banks, b.org.banks);
-    EXPECT_EQ(a.org.subarraysPerBank, b.org.subarraysPerBank);
-    EXPECT_EQ(a.org.subarray.rows, b.org.subarray.rows);
-    EXPECT_EQ(a.org.subarray.cols, b.org.subarray.cols);
-    EXPECT_EQ(a.org.subarray.sensedBits, b.org.subarray.sensedBits);
-    EXPECT_EQ(expected.traffic.name, actual.traffic.name);
-    EXPECT_EQ(expected.meetsReadBandwidth, actual.meetsReadBandwidth);
-    EXPECT_EQ(expected.meetsWriteBandwidth, actual.meetsWriteBandwidth);
-    EXPECT_EQ(expected.reliability.scheme, actual.reliability.scheme);
-}
 
 /** Raw control bytes other than line breaks: a strict JSON reader
  *  rejects any inside a string, so the writer must leave none. */
@@ -363,7 +138,7 @@ TEST(StoreSerialize, WrittenArtifactsMatchParseThenDump)
         JsonValue doc;
         ASSERT_TRUE(JsonValue::tryParse(text, doc)) << text;
         EXPECT_TRUE(doc.dump(2) + "\n" == text) << text;
-        auto decoded = store::evalResultsFromJson(doc);
+        auto decoded = decode<std::vector<EvalResult>>(text);
         ASSERT_EQ(decoded.size(), results.size());
         for (std::size_t i = 0; i < results.size(); ++i)
             expectBitIdentical(results[i], decoded[i]);
@@ -379,8 +154,8 @@ TEST(StoreSerialize, WrittenArtifactsMatchParseThenDump)
             EXPECT_EQ(controlBytes(line), 0u) << line;
             ASSERT_LT(slot, results.size());
             EXPECT_EQ(entry.at("slot").asNumber(), (double)slot);
-            expectBitIdentical(results[slot], store::evalResultFromJson(
-                                                  entry.at("result")));
+            expectBitIdentical(results[slot],
+                               decode<store::JournalEntry>(line).result);
         }
         EXPECT_EQ(slot, results.size());
     }

@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -115,26 +117,34 @@ TEST(ThreadPoolStress, SubmitFromTaskDuringShutdownStillRuns)
 // Pinned regression for the outside-submit hole: once shutdown has
 // begun, a non-worker thread's submit is either accepted (it won the
 // race, so the drain runs it) or refused with `false` — it is never
-// accepted and then silently dropped.
+// accepted and then silently dropped. The destructor runs on a third
+// thread and is held draining by a latch-blocked task, so the
+// outsider's submit races shutdown while the pool is still alive; the
+// outsider is joined before the latch opens and the pool can go.
 TEST(ThreadPoolStress, OutsideSubmitDuringShutdownAcceptedOrRefused)
 {
     setQuiet(true);  // the refusal path warns by design
     for (int round = 0; round < 50; ++round) {
         std::atomic<bool> ran{false};
         std::atomic<bool> go{false};
+        std::latch drainHeld(1);
         bool accepted = false;
-        std::thread outsider;
-        {
-            ThreadPool pool(2);
-            outsider = std::thread([&] {
-                while (!go.load())
-                    std::this_thread::yield();
-                accepted = pool.submit([&ran] { ran = true; });
-            });
+        auto pool = std::make_unique<ThreadPool>(2);
+        ThreadPool *live = pool.get();
+        ASSERT_TRUE(live->submit([&drainHeld] { drainHeld.wait(); }));
+        std::thread destroyer([&] {
+            while (!go.load())
+                std::this_thread::yield();
+            pool.reset();
+        });
+        std::thread outsider([&] {
             go = true;
-            // Destructor races the outsider's submit.
-        }
+            // Races the destructor's shutdown.
+            accepted = live->submit([&ran] { ran = true; });
+        });
         outsider.join();
+        drainHeld.count_down();
+        destroyer.join();
         EXPECT_EQ(ran.load(), accepted) << "round " << round;
     }
     setQuiet(false);

@@ -210,10 +210,12 @@ checkFormatHeader(LintReport &report, const std::string &path,
         report.add(path, "format", "missing numeric \"format\" version");
         return;
     }
-    int format = (int)doc.at("format").asNumber();
-    if (format != store::kFormatVersion) {
+    // Compared as a double: casting an arbitrary number is undefined
+    // behavior.
+    double format = doc.at("format").asNumber();
+    if (format != (double)store::kFormatVersion) {
         report.add(path, "format",
-                   "format version " + std::to_string(format) +
+                   "format version " + JsonValue::formatNumber(format) +
                        " is stale (current: " +
                        std::to_string(store::kFormatVersion) +
                        "); regenerate the artifact");
@@ -263,8 +265,14 @@ lintGoldenFile(const std::string &path)
         report.add(path, "results", "missing \"results\" array");
         return report;
     }
-    guarded(report, path, "results",
-            [&] { store::evalResultsFromJson(doc); });
+    // The record decoders name the member and value at fault.
+    guarded(report, path, "results", [&] {
+        std::string text;
+        if (!readFile(path, text))
+            fatal("cannot read '", path, "'");
+        std::vector<EvalResult> rows;
+        store::readJson(text, path, rows);
+    });
     return report;
 }
 
@@ -429,9 +437,7 @@ lintStoreDir(const std::string &dir)
 
     std::string stats = dir + "/stats.json";
     if (fs::exists(stats)) {
-        guarded(report, stats, "", [&] {
-            store::StoreStats::fromJson(JsonValue::parseFile(stats));
-        });
+        guarded(report, stats, "", [&] { store::loadStats(dir); });
     }
 
     std::string results = dir + "/results.json";
@@ -457,19 +463,12 @@ lintStoreDir(const std::string &dir)
 namespace {
 
 /** The fingerprint a store journal's header claims, or "" when the
- *  header is absent/unparseable (lintStoreDir reports those). */
+ *  header is not ok (lintStoreDir reports those). */
 std::string
 journalFingerprint(const std::string &dir)
 {
-    std::ifstream in(dir + "/checkpoint.jsonl");
-    std::string line;
-    JsonValue header;
-    if (!in || !std::getline(in, line) ||
-        !JsonValue::tryParse(line, header) || !header.isObject() ||
-        !header.has("fingerprint") ||
-        !header.at("fingerprint").isString())
-        return "";
-    return header.at("fingerprint").asString();
+    store::CheckpointHeader header = store::readCheckpointHeader(dir);
+    return header.headerOk ? header.fingerprint : "";
 }
 
 /** shard.json checks beyond what the lenient loader tolerates: when

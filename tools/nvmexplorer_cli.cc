@@ -8,10 +8,8 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "campaign/campaign.hh"
@@ -456,14 +454,12 @@ runCampaignCommand(int argc, char **argv, int argi)
         // Snapshot the config bytes verbatim so workers and the merge
         // see exactly the planned sweep even if the original file is
         // edited later.
-        std::ifstream in(args.configFile);
-        std::ostringstream bytes;
-        bytes << in.rdbuf();
-        if (!in) {
+        std::string bytes;
+        if (!readFile(args.configFile, bytes)) {
             fatal("campaign plan: cannot re-read '", args.configFile,
                   "'");
         }
-        writeFileAtomically(args.dir + "/config.json", bytes.str());
+        writeFileAtomically(args.dir + "/config.json", bytes);
         inform("campaign '", args.dir, "': fingerprint ",
                manifest.fingerprint, ", ", manifest.shardCount,
                " shards, granularity ", manifest.granularity,
