@@ -5,9 +5,10 @@
  * slots) in one process, plus the merge step in isolation.
  *
  * Both rows time wall clock (UseRealTime): the shard work is mostly
- * journal and artifact writes, so time spent in the file system
- * counts. CI appends this binary's JSON to perf_sweep's and gates the
- * merged file against the committed BENCH_sweep.json snapshot.
+ * journal writes and the merge's artifact writes, so time spent in the
+ * file system counts. CI appends this binary's JSON to perf_sweep's and
+ * gates the merged file against the committed BENCH_sweep.json
+ * snapshot.
  */
 
 #include <benchmark/benchmark.h>
@@ -68,8 +69,9 @@ BENCHMARK(BM_CampaignRun)
     ->UseRealTime();
 
 /** The merge step alone over a completed 4-shard campaign: the serial
- *  tail every campaign pays, kept cheap by stitching raw artifact
- *  bytes instead of re-serializing results. */
+ *  tail every campaign pays. One scan decodes each shard journal line
+ *  once; the raw lines become the merged journal and the decoded rows
+ *  go through the store's one results writer. */
 void
 BM_CampaignMerge(benchmark::State &state)
 {

@@ -4,27 +4,11 @@
 #include <map>
 #include <set>
 
-#include "campaign/stitch.hh"
 #include "store/result_store.hh"
 #include "util/logging.hh"
 
 namespace nvmexp {
 namespace campaign {
-
-namespace {
-
-std::string
-readFileText(const std::string &path, const std::string &context)
-{
-    std::string text;
-    if (!readFile(path, text)) {
-        fatal(context, ": cannot read '", path,
-              "' (worker did not finish?); re-run the shard");
-    }
-    return text;
-}
-
-} // namespace
 
 std::string
 campaignCacheDir(const std::string &dir)
@@ -66,10 +50,8 @@ planCampaign(const std::string &dir, const SweepConfig &config,
     manifest.fingerprint = plan.fingerprint;
     manifest.shardCount = shardCount;
     manifest.granularity = plan.runLength;
-    for (std::size_t k = 0; k < shardCount; ++k)
-        manifest.shards.push_back(
-            ShardEntry{k, "pending", 0});
-    saveManifest(dir, manifest);
+    // The one write of campaign.json: the plan never changes after it.
+    manifest.toJson().writeFile(dir + "/campaign.json");
     return manifest;
 }
 
@@ -128,10 +110,7 @@ mergeCampaign(const std::string &dir)
 
     bool haveSlots = false;
     std::size_t totalSlots = 0;
-    std::map<std::size_t, std::string> journal; // slot -> raw line
-    std::vector<std::vector<std::string>> jsonRows(manifest.shardCount);
-    std::vector<std::vector<std::string>> csvRows(manifest.shardCount);
-    std::string csvHeader;
+    std::map<std::size_t, store::CheckpointEntry> journal; // by slot
 
     for (std::size_t k = 0; k < manifest.shardCount; ++k) {
         std::string shardDir = dir + "/" + shardDirName(k);
@@ -162,14 +141,14 @@ mergeCampaign(const std::string &dir)
         }
         // Within one journal a re-journaled slot resolves exactly as
         // resume replay does: the last valid entry wins.
-        std::map<std::size_t, std::string> mine;
+        std::map<std::size_t, store::CheckpointEntry> mine;
         for (auto &entry : scan.entries) {
             std::size_t owner = plan.shardOf(entry.slot);
             if (owner != k) {
                 fatal(context, ": journal carries slot ", entry.slot,
                       ", which the plan assigns to shard ", owner);
             }
-            mine[entry.slot] = std::move(entry.line);
+            mine[entry.slot] = std::move(entry);
         }
         std::size_t owned = plan.ownedCount(k, totalSlots);
         if (mine.size() != owned) {
@@ -177,31 +156,7 @@ mergeCampaign(const std::string &dir)
                   owned, " owned slots journaled; re-run the shard "
                   "(it resumes from the journal)");
         }
-        for (auto &[slot, line] : mine)
-            journal.emplace(slot, std::move(line));
-
-        auto rows = splitSerializedResults(
-            readFileText(shardDir + "/results.json", context),
-            context);
-        if (rows.size() != owned) {
-            fatal(context, ": results.json holds ", rows.size(),
-                  " rows for ", owned, " journaled slots (stale "
-                  "artifact); re-run the shard to regenerate it");
-        }
-        jsonRows[k] = std::move(rows);
-
-        CsvSplit csv = splitResultsCsv(
-            readFileText(shardDir + "/results.csv", context), context);
-        if (csv.rows.size() != owned) {
-            fatal(context, ": results.csv holds ", csv.rows.size(),
-                  " rows for ", owned, " journaled slots (stale "
-                  "artifact); re-run the shard to regenerate it");
-        }
-        if (k == 0)
-            csvHeader = std::move(csv.header);
-        else if (csv.header != csvHeader)
-            fatal(context, ": results.csv header differs from shard 0");
-        csvRows[k] = std::move(csv.rows);
+        journal.merge(mine);
 
         if (!std::filesystem::exists(shardDir + "/stats.json")) {
             fatal(context, ": stats.json missing (worker did not "
@@ -215,56 +170,31 @@ mergeCampaign(const std::string &dir)
         summary.stats.checkpointComputed += stats.checkpointComputed;
     }
     if (journal.size() != totalSlots) {
-        panic("campaign merge: stitched ", journal.size(),
+        panic("campaign merge: collected ", journal.size(),
               " slots for a sweep of ", totalSlots);
     }
 
-    // Interleave the shard artifacts' rows back into global slot
-    // order. Each shard's rows are ascending over its owned slots, so
-    // walking the slot space and pulling the owner's next row aligns
-    // every row with its slot without parsing any of them.
-    std::vector<std::string> orderedJson;
-    std::vector<std::string> orderedCsv;
-    orderedJson.reserve(totalSlots);
-    orderedCsv.reserve(totalSlots);
-    std::vector<std::size_t> next(manifest.shardCount, 0);
-    for (std::size_t slot = 0; slot < totalSlots; ++slot) {
-        std::size_t k = plan.shardOf(slot);
-        orderedJson.push_back(std::move(jsonRows[k][next[k]]));
-        orderedCsv.push_back(std::move(csvRows[k][next[k]]));
-        ++next[k];
+    // The canonical journal is the shard journals' raw lines in slot
+    // order: the byte sequence a single -j1 process would have
+    // journaled. One buffered write: per-line flushing is for
+    // crash-durability of in-flight sweeps, which a merge of finished
+    // shards doesn't need. The results artifacts come from the rows
+    // the scan decoded, through the writer every store uses.
+    std::string buffer =
+        store::checkpointHeaderLine(manifest.fingerprint, totalSlots);
+    buffer += '\n';
+    std::vector<EvalResult> results;
+    results.reserve(totalSlots);
+    for (auto &[slot, entry] : journal) {
+        buffer += entry.line;
+        buffer += '\n';
+        results.push_back(std::move(entry.result));
     }
-
     std::string outDir = mergedDir(dir);
     store::ResultStore merged(outDir, campaignCacheDir(dir));
-    {
-        // The canonical journal, entries in slot order — the byte
-        // sequence a single -j1 process would have journaled. One
-        // buffered write: per-line flushing is for crash-durability
-        // of in-flight sweeps, which a merge of finished shards
-        // doesn't need.
-        std::string buffer =
-            store::checkpointHeaderLine(manifest.fingerprint,
-                                        totalSlots) + "\n";
-        for (const auto &[slot, line] : journal) {
-            buffer += line;
-            buffer += '\n';
-        }
-        writeFileAtomically(outDir + "/checkpoint.jsonl", buffer);
-    }
-    writeFileAtomically(outDir + "/results.json",
-                        joinSerializedResults(orderedJson));
-    writeFileAtomically(outDir + "/results.csv",
-                        joinResultsCsv(csvHeader, orderedCsv));
+    writeFileAtomically(outDir + "/checkpoint.jsonl", buffer);
+    merged.writeResults(results);
     merged.writeStats(summary.stats);
-
-    for (std::size_t k = 0; k < manifest.shardCount; ++k) {
-        std::string shardDir = dir + "/" + shardDirName(k);
-        manifest.shards[k].status = "complete";
-        manifest.shards[k].attempts =
-            loadShardState(shardDir, manifest.fingerprint).attempts;
-    }
-    saveManifest(dir, manifest);
 
     summary.totalSlots = totalSlots;
     return summary;

@@ -7,17 +7,18 @@
  *
  * Lifecycle (see campaign/manifest.hh for the directory layout):
  *
- *   planCampaign   write the versioned manifest (fingerprint + shard
- *                  table); idempotent for an identical plan, fatal
- *                  for a conflicting one
- *   runShard       one worker process: resumes its shard store and
+ *   planCampaign   write the immutable manifest (fingerprint, shard
+ *                  count, granularity); idempotent for an identical
+ *                  plan, fatal for a conflicting one
+ *   runShard       one worker process: resumes its shard's journal and
  *                  evaluates exactly the slots the ShardPlan assigns
  *                  it (safe to kill at any byte — the next attempt
  *                  resumes from the journal, exactly like --resume)
- *   mergeCampaign  validate every shard (fingerprint, slot coverage,
- *                  artifact consistency) and splice the shard
- *                  journals/artifacts into <dir>/merged
- *   campaignStatus read-only progress snapshot
+ *   mergeCampaign  validate every shard journal (fingerprint, slot
+ *                  coverage) and write <dir>/merged from the journal
+ *                  entries
+ *   campaignStatus read-only progress snapshot from the shard
+ *                  directories
  *
  * Nothing here starts workers: N `campaign run` processes, on one
  * machine or many, run the shards in any order, and a crashed shard
@@ -56,14 +57,16 @@ CampaignManifest planCampaign(const std::string &dir,
 
 /**
  * Run shard `shard` of the campaign in this process: bumps the
- * shard's attempt counter, resumes its store, evaluates its owned
- * slots via `runner`, and marks the shard complete. `config` must be
- * the campaign's sweep (fingerprint-checked against the manifest);
- * its outDir/cacheDir/resume are overridden with the shard store,
- * the campaign's shared cache, and true. Returns the shard's owned
- * rows in ascending slot order. Shards may run at the same time: each
- * writes only its own shard directory and the shared cache, whose
- * entries are written atomically.
+ * shard's attempt counter, resumes its journal, evaluates its owned
+ * slots via `runner`, and marks the shard complete. The shard
+ * directory ends up holding checkpoint.jsonl, stats.json, and
+ * shard.json, nothing else: its journal is its only copy of the rows.
+ * `config` must be the campaign's sweep (fingerprint-checked against
+ * the manifest); its outDir/cacheDir/resume are overridden with the
+ * shard directory, the campaign's shared cache, and true. Returns the
+ * shard's owned rows in ascending slot order. Shards may run at the
+ * same time: each writes only its own shard directory and the shared
+ * cache, whose entries are written atomically.
  */
 std::vector<EvalResult> runShard(const std::string &dir,
                                  const SweepConfig &config,
@@ -75,18 +78,21 @@ struct MergeSummary
 {
     std::size_t totalSlots = 0;
     std::size_t shardCount = 0;
-    store::StoreStats stats; ///< summed over the shard stores
+    store::StoreStats stats; ///< summed over the shards' stats.json
 };
 
 /**
- * Merge every shard store into <dir>/merged. Validates per shard —
+ * Merge every shard journal into <dir>/merged. Validates per shard —
  * journal header present with the campaign fingerprint, identical
  * slot counts, no foreign slots, full coverage of the owned slots,
- * results artifacts consistent with the journal — and refuses with a
- * file+shard diagnostic otherwise (an incomplete shard is re-run, not
- * merged around). The merged checkpoint journal, results.json, and
- * results.csv are byte-identical to a single-process run's (journal
- * entries in slot order); stats.json holds the summed shard counters.
+ * stats.json present — and refuses with a file+shard diagnostic
+ * otherwise (an incomplete shard is re-run, not merged around). Any
+ * other file in a shard directory is ignored. The merged checkpoint
+ * journal is the shard journals' lines in slot order; results.json and
+ * results.csv come from the decoded rows through
+ * ResultStore::writeResults. All three are byte-identical to a
+ * single-process run's; stats.json holds the summed shard counters.
+ * campaign.json is only read.
  */
 MergeSummary mergeCampaign(const std::string &dir);
 

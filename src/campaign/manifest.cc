@@ -37,13 +37,6 @@ shown(const JsonValue &doc, const std::string &key)
     return doc.has(key) ? doc.at(key).dump(-1) : "nothing";
 }
 
-bool
-validStatus(const std::string &status)
-{
-    return status == "pending" || status == "partial" ||
-        status == "complete";
-}
-
 /** The version/fingerprint preamble both files share. */
 void
 checkVersions(const JsonValue &doc, const std::string &context)
@@ -53,12 +46,14 @@ checkVersions(const JsonValue &doc, const std::string &context)
     if (!hasNumber(doc, "format") ||
         doc.at("format").asNumber() != store::kFormatVersion) {
         fatal(context, ": \"format\" must be the store format version ",
-              store::kFormatVersion, " this build reads");
+              store::kFormatVersion, " this build reads, got ",
+              shown(doc, "format"));
     }
     if (!hasNumber(doc, "campaign_format") ||
         doc.at("campaign_format").asNumber() != kCampaignFormatVersion) {
         fatal(context, ": \"campaign_format\" must be ",
-              kCampaignFormatVersion);
+              kCampaignFormatVersion, ", got ", shown(doc, "campaign_format"),
+              " (plan the campaign again with this build)");
     }
     if (!hasString(doc, "fingerprint") ||
         doc.at("fingerprint").asString().empty()) {
@@ -91,17 +86,6 @@ CampaignManifest::toJson() const
     v.set("fingerprint", JsonValue::makeString(fingerprint));
     v.set("shard_count", JsonValue::makeNumber((double)shardCount));
     v.set("granularity", JsonValue::makeNumber((double)granularity));
-    JsonValue table = JsonValue::makeArray();
-    for (const auto &shard : shards) {
-        JsonValue row = JsonValue::makeObject();
-        row.set("id", JsonValue::makeNumber((double)shard.id));
-        row.set("dir", JsonValue::makeString(shardDirName(shard.id)));
-        row.set("status", JsonValue::makeString(shard.status));
-        row.set("attempts",
-                JsonValue::makeNumber((double)shard.attempts));
-        table.append(std::move(row));
-    }
-    v.set("shards", std::move(table));
     return v;
 }
 
@@ -112,41 +96,10 @@ CampaignManifest::fromJson(const JsonValue &doc,
     checkVersions(doc, context);
     CampaignManifest m;
     m.fingerprint = doc.at("fingerprint").asString();
-    m.shardCount = (std::size_t)wholeNumberKey(doc, "shard_count", 1,
-                                               kMaxExactInteger, context);
+    m.shardCount = (std::size_t)wholeNumberKey(
+        doc, "shard_count", 1, (std::int64_t)kMaxShards, context);
     m.granularity = (std::size_t)wholeNumberKey(
         doc, "granularity", 1, kMaxExactInteger, context);
-    if (!doc.has("shards") || !doc.at("shards").isArray())
-        fatal(context, ": \"shards\" must be the shard table array");
-    const auto &table = doc.at("shards").asArray();
-    if (table.size() != m.shardCount) {
-        fatal(context, ": shard table \"shards\" has ", table.size(),
-              " entries for \"shard_count\" ", m.shardCount);
-    }
-    for (std::size_t k = 0; k < table.size(); ++k) {
-        const JsonValue &row = table[k];
-        std::string rowContext =
-            context + ": shards[" + std::to_string(k) + "]";
-        ShardEntry entry;
-        entry.id = (std::size_t)wholeNumberKey(
-            row, "id", (std::int64_t)k, (std::int64_t)k, rowContext);
-        // The layout is fixed, so a shard store can never sit outside
-        // the campaign directory or in another shard's.
-        if (!hasString(row, "dir") ||
-            row.at("dir").asString() != shardDirName(k)) {
-            fatal(rowContext, ": \"dir\" must be \"", shardDirName(k),
-                  "\", got ", shown(row, "dir"));
-        }
-        if (!hasString(row, "status") ||
-            !validStatus(row.at("status").asString())) {
-            fatal(rowContext, ": \"status\" must be pending, "
-                  "partial, or complete, got ", shown(row, "status"));
-        }
-        entry.status = row.at("status").asString();
-        entry.attempts = (std::uint64_t)wholeNumberKey(
-            row, "attempts", 0, kMaxExactInteger, rowContext);
-        m.shards.push_back(std::move(entry));
-    }
     return m;
 }
 
@@ -167,12 +120,6 @@ loadManifest(const std::string &dir)
     return CampaignManifest::fromJson(JsonValue::parseFile(path),
                                       "campaign manifest '" + path +
                                           "'");
-}
-
-void
-saveManifest(const std::string &dir, const CampaignManifest &m)
-{
-    m.toJson().writeFile(dir + "/campaign.json");
 }
 
 ShardState

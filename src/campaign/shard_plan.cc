@@ -37,8 +37,8 @@ ShardPlan::ownedCount(std::size_t shard, std::size_t totalSlots) const
 ShardPlan
 makeShardPlan(const SweepConfig &rawConfig, std::size_t shardCount)
 {
-    if (shardCount == 0)
-        fatal("shard plan: campaign needs at least one shard, got ",
+    if (shardCount == 0 || shardCount > kMaxShards)
+        fatal("shard plan: a campaign has 1 to ", kMaxShards, " shards, got ",
               shardCount);
     SweepConfig storage;
     const SweepConfig &config = expandSweepWorkloads(rawConfig, storage);

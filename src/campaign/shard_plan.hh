@@ -25,6 +25,11 @@
 namespace nvmexp {
 namespace campaign {
 
+/** Most shards one campaign may have: the bound of `--shards`, of
+ *  makeShardPlan, and of a manifest's "shard_count", so no reader of a
+ *  campaign directory walks an unbounded number of shards. */
+constexpr std::size_t kMaxShards = 4096;
+
 struct ShardPlan
 {
     /** Fingerprint of the fully workload-expanded sweep. */
@@ -59,8 +64,8 @@ struct ShardPlan
 /**
  * Plan a campaign of `shardCount` shards over `config`'s expanded
  * cross product. Derives the fingerprint and the spec-block run
- * length without characterizing anything; fatal() on a zero shard
- * count.
+ * length without characterizing anything; fatal() on a shard count
+ * outside [1, kMaxShards].
  */
 ShardPlan makeShardPlan(const SweepConfig &config,
                         std::size_t shardCount);

@@ -345,7 +345,7 @@ ParallelSweepRunner::runStoreBacked(
     BatchEvalContext context(arrays, config.traffics, evaluators);
     const std::size_t slots = context.points();
     // The journal always claims the FULL slot count, even for a shard
-    // run that owns a subset: a campaign merge stitches shard journals
+    // run that owns a subset: a campaign merge joins shard journals
     // into one whose header is byte-identical to a single process's.
     auto done = resultStore.openCheckpoint(
         store::sweepFingerprint(config), slots, config.resume);
@@ -370,19 +370,17 @@ ParallelSweepRunner::runStoreBacked(
     });
     resultStore.closeCheckpoint();
     if (owned) {
-        // A shard store's results artifacts carry exactly the owned
-        // rows, ascending: the merge step later splices the shard
-        // artifacts back together in global slot order.
+        // A shard's journal is its only copy of the rows: the merge
+        // writes the results artifacts once, from every shard's
+        // journal, so a shard writes none.
         std::vector<EvalResult> mine;
         for (std::size_t idx = 0; idx < slots; ++idx)
             if (owned(idx))
                 mine.push_back(std::move(results[idx]));
-        resultStore.writeResults(mine);
-        lastStoreStats_ = resultStore.stats();
-        resultStore.writeStats();
-        return mine;
+        results = std::move(mine);
+    } else {
+        resultStore.writeResults(results);
     }
-    resultStore.writeResults(results);
     lastStoreStats_ = resultStore.stats();
     resultStore.writeStats();
     return results;

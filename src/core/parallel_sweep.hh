@@ -82,9 +82,11 @@ class ParallelSweepRunner
 
     /** Store-backed run of the slot subset selected by `owned` (a
      *  campaign shard): non-selected slots are neither evaluated nor
-     *  journaled, and the store's results artifacts carry exactly the
-     *  owned rows in ascending slot order (also the return value).
-     *  The checkpoint journal still claims the full sweep fingerprint
+     *  journaled. The store gets its checkpoint journal and stats.json
+     *  but no results.json/.csv: the journal is the shard's only copy
+     *  of its rows, and the campaign merge writes the artifacts once
+     *  from every shard's journal. Returns the owned rows in ascending
+     *  slot order. The journal still claims the full sweep fingerprint
      *  and slot count, so shard journals merge into one canonical
      *  journal. Requires config.outDir; honors config.resume the same
      *  way run() does. A null selector behaves exactly like run(). */

@@ -291,7 +291,7 @@ scanCheckpoint(const std::string &dir)
     CheckpointScan scan{parseHeaderLine(text.substr(0, end)), {}};
     if (!scan.headerOk)
         return scan;
-    JournalEntry entry; // reused: keeps its strings' capacity
+    JournalEntry entry;
     for (std::size_t begin = end + 1; begin < text.size(); begin = end + 1) {
         end = std::min(text.find('\n', begin), text.size());
         std::string_view line(text.data() + begin, end - begin);
@@ -305,7 +305,7 @@ scanCheckpoint(const std::string &dir)
         }
         if (entry.slot < scan.slots)
             scan.entries.push_back(
-                CheckpointEntry{entry.slot, std::string(line)});
+                {entry.slot, std::string(line), std::move(entry.result)});
     }
     return scan;
 }
@@ -322,13 +322,8 @@ ResultStore::openCheckpoint(const std::string &fingerprint,
         bool match = scan.headerOk && scan.format == kFormatVersion &&
             scan.fingerprint == fingerprint && scan.slots == slots;
         if (match) {
-            // The scan decoded every kept line once already, so these
-            // strict decodes cannot fail.
-            JournalEntry decoded;
-            for (const auto &entry : scan.entries) {
-                readJson(entry.line, path, decoded);
-                done[entry.slot] = decoded.result;
-            }
+            for (auto &entry : scan.entries)
+                done[entry.slot] = std::move(entry.result);
         } else if (scan.headerParsed) {
             warn("result store: checkpoint in '", dir_,
                  "' belongs to a different sweep; restarting");

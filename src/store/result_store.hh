@@ -18,7 +18,8 @@
  *                             continues where it stopped
  *   <dir>/results.json        full-precision serialized EvalResults
  *   <dir>/results.csv         same results, flat CSV for external
- *                             dashboards
+ *                             dashboards (a campaign shard writes
+ *                             neither: its journal is its results)
  *   <dir>/stats.json          cache/checkpoint counters of the last
  *                             run (the 100%-cache-hit acceptance
  *                             check reads these)
@@ -155,13 +156,16 @@ class ResultStore
     std::ofstream checkpoint_;
 };
 
-/** One validated checkpoint journal entry: the slot and the raw
- *  journal line (no trailing newline), which decodes as a JournalEntry
- *  (store/serialize). */
+/** One validated checkpoint journal entry: the raw journal line (no
+ *  trailing newline) and what it decodes to as a JournalEntry
+ *  (store/serialize), decoded once by scanCheckpoint. Resume replays
+ *  `result`; a campaign merge copies `line` into the merged journal and
+ *  writes `result` into the merged results artifacts. */
 struct CheckpointEntry
 {
     std::size_t slot = 0;
     std::string line;
+    EvalResult result;
 };
 
 /** A checkpoint journal's first line: which sweep it belongs to. */

@@ -775,9 +775,10 @@ JsonReader::end()
 }
 
 /**
- * Keeps its own stack of open containers, so nesting depth is bounded
- * by memory, not the call stack. A repeated member name fails once its
- * value has been read, and anything after the value fails too.
+ * Keeps its own stack of open containers, so reading never recurses;
+ * the stack stops at kMaxDepth, because the finished tree's destructor
+ * and dump() do recurse. A repeated member name fails once its value
+ * has been read, and anything after the value fails too.
  */
 JsonValue
 JsonValue::read(JsonReader &reader)
@@ -793,7 +794,13 @@ JsonValue::read(JsonReader &reader)
         // at once, a container opens.
         JsonValue value;
         bool whole = true;
-        switch (reader.peek()) {
+        Kind kind = reader.peek();
+        if ((kind == Kind::Object || kind == Kind::Array) &&
+            open.size() == kMaxDepth) {
+            reader.fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                        " levels");
+        }
+        switch (kind) {
           case Kind::Object:
             reader.beginObject();
             open.emplace_back();

@@ -44,6 +44,12 @@ class JsonValue
 
     JsonValue() = default;
 
+    /** Deepest container nesting parse() accepts. Deeper input fails
+     *  at the opening bracket that would exceed it, so the destructor
+     *  and dump(), which recurse once per level, stay far from the
+     *  end of the stack whatever the input. */
+    static constexpr std::size_t kMaxDepth = 512;
+
     /** Builders for writing (a default-constructed value is null). */
     static JsonValue makeBool(bool value);
     static JsonValue makeNumber(double value);
@@ -83,7 +89,8 @@ class JsonValue
                          const std::string &dflt) const;
     const std::vector<std::string> &memberNames() const;
 
-    /** Parse a JSON document; fatal() with position on bad input. */
+    /** Parse a JSON document; fatal() with position on bad input,
+     *  including nesting deeper than kMaxDepth. */
     static JsonValue parse(const std::string &text);
 
     /** Non-fatal parse for documents that may be corrupt: @return

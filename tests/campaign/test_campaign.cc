@@ -17,13 +17,13 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "campaign/campaign.hh"
-#include "campaign/stitch.hh"
 #include "core/parallel_sweep.hh"
 #include "reliability/reliability.hh"
 #include "store/result_store.hh"
@@ -205,16 +205,12 @@ TEST_F(CampaignTest, KilledShardRetriesAndMergesIdentically)
     for (std::size_t k = 0; k < 3; ++k)
         campaign::runShard(dir, config, k, runner);
 
-    // Re-create the kill: shard 1's journal is cut after two entries
-    // and its results artifacts vanish (the store only writes them at
-    // the end of a run).
+    // Re-create the kill: shard 1's journal is cut after two entries.
     std::string shardDir = dir + "/" + campaign::shardDirName(1);
     auto lines = readLines(shardDir + "/checkpoint.jsonl");
     ASSERT_GT(lines.size(), 3u);
     lines.resize(3);  // header + 2 journaled slots
     writeLines(shardDir + "/checkpoint.jsonl", lines);
-    std::filesystem::remove(shardDir + "/results.json");
-    std::filesystem::remove(shardDir + "/results.csv");
 
     // Merging a torn campaign is refused with the shard named...
     std::string error = mergeError(dir);
@@ -234,7 +230,7 @@ TEST_F(CampaignTest, KilledShardRetriesAndMergesIdentically)
     EXPECT_EQ(rows.size(), status.shards[1].ownedSlots);
 }
 
-TEST_F(CampaignTest, MergeRefusesMissingForeignAndStaleShards)
+TEST_F(CampaignTest, MergeRefusesMissingAndForeignShards)
 {
     SweepConfig config = specSweep();
     std::string dir = freshDir("campaign");
@@ -242,7 +238,7 @@ TEST_F(CampaignTest, MergeRefusesMissingForeignAndStaleShards)
     ParallelSweepRunner runner(2);
 
     // Shard 1 never ran: the merge names its journal, not some slot
-    // arithmetic deep in the stitcher.
+    // arithmetic deep in the merge.
     campaign::runShard(dir, config, 0, runner);
     std::string error = mergeError(dir);
     EXPECT_NE(error.find("shard-1"), std::string::npos) << error;
@@ -272,18 +268,29 @@ TEST_F(CampaignTest, MergeRefusesMissingForeignAndStaleShards)
     EXPECT_NE(error.find("incomplete"), std::string::npos) << error;
     writeText(journalPath, journal);
 
-    // results.json rows disagreeing with the journal (a stale artifact
-    // from an older attempt) are refused, not spliced.
-    std::string resultsPath = shardDir + "/results.json";
-    std::string results = readFile(resultsPath);
-    auto rows = campaign::splitSerializedResults(results, "test");
-    rows.pop_back();
-    writeText(resultsPath, campaign::joinSerializedResults(rows));
-    error = mergeError(dir);
-    EXPECT_NE(error.find("stale"), std::string::npos) << error;
-    writeText(resultsPath, results);
-
     ASSERT_EQ(mergeError(dir), "");
+}
+
+/** A shard directory is its journal, stats.json, and shard.json. The
+ *  results.json/.csv an older build left beside them are never read:
+ *  garbage there leaves the merged bytes unchanged. */
+TEST_F(CampaignTest, MergeIgnoresLeftoverShardArtifacts)
+{
+    SweepConfig config = specSweep();
+    Reference ref = referenceRun(config, freshDir("reference"));
+    std::string dir = freshDir("campaign");
+    campaign::planCampaign(dir, config, 3);
+    ParallelSweepRunner runner(1);
+    for (std::size_t k = 0; k < 3; ++k)
+        campaign::runShard(dir, config, k, runner);
+
+    for (std::size_t k = 0; k < 3; ++k) {
+        std::string shardDir = dir + "/" + campaign::shardDirName(k);
+        writeText(shardDir + "/results.json", "{\"format\": 2, \"resu");
+        writeText(shardDir + "/results.csv", "not,a\n\"csv");
+    }
+    campaign::mergeCampaign(dir);
+    expectMergedMatches(dir, ref, "leftover shard artifacts");
 }
 
 TEST_F(CampaignTest, PlanIsIdempotentButRefusesConflicts)
@@ -316,16 +323,11 @@ TEST_F(CampaignTest, ManifestRoundTripsThroughJson)
     EXPECT_EQ(loaded.fingerprint, written.fingerprint);
     EXPECT_EQ(loaded.shardCount, 5u);
     EXPECT_EQ(loaded.granularity, 2u);
-    ASSERT_EQ(loaded.shards.size(), 5u);
-    for (std::size_t k = 0; k < 5; ++k) {
-        EXPECT_EQ(loaded.shards[k].id, k);
-        EXPECT_EQ(loaded.shards[k].status, "pending");
-        EXPECT_EQ(loaded.shards[k].attempts, 0u);
-    }
     campaign::CampaignManifest reparsed =
         campaign::CampaignManifest::fromJson(loaded.toJson(), "test");
     EXPECT_EQ(reparsed.fingerprint, loaded.fingerprint);
-    EXPECT_EQ(reparsed.shards.size(), loaded.shards.size());
+    EXPECT_EQ(reparsed.shardCount, loaded.shardCount);
+    EXPECT_EQ(reparsed.granularity, loaded.granularity);
 
     // The plan reconstructed from the manifest is the planner's.
     campaign::ShardPlan plan = loaded.plan();
@@ -357,7 +359,21 @@ TEST_F(CampaignTest, StatusTracksShardLifecycles)
     EXPECT_EQ(half.shards[1].state, "pending");
 
     campaign::runShard(dir, config, 1, runner);
+    // A finished shard is its journal plus two small records, and the
+    // manifest is the plan alone, which merge only reads.
+    const std::set<std::string> shardFiles = {"checkpoint.jsonl",
+                                              "shard.json", "stats.json"};
+    for (std::size_t k = 0; k < 2; ++k) {
+        std::set<std::string> files;
+        for (const auto &entry : std::filesystem::directory_iterator(
+                 dir + "/" + campaign::shardDirName(k)))
+            files.insert(entry.path().filename().string());
+        EXPECT_EQ(files, shardFiles) << "shard " << k;
+    }
+    std::string manifest = readFile(dir + "/campaign.json");
+    EXPECT_FALSE(JsonValue::parse(manifest).has("shards")) << manifest;
     campaign::mergeCampaign(dir);
+    EXPECT_EQ(readFile(dir + "/campaign.json"), manifest);
     campaign::CampaignStatus done = campaign::campaignStatus(dir);
     EXPECT_TRUE(done.allComplete());
     EXPECT_TRUE(done.merged);
@@ -395,64 +411,49 @@ TEST_F(CampaignTest, ConcurrentShardsMergeIdentically)
 }
 
 /** `doc` with member `key` set to `value`, or deleted when `value` is
- *  null; `row` >= 0 edits that row of the "shards" table instead. */
+ *  null. */
 JsonValue
-edited(const JsonValue &doc, int row, const std::string &key,
+edited(const JsonValue &doc, const std::string &key,
        const JsonValue *value)
 {
     JsonValue out = JsonValue::makeObject();
     for (const auto &name : doc.memberNames()) {
-        if (row >= 0 && name == "shards" && doc.at(name).isArray()) {
-            JsonValue table = JsonValue::makeArray();
-            const auto &rows = doc.at(name).asArray();
-            for (std::size_t k = 0; k < rows.size(); ++k)
-                table.append((int)k == row && rows[k].isObject()
-                                 ? edited(rows[k], -1, key, value)
-                                 : rows[k]);
-            out.set(name, table);
-        } else if (row >= 0 || name != key) {
+        if (name != key)
             out.set(name, doc.at(name));
-        } else if (value) {
+        else if (value)
             out.set(name, *value);
-        }
     }
     return out;
 }
 
-/** Counts are checked as doubles before any cast and shard dirs are
- *  pinned to shards/shard-<id>. Unchecked, granularity 1e300 cast to 0
- *  and divided by it (SIGFPE), 2.5 truncated, NaN read as 2^63, and
- *  dir "../outside" put a shard store outside the campaign. */
-TEST_F(CampaignTest, ManifestRefusesNonWholeCountsAndForeignDirs)
+/** Counts are checked as doubles before any cast. Unchecked,
+ *  granularity 1e300 cast to 0 and divided by it (SIGFPE), 2.5
+ *  truncated, and NaN read as 2^63; a shard count past kMaxShards
+ *  would have every reader walk that many shard directories. */
+TEST_F(CampaignTest, ManifestRefusesNonWholeCounts)
 {
-    std::string root = freshDir("root");
-    std::string dir = root + "/campaign";
+    std::string dir = freshDir("campaign");
     SweepConfig config = specSweep();
     campaign::planCampaign(dir, config, 3);
     const JsonValue pristine = JsonValue::parseFile(dir + "/campaign.json");
 
     struct Case
     {
-        int row;
         std::string key, raw;
     };
-    std::vector<Case> cases = {{-1, "shard_count", "0"},
-                               {-1, "granularity", "-0"},
-                               {1, "dir", "\"../outside\""},
-                               {1, "dir", "\"shards/shard-2\""}};
+    std::vector<Case> cases = {{"shard_count", "0"},
+                               {"shard_count", "4097"},
+                               {"granularity", "-0"}};
     for (const char *raw : {"2.5", "-1", "NaN", "Infinity", "-Infinity",
                             "9007199254740994", "1e300"}) {
-        cases.push_back({-1, "shard_count", raw});
-        cases.push_back({-1, "granularity", raw});
-        cases.push_back({1, "id", raw});
-        cases.push_back({2, "attempts", raw});
+        cases.push_back({"shard_count", raw});
+        cases.push_back({"granularity", raw});
     }
     ScopedFatalThrows guard;
     ParallelSweepRunner runner(1);
     for (const Case &c : cases) {
         JsonValue value = JsonValue::parse(c.raw);
-        edited(pristine, c.row, c.key, &value)
-            .writeFile(dir + "/campaign.json");
+        edited(pristine, c.key, &value).writeFile(dir + "/campaign.json");
         std::string label = c.key + " = " + c.raw;
         for (const auto &reader : std::vector<std::function<void()>>{
                  [&] { campaign::loadManifest(dir); },
@@ -472,7 +473,48 @@ TEST_F(CampaignTest, ManifestRefusesNonWholeCountsAndForeignDirs)
             }
         }
     }
-    EXPECT_FALSE(std::filesystem::exists(root + "/outside"));
+}
+
+/** A campaign_format 1 manifest, whose shard table older builds
+ *  rewrote on every merge, is refused by every reader with the file,
+ *  the key, and the value; nothing runs against it. */
+TEST_F(CampaignTest, CampaignFormatOneManifestIsRefused)
+{
+    std::string dir = freshDir("campaign");
+    SweepConfig config = specSweep();
+    campaign::planCampaign(dir, config, 2);
+    JsonValue legacy = JsonValue::parseFile(dir + "/campaign.json");
+    legacy.set("campaign_format", JsonValue::makeNumber(1));
+    JsonValue table = JsonValue::makeArray();
+    for (std::size_t k = 0; k < 2; ++k) {
+        JsonValue row = JsonValue::makeObject();
+        row.set("id", JsonValue::makeNumber((double)k));
+        row.set("dir", JsonValue::makeString(campaign::shardDirName(k)));
+        row.set("status", JsonValue::makeString("pending"));
+        row.set("attempts", JsonValue::makeNumber(0));
+        table.append(std::move(row));
+    }
+    legacy.set("shards", std::move(table));
+    legacy.writeFile(dir + "/campaign.json");
+
+    ScopedFatalThrows guard;
+    ParallelSweepRunner runner(1);
+    for (const auto &reader : std::vector<std::function<void()>>{
+             [&] { campaign::loadManifest(dir); },
+             [&] { campaign::campaignStatus(dir); },
+             [&] { campaign::runShard(dir, config, 0, runner); }}) {
+        try {
+            reader();
+            ADD_FAILURE() << "campaign_format 1 was accepted";
+        } catch (const FatalError &e) {
+            std::string error = e.what();
+            EXPECT_NE(error.find("campaign.json"), std::string::npos)
+                << error;
+            EXPECT_NE(error.find("\"campaign_format\" must be 2, got 1"),
+                      std::string::npos) << error;
+        }
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir + "/shards"));
 }
 
 /** The lenient shard.json reader treats an attempt count that is not a
@@ -523,8 +565,7 @@ TEST_F(CampaignTest, FuzzedCampaignFilesAreRefusedByNameOrReadSafely)
         JsonValue::makeString("partial"), JsonValue::makeBool(true),
         JsonValue(), JsonValue::makeArray(), JsonValue::makeObject()};
     const char *const keys[] = {"format", "campaign_format", "fingerprint",
-                                "shard_count", "granularity", "shards",
-                                "id", "dir", "status", "attempts",
+                                "shard_count", "granularity", "attempts",
                                 "shard", "completed"};
     Rng rng(0xCA4E1A);
     int refused = 0, accepted = 0;
@@ -534,18 +575,17 @@ TEST_F(CampaignTest, FuzzedCampaignFilesAreRefusedByNameOrReadSafely)
         const JsonValue *value =
             rng.bernoulli(0.2) ? nullptr
                                : &values[rng.range(std::size(values))];
-        int row = (int)rng.range(4) - 1;
         bool cut = rng.bernoulli(0.2);
         std::size_t shard = rng.range(3);
 
-        std::string text = edited(manifest, row, key, value).dump(2);
+        std::string text = edited(manifest, key, value).dump(2);
         if (cut)
             text.resize(rng.range(text.size()));
         writeText(manifestPath, text);
         std::string shardDir = dir + "/" + campaign::shardDirName(shard);
         std::string state = readFile(shardDir + "/shard.json");
         std::string mutated =
-            edited(JsonValue::parse(state), -1, key, value).dump(2);
+            edited(JsonValue::parse(state), key, value).dump(2);
         writeText(shardDir + "/shard.json",
                   cut ? mutated.substr(0, rng.range(mutated.size()))
                       : mutated);

@@ -1,23 +1,15 @@
 /**
  * @file
- * Unit tier for the campaign partitioning and splicing primitives:
- * the ShardPlan must be a deterministic, complete, block-aligned
- * partition of the expanded slot space, and the stitch helpers must
- * round-trip the store serializer's artifacts byte-exactly (they are
- * what makes the merged store canonical).
+ * Unit tier for the campaign partitioning primitive: the ShardPlan
+ * must be a deterministic, complete, block-aligned partition of the
+ * expanded slot space.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "campaign/shard_plan.hh"
-#include "campaign/stitch.hh"
-#include "core/parallel_sweep.hh"
 #include "reliability/reliability.hh"
 #include "store/result_store.hh"
 #include "util/logging.hh"
@@ -26,16 +18,6 @@
 
 namespace nvmexp {
 namespace {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE((bool)in) << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
 
 class ShardPlanTest : public testsupport::QuietTest
 {
@@ -131,67 +113,10 @@ TEST_F(ShardPlanTest, ZeroShardsAndOutOfRangeSelectorAreFatal)
     SweepConfig config = specSweep();
     ScopedFatalThrows guard;
     EXPECT_THROW(campaign::makeShardPlan(config, 0), FatalError);
+    EXPECT_THROW(campaign::makeShardPlan(config, campaign::kMaxShards + 1),
+                 FatalError);
     campaign::ShardPlan plan = campaign::makeShardPlan(config, 2);
     EXPECT_THROW(plan.selector(2), FatalError);
-}
-
-TEST_F(ShardPlanTest, StitchRoundTripsSerializedResults)
-{
-    SweepConfig config = testsupport::smallSweep();
-    ParallelSweepRunner runner(2);
-    auto results = runner.run(config);
-    ASSERT_EQ(results.size(), 16u);
-
-    std::string text = store::serializeResults(results);
-    auto rows = campaign::splitSerializedResults(text, "test");
-    ASSERT_EQ(rows.size(), results.size());
-    EXPECT_EQ(campaign::joinSerializedResults(rows), text);
-
-    // Row texts are position-independent: a subset joins to exactly
-    // what the serializer prints for that subset.
-    std::vector<EvalResult> subset = {results[3], results[7],
-                                      results[12]};
-    std::vector<std::string> subsetRows = {rows[3], rows[7], rows[12]};
-    EXPECT_EQ(campaign::joinSerializedResults(subsetRows),
-              store::serializeResults(subset));
-
-    // The empty artifact is its own envelope.
-    std::string empty = store::serializeResults({});
-    EXPECT_TRUE(campaign::splitSerializedResults(empty, "test").empty());
-    EXPECT_EQ(campaign::joinSerializedResults({}), empty);
-}
-
-TEST_F(ShardPlanTest, StitchRejectsTornSerializedResults)
-{
-    SweepConfig config = testsupport::smallSweep();
-    ParallelSweepRunner runner(2);
-    std::string text = store::serializeResults(runner.run(config));
-    ScopedFatalThrows guard;
-    EXPECT_THROW(campaign::splitSerializedResults(
-                     text.substr(0, text.size() / 2), "torn"),
-                 FatalError);
-    EXPECT_THROW(campaign::splitSerializedResults("[1, 2, 3]\n",
-                                                  "foreign"),
-                 FatalError);
-}
-
-TEST_F(ShardPlanTest, StitchRoundTripsResultsCsv)
-{
-    SweepConfig config = testsupport::smallSweep();
-    config.outDir = ::testing::TempDir() + "nvmexp_stitch_csv";
-    std::filesystem::remove_all(config.outDir);
-    ParallelSweepRunner runner(2);
-    runner.run(config);
-    std::string text = readFile(config.outDir + "/results.csv");
-
-    campaign::CsvSplit split = campaign::splitResultsCsv(text, "test");
-    EXPECT_EQ(split.rows.size(), 16u);
-    EXPECT_EQ(campaign::joinResultsCsv(split.header, split.rows), text);
-
-    ScopedFatalThrows guard;
-    EXPECT_THROW(campaign::splitResultsCsv(
-                     text.substr(0, text.size() - 1), "no newline"),
-                 FatalError);
 }
 
 } // namespace

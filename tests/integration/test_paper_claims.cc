@@ -30,6 +30,15 @@ class PaperClaimsTest : public ::testing::Test
             out.emplace(array.cell.name, array);
         return out;
     }
+
+    /** The Fig. 9 LLC study, simulated once for the whole suite: it
+     *  is deterministic and by far the suite's most expensive input. */
+    static const studies::LlcStudyResult &
+    llcStudy()
+    {
+        static const studies::LlcStudyResult study = studies::llcStudy();
+        return study;
+    }
 };
 
 TEST_F(PaperClaimsTest, Fig3_WriteCharacteristicsSpanDecades)
@@ -210,7 +219,7 @@ TEST_F(PaperClaimsTest, Fig8_LowReadRatePowerWinnerIsFeFet)
 
 TEST_F(PaperClaimsTest, Fig9_SttWinsHighTrafficLlc)
 {
-    auto study = studies::llcStudy();
+    const auto &study = llcStudy();
     // For the highest-traffic benchmark, STT provides the lowest
     // power, lowest latency load, and longest lifetime among eNVMs.
     const EvalResult *heaviest = nullptr;
@@ -236,7 +245,7 @@ TEST_F(PaperClaimsTest, Fig9_SttWinsHighTrafficLlc)
 
 TEST_F(PaperClaimsTest, Fig9_RramNotViableAsLlcLongTerm)
 {
-    auto study = studies::llcStudy();
+    const auto &study = llcStudy();
     // "RRAM does not appear viable as an LLC": lifetime under a year
     // for every benchmark with meaningful write traffic.
     int checked = 0;

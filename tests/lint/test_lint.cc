@@ -273,22 +273,14 @@ class CampaignLintTest : public LintTest
     /** A structurally valid two-shard manifest, one field swappable
      *  at a time. */
     static std::string
-    manifestJson(const std::string &fingerprint,
-                 const std::string &shard1Status)
+    manifestJson(const std::string &fingerprint)
     {
         return "{\n"
                "  \"format\": 2,\n"
-               "  \"campaign_format\": 1,\n"
+               "  \"campaign_format\": 2,\n"
                "  \"fingerprint\": \"" + fingerprint + "\",\n"
                "  \"shard_count\": 2,\n"
-               "  \"granularity\": 2,\n"
-               "  \"shards\": [\n"
-               "    {\"id\": 0, \"dir\": \"shards/shard-0\",\n"
-               "     \"status\": \"pending\", \"attempts\": 0},\n"
-               "    {\"id\": 1, \"dir\": \"shards/shard-1\",\n"
-               "     \"status\": \"" + shard1Status + "\",\n"
-               "     \"attempts\": 1}\n"
-               "  ]\n"
+               "  \"granularity\": 2\n"
                "}\n";
     }
 
@@ -302,7 +294,7 @@ class CampaignLintTest : public LintTest
 
 TEST_F(CampaignLintTest, PendingCampaignLintsClean)
 {
-    write("campaign.json", manifestJson("00000000aaaaaaaa", "pending"));
+    write("campaign.json", manifestJson("00000000aaaaaaaa"));
     LintReport report = lintCampaignDir(dir_.string());
     for (const auto &d : report.diagnostics)
         ADD_FAILURE() << d.file << ": [" << d.key << "] " << d.message;
@@ -310,9 +302,9 @@ TEST_F(CampaignLintTest, PendingCampaignLintsClean)
 
 TEST_F(CampaignLintTest, WrongCampaignFormatVersionIsDiagnosed)
 {
-    std::string bad = manifestJson("00000000aaaaaaaa", "pending");
-    bad.replace(bad.find("\"campaign_format\": 1"),
-                std::string("\"campaign_format\": 1").size(),
+    std::string bad = manifestJson("00000000aaaaaaaa");
+    bad.replace(bad.find("\"campaign_format\": 2"),
+                std::string("\"campaign_format\": 2").size(),
                 "\"campaign_format\": 99");
     auto path = write("campaign.json", bad);
     LintReport report = lintCampaignDir(dir_.string());
@@ -321,33 +313,22 @@ TEST_F(CampaignLintTest, WrongCampaignFormatVersionIsDiagnosed)
               std::string::npos);
 }
 
-TEST_F(CampaignLintTest, ShardTableSizeMismatchIsDiagnosed)
+TEST_F(CampaignLintTest, ShardCountPastTheBoundIsDiagnosed)
 {
-    std::string bad = manifestJson("00000000aaaaaaaa", "pending");
+    std::string bad = manifestJson("00000000aaaaaaaa");
     bad.replace(bad.find("\"shard_count\": 2"),
                 std::string("\"shard_count\": 2").size(),
-                "\"shard_count\": 3");
+                "\"shard_count\": 4097");
     auto path = write("campaign.json", bad);
     LintReport report = lintCampaignDir(dir_.string());
     expectOneDiagnostic(report, path, "");
-    EXPECT_NE(report.diagnostics[0].message.find("shard table"),
-              std::string::npos);
-}
-
-TEST_F(CampaignLintTest, CompletedShardWithoutStoreIsDiagnosed)
-{
-    auto path =
-        write("campaign.json",
-              manifestJson("00000000aaaaaaaa", "complete"));
-    LintReport report = lintCampaignDir(dir_.string());
-    expectOneDiagnostic(report, path, "shards[1]");
-    EXPECT_NE(report.diagnostics[0].message.find("missing"),
+    EXPECT_NE(report.diagnostics[0].message.find("\"shard_count\""),
               std::string::npos);
 }
 
 TEST_F(CampaignLintTest, ForeignShardJournalFingerprintIsDiagnosed)
 {
-    write("campaign.json", manifestJson("00000000aaaaaaaa", "partial"));
+    write("campaign.json", manifestJson("00000000aaaaaaaa"));
     auto journal = write("shards/shard-1/checkpoint.jsonl",
                          journalHeader("00000000bbbbbbbb"));
     LintReport report = lintCampaignDir(dir_.string());
@@ -358,13 +339,13 @@ TEST_F(CampaignLintTest, ForeignShardJournalFingerprintIsDiagnosed)
 
 TEST_F(CampaignLintTest, InconsistentShardStateIsDiagnosed)
 {
-    write("campaign.json", manifestJson("00000000aaaaaaaa", "partial"));
+    write("campaign.json", manifestJson("00000000aaaaaaaa"));
     write("shards/shard-1/checkpoint.jsonl",
           journalHeader("00000000aaaaaaaa"));
     // A shard.json claiming another shard's identity: torn retry
     // bookkeeping the lenient loader would silently zero.
     auto state = write("shards/shard-1/shard.json",
-                       "{\"format\": 2, \"campaign_format\": 1,\n"
+                       "{\"format\": 2, \"campaign_format\": 2,\n"
                        " \"fingerprint\": \"00000000aaaaaaaa\",\n"
                        " \"shard\": 0, \"shard_count\": 2,\n"
                        " \"attempts\": 1, \"completed\": false}\n");
@@ -374,13 +355,13 @@ TEST_F(CampaignLintTest, InconsistentShardStateIsDiagnosed)
 
 TEST_F(CampaignLintTest, ShardStateCountsThatAreNotWholeAreDiagnosed)
 {
-    write("campaign.json", manifestJson("00000000aaaaaaaa", "partial"));
+    write("campaign.json", manifestJson("00000000aaaaaaaa"));
     write("shards/shard-1/checkpoint.jsonl",
           journalHeader("00000000aaaaaaaa"));
     // Checked as doubles before any cast: 1e300 is no shard id (the
     // cast is undefined behavior) and 2.5 no attempt count.
     auto state = write("shards/shard-1/shard.json",
-                       "{\"format\": 2, \"campaign_format\": 1,\n"
+                       "{\"format\": 2, \"campaign_format\": 2,\n"
                        " \"fingerprint\": \"00000000aaaaaaaa\",\n"
                        " \"shard\": 1e300, \"shard_count\": 2,\n"
                        " \"attempts\": 2.5, \"completed\": false}\n");
@@ -394,7 +375,7 @@ TEST_F(CampaignLintTest, ShardStateCountsThatAreNotWholeAreDiagnosed)
 
 TEST_F(CampaignLintTest, MergedStoreFingerprintMismatchIsDiagnosed)
 {
-    write("campaign.json", manifestJson("00000000aaaaaaaa", "pending"));
+    write("campaign.json", manifestJson("00000000aaaaaaaa"));
     auto journal = write("merged/checkpoint.jsonl",
                          journalHeader("00000000cccccccc"));
     LintReport report = lintCampaignDir(dir_.string());
@@ -414,7 +395,7 @@ TEST_F(CampaignLintTest, RealCampaignLifecycleLintsClean)
     LintReport report = lintCampaignDir(dir);
     for (const auto &d : report.diagnostics)
         ADD_FAILURE() << d.file << ": [" << d.key << "] " << d.message;
-    // The campaign itself, two shard stores, and the merged store.
+    // The campaign itself, two shard directories, and the merged store.
     EXPECT_GE(report.checked, 4u);
 }
 

@@ -87,6 +87,28 @@ TEST(JsonDeath, ReportsPositionOnErrors)
                 ::testing::ExitedWithCode(1), "trailing");
 }
 
+TEST(Json, NestingStopsAtTheDepthCap)
+{
+    // kMaxDepth levels parse and dump; one more fails at the bracket
+    // that exceeds the cap, objects and arrays alike.
+    auto deep = [](std::size_t depth, const char *open, char close) {
+        std::string text;
+        for (std::size_t i = 0; i < depth; ++i)
+            text += open;
+        return text + "0" + std::string(depth, close);
+    };
+    const std::size_t cap = JsonValue::kMaxDepth;
+    JsonValue out;
+    ASSERT_TRUE(JsonValue::tryParse(deep(cap, "[", ']'), out));
+    EXPECT_EQ(out.dump(-1), deep(cap, "[", ']'));
+    EXPECT_TRUE(JsonValue::tryParse(deep(cap, "{\"a\":", '}'), out));
+    EXPECT_FALSE(JsonValue::tryParse(deep(cap + 1, "[", ']'), out));
+    EXPECT_FALSE(JsonValue::tryParse(deep(cap + 1, "{\"a\":", '}'), out));
+    EXPECT_EXIT(JsonValue::parse(deep(cap + 1, "[", ']')),
+                ::testing::ExitedWithCode(1),
+                "line 1 column 513: nesting deeper than 512 levels");
+}
+
 TEST(JsonDeath, TypeMismatchesAreFatal)
 {
     auto v = JsonValue::parse(R"({"s": "x"})");

@@ -528,25 +528,17 @@ lintCampaignDir(const std::string &dir)
 
     std::string manifestPath = dir + "/campaign.json";
     campaign::CampaignManifest manifest;
-    // fromJson carries the format/fingerprint/shard-table validation;
-    // the guard turns each fatal into a diagnostic.
+    // fromJson carries the format/fingerprint/count validation; the
+    // guard turns each fatal into a diagnostic.
     if (!guarded(report, manifestPath, "",
                  [&] { manifest = campaign::loadManifest(dir); }))
         return report;
 
-    for (const auto &shard : manifest.shards) {
-        std::string key = "shards[" + std::to_string(shard.id) + "]";
-        std::string shardDir = dir + "/" + campaign::shardDirName(shard.id);
-        if (!fs::is_directory(shardDir)) {
-            // A pending shard legitimately has no store yet; any
-            // other status claims work that left no artifacts.
-            if (shard.status != "pending")
-                report.add(manifestPath, key,
-                           "status '" + shard.status +
-                               "' but shard dir '" + shardDir +
-                               "' is missing");
+    for (std::size_t shard = 0; shard < manifest.shardCount; ++shard) {
+        // A shard that has not run yet has no directory.
+        std::string shardDir = dir + "/" + campaign::shardDirName(shard);
+        if (!fs::is_directory(shardDir))
             continue;
-        }
         report.merge(lintStoreDir(shardDir));
         std::string claimed = journalFingerprint(shardDir);
         if (!claimed.empty() && claimed != manifest.fingerprint) {
@@ -557,7 +549,7 @@ lintCampaignDir(const std::string &dir)
         }
         std::string state = shardDir + "/shard.json";
         if (fs::exists(state))
-            checkShardState(report, state, manifest, shard.id);
+            checkShardState(report, state, manifest, shard);
     }
 
     std::string merged = dir + "/merged";

@@ -79,7 +79,7 @@ LintReport lintBenchFile(const std::string &path);
 LintReport lintStoreDir(const std::string &dir);
 
 /** Lint one campaign directory: campaign.json (format versions,
- *  fingerprint, shard-table consistency), every shard store
+ *  fingerprint, whole counts), every shard directory present
  *  (lintStoreDir + journal/shard.json fingerprint cross-checks
  *  against the manifest), the merged store, and the snapshotted
  *  config.json. */

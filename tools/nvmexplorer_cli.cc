@@ -99,8 +99,9 @@ usage()
         "config; `run` evaluates one shard, and the shards may run at\n"
         "once, here or on other machines (kill-safe: re-running a\n"
         "shard resumes from its journal); `merge` validates every\n"
-        "shard and splices them into DIR/merged, byte-identical to a\n"
-        "single-process --out run; `status` prints per-shard progress.\n";
+        "shard journal and writes DIR/merged from them, byte-identical\n"
+        "to a single-process --out run; `status` prints per-shard\n"
+        "progress.\n";
 }
 
 /** `--list-metrics`: the registry is the single source of truth for
@@ -370,7 +371,8 @@ parseCampaignArgs(const std::string &command, int argc, char **argv,
             if (argi + 1 >= argc)
                 fatal(cmd, ": --shards needs a shard count");
             out.shards = (std::size_t)parseCount(
-                cmd, "--shards", argv[argi + 1], 1, 4096);
+                cmd, "--shards", argv[argi + 1], 1,
+                (long)campaign::kMaxShards);
             ++argi;
         } else if (command == "campaign run" &&
                    std::strcmp(argv[argi], "--shard") == 0) {
@@ -385,7 +387,7 @@ parseCampaignArgs(const std::string &command, int argc, char **argv,
             }
             out.shardCount = (std::size_t)parseCount(
                 cmd, "--shard", spec.substr(slash + 1).c_str(), 1,
-                4096);
+                (long)campaign::kMaxShards);
             out.shard = (std::size_t)parseCount(
                 cmd, "--shard", spec.substr(0, slash).c_str(), 0,
                 (long)out.shardCount - 1);
