@@ -1,8 +1,9 @@
 /**
  * @file
- * google-benchmark micro-benchmarks of the refine path: constraint
- * filtering (clause-count scaling), 2-D and N-D Pareto extraction,
- * top-k ranking, and the full store-query pipeline.
+ * google-benchmark micro-benchmarks of the refine path
+ * (store::applyQuery): constraint filtering (clause-count scaling),
+ * 2-D and N-D Pareto extraction, top-k ranking, and the full
+ * store-query pipeline.
  *
  * CI runs this with --benchmark_out=BENCH_query.json to seed the perf
  * trajectory of the filter-and-refine stage; the workload is a
@@ -12,8 +13,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "metrics/constraints.hh"
-#include "metrics/refine.hh"
 #include "store/result_store.hh"
 #include "support/bench_fixtures.hh"
 
@@ -22,87 +21,74 @@ using benchsupport::syntheticResults;
 
 namespace {
 
+/** One refine stage per benchmark, each through store::applyQuery
+ *  (the engine plus the columns its query names). */
+void
+runQuery(benchmark::State &state, const std::vector<EvalResult> &results,
+         const store::StoreQuery &query)
+{
+    for (auto _ : state) {
+        auto refined = store::applyQuery(results, query);
+        benchmark::DoNotOptimize(refined);
+    }
+    state.SetItemsProcessed((std::int64_t)state.iterations() *
+                            (std::int64_t)results.size());
+}
+
 void
 BM_FilterConstraintSet(benchmark::State &state)
 {
-    auto results = syntheticResults(1 << 14);
     // 1, 3, or 6 clauses: clause-count scaling of the refine path.
-    metrics::ConstraintSet set;
+    store::StoreQuery query;
     const char *clauses[] = {
         "total_power<=0.25",      "latency_load<=1.0",
         "meets_read_bw>=1",       "lifetime_years>=1",
         "read_latency<=50e-9",    "area_mm2<=0.5",
     };
     for (int i = 0; i < state.range(0); ++i)
-        set.add(clauses[i]);
-    for (auto _ : state) {
-        auto kept = set.filter(results);
-        benchmark::DoNotOptimize(kept);
-    }
-    state.SetItemsProcessed((std::int64_t)state.iterations() *
-                            (1 << 14));
+        query.constraints.add(clauses[i]);
+    runQuery(state, syntheticResults(1 << 14), query);
 }
 BENCHMARK(BM_FilterConstraintSet)->Arg(1)->Arg(3)->Arg(6);
 
 void
 BM_Pareto2D(benchmark::State &state)
 {
-    auto results = syntheticResults((std::size_t)state.range(0));
-    for (auto _ : state) {
-        auto front = metrics::paretoByMetrics(
-            results, {"total_power", "latency_load"});
-        benchmark::DoNotOptimize(front);
-    }
-    state.SetItemsProcessed((std::int64_t)state.iterations() *
-                            state.range(0));
+    store::StoreQuery query;
+    query.paretoMetrics = {"total_power", "latency_load"};
+    runQuery(state, syntheticResults((std::size_t)state.range(0)), query);
 }
 BENCHMARK(BM_Pareto2D)->Arg(1 << 10)->Arg(1 << 14);
 
 void
 BM_Pareto3D(benchmark::State &state)
 {
-    auto results = syntheticResults((std::size_t)state.range(0));
-    for (auto _ : state) {
-        auto front = metrics::paretoByMetrics(
-            results,
-            {"total_power", "latency_load", "read_latency"});
-        benchmark::DoNotOptimize(front);
-    }
-    state.SetItemsProcessed((std::int64_t)state.iterations() *
-                            state.range(0));
+    store::StoreQuery query;
+    query.paretoMetrics = {"total_power", "latency_load", "read_latency"};
+    runQuery(state, syntheticResults((std::size_t)state.range(0)), query);
 }
 BENCHMARK(BM_Pareto3D)->Arg(1 << 10)->Arg(1 << 14);
 
 void
 BM_TopK(benchmark::State &state)
 {
-    auto results = syntheticResults(1 << 14);
-    for (auto _ : state) {
-        auto top = metrics::topByMetric(results, "read_edp",
-                                        (std::size_t)state.range(0));
-        benchmark::DoNotOptimize(top);
-    }
-    state.SetItemsProcessed((std::int64_t)state.iterations() *
-                            (1 << 14));
+    store::StoreQuery query;
+    query.topMetric = "read_edp";
+    query.topK = (std::size_t)state.range(0);
+    runQuery(state, syntheticResults(1 << 14), query);
 }
 BENCHMARK(BM_TopK)->Arg(10)->Arg(1 << 12);
 
 void
 BM_ApplyQueryPipeline(benchmark::State &state)
 {
-    auto results = syntheticResults((std::size_t)state.range(0));
     store::StoreQuery query;
     query.constraints.add("latency_load<=1.0");
     query.constraints.add("lifetime_years>=1");
     query.paretoMetrics = {"total_power", "read_latency"};
     query.topMetric = "total_power";
     query.topK = 10;
-    for (auto _ : state) {
-        auto refined = store::applyQuery(results, query);
-        benchmark::DoNotOptimize(refined);
-    }
-    state.SetItemsProcessed((std::int64_t)state.iterations() *
-                            state.range(0));
+    runQuery(state, syntheticResults((std::size_t)state.range(0)), query);
 }
 BENCHMARK(BM_ApplyQueryPipeline)->Arg(1 << 10)->Arg(1 << 14);
 

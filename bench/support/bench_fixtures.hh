@@ -127,14 +127,32 @@ campaignSweep()
     return config;
 }
 
-/** The common perf_* main body: quiet logging (characterization
- *  warnings would drown the benchmark table), then the stock
- *  google-benchmark driver. */
+/**
+ * The common perf_* main body: quiet logging (characterization
+ * warnings would drown the benchmark table), the nvmexp build record,
+ * then the stock google-benchmark driver.
+ *
+ * The context's "library_build_type" describes libbenchmark itself,
+ * not nvmexp (a distro libbenchmark reports "debug" under a Release
+ * nvmexp build), so nvmexp records its own: "nvmexp_ndebug" and
+ * "nvmexp_optimize" are "true" when NDEBUG and __OPTIMIZE__ were set.
+ * nvmexplorer_lint --bench refuses a snapshot without both.
+ */
 inline int
 benchMain(int argc, char **argv)
 {
     setQuiet(true);
     benchmark::Initialize(&argc, argv);
+#ifdef NDEBUG
+    benchmark::AddCustomContext("nvmexp_ndebug", "true");
+#else
+    benchmark::AddCustomContext("nvmexp_ndebug", "false");
+#endif
+#ifdef __OPTIMIZE__
+    benchmark::AddCustomContext("nvmexp_optimize", "true");
+#else
+    benchmark::AddCustomContext("nvmexp_optimize", "false");
+#endif
     benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,14 +6,12 @@
  * Pareto front over (power, latency load).
  */
 
-#include <functional>
 #include <iostream>
 
 #include "cachesim/streams.hh"
 #include "celldb/tentpole.hh"
 #include "core/sweep.hh"
-#include "metrics/constraints.hh"
-#include "metrics/refine.hh"
+#include "store/result_store.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -42,12 +40,12 @@ main()
     // Filter: must meet demand and last at least 3 years — the same
     // declarative clauses the CLI's --filter flag and a config's
     // "constraints" array accept.
-    metrics::ConstraintSet constraints;
-    constraints.add("latency_load<=1.0");
-    constraints.add("meets_read_bw>=1");
-    constraints.add("meets_write_bw>=1");
-    constraints.add("lifetime_years>=3");
-    auto eligible = constraints.filter(results);
+    store::StoreQuery filter;
+    filter.constraints.add("latency_load<=1.0");
+    filter.constraints.add("meets_read_bw>=1");
+    filter.constraints.add("meets_write_bw>=1");
+    filter.constraints.add("lifetime_years>=3");
+    auto eligible = store::applyQuery(results, filter);
 
     Table table("16MB LLC candidates (viable, >=3yr lifetime)",
                 {"Cell", "Power[mW]", "LatencyLoad", "Lifetime[yr]"});
@@ -60,8 +58,9 @@ main()
     }
     table.print(std::cout);
 
-    auto front = metrics::paretoByMetrics(
-        eligible, {"total_power", "latency_load"});
+    store::StoreQuery pareto;
+    pareto.paretoMetrics = {"total_power", "latency_load"};
+    auto front = store::applyQuery(eligible, pareto);
     std::cout << "Pareto-optimal (power x latency load):";
     for (const auto &ev : front)
         std::cout << " " << ev.array.cell.name;

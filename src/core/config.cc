@@ -203,12 +203,37 @@ reliabilityFromJson(const JsonValue &block, const std::string &context)
 
 } // namespace
 
+const std::set<std::string> &
+knownConfigKeys()
+{
+    static const std::set<std::string> keys = {
+        "experiment",  "cells",       "capacities_mib",
+        "word_bits",   "node_nm",     "sram_node_nm",
+        "jobs",        "out_dir",     "resume",
+        "targets",     "traffic",     "workloads",
+        "workload",    "reliability", "ecc",
+        "constraints", "pareto",      "top_k",
+        "output_csv",  "campaign",
+    };
+    return keys;
+}
+
 ExperimentConfig
 loadExperiment(const JsonValue &doc)
 {
     ExperimentConfig config;
     config.name = doc.stringOr("experiment", "experiment");
     const std::string context = "config '" + config.name + "'";
+
+    for (const auto &key : doc.memberNames()) {
+        if (knownConfigKeys().count(key))
+            continue;
+        std::string known;
+        for (const auto &name : knownConfigKeys())
+            known += " " + name;
+        fatal(context, ": unknown key '", key, "' (known keys:", known,
+              ")");
+    }
 
     // Cells: names, "study-set", or inline custom definitions.
     CellCatalog catalog;

@@ -14,6 +14,7 @@
 #define NVMEXP_CORE_CONFIG_HH
 
 #include <cstddef>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,13 @@ struct ExperimentConfig
  */
 MemCell resolveCellReference(const std::string &reference);
 
-/** Build an ExperimentConfig from a parsed JSON document. */
+/** The top-level keys a config may hold, sorted: loadExperiment
+ *  refuses any other (a typo'd "tagets" must not run the default
+ *  sweep), and nvmexplorer_lint reports it. */
+const std::set<std::string> &knownConfigKeys();
+
+/** Build an ExperimentConfig from a parsed JSON document; fatal()
+ *  naming the config on an unknown top-level key or a bad value. */
 ExperimentConfig loadExperiment(const JsonValue &doc);
 
 /** Convenience: parse + load a config file. */

@@ -5,9 +5,10 @@
  *
  * A SweepConfig crosses cells x capacities x optimization targets x
  * traffic patterns; runSweep characterizes each array once and
- * evaluates it against every pattern. The Pareto helpers here back the
- * "filter and refine" interaction the paper's dashboard provides; its
- * constraint clauses live in metrics/constraints.hh.
+ * evaluates it against every pattern. The Pareto templates here are
+ * the dominance kernels of the "filter and refine" interaction the
+ * paper's dashboard provides; the refine engine that runs them over
+ * metric columns is store::selectRows (store/result_store.hh).
  */
 
 #ifndef NVMEXP_CORE_SWEEP_HH
@@ -15,7 +16,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -127,14 +127,15 @@ paretoFront(const std::vector<T> &items,
               });
 
     std::vector<char> keep(n, 0);
-    double bestB = std::numeric_limits<double>::infinity();
+    double bestB = 0.0;  // meaningful once i > 0
     for (std::size_t i = 0; i < n;) {
         const double a = keys[order[i]].first;
         const double groupMinB = keys[order[i]].second;
-        std::size_t j = i;
+        std::size_t j = i + 1;  // progress even if a is NaN
         while (j < n && keys[order[j]].first == a)
             ++j;
-        if (groupMinB < bestB) {
+        // The first group is never dominated, even at keyB = +inf.
+        if (i == 0 || groupMinB < bestB) {
             for (std::size_t k = i;
                  k < j && keys[order[k]].second == groupMinB; ++k) {
                 keep[order[k]] = 1;
@@ -153,8 +154,8 @@ paretoFront(const std::vector<T> &items,
 
 /**
  * N-dimensional Pareto front (minimize every key) over any result
- * vector; the generalization the named-metric layer
- * (metrics::paretoByMetrics) dispatches through.
+ * vector; store::selectRows runs it over row indices with
+ * direction-folded metric columns as keys.
  *
  * Two keys take the sorted O(n log n) fast path above and reproduce
  * its front exactly. Other dimensionalities run a lexicographic-order
@@ -221,13 +222,6 @@ paretoFrontND(const std::vector<T> &items,
             out.push_back(items[i]);
     return out;
 }
-
-/** Pointer to the result minimizing key, or nullptr when empty or
- *  every key is NaN. NaN-keyed results are skipped — an unordered key
- *  must never be reported as "best". */
-const EvalResult *
-bestBy(const std::vector<EvalResult> &results,
-       const std::function<double(const EvalResult &)> &key);
 
 } // namespace nvmexp
 

@@ -1,6 +1,5 @@
 #include "metrics/constraints.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -159,39 +158,14 @@ ConstraintClause::fromJson(const JsonValue &doc,
 void
 ConstraintSet::add(ConstraintClause clause)
 {
-    const Metric &m = metrics::metric(clause.metric);  // unknown fatal
+    metrics::metric(clause.metric);  // unknown is fatal
     clauses_.push_back(std::move(clause));
-    evalOrder_.emplace_back(clauses_.size() - 1, &m);
-    std::stable_sort(evalOrder_.begin(), evalOrder_.end(),
-                     [](const auto &lhs, const auto &rhs) {
-                         return lhs.second->cost < rhs.second->cost;
-                     });
 }
 
 void
 ConstraintSet::add(const std::string &text, const std::string &context)
 {
     add(ConstraintClause::parse(text, context));
-}
-
-bool
-ConstraintSet::satisfied(const EvalResult &result) const
-{
-    for (const auto &[index, metric] : evalOrder_)
-        if (!clauses_[index].holds(metric->eval(result)))
-            return false;
-    return true;
-}
-
-std::vector<EvalResult>
-ConstraintSet::filter(const std::vector<EvalResult> &results) const
-{
-    std::vector<EvalResult> out;
-    out.reserve(results.size());
-    for (const auto &result : results)
-        if (satisfied(result))
-            out.push_back(result);
-    return out;
 }
 
 JsonValue

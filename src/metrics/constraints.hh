@@ -12,10 +12,10 @@
  *   C++     ConstraintClause{"total_power", ConstraintOp::LT, 0.5}
  *
  * so the same filter can live in a JSON config, a CLI flag, a store's
- * query.json, or a study driver. Clause order is preserved for
- * serialization, but evaluation proceeds cheapest-metric-first —
- * clauses are pure ANDed predicates, so reordering never changes
- * which rows pass.
+ * query.json, or a study driver. A set only holds and serializes its
+ * clauses, in declared order; rows are selected by the refine engine
+ * (store::selectRows), which reads each clause's metric as a column
+ * and keeps a row when every clause holds() for its value.
  */
 
 #ifndef NVMEXP_METRICS_CONSTRAINTS_HH
@@ -23,10 +23,8 @@
 
 #include <cstddef>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "core/sweep.hh"
 #include "metrics/metric.hh"
 #include "util/json.hh"
 
@@ -51,9 +49,8 @@ struct ConstraintClause
     ConstraintOp op = ConstraintOp::LE;
     double bound = 0.0;
 
-    /** Apply the comparison to an already-extracted value (extraction
-     *  lives in ConstraintSet, which caches the resolved metric so
-     *  per-row evaluation never touches the registry). */
+    /** Apply the comparison to the metric's value for one row (IEEE
+     *  semantics: a NaN value fails every operator but !=). */
     bool holds(double value) const;
 
     /** Canonical text form, e.g. "total_power<0.5". */
@@ -80,8 +77,7 @@ class ConstraintSet
   public:
     ConstraintSet() = default;
 
-    /** Append a clause (declared order is preserved for
-     *  serialization; evaluation is cheapest-first). */
+    /** Append a clause (its metric must be registered). */
     void add(ConstraintClause clause);
     /** Parse-and-append a text clause. */
     void add(const std::string &text, const std::string &context = "");
@@ -94,14 +90,6 @@ class ConstraintSet
         return clauses_;
     }
 
-    /** True iff every clause holds (vacuously true when empty). */
-    bool satisfied(const EvalResult &result) const;
-
-    /** Keep only the rows satisfying every clause (order
-     *  preserved). */
-    std::vector<EvalResult>
-    filter(const std::vector<EvalResult> &results) const;
-
     /** Serialize as a JSON array of clause objects. */
     JsonValue toJson() const;
     /** Parse a JSON array of clause objects / text strings; fatal
@@ -112,15 +100,6 @@ class ConstraintSet
 
   private:
     std::vector<ConstraintClause> clauses_;  ///< declared order
-    /**
-     * Evaluation plan: (clause index, resolved metric) sorted by
-     * metric cost (stable), so satisfied() rejects on cheap clauses
-     * before computing derived metrics — with no registry lookups on
-     * the per-row path. Metric pointers stay valid for the process
-     * lifetime (the registry is a never-destroyed singleton whose map
-     * nodes are stable).
-     */
-    std::vector<std::pair<std::size_t, const Metric *>> evalOrder_;
 };
 
 } // namespace metrics

@@ -19,7 +19,7 @@ namespace {
  *  ArrayResult, automatically lifted to EvalResult via `.array`. */
 Metric
 arrayMetric(std::string name, std::string unit, std::string description,
-            Direction direction, int cost,
+            Direction direction,
             std::function<double(const ArrayResult &)> accessor)
 {
     Metric m;
@@ -27,7 +27,6 @@ arrayMetric(std::string name, std::string unit, std::string description,
     m.unit = std::move(unit);
     m.description = std::move(description);
     m.direction = direction;
-    m.cost = cost;
     m.array = accessor;
     m.eval = [accessor](const EvalResult &r) { return accessor(r.array); };
     return m;
@@ -36,7 +35,7 @@ arrayMetric(std::string name, std::string unit, std::string description,
 /** Builder for application-level metrics (need traffic). */
 Metric
 evalMetric(std::string name, std::string unit, std::string description,
-           Direction direction, int cost,
+           Direction direction,
            std::function<double(const EvalResult &)> accessor)
 {
     Metric m;
@@ -44,7 +43,6 @@ evalMetric(std::string name, std::string unit, std::string description,
     m.unit = std::move(unit);
     m.description = std::move(description);
     m.direction = direction;
-    m.cost = cost;
     m.eval = std::move(accessor);
     return m;
 }
@@ -56,46 +54,46 @@ registerBuiltins(MetricRegistry &registry)
 
     // Application-level metrics of the evaluation engine.
     registry.add(evalMetric("total_power", "W",
-        "total memory power (dynamic + leakage)", D::Minimize, 0,
+        "total memory power (dynamic + leakage)", D::Minimize,
         [](const EvalResult &r) { return r.totalPower; }));
     registry.add(evalMetric("dynamic_power", "W",
-        "dynamic power from read/write access energy", D::Minimize, 0,
+        "dynamic power from read/write access energy", D::Minimize,
         [](const EvalResult &r) { return r.dynamicPower; }));
     registry.add(evalMetric("leakage_power", "W",
-        "leakage power under this workload", D::Minimize, 0,
+        "leakage power under this workload", D::Minimize,
         [](const EvalResult &r) { return r.leakagePower; }));
     registry.add(evalMetric("latency_load", "1",
         "aggregated access latency per second of execution "
-        "(>1 slows the application)", D::Minimize, 0,
+        "(>1 slows the application)", D::Minimize,
         [](const EvalResult &r) { return r.latencyLoad; }));
     registry.add(evalMetric("slowdown", "1",
         "application slowdown factor, max(1, latency_load)",
-        D::Minimize, 0,
+        D::Minimize,
         [](const EvalResult &r) { return r.slowdown; }));
     registry.add(evalMetric("total_access_latency", "s",
         "aggregated access latency over the execution window",
-        D::Minimize, 0,
+        D::Minimize,
         [](const EvalResult &r) { return r.totalAccessLatency; }));
     registry.add(evalMetric("lifetime_sec", "s",
         "projected array lifetime under this write rate",
-        D::Maximize, 0,
+        D::Maximize,
         [](const EvalResult &r) { return r.lifetimeSec; }));
     registry.add(evalMetric("lifetime_years", "yr",
-        "projected array lifetime in 365-day years", D::Maximize, 1,
+        "projected array lifetime in 365-day years", D::Maximize,
         [](const EvalResult &r) { return r.lifetimeYears(); }));
     registry.add(evalMetric("meets_read_bw", "bool",
-        "1 when the array sustains the read demand", D::Maximize, 0,
+        "1 when the array sustains the read demand", D::Maximize,
         [](const EvalResult &r) {
             return r.meetsReadBandwidth ? 1.0 : 0.0;
         }));
     registry.add(evalMetric("meets_write_bw", "bool",
-        "1 when the array sustains the write demand", D::Maximize, 0,
+        "1 when the array sustains the write demand", D::Maximize,
         [](const EvalResult &r) {
             return r.meetsWriteBandwidth ? 1.0 : 0.0;
         }));
     registry.add(evalMetric("viable", "bool",
         "1 when the memory serves the workload at full speed",
-        D::Maximize, 1,
+        D::Maximize,
         [](const EvalResult &r) { return r.viable() ? 1.0 : 0.0; }));
 
     // Reliability metrics: annotated onto every EvalResult by the
@@ -104,35 +102,35 @@ registerBuiltins(MetricRegistry &registry)
     // always resolvable in --filter/--pareto/--top and store queries.
     registry.add(evalMetric("raw_ber", "1",
         "raw per-bit error rate of the cell's fault model",
-        D::Minimize, 0,
+        D::Minimize,
         [](const EvalResult &r) { return r.reliability.rawBer; }));
     registry.add(evalMetric("scrubbed_ber", "1",
         "per-bit error probability at the end of a scrub interval "
-        "(raw BER + retention drift)", D::Minimize, 0,
+        "(raw BER + retention drift)", D::Minimize,
         [](const EvalResult &r) { return r.reliability.scrubbedBer; }));
     registry.add(evalMetric("uncorrectable_word_rate", "1",
         "probability a codeword exceeds the ECC scheme's correction "
-        "strength", D::Minimize, 0,
+        "strength", D::Minimize,
         [](const EvalResult &r) {
             return r.reliability.uncorrectableWordRate;
         }));
     registry.add(evalMetric("uncorrectable_image_rate", "1",
         "probability any codeword of the full array is uncorrectable",
-        D::Minimize, 0,
+        D::Minimize,
         [](const EvalResult &r) {
             return r.reliability.uncorrectableImageRate;
         }));
     registry.add(evalMetric("ecc_overhead", "1",
-        "ECC storage overhead: stored bits / data bits", D::Minimize, 0,
+        "ECC storage overhead: stored bits / data bits", D::Minimize,
         [](const EvalResult &r) { return r.reliability.eccOverhead; }));
     registry.add(evalMetric("effective_capacity_mib", "MiB",
-        "data capacity after ECC code overhead", D::Maximize, 1,
+        "data capacity after ECC code overhead", D::Maximize,
         [](const EvalResult &r) {
             return r.array.capacityBytes / r.reliability.eccOverhead /
                 (1024.0 * 1024.0);
         }));
     registry.add(evalMetric("effective_density_mb_per_mm2", "Mb/mm^2",
-        "storage density after ECC code overhead", D::Maximize, 1,
+        "storage density after ECC code overhead", D::Maximize,
         [](const EvalResult &r) {
             return r.array.densityMbPerMm2() /
                 r.reliability.eccOverhead;
@@ -140,57 +138,57 @@ registerBuiltins(MetricRegistry &registry)
 
     // Array-characterization metrics, lifted through `.array`.
     registry.add(arrayMetric("read_latency", "s",
-        "full read access latency", D::Minimize, 0,
+        "full read access latency", D::Minimize,
         [](const ArrayResult &a) { return a.readLatency; }));
     registry.add(arrayMetric("write_latency", "s",
-        "full write access latency", D::Minimize, 0,
+        "full write access latency", D::Minimize,
         [](const ArrayResult &a) { return a.writeLatency; }));
     registry.add(arrayMetric("read_energy", "J",
-        "energy per word read", D::Minimize, 0,
+        "energy per word read", D::Minimize,
         [](const ArrayResult &a) { return a.readEnergy; }));
     registry.add(arrayMetric("write_energy", "J",
-        "energy per word write", D::Minimize, 0,
+        "energy per word write", D::Minimize,
         [](const ArrayResult &a) { return a.writeEnergy; }));
     registry.add(arrayMetric("leakage", "W",
-        "whole-array leakage power", D::Minimize, 0,
+        "whole-array leakage power", D::Minimize,
         [](const ArrayResult &a) { return a.leakage; }));
     registry.add(arrayMetric("area_m2", "m^2",
         "whole-array silicon area (SI; the constraint adapter's "
-        "unit)", D::Minimize, 0,
+        "unit)", D::Minimize,
         [](const ArrayResult &a) { return a.areaM2; }));
     registry.add(arrayMetric("area_mm2", "mm^2",
-        "whole-array silicon area", D::Minimize, 1,
+        "whole-array silicon area", D::Minimize,
         [](const ArrayResult &a) { return a.areaM2 * 1e6; }));
     registry.add(arrayMetric("area_efficiency", "1",
-        "cell area / total area", D::Maximize, 0,
+        "cell area / total area", D::Maximize,
         [](const ArrayResult &a) { return a.areaEfficiency; }));
     registry.add(arrayMetric("read_bandwidth", "B/s",
-        "peak deliverable read bandwidth", D::Maximize, 0,
+        "peak deliverable read bandwidth", D::Maximize,
         [](const ArrayResult &a) { return a.readBandwidth; }));
     registry.add(arrayMetric("write_bandwidth", "B/s",
-        "peak deliverable write bandwidth", D::Maximize, 0,
+        "peak deliverable write bandwidth", D::Maximize,
         [](const ArrayResult &a) { return a.writeBandwidth; }));
     registry.add(arrayMetric("density_mb_per_mm2", "Mb/mm^2",
-        "storage density", D::Maximize, 1,
+        "storage density", D::Maximize,
         [](const ArrayResult &a) { return a.densityMbPerMm2(); }));
     registry.add(arrayMetric("read_edp", "J*s",
-        "read energy-delay product", D::Minimize, 1,
+        "read energy-delay product", D::Minimize,
         [](const ArrayResult &a) {
             return a.metric(OptTarget::ReadEDP);
         }));
     registry.add(arrayMetric("write_edp", "J*s",
-        "write energy-delay product", D::Minimize, 1,
+        "write energy-delay product", D::Minimize,
         [](const ArrayResult &a) {
             return a.metric(OptTarget::WriteEDP);
         }));
     registry.add(arrayMetric("read_energy_per_bit", "J/bit",
-        "read energy per bit", D::Minimize, 1,
+        "read energy per bit", D::Minimize,
         [](const ArrayResult &a) { return a.readEnergyPerBit(); }));
     registry.add(arrayMetric("write_energy_per_bit", "J/bit",
-        "write energy per bit", D::Minimize, 1,
+        "write energy per bit", D::Minimize,
         [](const ArrayResult &a) { return a.writeEnergyPerBit(); }));
     registry.add(arrayMetric("capacity_mib", "MiB",
-        "array capacity", D::Maximize, 1,
+        "array capacity", D::Maximize,
         [](const ArrayResult &a) {
             return a.capacityBytes / (1024.0 * 1024.0);
         }));

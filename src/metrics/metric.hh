@@ -8,14 +8,14 @@
  * an application-level quantity of the EvalResult ("total_power",
  * "latency_load") or an array-characterization quantity of the
  * embedded ArrayResult ("read_latency", "area_mm2", "read_edp") — and
- * carries the metadata downstream consumers need: display unit,
- * minimize/maximize direction, and a relative evaluation cost used to
- * order constraint clauses cheapest-first. Registering metrics by name
- * makes every refinement path (sweep filters, store queries, study
- * drivers, the CLI's --filter/--pareto/--top flags, JSON config keys)
- * dispatch through one declarative vocabulary that serializes
- * losslessly — the same move the workload registry made for traffic
- * sources.
+ * carries the metadata downstream consumers need: display unit and
+ * minimize/maximize direction. Registering metrics by name makes every
+ * refinement path (config refine keys, the CLI's --filter/--pareto/
+ * --top flags, store and served queries, study drivers) dispatch
+ * through one declarative vocabulary that serializes losslessly — the
+ * same move the workload registry made for traffic sources. The refine
+ * engine (store::selectRows) reads a metric as a column: `eval` over
+ * every row, once per query or once per loaded store index.
  */
 
 #ifndef NVMEXP_METRICS_METRIC_HH
@@ -45,12 +45,6 @@ struct Metric
     std::string unit;         ///< display unit, e.g. "W" ("1" = unitless)
     std::string description;  ///< one-liner for --list-metrics
     Direction direction = Direction::Minimize;
-    /**
-     * Relative evaluation cost rank (0 = direct field read, 1 =
-     * derived arithmetic). ConstraintSet evaluates clauses
-     * cheapest-first; the ordering never changes which rows pass.
-     */
-    int cost = 0;
 
     /** Value over a full evaluation row; always set. */
     std::function<double(const EvalResult &)> eval;
@@ -63,14 +57,14 @@ struct Metric
     bool hasArrayAccessor() const { return (bool)array; }
 
     /**
-     * Direction-folded value: the metric negated for Maximize metrics,
-     * so every consumer can uniformly minimize. Exact (negation does
-     * not round), which keeps registry-dispatched call sites bitwise
-     * identical to hand-written `-value` ranking.
+     * Direction-folded `value` of this metric: negated for Maximize
+     * metrics, so every consumer can uniformly minimize (Pareto and
+     * top-k in store::selectRows). Exact (negation does not round),
+     * so a folded ranking is bitwise the hand-written `-value` one.
      */
-    double ascending(const EvalResult &r) const
+    double ascending(double value) const
     {
-        return minimize() ? eval(r) : -eval(r);
+        return minimize() ? value : -value;
     }
 };
 

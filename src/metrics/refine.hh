@@ -1,14 +1,11 @@
 /**
  * @file
- * Named-metric refinement algorithms: the dashboard verbs of the
- * paper's "filter and refine" stage (Fig. 2) expressed over registry
- * metric names instead of ad-hoc lambdas, so the same operation is
- * addressable from JSON configs, the CLI, store queries, and study
- * drivers — and serializes losslessly.
- *
- * All verbs fold each metric's minimize/maximize direction ("best"
- * total_power is the smallest, "best" density the largest) and skip
- * NaN-valued rows when ranking.
+ * Parsers for the named-metric refine stages of the paper's "filter
+ * and refine" step (Fig. 2): a "pareto" metric list and a "top_k"
+ * object, validated against the metric registry. Configs, store
+ * query.json files, /query bodies and the lint all read them here;
+ * the stages themselves run in the one refine engine,
+ * store::selectRows, over metric columns.
  */
 
 #ifndef NVMEXP_METRICS_REFINE_HH
@@ -18,41 +15,10 @@
 #include <string>
 #include <vector>
 
-#include "core/sweep.hh"
-#include "metrics/metric.hh"
+#include "util/json.hh"
 
 namespace nvmexp {
 namespace metrics {
-
-/**
- * N-dimensional Pareto front over named metrics (direction-folded, so
- * maximize metrics contribute their negation). Two names hit the
- * sorted 2-D fast path of paretoFrontND and reproduce the legacy 2-D
- * front exactly. Rows with a NaN value in any named metric are
- * dropped before the scan (they can neither dominate nor be
- * dominated, and would poison the sort). Input order is preserved;
- * unknown names are fatal with `context`.
- */
-std::vector<EvalResult>
-paretoByMetrics(const std::vector<EvalResult> &results,
-                const std::vector<std::string> &names,
-                const std::string &context = "");
-
-/** Pointer to the best result under a named metric (direction-aware,
- *  NaN rows skipped), or nullptr when empty / all-NaN. */
-const EvalResult *bestByMetric(const std::vector<EvalResult> &results,
-                               const std::string &name,
-                               const std::string &context = "");
-
-/**
- * The k best results under a named metric, best first (stable: rows
- * with equal values keep input order; NaN rows are dropped). k >= the
- * number of rankable rows returns them all.
- */
-std::vector<EvalResult>
-topByMetric(const std::vector<EvalResult> &results,
-            const std::string &name, std::size_t k,
-            const std::string &context = "");
 
 /**
  * Parse a "pareto" JSON array of metric names, validating each

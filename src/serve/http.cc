@@ -5,9 +5,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "util/json.hh"
@@ -114,15 +116,18 @@ HttpRequestParser::finishHeaders(std::size_t headerEnd)
 
     auto cl = request_.headers.find("content-length");
     if (cl != request_.headers.end()) {
+        // Checked on the double, before any cast: casting NaN or 1e300
+        // to an integer is undefined.
         double declared = 0.0;
         if (!JsonValue::parseNumber(cl->second, declared) ||
-            declared < 0.0 || declared != (double)(std::size_t)declared) {
+            !isWholeNumber(declared, 0.0,
+                           std::numeric_limits<double>::infinity())) {
             return fail(ParseState::Bad,
                         "bad Content-Length '" + cl->second + "'");
         }
-        contentLength_ = (std::size_t)declared;
-        if (contentLength_ > maxBody_)
+        if (declared > (double)maxBody_)
             return fail(ParseState::TooLarge, "request body too large");
+        contentLength_ = (std::size_t)declared;
     }
     headersDone_ = true;
     return ParseState::NeedMore;
@@ -136,22 +141,25 @@ HttpRequestParser::consume(const char *data, std::size_t size)
     buffer_.append(data, size);
 
     if (!headersDone_) {
-        // Find the blank line ending the header block; accept CRLFCRLF
-        // or bare LFLF.
-        std::size_t end = buffer_.find("\r\n\r\n");
-        std::size_t bodyAt;
-        if (end != std::string::npos) {
-            bodyAt = end + 4;
-        } else {
-            end = buffer_.find("\n\n");
-            if (end != std::string::npos)
-                bodyAt = end + 2;
-            else if (buffer_.size() > maxBody_ + 8192)
+        // The header block ends at its first empty line, CRLF or bare
+        // LF. The search resumes where the previous chunk's left off
+        // (nothing earlier can start an empty line), so the earliest
+        // one is found however the bytes were chunked.
+        const std::size_t maxHeader = maxBody_ + 8192;
+        std::size_t lf = buffer_.find("\n\n", scanFrom_);
+        std::size_t crlf = buffer_.find("\n\r\n", scanFrom_);
+        std::size_t end = std::min(lf, crlf);
+        if (end == std::string::npos) {
+            if (buffer_.size() > maxHeader)
                 return fail(ParseState::TooLarge, "request too large");
-            else
-                return ParseState::NeedMore;
+            scanFrom_ = buffer_.size() < 2 ? 0 : buffer_.size() - 2;
+            return ParseState::NeedMore;
         }
-        bodyStart_ = bodyAt;
+        bodyStart_ = end + (end == lf ? 2 : 3);
+        // Over the limit is refused even with the end in hand, as it
+        // is when the same bytes trickle in.
+        if (bodyStart_ > maxHeader)
+            return fail(ParseState::TooLarge, "request too large");
         if (finishHeaders(end) != ParseState::NeedMore)
             return state_;
     }

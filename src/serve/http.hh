@@ -56,7 +56,12 @@ enum class ParseState
 /**
  * Incremental HTTP/1.1 request parser. Feed it whatever recv()
  * returned; it buffers until the header block and the Content-Length
- * body are complete. Both CRLF and bare-LF line endings are accepted.
+ * body are complete. Both CRLF and bare-LF line endings are accepted;
+ * the header block ends at its first empty line. The outcome (state,
+ * request, error) does not depend on how the bytes were chunked.
+ * Refused with TooLarge: a header block longer than maxBodyBytes +
+ * 8192 bytes, or a Content-Length over maxBodyBytes; with Bad: a
+ * Content-Length that is not a whole, non-negative number.
  */
 class HttpRequestParser
 {
@@ -91,6 +96,7 @@ class HttpRequestParser
 
     std::string buffer_;
     std::size_t maxBody_;
+    std::size_t scanFrom_ = 0;   ///< where the header-end search resumes
     std::size_t bodyStart_ = 0;
     std::size_t contentLength_ = 0;
     bool headersDone_ = false;

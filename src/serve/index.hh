@@ -3,13 +3,11 @@
  * Read-optimized columnar index over one result store.
  *
  * Built once at load time: every registry metric is evaluated for
- * every row into a per-metric contiguous array (rank = position in the
- * registry's sorted name list), so constraint filtering, Pareto
- * reduction, and top-k ranking run over flat double columns instead of
- * re-evaluating metrics per request. Query results are guaranteed
- * byte-identical to the offline path — queries run over row indices
- * through the same paretoFront/paretoFrontND templates and the same
- * sort rules applyQuery uses, and the surviving rows serialize through
+ * every row into a per-metric contiguous array, so a request never
+ * re-evaluates a metric. Queries run through the one refine engine,
+ * store::selectRows, with these prebuilt columns as its ColumnSource
+ * — the offline store::applyQuery runs the same engine over columns it
+ * builds per query — and the surviving rows serialize through
  * store::serializeResults.
  *
  * An index is immutable after construction; the server refreshes a
@@ -48,12 +46,11 @@ class StoreIndex
     fromResults(std::vector<EvalResult> results, std::string fingerprint);
 
     /**
-     * Apply a query over the columns. Same stage order, same keep
-     * sets, and same output order as store::applyQuery — the
-     * differential tests assert serialized byte-identity. Unknown
-     * metric names and k=0 are fatal with the same "store query"
-     * context as the offline path (the server converts fatals to
-     * structured 400s).
+     * Apply a query: store::selectRows over the indexed columns, the
+     * kept rows copied out in output order. Unknown metric names and
+     * k=0 are fatal with the "store query" context (the server
+     * converts fatals to structured 400s); so is a metric registered
+     * after the index was built.
      */
     std::vector<EvalResult> query(const store::StoreQuery &query) const;
 
@@ -63,21 +60,13 @@ class StoreIndex
 
     std::size_t rows() const { return results_.size(); }
 
-    /** The indexed metric column for `name` (registry-validated;
-     *  fatal with `context` when unknown). */
-    const std::vector<double> &column(const std::string &name,
-                                      const std::string &context) const;
-
   private:
     StoreIndex() = default;
 
-    void buildColumns();
-
     std::vector<EvalResult> results_;   ///< row storage, store order
     std::string fingerprint_;
-    std::vector<std::string> metricNames_;     ///< registry order
-    std::map<std::string, std::size_t> rankOf_;
-    std::vector<std::vector<double>> columns_;  ///< [rank][row]
+    /** Every registry metric's column: the query's ColumnSource. */
+    std::map<std::string, std::vector<double>> columns_;
 };
 
 /**

@@ -1,12 +1,14 @@
 #include "store/result_store.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
 #include <limits>
 
 #include "metrics/metric.hh"
+#include "metrics/refine.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -591,13 +593,13 @@ StoreQuery::fromJson(const JsonValue &doc)
         }
     }
     if (doc.has("format")) {
-        if (!doc.at("format").isNumber()) {
-            fatal("store query: \"format\" must be the numeric store "
-                  "format version");
-        }
-        if ((int)doc.at("format").asNumber() != kFormatVersion) {
-            fatal("store query: written with format ",
-                  doc.at("format").asNumber(),
+        // A whole number before the cast: 2.5 must not read as format
+        // 2, and casting 1e300 to an integer is undefined.
+        std::int64_t format =
+            wholeNumberKey(doc, "format", 0,
+                           std::numeric_limits<int>::max(), "store query");
+        if (format != kFormatVersion) {
+            fatal("store query: written with format ", format,
                   ", this build reads format ", kFormatVersion);
         }
     }
@@ -626,17 +628,107 @@ StoreQuery::fromRefineKeys(const JsonValue &doc,
     return query;
 }
 
+std::vector<std::size_t>
+selectRows(const StoreQuery &query, std::size_t rows,
+           const ColumnSource &column)
+{
+    const auto &registry = metrics::MetricRegistry::instance();
+    auto resolve = [&](const std::string &name) -> const auto & {
+        return registry.require(name, "store query");
+    };
+
+    // Constraints, in row order.
+    const auto &clauses = query.constraints.clauses();
+    std::vector<const std::vector<double> *> clauseColumns;
+    clauseColumns.reserve(clauses.size());
+    for (const auto &clause : clauses)
+        clauseColumns.push_back(&column(resolve(clause.metric)));
+
+    std::vector<std::size_t> kept;
+    kept.reserve(rows);
+    for (std::size_t row = 0; row < rows; ++row) {
+        bool pass = true;
+        for (std::size_t c = 0; pass && c < clauses.size(); ++c)
+            pass = clauses[c].holds((*clauseColumns[c])[row]);
+        if (pass)
+            kept.push_back(row);
+    }
+
+    // Pareto over the direction-folded columns. Rows with a NaN key
+    // go first: they would violate paretoFrontND's sort precondition.
+    if (!query.paretoMetrics.empty()) {
+        std::vector<const std::vector<double> *> cols;
+        std::vector<std::function<double(const std::size_t &)>> keys;
+        for (const auto &name : query.paretoMetrics) {
+            const metrics::Metric &m = resolve(name);
+            const std::vector<double> *col = &column(m);
+            cols.push_back(col);
+            keys.push_back([&m, col](const std::size_t &row) {
+                return m.ascending((*col)[row]);
+            });
+        }
+        std::vector<std::size_t> rankable;
+        rankable.reserve(kept.size());
+        for (std::size_t row : kept) {
+            auto nan = [row](const auto *col) { return std::isnan((*col)[row]); };
+            if (std::none_of(cols.begin(), cols.end(), nan))
+                rankable.push_back(row);
+        }
+        kept = paretoFrontND(rankable, keys);
+    }
+
+    // Top-k: NaN keys dropped, stable sort on the folded key, best
+    // first.
+    if (!query.topMetric.empty()) {
+        const metrics::Metric &m = resolve(query.topMetric);
+        const std::vector<double> &col = column(m);
+        if (query.topK == 0)
+            fatal("store query: k must be a positive count for "
+                  "top-k metric '",
+                  query.topMetric, "'");
+
+        std::vector<double> keys(kept.size());
+        std::vector<std::size_t> order;
+        order.reserve(kept.size());
+        for (std::size_t i = 0; i < kept.size(); ++i) {
+            keys[i] = m.ascending(col[kept[i]]);
+            if (!std::isnan(keys[i]))
+                order.push_back(i);
+        }
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t lhs, std::size_t rhs) {
+                             return keys[lhs] < keys[rhs];
+                         });
+        if (order.size() > query.topK)
+            order.resize(query.topK);
+        for (std::size_t &i : order)
+            i = kept[i];
+        kept = std::move(order);
+    }
+    return kept;
+}
+
 std::vector<EvalResult>
 applyQuery(const std::vector<EvalResult> &results,
            const StoreQuery &query)
 {
-    std::vector<EvalResult> out = query.constraints.filter(results);
-    if (!query.paretoMetrics.empty())
-        out = metrics::paretoByMetrics(out, query.paretoMetrics,
-                                       "store query");
-    if (!query.topMetric.empty())
-        out = metrics::topByMetric(out, query.topMetric, query.topK,
-                                   "store query");
+    std::map<std::string, std::vector<double>> columns;
+    auto column = [&](const metrics::Metric &m) -> const auto & {
+        auto [it, fresh] = columns.try_emplace(m.name);
+        if (fresh) {
+            it->second.reserve(results.size());
+            for (const auto &r : results)
+                it->second.push_back(m.eval(r));
+        }
+        return it->second;
+    };
+
+    std::vector<std::size_t> kept =
+        selectRows(query, results.size(), column);
+    std::vector<EvalResult> out;
+    out.reserve(kept.size());
+    for (std::size_t row : kept)
+        out.push_back(results[row]);
     return out;
 }
 

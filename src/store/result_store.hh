@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -46,7 +47,6 @@
 
 #include "core/sweep.hh"
 #include "metrics/constraints.hh"
-#include "metrics/refine.hh"
 #include "store/serialize.hh"
 
 namespace nvmexp {
@@ -242,11 +242,11 @@ std::vector<EvalResult> loadResults(const std::string &dir);
 StoreStats loadStats(const std::string &dir);
 
 /**
- * Offline "filter and refine": the dashboard interaction (paper
- * Fig. 2) over a persisted store instead of a live sweep, and the one
- * representation of a refine pipeline — a config's refine keys, the
- * CLI's --filter/--pareto/--top flags, query.json, and the server's
- * /query body all land here.
+ * "Filter and refine": the dashboard interaction (paper Fig. 2), and
+ * the one representation of a refine pipeline — a config's refine
+ * keys, the CLI's --filter/--pareto/--top flags, query.json, and the
+ * server's /query body all land here, and selectRows is the one
+ * engine that runs it.
  *
  * Queries are expressed over the named-metric vocabulary
  * (src/metrics), so every query serializes losslessly: it can be
@@ -279,7 +279,8 @@ struct StoreQuery
     /** Lossless serialization (the query.json document). */
     JsonValue toJson() const;
     /** Parse a query.json document: the refine keys plus an optional
-     *  "format"; any other key is fatal. */
+     *  "format" (a whole number equal to kFormatVersion, checked
+     *  before any cast); any other key is fatal. */
     static StoreQuery fromJson(const JsonValue &doc);
 
     /**
@@ -292,7 +293,37 @@ struct StoreQuery
                                      const std::string &context);
 };
 
-/** Apply a query to in-memory results (input order preserved). */
+/**
+ * The value of metric `m` for every row, in row order. selectRows asks
+ * for each metric a query names; a source may build the column on
+ * demand (applyQuery) or hand out a prebuilt one (serve::StoreIndex).
+ */
+using ColumnSource =
+    std::function<const std::vector<double> &(const metrics::Metric &m)>;
+
+/**
+ * The refine engine: the rows of a `rows`-row result set that `query`
+ * keeps, as row indices in output order. Every metric name is resolved
+ * against the registry (fatal with the "store query" context when
+ * unknown, as is a top-k of k = 0) and read through `column`. Stages:
+ *
+ *  - constraints keep the rows for which every clause holds(), in row
+ *    order;
+ *  - Pareto first drops rows with a NaN in any named metric (an
+ *    unordered value can neither dominate nor be dominated), then
+ *    keeps the paretoFrontND front over the direction-folded columns
+ *    (Metric::ascending), in row order, exact duplicates all kept;
+ *  - top-k drops rows whose metric is NaN, stable-sorts the rest on
+ *    the folded value (ties keep their order) and keeps the first k,
+ *    best first.
+ */
+std::vector<std::size_t> selectRows(const StoreQuery &query,
+                                    std::size_t rows,
+                                    const ColumnSource &column);
+
+/** Apply a query to in-memory results: selectRows over columns built
+ *  for the metrics the query names, each once, and the kept rows
+ *  copied out in output order. */
 std::vector<EvalResult> applyQuery(const std::vector<EvalResult> &results,
                                    const StoreQuery &query);
 

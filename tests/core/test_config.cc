@@ -280,6 +280,21 @@ TEST_F(ConfigTest, ReliabilityErrorsAreFatalAtLoadTime)
         ::testing::ExitedWithCode(1), "not both");
 }
 
+TEST_F(ConfigTest, UnknownTopLevelKeyIsFatal)
+{
+    // A typo'd "targets" must not be ignored: the config would run
+    // the default ReadEDP sweep and exit 0.
+    EXPECT_EXIT(
+        loadExperiment(JsonValue::parse(minimalConfigJson(
+            R"("experiment": "typo", "tagets": ["WriteEDP"])"))),
+        ::testing::ExitedWithCode(1),
+        "config 'typo': unknown key 'tagets' \\(known keys: .*targets");
+    // The one list, which nvmexplorer_lint reads too.
+    EXPECT_TRUE(knownConfigKeys().count("targets"));
+    EXPECT_TRUE(knownConfigKeys().count("top_k"));
+    EXPECT_FALSE(knownConfigKeys().count("tagets"));
+}
+
 TEST_F(ConfigTest, ConfigWithoutTrafficOrWorkloadsIsFatal)
 {
     EXPECT_EXIT(loadExperiment(JsonValue::parse(R"({

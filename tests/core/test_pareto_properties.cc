@@ -6,7 +6,7 @@
 
 #include "../support/fixtures.hh"
 #include "core/sweep.hh"
-#include "metrics/refine.hh"
+#include "store/result_store.hh"
 #include "store/serialize.hh"
 #include "util/random.hh"
 
@@ -128,7 +128,8 @@ TEST(ParetoProperties, OutputPreservesInputOrder)
 }
 
 // ---------------------------------------------------------------------
-// N-dimensional generalization (paretoFrontND / paretoByMetrics).
+// N-dimensional generalization (paretoFrontND, and the refine
+// engine's Pareto stage that runs it over metric columns).
 
 struct NdPoint
 {
@@ -263,8 +264,13 @@ TEST(ParetoNdProperties, TwoMetricFrontMatchesLegacyOnGoldenSweep)
          [](const EvalResult &r) { return r.array.readLatency; },
          [](const EvalResult &r) { return r.totalPower; }},
     };
+    auto paretoOver = [&](std::vector<std::string> metrics) {
+        store::StoreQuery query;
+        query.paretoMetrics = std::move(metrics);
+        return store::applyQuery(results, query);
+    };
     for (const auto &c : cases) {
-        auto named = metrics::paretoByMetrics(results, {c.x, c.y});
+        auto named = paretoOver({c.x, c.y});
         auto legacy = paretoFront<EvalResult>(results, c.keyX, c.keyY);
         ASSERT_EQ(named.size(), legacy.size()) << c.x << "/" << c.y;
         for (std::size_t i = 0; i < named.size(); ++i)
@@ -274,8 +280,7 @@ TEST(ParetoNdProperties, TwoMetricFrontMatchesLegacyOnGoldenSweep)
 
     // A maximize metric folds its direction: Pareto over
     // (total_power, density) keeps the high-density frontier.
-    auto mixed = metrics::paretoByMetrics(
-        results, {"total_power", "density_mb_per_mm2"});
+    auto mixed = paretoOver({"total_power", "density_mb_per_mm2"});
     auto folded = paretoFront<EvalResult>(
         results, [](const EvalResult &r) { return r.totalPower; },
         [](const EvalResult &r) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "../support/fixtures.hh"
 #include "celldb/tentpole.hh"
 #include "core/sweep.hh"
@@ -131,52 +133,24 @@ TEST(Pareto, PreservesInputOrderAndDuplicates)
     EXPECT_EQ(front[4].a, 1);
 }
 
-TEST(BestBy, FindsMinimum)
+TEST(Pareto, InfiniteSecondKeyInTheFirstGroupIsKept)
 {
-    auto results = runSweep(smallSweep());
-    const EvalResult *best = bestBy(
-        results, [](const EvalResult &r) { return r.totalPower; });
-    ASSERT_NE(best, nullptr);
-    for (const auto &r : results)
-        EXPECT_LE(best->totalPower, r.totalPower);
-    std::vector<EvalResult> empty;
-    EXPECT_EQ(bestBy(empty,
-                     [](const EvalResult &r) { return r.totalPower; }),
-              nullptr);
-}
-
-TEST(BestBy, SkipsNanKeys)
-{
-    auto results = runSweep(smallSweep());
-    ASSERT_GE(results.size(), 2u);
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-
-    // A NaN key on the first result must not be selected as "best"
-    // (the old `!best` short-circuit did exactly that).
-    const EvalResult *first = &results.front();
-    const EvalResult *best = bestBy(
-        results, [&](const EvalResult &r) {
-            return &r == first ? nan : r.totalPower;
-        });
-    ASSERT_NE(best, nullptr);
-    EXPECT_NE(best, first);
-    for (const auto &r : results) {
-        if (&r != first) {
-            EXPECT_LE(best->totalPower, r.totalPower);
-        }
-    }
-
-    // All-NaN keys: nothing is rankable.
-    EXPECT_EQ(bestBy(results,
-                     [&](const EvalResult &) { return nan; }),
-              nullptr);
-
-    // +inf keys stay selectable (e.g. unlimited lifetimes).
-    const EvalResult *inf = bestBy(
-        results, [](const EvalResult &) {
-            return std::numeric_limits<double>::infinity();
-        });
-    EXPECT_EQ(inf, &results.front());
+    // Nothing has a smaller keyA than the first group, so its
+    // minimal-keyB members are on the front even at keyB = +inf (a
+    // running minimum seeded with +inf would drop them all).
+    struct P
+    {
+        double a, b;
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<P> points = {{2, inf}, {1, inf}, {1, inf}, {3, 0}};
+    auto front = paretoFront<P>(
+        points, [](const P &p) { return p.a; },
+        [](const P &p) { return p.b; });
+    ASSERT_EQ(front.size(), 3u);
+    EXPECT_EQ(front[0].a, 1);
+    EXPECT_EQ(front[1].a, 1);
+    EXPECT_EQ(front[2].a, 3);
 }
 
 } // namespace

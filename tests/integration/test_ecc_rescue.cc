@@ -15,9 +15,8 @@
 
 #include "../support/fixtures.hh"
 #include "core/config.hh"
-#include "metrics/constraints.hh"
 #include "metrics/metric.hh"
-#include "metrics/refine.hh"
+#include "store/result_store.hh"
 
 namespace nvmexp {
 namespace {
@@ -43,17 +42,23 @@ class EccRescueStudy : public testsupport::QuietTest
     }
 };
 
+/** The dashboard's --filter: rows within the uncorrectable budget. */
+store::StoreQuery
+budgetQuery()
+{
+    store::StoreQuery query;
+    query.constraints.add(kBudgetClause, "rescue test");
+    return query;
+}
+
 TEST_F(EccRescueStudy, EccRescuesAnOtherwiseTooFaultyMlcConfiguration)
 {
-    metrics::ConstraintSet budget;
-    budget.add(kBudgetClause, "rescue test");
-
     // Per cell: does the budget hold under each swept scheme?
     std::map<std::string, std::map<std::string, bool>> passes;
-    for (const auto &row : results()) {
-        passes[row.array.cell.name][row.reliability.scheme] =
-            budget.satisfied(row);
-    }
+    for (const auto &row : results())
+        passes[row.array.cell.name][row.reliability.scheme] = false;
+    for (const auto &row : store::applyQuery(results(), budgetQuery()))
+        passes[row.array.cell.name][row.reliability.scheme] = true;
 
     ASSERT_TRUE(passes.count("RRAM-Opt-MLC2"));
     const auto &rram = passes.at("RRAM-Opt-MLC2");
@@ -83,19 +88,17 @@ TEST_F(EccRescueStudy, ReliabilityMetricsDriveFilterParetoAndTop)
     }
 
     // --filter semantics: the budget keeps a strict, non-empty subset.
-    metrics::ConstraintSet budget;
-    budget.add(kBudgetClause, "rescue test");
-    auto kept = budget.filter(results());
+    auto kept = store::applyQuery(results(), budgetQuery());
     EXPECT_GT(kept.size(), 0u);
     EXPECT_LT(kept.size(), results().size());
 
     // Pareto over (uncorrectable rate, effective density) must keep a
     // protected row: "none" maximizes density but loses on the error
     // axis, so the front spans schemes.
-    auto front = metrics::paretoByMetrics(
-        results(),
-        {"uncorrectable_word_rate", "effective_density_mb_per_mm2"},
-        "rescue test");
+    store::StoreQuery pareto;
+    pareto.paretoMetrics = {"uncorrectable_word_rate",
+                            "effective_density_mb_per_mm2"};
+    auto front = store::applyQuery(results(), pareto);
     ASSERT_GT(front.size(), 1u);
     bool hasProtected = false;
     for (const auto &row : front)
@@ -104,8 +107,10 @@ TEST_F(EccRescueStudy, ReliabilityMetricsDriveFilterParetoAndTop)
 
     // top-k under the minimized word rate starts with the strongest
     // protection of the cleanest cell.
-    auto top = metrics::topByMetric(results(), "uncorrectable_word_rate",
-                                    1, "rescue test");
+    store::StoreQuery best;
+    best.topMetric = "uncorrectable_word_rate";
+    best.topK = 1;
+    auto top = store::applyQuery(results(), best);
     ASSERT_EQ(top.size(), 1u);
     EXPECT_EQ(top.front().reliability.scheme, "dec-78-64");
 }

@@ -8,15 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cachesim/streams.hh"
 #include "celldb/tentpole.hh"
 #include "core/sweep.hh"
-#include "metrics/constraints.hh"
-#include "metrics/refine.hh"
 #include "dnn/inference.hh"
 #include "dnn/networks.hh"
 #include "fault/injector.hh"
 #include "graph/kernels.hh"
+#include "store/result_store.hh"
 #include "util/logging.hh"
 
 namespace nvmexp {
@@ -70,19 +71,27 @@ TEST_F(EndToEndTest, DnnTrafficThroughSweepAndFilters)
     ASSERT_EQ(results.size(), 12u);
 
     // Cells that keep up with the traffic...
-    metrics::ConstraintSet keepsUp;
-    keepsUp.add("latency_load<=1.0");
-    keepsUp.add("meets_read_bw>=1");
-    keepsUp.add("meets_write_bw>=1");
-    auto viable = keepsUp.filter(results);
+    store::StoreQuery keepsUp;
+    keepsUp.constraints.add("latency_load<=1.0");
+    keepsUp.constraints.add("meets_read_bw>=1");
+    keepsUp.constraints.add("meets_write_bw>=1");
+    auto viable = store::applyQuery(results, keepsUp);
     EXPECT_GE(viable.size(), 8u);  // most cells sustain weights@60FPS
 
-    // ...and the named-metric best matches the hand-written lambda.
-    const EvalResult *lowest = bestBy(
-        viable, [](const EvalResult &r) { return r.totalPower; });
-    ASSERT_NE(lowest, nullptr);
+    // ...and the named-metric best matches the hand-written minimum.
+    auto lowest = std::min_element(
+        viable.begin(), viable.end(),
+        [](const EvalResult &l, const EvalResult &r) {
+            return l.totalPower < r.totalPower;
+        });
+    ASSERT_NE(lowest, viable.end());
     EXPECT_NE(lowest->array.cell.name, "SRAM");
-    EXPECT_EQ(metrics::bestByMetric(viable, "total_power"), lowest);
+    store::StoreQuery best;
+    best.topMetric = "total_power";
+    best.topK = 1;
+    auto top = store::applyQuery(viable, best);
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_TRUE(store::identical(top[0], *lowest));
 }
 
 TEST_F(EndToEndTest, GraphKernelToLifetimeProjection)

@@ -402,14 +402,21 @@ TEST_F(CampaignLintTest, RealCampaignLifecycleLintsClean)
 class BenchLintTest : public LintTest
 {
   protected:
+    /** The nvmexp build record of an optimized build, as
+     *  benchsupport::benchMain writes it. */
+    static constexpr const char *kOptimizedBuild =
+        "\"nvmexp_ndebug\": \"true\", \"nvmexp_optimize\": \"true\"";
+
     /** A minimal valid google-benchmark snapshot with the two rows
      *  tools/bench_gate.py requires, one field swappable at a time. */
     static std::string
     benchJson(const std::string &contextBody,
-              const std::string &extraRows)
+              const std::string &extraRows,
+              const std::string &build = kOptimizedBuild)
     {
         return "{\n"
-               "  \"context\": {" + contextBody + "},\n"
+               "  \"context\": {" + contextBody +
+               (build.empty() ? "" : ", " + build) + "},\n"
                "  \"benchmarks\": [\n"
                "    {\"name\": \"BM_SweepEvalScalar/1\",\n"
                "     \"run_type\": \"iteration\",\n"
@@ -444,6 +451,39 @@ TEST_F(BenchLintTest, MissingCpuCountIsDiagnosed)
     auto path = write("cpus.json", benchJson("\"host_name\": \"x\"", ""));
     LintReport report = lintBenchFile(path);
     expectOneDiagnostic(report, path, "context.num_cpus");
+}
+
+TEST_F(BenchLintTest, SnapshotWithoutNvmexpBuildRecordIsDiagnosed)
+{
+    // A snapshot from before benchMain recorded the build: its
+    // library_build_type says nothing about nvmexp.
+    auto path = write(
+        "norecord.json",
+        benchJson("\"num_cpus\": 8, \"library_build_type\": \"release\"",
+                  "", ""));
+    LintReport report = lintBenchFile(path);
+    ASSERT_EQ(report.diagnostics.size(), 2u);
+    EXPECT_EQ(report.diagnostics[0].key, "context.nvmexp_ndebug");
+    EXPECT_EQ(report.diagnostics[1].key, "context.nvmexp_optimize");
+}
+
+TEST_F(BenchLintTest, UnoptimizedNvmexpBuildIsDiagnosed)
+{
+    auto debug = write(
+        "debug.json",
+        benchJson("\"num_cpus\": 8", "",
+                  "\"nvmexp_ndebug\": \"false\", "
+                  "\"nvmexp_optimize\": \"true\""));
+    LintReport report = lintBenchFile(debug);
+    expectOneDiagnostic(report, debug, "context.nvmexp_ndebug");
+
+    auto unoptimized = write(
+        "O0.json",
+        benchJson("\"num_cpus\": 8", "",
+                  "\"nvmexp_ndebug\": \"true\", "
+                  "\"nvmexp_optimize\": \"false\""));
+    report = lintBenchFile(unoptimized);
+    expectOneDiagnostic(report, unoptimized, "context.nvmexp_optimize");
 }
 
 TEST_F(BenchLintTest, UnknownTimeUnitIsDiagnosed)
@@ -481,7 +521,8 @@ TEST_F(BenchLintTest, MissingReferenceRowIsDiagnosed)
 {
     auto path = write(
         "noref.json",
-        "{\n  \"context\": {\"num_cpus\": 8},\n"
+        "{\n  \"context\": {\"num_cpus\": 8, " +
+            std::string(kOptimizedBuild) + "},\n"
         "  \"benchmarks\": [\n"
         "    {\"name\": \"BM_SweepEvalBatched/1\",\n"
         "     \"run_type\": \"iteration\",\n"

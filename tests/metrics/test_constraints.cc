@@ -3,9 +3,11 @@
 #include <clocale>
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "../support/fixtures.hh"
 #include "metrics/constraints.hh"
+#include "store/result_store.hh"
 #include "util/random.hh"
 
 namespace nvmexp {
@@ -82,48 +84,52 @@ TEST_F(ConstraintsTest, HoldsAppliesIeeeComparisons)
     EXPECT_TRUE(ne.holds(nan));
 }
 
-TEST_F(ConstraintsTest, SatisfiedIsVacuouslyTrueWhenEmpty)
+/** Indices of the rows of `results` that `set` keeps, through the
+ *  refine engine. */
+std::vector<std::size_t>
+keptRows(const ConstraintSet &set, const std::vector<EvalResult> &results)
+{
+    store::StoreQuery query;
+    query.constraints = set;
+    std::map<std::string, std::vector<double>> columns;
+    auto column = [&](const metrics::Metric &m) -> const auto & {
+        auto &values = columns[m.name];
+        if (values.empty()) {
+            for (const auto &r : results)
+                values.push_back(m.eval(r));
+        }
+        return values;
+    };
+    return store::selectRows(query, results.size(), column);
+}
+
+TEST_F(ConstraintsTest, EmptySetKeepsEveryRow)
 {
     ConstraintSet empty;
     EXPECT_TRUE(empty.empty());
-    EXPECT_TRUE(empty.satisfied(sweepResults().front()));
-    EXPECT_EQ(empty.filter(sweepResults()).size(),
+    EXPECT_EQ(keptRows(empty, sweepResults()).size(),
               sweepResults().size());
 }
 
-TEST_F(ConstraintsTest, FilterMatchesPerRowSatisfied)
+TEST_F(ConstraintsTest, FilterMatchesPerRowClauseChecks)
 {
     ConstraintSet set;
     set.add("latency_load<=1.0");
     set.add("lifetime_years>=1");
-    auto kept = set.filter(sweepResults());
-    std::size_t expected = 0;
-    for (const auto &r : sweepResults())
-        if (set.satisfied(r))
-            ++expected;
-    EXPECT_EQ(kept.size(), expected);
+    std::vector<std::size_t> expected;
+    for (std::size_t row = 0; row < sweepResults().size(); ++row) {
+        bool pass = true;
+        for (const auto &clause : set.clauses()) {
+            pass = pass && clause.holds(metrics::metric(clause.metric)
+                                            .eval(sweepResults()[row]));
+        }
+        if (pass)
+            expected.push_back(row);
+    }
+    auto kept = keptRows(set, sweepResults());
+    EXPECT_EQ(kept, expected);
     EXPECT_LT(kept.size(), sweepResults().size());
     EXPECT_FALSE(kept.empty());
-}
-
-TEST_F(ConstraintsTest, CheapestFirstOrderingNeverChangesTheOutcome)
-{
-    // Same clauses in both declared orders: derived-metric clause
-    // first vs last. Evaluation is cost-ordered internally; the
-    // per-row verdicts must be identical either way.
-    ConstraintSet derivedFirst;
-    derivedFirst.add("lifetime_years>=1");   // cost 1 (derived)
-    derivedFirst.add("total_power<=0.2");    // cost 0 (field)
-    ConstraintSet fieldFirst;
-    fieldFirst.add("total_power<=0.2");
-    fieldFirst.add("lifetime_years>=1");
-    for (const auto &r : sweepResults())
-        EXPECT_EQ(derivedFirst.satisfied(r), fieldFirst.satisfied(r));
-    // Declared order is preserved for serialization.
-    EXPECT_EQ(derivedFirst.clauses()[0].metric, "lifetime_years");
-    EXPECT_EQ(derivedFirst.toJson().dump(-1).find("lifetime_years") <
-                  derivedFirst.toJson().dump(-1).find("total_power"),
-              true);
 }
 
 /** Bounds over the raw EvalResult fields the dashboard filters most
@@ -210,10 +216,12 @@ TEST_F(ConstraintsTest, ClauseSetsMatchHandWrittenFieldComparisons)
             clauses.add("meets_write_bw>=1");
         }
 
-        for (const auto &r : results) {
-            EXPECT_EQ(clauses.satisfied(r), referenceSatisfies(r, bounds))
-                << "round " << round;
-        }
+        std::vector<std::size_t> expected;
+        for (std::size_t row = 0; row < results.size(); ++row)
+            if (referenceSatisfies(results[row], bounds))
+                expected.push_back(row);
+        EXPECT_EQ(keptRows(clauses, results), expected)
+            << "round " << round;
     }
 }
 

@@ -90,8 +90,9 @@ TEST_F(MetricRegistryTest, DirectionMetadataFoldsIntoAscending)
     const Metric &density = metrics::metric("density_mb_per_mm2");
     EXPECT_TRUE(power.minimize());
     EXPECT_FALSE(density.minimize());
-    EXPECT_DOUBLE_EQ(power.ascending(r), power.eval(r));
-    EXPECT_DOUBLE_EQ(density.ascending(r), -density.eval(r));
+    EXPECT_DOUBLE_EQ(power.ascending(power.eval(r)), power.eval(r));
+    EXPECT_DOUBLE_EQ(density.ascending(density.eval(r)),
+                     -density.eval(r));
 }
 
 TEST_F(MetricRegistryTest, UnitsArePresent)

@@ -220,6 +220,31 @@ TEST_F(QueryFuzzTest, MutatedBodiesGet200OrStructured400)
                               fuzzStore(), store::StoreQuery{})));
 }
 
+/** "format" is a whole number checked before any cast: 2.5 must not
+ *  read as format 2, and 1e300 would be an undefined float-to-int
+ *  cast. */
+TEST_F(QueryFuzzTest, FormatMustBeTheWholeFormatVersion)
+{
+    for (const char *format : {"2.5", "1e300", "-1", "NaN", "Infinity",
+                               "-Infinity", "1", "3", "\"2\""}) {
+        std::string body = std::string("{\"format\": ") + format + "}";
+        serve::HttpResponse response = post(body);
+        EXPECT_EQ(response.status, 400) << body;
+        expectErrorBody(response, body);
+        EXPECT_NE(response.body.find("format"), std::string::npos)
+            << response.body;
+    }
+    // The refusal names the value exactly (shortest round trip), not
+    // cast or rounded to six digits.
+    EXPECT_NE(post("{\"format\": 2.0000000001}").body.find("2.0000000001"),
+              std::string::npos);
+
+    for (const char *format : {"2", "2.0", "2e0"}) {
+        std::string body = std::string("{\"format\": ") + format + "}";
+        EXPECT_EQ(post(body).status, 200) << body;
+    }
+}
+
 /** The reproducer: 400k nested arrays (800 KB, under the 1 MiB body
  *  cap) parsed into a DOM whose recursive destructor overflowed the
  *  stack. The parse now stops at the depth cap with a positioned

@@ -71,24 +71,6 @@ guarded(LintReport &report, const std::string &file,
     }
 }
 
-/** Top-level config keys loadExperiment() consumes. Anything else in
- *  a config is dead weight at best and a typo'd axis at worst —
- *  loadExperiment() silently ignores it, so the lint flags it. */
-const std::set<std::string> &
-knownConfigKeys()
-{
-    static const std::set<std::string> keys = {
-        "experiment",  "cells",       "capacities_mib",
-        "word_bits",   "node_nm",     "sram_node_nm",
-        "jobs",        "out_dir",     "resume",
-        "targets",     "traffic",     "workloads",
-        "workload",    "reliability", "ecc",
-        "constraints", "pareto",      "top_k",
-        "output_csv",  "campaign",
-    };
-    return keys;
-}
-
 std::string
 joined(const std::vector<std::string> &names)
 {
@@ -313,6 +295,17 @@ lintBenchFile(const std::string &path)
             report.add(path, "context.num_cpus",
                        "missing or non-positive CPU count (a snapshot "
                        "must record the machine it was measured on)");
+        }
+        // "library_build_type" describes libbenchmark, not nvmexp;
+        // benchsupport::benchMain records nvmexp's own build.
+        for (const char *flag : {"nvmexp_ndebug", "nvmexp_optimize"}) {
+            if (!context.has(flag) || !context.at(flag).isString() ||
+                context.at(flag).asString() != "true") {
+                report.add(path, std::string("context.") + flag,
+                           "missing or not \"true\" (a snapshot must "
+                           "come from an optimized nvmexp build: "
+                           "NDEBUG and __OPTIMIZE__ set)");
+            }
         }
     }
 
@@ -589,8 +582,6 @@ lintRegistries()
             report.add(reg, name, "metric has no description");
         if (!m->eval)
             report.add(reg, name, "metric has no eval accessor");
-        if (m->cost < 0)
-            report.add(reg, name, "metric has negative cost rank");
     }
 
     // results.csv schema: every column is either one of the identity

@@ -71,7 +71,9 @@ LintReport lintGoldenFile(const std::string &path);
  *  exactly the fields tools/bench_gate.py consumes — a context with a
  *  usable CPU count, iteration rows with unique names, finite
  *  real_time values in a known time unit, and the scalar/batched
- *  reference benchmarks the gate normalizes against. */
+ *  reference benchmarks the gate normalizes against — plus the
+ *  nvmexp build record benchsupport::benchMain writes, which must
+ *  say NDEBUG and __OPTIMIZE__ were set. */
 LintReport lintBenchFile(const std::string &path);
 
 /** Lint one result-store directory (checkpoint.jsonl header,
