@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "core/parallel_sweep.hh"
 #include "core/studies.hh"
 #include "util/logging.hh"
 #include "util/ascii_plot.hh"
@@ -20,7 +21,8 @@ int
 main()
 {
     setQuiet(true);
-    auto study = studies::llcStudy();
+    setDefaultSweepJobs(0);  // every hardware thread; same results
+    auto arrays = studies::llcArrays();
 
     Table table("Fig 10: 16MB LLC array characteristics",
                 {"Cell", "Target", "ReadLat[ns]", "ReadE[pJ]",
@@ -36,8 +38,8 @@ main()
 
     const auto &targets = allOptTargets();
     std::string lastSeries;
-    for (std::size_t i = 0; i < study.arrays.size(); ++i) {
-        const auto &array = study.arrays[i];
+    for (std::size_t i = 0; i < arrays.size(); ++i) {
+        const auto &array = arrays[i];
         table.row()
             .add(array.cell.name)
             .add(optTargetName(targets[i % targets.size()]))

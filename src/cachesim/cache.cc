@@ -20,21 +20,22 @@ Cache::Cache(std::string name, std::size_t capacityBytes, int ways,
     std::size_t numSets = lines / (std::size_t)ways;
     if (!std::has_single_bit(numSets))
         fatal("cache '", name_, "': set count must be a power of two");
-    sets_.assign(numSets, std::vector<Line>((std::size_t)ways));
+    setMask_ = numSets - 1;
     lineShift_ = std::countr_zero((unsigned)lineBytes);
-}
-
-std::uint64_t
-Cache::lineAddr(std::uint64_t address) const
-{
-    return address >> lineShift_ << lineShift_;
+    tags_.assign(lines, kEmpty);
+    // No stamp of an invalid way is ever compared: a miss takes the
+    // first invalid way before it compares any.
+    stamps_.resize(lines);
 }
 
 std::size_t
-Cache::setIndex(std::uint64_t lineAddress) const
+Cache::find(std::uint64_t tag) const
 {
-    return (std::size_t)((lineAddress >> lineShift_) &
-                         (sets_.size() - 1));
+    const std::size_t base = setBase(tag);
+    for (std::size_t i = base; i < base + (std::size_t)ways_; ++i)
+        if (tags_[i] == tag)
+            return i;
+    return kAbsent;
 }
 
 Cache::AccessResult
@@ -42,72 +43,55 @@ Cache::access(std::uint64_t address, MemOp op)
 {
     ++clock_;
     ++stats_.accesses;
-    std::uint64_t line = lineAddr(address);
-    auto &set = sets_[setIndex(line)];
-    std::uint64_t tag = line >> lineShift_;
+    const std::uint64_t tag = address >> lineShift_;
+    const std::uint64_t dirty = op == MemOp::Write ? 1 : 0;
 
     AccessResult result;
-    for (auto &way : set) {
-        if (way.valid && way.tag == tag) {
-            way.lru = clock_;
-            way.dirty = way.dirty || op == MemOp::Write;
-            ++stats_.hits;
-            result.hit = true;
-            return result;
-        }
+    if (std::size_t way = find(tag); way != kAbsent) {
+        stamps_[way] = clock_ << 1 | (stamps_[way] & 1) | dirty;
+        ++stats_.hits;
+        result.hit = true;
+        return result;
     }
 
-    // Miss: allocate into the LRU way.
+    // Miss: allocate into the first invalid way, else the LRU one.
     ++stats_.misses;
-    Line *victim = &set[0];
-    for (auto &way : set) {
-        if (!way.valid) {
-            victim = &way;
+    const std::size_t base = setBase(tag);
+    std::size_t victim = base;
+    for (std::size_t i = base; i < base + (std::size_t)ways_; ++i) {
+        if (tags_[i] == kEmpty) {
+            victim = i;
             break;
         }
-        if (way.lru < victim->lru)
-            victim = &way;
+        if (stamps_[i] < stamps_[victim])
+            victim = i;
     }
-    if (victim->valid) {
-        result.evictedLine = victim->tag << lineShift_;
-        if (victim->dirty) {
+    if (tags_[victim] != kEmpty) {
+        result.evictedLine = tags_[victim] << lineShift_;
+        if (stamps_[victim] & 1) {
             result.evictedDirty = true;
             ++stats_.writebacks;
         }
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = op == MemOp::Write;
-    victim->lru = clock_;
+    tags_[victim] = tag;
+    stamps_[victim] = clock_ << 1 | dirty;
     return result;
 }
 
 bool
 Cache::invalidate(std::uint64_t lineAddress)
 {
-    std::uint64_t line = lineAddr(lineAddress);
-    auto &set = sets_[setIndex(line)];
-    std::uint64_t tag = line >> lineShift_;
-    for (auto &way : set) {
-        if (way.valid && way.tag == tag) {
-            way.valid = false;
-            way.dirty = false;
-            return true;
-        }
-    }
-    return false;
+    std::size_t way = find(lineAddress >> lineShift_);
+    if (way == kAbsent)
+        return false;
+    tags_[way] = kEmpty;
+    return true;
 }
 
 bool
 Cache::contains(std::uint64_t lineAddress) const
 {
-    std::uint64_t line = lineAddr(lineAddress);
-    const auto &set = sets_[setIndex(line)];
-    std::uint64_t tag = line >> lineShift_;
-    for (const auto &way : set)
-        if (way.valid && way.tag == tag)
-            return true;
-    return false;
+    return find(lineAddress >> lineShift_) != kAbsent;
 }
 
 Hierarchy::Hierarchy(const Config &config)

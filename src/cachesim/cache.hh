@@ -37,6 +37,13 @@ struct CacheStats
 /**
  * One set-associative, write-back, write-allocate cache with LRU
  * replacement.
+ *
+ * The lines live in two flat arrays indexed set * ways + way: one of
+ * tags (kEmpty marks an invalid way) and one of LRU stamps, so a
+ * lookup scans only the set's tags and no set owns a heap block of its
+ * own. A stamp is the access clock shifted left one bit, with the
+ * line's dirty flag in bit 0; clocks are unique, so comparing stamps
+ * orders lines by recency alone.
  */
 class Cache
 {
@@ -61,7 +68,8 @@ class Cache
     /**
      * Access a byte address; on a miss the line is allocated (caller
      * handles the downstream fill) and the returned eviction info
-     * propagates dirty victims.
+     * propagates dirty victims. The victim is the set's first invalid
+     * way, else its least recently used one.
      */
     AccessResult access(std::uint64_t address, MemOp op);
 
@@ -74,26 +82,31 @@ class Cache
     const CacheStats &stats() const { return stats_; }
     const std::string &name() const { return name_; }
     int lineBytes() const { return lineBytes_; }
-    std::size_t numSets() const { return sets_.size(); }
+    std::size_t numSets() const { return (std::size_t)setMask_ + 1; }
     int ways() const { return ways_; }
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lru = 0;  ///< larger = more recently used
-    };
+    /** Tag of an invalid way: no address shifted right by the line
+     *  size (at least 8 B) reaches it. */
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
-    std::uint64_t lineAddr(std::uint64_t address) const;
-    std::size_t setIndex(std::uint64_t lineAddress) const;
+    /** Index of the first way of the set `tag` maps to. */
+    std::size_t setBase(std::uint64_t tag) const
+    {
+        return (std::size_t)(tag & setMask_) * (std::size_t)ways_;
+    }
+
+    /** Index of `tag`'s way, or kAbsent when it is not resident. */
+    std::size_t find(std::uint64_t tag) const;
+    static constexpr std::size_t kAbsent = ~std::size_t{0};
 
     std::string name_;
     int ways_;
     int lineBytes_;
     int lineShift_;
-    std::vector<std::vector<Line>> sets_;
+    std::uint64_t setMask_;
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> stamps_;
     std::uint64_t clock_ = 0;
     CacheStats stats_;
 };

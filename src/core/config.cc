@@ -1,5 +1,7 @@
 #include "core/config.hh"
 
+#include <cmath>
+
 #include "celldb/tentpole.hh"
 #include "core/dashboard.hh"
 #include "core/parallel_sweep.hh"
@@ -256,9 +258,16 @@ loadExperiment(const JsonValue &doc)
 
     // Capacities, word width, nodes.
     config.sweep.capacitiesBytes.clear();
-    for (const auto &mib : doc.at("capacities_mib").asArray())
-        config.sweep.capacitiesBytes.push_back(mib.asNumber() * 1024.0 *
-                                               1024.0);
+    for (const auto &mib : doc.at("capacities_mib").asArray()) {
+        double bytes = mib.asNumber() * 1024.0 * 1024.0;
+        if (!std::isfinite(bytes) ||
+            bytes < ArrayConfig::kMinCapacityBytes) {
+            fatal(context, ": \"capacities_mib\" entries must be finite "
+                  "and at least 1 KiB (0.0009765625), got ",
+                  mib.dump(-1));
+        }
+        config.sweep.capacitiesBytes.push_back(bytes);
+    }
     // Word width within ArrayDesigner's range; nodes within
     // techNodeFor's table.
     config.sweep.wordBits =
@@ -379,7 +388,16 @@ loadExperiment(const JsonValue &doc)
 ExperimentConfig
 loadExperimentFile(const std::string &path)
 {
-    return loadExperiment(JsonValue::parseFile(path));
+    // The parser names the file and the line and column. Past it, a
+    // rejection names the experiment or only a member ("JSON: expected
+    // a string"), so it is raised again naming the file.
+    JsonValue doc = JsonValue::parseFile(path);
+    try {
+        ScopedFatalThrows guard;
+        return loadExperiment(doc);
+    } catch (const FatalError &error) {
+        fatal("'", path, "': ", error.what());
+    }
 }
 
 Table

@@ -67,7 +67,7 @@ const std::set<std::string> &knownConfigKeys();
  *  naming the config on an unknown top-level key or a bad value. */
 ExperimentConfig loadExperiment(const JsonValue &doc);
 
-/** Convenience: parse + load a config file. */
+/** Parse + load a config file; every rejection names `path`. */
 ExperimentConfig loadExperimentFile(const std::string &path);
 
 /**

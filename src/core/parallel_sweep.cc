@@ -19,8 +19,8 @@ expandSweepWorkloads(const SweepConfig &config, SweepConfig &storage)
     storage = config;
     workload::TrafficContext context;
     context.wordBits = config.wordBits;
-    auto patterns =
-        workload::expandWorkloads(config.workloads, context);
+    auto patterns = workload::expandWorkloads(config.workloads, context,
+                                              config.jobs);
     storage.traffics.insert(storage.traffics.end(), patterns.begin(),
                             patterns.end());
     storage.workloads.clear();

@@ -49,8 +49,10 @@ void setDefaultSweepStoreDir(std::string dir);
 /**
  * Resolve a sweep's effective traffic list: explicit patterns first,
  * then every workload spec expanded through the WorkloadRegistry in
- * order. Returns `config` itself when there is nothing to expand (so
- * the common path stays copy-free) and the filled `storage` otherwise.
+ * order, on config.jobs threads (workload::expandWorkloads; the
+ * patterns do not depend on the job count). Returns `config` itself
+ * when there is nothing to expand (so the common path stays
+ * copy-free) and the filled `storage` otherwise.
  * The sweep fingerprint — and therefore every campaign shard plan —
  * is defined over the expanded form this returns.
  */

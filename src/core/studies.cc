@@ -55,14 +55,15 @@ provisionCapacity(double footprintBytes)
 }
 
 /** Registry dispatch for the studies: a JSON workload spec (the same
- *  syntax config files use) expanded at the study's word width. */
+ *  syntax config files use) expanded at the study's word width, its
+ *  parts on defaultSweepJobs() threads. */
 std::vector<TrafficPattern>
 workloadTraffic(const std::string &specJson, int wordBits)
 {
     workload::TrafficContext context;
     context.wordBits = wordBits;
-    return workload::trafficFromWorkloadJson(
-        JsonValue::parse(specJson), context);
+    return workload::expandWorkloads({JsonValue::parse(specJson)},
+                                     context, defaultSweepJobs());
 }
 
 /** Single-pattern convenience for scenario-shaped studies. */
@@ -466,22 +467,23 @@ bgFefetStudy(double capacityBytes)
     return graphStudyWithCells(cells, capacityBytes);
 }
 
-LlcStudyResult
-llcStudy(double capacityBytes)
+std::vector<ArrayResult>
+llcArrays(double capacityBytes)
 {
     CellCatalog catalog;
-    LlcStudyResult result;
-    ParallelSweepRunner runner(defaultSweepJobs());
-
-    // Fig. 10: array characteristics per optimization target.
     SweepConfig sweep;
     sweep.cells = catalog.studyCells();
     sweep.capacitiesBytes = {capacityBytes};
     sweep.targets = allOptTargets();
     sweep.outDir = defaultSweepStoreDir();
-    result.arrays = runner.characterize(sweep);
+    return ParallelSweepRunner(defaultSweepJobs()).characterize(sweep);
+}
 
-    // Fig. 9: ReadEDP-optimized arrays under SPEC-like traffic.
+std::vector<EvalResult>
+llcStudy(double capacityBytes)
+{
+    CellCatalog catalog;
+    ParallelSweepRunner runner(defaultSweepJobs());
     auto arrays = runner.optimizeAll(catalog.studyCells(),
                                      capacityBytes, 512,
                                      OptTarget::ReadEDP);
@@ -493,12 +495,12 @@ llcStudy(double capacityBytes)
         512);
     // Benchmark-major ordering (Fig. 9 groups by benchmark): evaluate
     // each traffic against every array in turn.
+    std::vector<EvalResult> evals;
     for (const auto &traffic : traffics) {
-        auto evals = runner.evaluateAll(arrays, {traffic});
-        result.evals.insert(result.evals.end(), evals.begin(),
-                            evals.end());
+        auto rows = runner.evaluateAll(arrays, {traffic});
+        evals.insert(evals.end(), rows.begin(), rows.end());
     }
-    return result;
+    return evals;
 }
 
 std::vector<ArrayResult>

@@ -91,13 +91,13 @@ GraphStudyResult graphStudy(double capacityBytes = 8.0 * kMiB);
 /** Fig. 11: same study with back-gated FeFET added. */
 GraphStudyResult bgFefetStudy(double capacityBytes = 8.0 * kMiB);
 
-/** Fig. 9 + Fig. 10: SPEC-like LLC study. */
-struct LlcStudyResult
-{
-    std::vector<ArrayResult> arrays;  ///< per target (Fig. 10)
-    std::vector<EvalResult> evals;    ///< per benchmark (Fig. 9)
-};
-LlcStudyResult llcStudy(double capacityBytes = 16.0 * kMiB);
+/** Fig. 10: LLC array characteristics, every study cell x every
+ *  optimization target (cell-major). Simulates no traffic. */
+std::vector<ArrayResult> llcArrays(double capacityBytes = 16.0 * kMiB);
+
+/** Fig. 9: ReadEDP-optimized LLC arrays under the SPEC-like suite
+ *  (20M + 5M instructions per profile), benchmark-major. */
+std::vector<EvalResult> llcStudy(double capacityBytes = 16.0 * kMiB);
 
 /** Fig. 12: all enumerated organizations (area-efficiency study). */
 std::vector<ArrayResult>

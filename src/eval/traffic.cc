@@ -46,7 +46,7 @@ TrafficPattern
 TrafficPattern::fromCounts(const std::string &name, double reads,
                            double writes, double execTime)
 {
-    if (execTime <= 0.0)
+    if (!(execTime > 0.0))  // NaN too
         fatal("fromCounts: non-positive execution time");
     TrafficPattern t;
     t.name = name;
@@ -74,8 +74,14 @@ TrafficPattern::validate() const
 {
     if (readsPerSec < 0.0 || writesPerSec < 0.0)
         fatal("traffic '", name, "': negative access rate");
-    if (execTime <= 0.0)
+    if (!std::isfinite(readsPerSec) || !std::isfinite(writesPerSec)) {
+        fatal("traffic '", name, "': access rates must be finite, got ",
+              readsPerSec, " reads/s and ", writesPerSec, " writes/s");
+    }
+    if (!(execTime > 0.0))  // NaN too
         fatal("traffic '", name, "': non-positive execution time");
+    if (!std::isfinite(execTime))
+        fatal("traffic '", name, "': execution time must be finite");
 }
 
 std::vector<TrafficPattern>

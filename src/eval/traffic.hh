@@ -59,7 +59,9 @@ struct TrafficPattern
     /** Scale both rates (e.g., multi-task = N x single-task). */
     TrafficPattern scaled(double factor, const std::string &newName) const;
 
-    /** Validate invariants; fatal() on nonsense (negative rates...). */
+    /** Validate invariants; fatal() on nonsense (negative or
+     *  non-finite rates, an execution time that is not positive and
+     *  finite). */
     void validate() const;
 };
 

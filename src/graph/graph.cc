@@ -14,31 +14,51 @@ Graph::fromEdges(Vertex numVertices,
 {
     if (numVertices == 0)
         fatal("graph needs at least one vertex");
-    if (makeUndirected) {
-        std::size_t original = edges.size();
-        edges.reserve(original * 2);
-        for (std::size_t i = 0; i < original; ++i)
-            edges.emplace_back(edges[i].second, edges[i].first);
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    // Drop self loops and out-of-range endpoints.
-    std::erase_if(edges, [numVertices](const auto &e) {
-        return e.first == e.second || e.first >= numVertices ||
-            e.second >= numVertices;
-    });
+    auto kept = [numVertices](Vertex src, Vertex dst) {
+        return src != dst && src < numVertices && dst < numVertices;
+    };
 
+    // Bucket every kept edge (and its mirror) by source, then sort and
+    // deduplicate each adjacency list: the CSR a global sort of the
+    // edge list would give, without sorting across sources.
     Graph g;
     g.offsets_.assign((std::size_t)numVertices + 1, 0);
-    for (const auto &e : edges)
-        ++g.offsets_[e.first + 1];
+    for (const auto &[src, dst] : edges) {
+        if (!kept(src, dst))
+            continue;
+        ++g.offsets_[(std::size_t)src + 1];
+        if (makeUndirected)
+            ++g.offsets_[(std::size_t)dst + 1];
+    }
     for (std::size_t v = 1; v <= numVertices; ++v)
         g.offsets_[v] += g.offsets_[v - 1];
-    g.targets_.resize(edges.size());
+    g.targets_.resize(g.offsets_.back());
     std::vector<std::size_t> cursor(g.offsets_.begin(),
                                     g.offsets_.end() - 1);
-    for (const auto &e : edges)
-        g.targets_[cursor[e.first]++] = e.second;
+    for (const auto &[src, dst] : edges) {
+        if (!kept(src, dst))
+            continue;
+        g.targets_[cursor[src]++] = dst;
+        if (makeUndirected)
+            g.targets_[cursor[dst]++] = src;
+    }
+
+    // Compact the deduplicated lists leftwards in place.
+    Vertex *targets = g.targets_.data();
+    std::size_t begin = 0;
+    std::size_t out = 0;
+    for (std::size_t v = 0; v < numVertices; ++v) {
+        const std::size_t end = g.offsets_[v + 1];
+        std::sort(targets + begin, targets + end);
+        Vertex *last = std::unique(targets + begin, targets + end);
+        if (out != begin)  // out <= begin: a leftward, forward copy
+            std::copy(targets + begin, last, targets + out);
+        g.offsets_[v] = out;
+        out += (std::size_t)(last - (targets + begin));
+        begin = end;
+    }
+    g.offsets_[numVertices] = out;
+    g.targets_.resize(out);
     return g;
 }
 

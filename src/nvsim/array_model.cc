@@ -64,7 +64,7 @@ ArrayDesigner::ArrayDesigner(const MemCell &cell, const ArrayConfig &config)
     : cell_(cell), config_(config), node_(techNodeFor(config.nodeNm))
 {
     cell_.validate();
-    if (config_.capacityBytes < 1024.0)
+    if (config_.capacityBytes < ArrayConfig::kMinCapacityBytes)
         fatal("array capacity below 1 KiB is not supported");
     if (config_.wordBits < 8 || config_.wordBits > 4096)
         fatal("wordBits must be in [8, 4096]");

@@ -96,6 +96,9 @@ struct ArrayResult
 /** User-visible array design constraints. */
 struct ArrayConfig
 {
+    /** Smallest capacity ArrayDesigner builds an array for. */
+    static constexpr double kMinCapacityBytes = 1024.0;
+
     double capacityBytes = 2.0 * 1024 * 1024;
     int wordBits = 512;          ///< access width (e.g., 64B line)
     int nodeNm = 22;             ///< implementation node

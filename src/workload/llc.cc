@@ -45,6 +45,22 @@ class LlcWorkload final : public Workload
         };
     }
 
+    /** A suite spec splits into one spec per profile, in suite order:
+     *  each profile simulates on its own hierarchy and seeds. */
+    std::vector<JsonValue>
+    split(const JsonValue &spec, const Params &params) const override
+    {
+        if (params.str("benchmark") != "suite")
+            return {spec};
+        std::vector<JsonValue> parts;
+        for (const auto &profile : specLikeSuite()) {
+            parts.push_back(spec);
+            parts.back().set("benchmark",
+                             JsonValue::makeString(profile.name));
+        }
+        return parts;
+    }
+
     std::vector<TrafficPattern>
     generateTraffic(const Params &params,
                     const TrafficContext &context) const override

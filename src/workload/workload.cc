@@ -1,9 +1,11 @@
 #include "workload/workload.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 #include "workload/builtin.hh"
 
 namespace nvmexp {
@@ -251,6 +253,13 @@ Params::provided(const std::string &key) const
     return it != explicit_.end() && it->second;
 }
 
+std::vector<JsonValue>
+Workload::split(const JsonValue &spec, const Params &params) const
+{
+    (void)params;
+    return {spec};
+}
+
 std::vector<TrafficPattern>
 Workload::generateFromJson(const JsonValue &spec,
                            const TrafficContext &context) const
@@ -323,26 +332,23 @@ WorkloadRegistry::names() const
     return out;  // std::map iterates sorted
 }
 
-std::vector<TrafficPattern>
-trafficFromWorkloadJson(const JsonValue &spec,
-                        const TrafficContext &context)
+namespace {
+
+/** The registered workload a spec names; fatal when it names none. */
+const Workload &
+workloadFor(const JsonValue &spec)
 {
     if (!spec.isObject() || !spec.has("name"))
         fatal("workload spec needs a \"name\" key selecting a "
               "registered workload");
-    const Workload &workload =
-        WorkloadRegistry::instance().require(spec.at("name").asString());
-    return workload.generateFromJson(spec, context);
+    return WorkloadRegistry::instance().require(
+        spec.at("name").asString());
 }
 
-void
-validateWorkloadJson(const JsonValue &spec)
+/** validateWorkloadJson's body, returning the spec's parameters. */
+Params
+validatedParams(const Workload &workload, const JsonValue &spec)
 {
-    if (!spec.isObject() || !spec.has("name"))
-        fatal("workload spec needs a \"name\" key selecting a "
-              "registered workload");
-    const Workload &workload =
-        WorkloadRegistry::instance().require(spec.at("name").asString());
     auto schema = workload.schema();
     Params params = Params::fromJson(workload.name(), spec, schema);
     // Recurse into nested workload specs (object-kind parameters are
@@ -352,17 +358,44 @@ validateWorkloadJson(const JsonValue &spec)
         if (p.kind == ParamKind::Object && params.provided(p.key))
             validateWorkloadJson(params.object(p.key));
     }
+    return params;
+}
+
+} // namespace
+
+std::vector<TrafficPattern>
+trafficFromWorkloadJson(const JsonValue &spec,
+                        const TrafficContext &context)
+{
+    return workloadFor(spec).generateFromJson(spec, context);
+}
+
+void
+validateWorkloadJson(const JsonValue &spec)
+{
+    validatedParams(workloadFor(spec), spec);
 }
 
 std::vector<TrafficPattern>
 expandWorkloads(const std::vector<JsonValue> &specs,
-                const TrafficContext &context)
+                const TrafficContext &context, int jobs)
 {
-    std::vector<TrafficPattern> patterns;
+    std::vector<JsonValue> parts;
     for (const auto &spec : specs) {
-        auto expanded = trafficFromWorkloadJson(spec, context);
-        patterns.insert(patterns.end(), expanded.begin(),
-                        expanded.end());
+        const Workload &workload = workloadFor(spec);
+        auto split = workload.split(spec, validatedParams(workload, spec));
+        parts.insert(parts.end(), split.begin(), split.end());
+    }
+
+    std::vector<std::vector<TrafficPattern>> slots(parts.size());
+    parallelFor(parts.size(), jobs, [&](std::size_t i) {
+        slots[i] = trafficFromWorkloadJson(parts[i], context);
+    });
+    std::vector<TrafficPattern> patterns;
+    for (auto &slot : slots) {
+        patterns.insert(patterns.end(),
+                        std::make_move_iterator(slot.begin()),
+                        std::make_move_iterator(slot.end()));
     }
     return patterns;
 }

@@ -128,6 +128,15 @@ class Workload
     generateTraffic(const Params &params,
                     const TrafficContext &context) const = 0;
 
+    /**
+     * Split a validated spec into parts that generate independently
+     * and whose patterns, concatenated in order, are exactly the
+     * spec's own: expandWorkloads runs the parts in parallel. The
+     * default is one part, the spec itself.
+     */
+    virtual std::vector<JsonValue> split(const JsonValue &spec,
+                                         const Params &params) const;
+
     /** Validate a raw JSON spec against schema() and generate. */
     std::vector<TrafficPattern>
     generateFromJson(const JsonValue &spec,
@@ -173,10 +182,17 @@ std::vector<TrafficPattern>
 trafficFromWorkloadJson(const JsonValue &spec,
                         const TrafficContext &context);
 
-/** Expand a list of specs in order, concatenating their patterns. */
+/**
+ * Expand a list of specs, concatenating their patterns in spec order.
+ * Every spec is validated first, in order, on the calling thread (the
+ * first bad one fails as a serial expansion would, under the caller's
+ * ScopedFatalThrows too); then each spec's split() parts are generated
+ * on up to `jobs` threads (<=0 = all hardware threads) into indexed
+ * slots. The patterns are the same for every job count.
+ */
 std::vector<TrafficPattern>
 expandWorkloads(const std::vector<JsonValue> &specs,
-                const TrafficContext &context);
+                const TrafficContext &context, int jobs);
 
 /**
  * Validate a spec (name known, parameters well-formed) without

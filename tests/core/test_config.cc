@@ -295,6 +295,52 @@ TEST_F(ConfigTest, UnknownTopLevelKeyIsFatal)
     EXPECT_FALSE(knownConfigKeys().count("tagets"));
 }
 
+TEST_F(ConfigTest, CapacitiesMustBeFiniteAndBuildable)
+{
+    // NaN and Infinity used to load and run to an empty table; zero,
+    // negative and sub-KiB sizes failed only inside the run, naming
+    // neither the config nor the key (found by the config fuzz suite).
+    for (const char *mib : {"NaN", "Infinity", "-Infinity", "0", "-1",
+                            "1e-320", "0.0005"}) {
+        EXPECT_EXIT(
+            loadExperiment(JsonValue::parse(
+                std::string(R"({"experiment": "cap", "cells": ["SRAM"],
+                                "traffic": [{"name": "t", "reads": 1}],
+                                "capacities_mib": [)") +
+                mib + "]}")),
+            ::testing::ExitedWithCode(1),
+            "config 'cap': \"capacities_mib\" entries must be finite "
+            "and at least 1 KiB .*, got ")
+            << mib;
+    }
+    ExperimentConfig smallest = loadExperiment(JsonValue::parse(
+        R"({"cells": ["SRAM"], "capacities_mib": [0.0009765625],
+            "traffic": [{"name": "t", "reads": 1}]})"));
+    EXPECT_EQ(smallest.sweep.capacitiesBytes.front(), 1024.0);
+}
+
+TEST_F(ConfigTest, FileRejectionsNameTheFile)
+{
+    // Past the parser, a rejection used to name only a JSON member
+    // ("JSON: expected an object holding 'tech'" for a cell given as a
+    // number), so a multi-config run did not say which file failed.
+    std::string path = ::testing::TempDir() + "nvmexp_bad_cell.json";
+    {
+        std::ofstream out(path);
+        out << R"({"cells": [5], "capacities_mib": [2],
+                   "traffic": [{"name": "t", "reads": 1}]})";
+    }
+    ScopedFatalThrows guard;
+    try {
+        loadExperimentFile(path);
+        FAIL() << "a number accepted as a cell";
+    } catch (const FatalError &error) {
+        EXPECT_EQ(std::string(error.what()),
+                  "'" + path + "': JSON: expected an object holding "
+                  "'tech'");
+    }
+}
+
 TEST_F(ConfigTest, ConfigWithoutTrafficOrWorkloadsIsFatal)
 {
     EXPECT_EXIT(loadExperiment(JsonValue::parse(R"({

@@ -69,8 +69,8 @@ expandedTraffics(const SweepConfig &config)
     if (!config.workloads.empty()) {
         workload::TrafficContext context;
         context.wordBits = config.wordBits;
-        auto patterns =
-            workload::expandWorkloads(config.workloads, context);
+        auto patterns = workload::expandWorkloads(config.workloads,
+                                                  context, config.jobs);
         traffics.insert(traffics.end(), patterns.begin(),
                         patterns.end());
     }

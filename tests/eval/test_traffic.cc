@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <cmath>
 
 #include "eval/traffic.hh"
@@ -58,6 +60,24 @@ TEST(TrafficDeath, InvalidInputsAreFatal)
     bad.readsPerSec = -1.0;
     EXPECT_EXIT(bad.validate(), ::testing::ExitedWithCode(1),
                 "negative");
+}
+
+TEST(TrafficDeath, NonFiniteRatesAndTimesAreFatal)
+{
+    // A config's "write_bytes_per_sec": NaN used to load and then fill
+    // every row of the run with NaN (found by the config fuzz suite).
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EXIT(TrafficPattern::fromByteRates("t", 1e9, nan, 512),
+                ::testing::ExitedWithCode(1),
+                "traffic 't': access rates must be finite");
+    EXPECT_EXIT(TrafficPattern::fromCounts("t", inf, 1.0, 1.0),
+                ::testing::ExitedWithCode(1), "must be finite");
+    EXPECT_EXIT(TrafficPattern::fromCounts("t", 1.0, 1.0, nan),
+                ::testing::ExitedWithCode(1), "execution time");
+    EXPECT_EXIT(TrafficPattern::fromByteRates("t", 1e9, 1e6, 512, inf),
+                ::testing::ExitedWithCode(1),
+                "execution time must be finite");
 }
 
 TEST(TrafficGrid, SizeAndBounds)

@@ -33,10 +33,10 @@ class PaperClaimsTest : public ::testing::Test
 
     /** The Fig. 9 LLC study, simulated once for the whole suite: it
      *  is deterministic and by far the suite's most expensive input. */
-    static const studies::LlcStudyResult &
+    static const std::vector<EvalResult> &
     llcStudy()
     {
-        static const studies::LlcStudyResult study = studies::llcStudy();
+        static const std::vector<EvalResult> study = studies::llcStudy();
         return study;
     }
 };
@@ -223,14 +223,14 @@ TEST_F(PaperClaimsTest, Fig9_SttWinsHighTrafficLlc)
     // For the highest-traffic benchmark, STT provides the lowest
     // power, lowest latency load, and longest lifetime among eNVMs.
     const EvalResult *heaviest = nullptr;
-    for (const auto &ev : study.evals)
+    for (const auto &ev : study)
         if (!heaviest ||
             ev.traffic.readsPerSec > heaviest->traffic.readsPerSec)
             heaviest = &ev;
     ASSERT_NE(heaviest, nullptr);
     std::string heavyBench = heaviest->traffic.name;
     std::map<std::string, const EvalResult *> at;
-    for (const auto &ev : study.evals)
+    for (const auto &ev : study)
         if (ev.traffic.name == heavyBench)
             at[ev.array.cell.name] = &ev;
     for (const char *cell : {"PCM-Opt", "RRAM-Opt", "FeFET-Opt"}) {
@@ -249,7 +249,7 @@ TEST_F(PaperClaimsTest, Fig9_RramNotViableAsLlcLongTerm)
     // "RRAM does not appear viable as an LLC": lifetime under a year
     // for every benchmark with meaningful write traffic.
     int checked = 0;
-    for (const auto &ev : study.evals) {
+    for (const auto &ev : study) {
         if (ev.array.cell.name != "RRAM-Opt")
             continue;
         if (ev.traffic.writesPerSec < 1e6)
