@@ -254,9 +254,8 @@ Params::provided(const std::string &key) const
 }
 
 std::vector<JsonValue>
-Workload::split(const JsonValue &spec, const Params &params) const
+Workload::split(const JsonValue &spec, const Params &) const
 {
-    (void)params;
     return {spec};
 }
 

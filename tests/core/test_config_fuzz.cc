@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -181,8 +182,7 @@ mutated(Rng &rng, std::string text)
     }
 }
 
-/** Does a rejection of `seed` mutated to `text` name the file, a key
- *  of the config or an offset into it? */
+/** Does a rejection name the config file or an offset into it? */
 bool
 namesItsSource(const std::string &message, const std::string &path)
 {
