@@ -9,7 +9,6 @@
 
 #include <cmath>
 
-#include "core/parallel_sweep.hh"
 #include "core/studies.hh"
 #include "util/logging.hh"
 #include "util/ascii_plot.hh"
@@ -21,7 +20,6 @@ int
 main()
 {
     setQuiet(true);
-    setDefaultSweepJobs(0);  // every hardware thread; same results
     auto arrays = studies::llcArrays();
 
     Table table("Fig 10: 16MB LLC array characteristics",

@@ -2,7 +2,7 @@
 
 #include <filesystem>
 #include <map>
-#include <set>
+#include <optional>
 
 #include "store/result_store.hh"
 #include "util/logging.hh"
@@ -55,6 +55,29 @@ planCampaign(const std::string &dir, const SweepConfig &config,
     return manifest;
 }
 
+ExperimentConfig
+loadPlannedConfig(const std::string &dir, const CampaignManifest &manifest)
+{
+    const std::string path = dir + "/config.json";
+    ExperimentConfig config;
+    try {
+        ScopedFatalThrows guard;
+        config = loadExperimentFile(path);
+    } catch (const FatalError &error) {
+        fatal("campaign: ", error.what(), "; plan the campaign again "
+              "from a config this build loads (the same design space, "
+              "--dir and --shards keep every shard's progress)");
+    }
+    ShardPlan plan = makeShardPlan(config.sweep, manifest.shardCount);
+    if (plan.fingerprint != manifest.fingerprint) {
+        fatal("campaign: '", path, "' now fingerprints to ",
+              plan.fingerprint, ", the campaign was planned for ",
+              manifest.fingerprint,
+              " (config edited after `campaign plan`?)");
+    }
+    return config;
+}
+
 std::vector<EvalResult>
 runShard(const std::string &dir, const SweepConfig &config,
          std::size_t shard, const ParallelSweepRunner &runner)
@@ -78,27 +101,106 @@ runShard(const std::string &dir, const SweepConfig &config,
         fatal("campaign run: cannot create '", shardDir, "': ",
               ec.message());
     }
-    // The attempt is recorded before any work so a kill at any point
-    // still shows in the shard's attempt count.
-    ShardState state = loadShardState(shardDir, manifest.fingerprint);
-    ++state.attempts;
-    state.completed = false;
-    saveShardState(shardDir, manifest.fingerprint, shard,
-                   manifest.shardCount, state);
-
     SweepConfig shardConfig = config;
     shardConfig.outDir = shardDir;
     shardConfig.cacheDir = campaignCacheDir(dir);
     shardConfig.resume = true; // shard retries always resume
-    auto rows =
-        runner.runSelected(shardConfig,
-                           manifest.plan().selector(shard));
-
-    state.completed = true;
-    saveShardState(shardDir, manifest.fingerprint, shard,
-                   manifest.shardCount, state);
-    return rows;
+    return runner.runSelected(shardConfig,
+                              manifest.plan().selector(shard));
 }
+
+namespace {
+
+/** One shard directory as merge and status both judge it. */
+struct ShardCheck
+{
+    /** Why merge refuses the shard; empty when it accepts it. */
+    std::string problem;
+    /** The sweep's slot count, once the journal header is of this
+     *  campaign and agrees with the earlier shards'. */
+    std::optional<std::size_t> slots;
+    /** The owned slots journaled. Within one journal a re-journaled
+     *  slot resolves exactly as resume replay does: the last valid
+     *  entry wins. */
+    std::map<std::size_t, store::CheckpointEntry> entries;
+    store::StoreStats stats; ///< the shard's stats.json
+};
+
+/**
+ * Check shard `k` of campaign `dir`: a journal header of this store
+ * format and the campaign fingerprint, claiming the `totalSlots` the
+ * earlier shards claim (if any did), no slot the plan assigns to
+ * another shard, every owned slot journaled, and a readable
+ * stats.json. The first failure is the problem.
+ */
+ShardCheck
+checkShard(const std::string &dir, const CampaignManifest &manifest,
+           const ShardPlan &plan, std::size_t k,
+           std::optional<std::size_t> totalSlots)
+{
+    ShardCheck check;
+    std::string shardDir = dir + "/" + shardDirName(k);
+    store::CheckpointScan scan = store::scanCheckpoint(shardDir);
+    if (!scan.headerOk) {
+        check.problem = "checkpoint journal missing or unreadable; run "
+                        "the shard first";
+        return check;
+    }
+    if (scan.format != store::kFormatVersion) {
+        check.problem = "journal written with format " +
+            std::to_string(scan.format) + ", this build reads format " +
+            std::to_string(store::kFormatVersion);
+        return check;
+    }
+    if (scan.fingerprint != manifest.fingerprint) {
+        check.problem = "journal fingerprint " + scan.fingerprint +
+            " does not match campaign fingerprint " +
+            manifest.fingerprint;
+        return check;
+    }
+    if (totalSlots && scan.slots != *totalSlots) {
+        check.problem = "journal claims " + std::to_string(scan.slots) +
+            " slots where other shards claim " +
+            std::to_string(*totalSlots);
+        return check;
+    }
+    check.slots = scan.slots;
+    for (auto &entry : scan.entries) {
+        std::size_t owner = plan.shardOf(entry.slot);
+        if (owner == k) {
+            check.entries[entry.slot] = std::move(entry);
+        } else if (check.problem.empty()) {
+            check.problem = "journal carries slot " +
+                std::to_string(entry.slot) +
+                ", which the plan assigns to shard " +
+                std::to_string(owner);
+        }
+    }
+    if (!check.problem.empty())
+        return check;
+    std::size_t owned = plan.ownedCount(k, scan.slots);
+    if (check.entries.size() != owned) {
+        check.problem = "incomplete — " +
+            std::to_string(check.entries.size()) + " of " +
+            std::to_string(owned) + " owned slots journaled; re-run "
+            "the shard (it resumes from the journal)";
+        return check;
+    }
+    if (!std::filesystem::exists(shardDir + "/stats.json")) {
+        check.problem = "stats.json missing (worker did not finish); "
+                        "re-run the shard";
+        return check;
+    }
+    try {
+        ScopedFatalThrows guard;
+        check.stats = store::loadStats(shardDir);
+    } catch (const FatalError &error) {
+        check.problem = error.what();
+    }
+    return check;
+}
+
+} // namespace
 
 MergeSummary
 mergeCampaign(const std::string &dir)
@@ -108,67 +210,25 @@ mergeCampaign(const std::string &dir)
     MergeSummary summary;
     summary.shardCount = manifest.shardCount;
 
-    bool haveSlots = false;
-    std::size_t totalSlots = 0;
+    std::optional<std::size_t> claimed;
     std::map<std::size_t, store::CheckpointEntry> journal; // by slot
 
     for (std::size_t k = 0; k < manifest.shardCount; ++k) {
-        std::string shardDir = dir + "/" + shardDirName(k);
-        std::string context = "campaign merge: shard " +
-            std::to_string(k) + " ('" + shardDir + "')";
-
-        store::CheckpointScan scan = store::scanCheckpoint(shardDir);
-        if (!scan.headerOk) {
-            fatal(context, ": checkpoint journal missing or "
-                  "unreadable; run the shard first");
+        ShardCheck check = checkShard(dir, manifest, plan, k, claimed);
+        if (!check.problem.empty()) {
+            fatal("campaign merge: shard ", k, " ('", dir, "/",
+                  shardDirName(k), "'): ", check.problem);
         }
-        if (scan.format != store::kFormatVersion) {
-            fatal(context, ": journal written with format ",
-                  scan.format, ", this build reads format ",
-                  store::kFormatVersion);
-        }
-        if (scan.fingerprint != manifest.fingerprint) {
-            fatal(context, ": journal fingerprint ", scan.fingerprint,
-                  " does not match campaign fingerprint ",
-                  manifest.fingerprint);
-        }
-        if (!haveSlots) {
-            totalSlots = scan.slots;
-            haveSlots = true;
-        } else if (scan.slots != totalSlots) {
-            fatal(context, ": journal claims ", scan.slots,
-                  " slots where other shards claim ", totalSlots);
-        }
-        // Within one journal a re-journaled slot resolves exactly as
-        // resume replay does: the last valid entry wins.
-        std::map<std::size_t, store::CheckpointEntry> mine;
-        for (auto &entry : scan.entries) {
-            std::size_t owner = plan.shardOf(entry.slot);
-            if (owner != k) {
-                fatal(context, ": journal carries slot ", entry.slot,
-                      ", which the plan assigns to shard ", owner);
-            }
-            mine[entry.slot] = std::move(entry);
-        }
-        std::size_t owned = plan.ownedCount(k, totalSlots);
-        if (mine.size() != owned) {
-            fatal(context, ": incomplete — ", mine.size(), " of ",
-                  owned, " owned slots journaled; re-run the shard "
-                  "(it resumes from the journal)");
-        }
-        journal.merge(mine);
-
-        if (!std::filesystem::exists(shardDir + "/stats.json")) {
-            fatal(context, ": stats.json missing (worker did not "
-                  "finish); re-run the shard");
-        }
-        store::StoreStats stats = store::loadStats(shardDir);
-        summary.stats.cacheHits += stats.cacheHits;
-        summary.stats.cacheMisses += stats.cacheMisses;
-        summary.stats.cacheStores += stats.cacheStores;
-        summary.stats.checkpointLoaded += stats.checkpointLoaded;
-        summary.stats.checkpointComputed += stats.checkpointComputed;
+        claimed = check.slots;
+        journal.merge(check.entries);
+        summary.stats.cacheHits += check.stats.cacheHits;
+        summary.stats.cacheMisses += check.stats.cacheMisses;
+        summary.stats.cacheStores += check.stats.cacheStores;
+        summary.stats.checkpointLoaded += check.stats.checkpointLoaded;
+        summary.stats.checkpointComputed +=
+            check.stats.checkpointComputed;
     }
+    const std::size_t totalSlots = claimed.value_or(0);
     if (journal.size() != totalSlots) {
         panic("campaign merge: collected ", journal.size(),
               " slots for a sweep of ", totalSlots);
@@ -204,7 +264,7 @@ bool
 CampaignStatus::allComplete() const
 {
     for (const auto &shard : shards)
-        if (!shard.completed)
+        if (!shard.problem.empty())
             return false;
     return true;
 }
@@ -218,38 +278,27 @@ campaignStatus(const std::string &dir)
     status.merged =
         std::filesystem::exists(mergedDir(dir) + "/results.json");
 
-    // Two passes: the sweep's total slot count is only known from a
-    // journal header, and per-shard owned counts need it.
-    std::vector<std::size_t> doneSlots(status.manifest.shardCount, 0);
+    std::optional<std::size_t> claimed;
     for (std::size_t k = 0; k < status.manifest.shardCount; ++k) {
-        std::string shardDir = dir + "/" + shardDirName(k);
-        store::CheckpointScan scan = store::scanCheckpoint(shardDir);
-        if (!scan.headerOk || scan.format != store::kFormatVersion ||
-            scan.fingerprint != status.manifest.fingerprint)
-            continue;
-        if (status.totalSlots == 0)
-            status.totalSlots = scan.slots;
-        std::set<std::size_t> seen;
-        for (const auto &entry : scan.entries)
-            if (plan.shardOf(entry.slot) == k)
-                seen.insert(entry.slot);
-        doneSlots[k] = seen.size();
-    }
-    for (std::size_t k = 0; k < status.manifest.shardCount; ++k) {
-        std::string shardDir = dir + "/" + shardDirName(k);
-        ShardState state =
-            loadShardState(shardDir, status.manifest.fingerprint);
+        ShardCheck check =
+            checkShard(dir, status.manifest, plan, k, claimed);
+        if (!claimed)
+            claimed = check.slots;
         ShardProgress progress;
         progress.shard = k;
-        progress.attempts = state.attempts;
-        progress.completed = state.completed;
-        progress.doneSlots = doneSlots[k];
-        progress.ownedSlots = status.totalSlots
-            ? plan.ownedCount(k, status.totalSlots)
-            : 0;
-        progress.state = state.completed ? "complete"
+        progress.problem = std::move(check.problem);
+        progress.doneSlots = check.entries.size();
+        progress.state = progress.problem.empty() ? "complete"
             : (progress.doneSlots ? "partial" : "pending");
         status.shards.push_back(std::move(progress));
+    }
+    // Owned counts need the sweep's slot count, which only a journal
+    // header carries, possibly a later shard's.
+    status.totalSlots = claimed.value_or(0);
+    for (auto &progress : status.shards) {
+        progress.ownedSlots = claimed
+            ? plan.ownedCount(progress.shard, *claimed)
+            : 0;
     }
     return status;
 }

@@ -18,7 +18,9 @@
  *                  coverage) and write <dir>/merged from the journal
  *                  entries
  *   campaignStatus read-only progress snapshot from the shard
- *                  directories
+ *                  directories, judged by the merge's own check
+ *   loadPlannedConfig  the CLI's config snapshot, checked against the
+ *                  plan before `run`, `merge` and `status`
  *
  * Nothing here starts workers: N `campaign run` processes, on one
  * machine or many, run the shards in any order, and a crashed shard
@@ -28,12 +30,12 @@
 #ifndef NVMEXP_CAMPAIGN_CAMPAIGN_HH
 #define NVMEXP_CAMPAIGN_CAMPAIGN_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "campaign/manifest.hh"
 #include "campaign/shard_plan.hh"
+#include "core/config.hh"
 #include "core/parallel_sweep.hh"
 
 namespace nvmexp {
@@ -56,11 +58,28 @@ CampaignManifest planCampaign(const std::string &dir,
                               std::size_t shardCount);
 
 /**
- * Run shard `shard` of the campaign in this process: bumps the
- * shard's attempt counter, resumes its journal, evaluates its owned
- * slots via `runner`, and marks the shard complete. The shard
- * directory ends up holding checkpoint.jsonl, stats.json, and
- * shard.json, nothing else: its journal is its only copy of the rows.
+ * The experiment config the CLI's `campaign plan` snapshotted to
+ * <dir>/config.json, loaded and checked against the manifest's
+ * fingerprint. Fatal naming the file when it is missing or does not
+ * load, or when it fingerprints to another sweep than was planned. A
+ * config that an older build planned with a run-setting key ("jobs",
+ * "out_dir", "resume", "campaign") no longer loads, and the refusal
+ * says to plan the campaign again: planning the same design space
+ * with the same --dir and --shards keeps every shard's progress. The
+ * CLI's `campaign run`, `merge`, and `status` all load the snapshot
+ * through here, so `status` refuses exactly what `merge` refuses.
+ */
+ExperimentConfig loadPlannedConfig(const std::string &dir,
+                                   const CampaignManifest &manifest);
+
+/**
+ * Run shard `shard` of the campaign in this process: resumes its
+ * journal and evaluates its owned slots via `runner`. The shard
+ * directory ends up holding checkpoint.jsonl and stats.json, nothing
+ * else: its journal is its only copy of the rows and its only record
+ * of progress. stats.json is written last, so a worker killed before
+ * the end leaves a short journal or no stats.json, which merge and
+ * status both report.
  * `config` must be the campaign's sweep (fingerprint-checked against
  * the manifest); its outDir/cacheDir/resume are overridden with the
  * shard directory, the campaign's shared cache, and true. Returns the
@@ -84,15 +103,15 @@ struct MergeSummary
 /**
  * Merge every shard journal into <dir>/merged. Validates per shard —
  * journal header present with the campaign fingerprint, identical
- * slot counts, no foreign slots, full coverage of the owned slots,
- * stats.json present — and refuses with a file+shard diagnostic
+ * slot counts, no foreign slots, full coverage of the owned slots, a
+ * readable stats.json — and refuses with a file+shard diagnostic
  * otherwise (an incomplete shard is re-run, not merged around). Any
- * other file in a shard directory is ignored. The merged checkpoint
- * journal is the shard journals' lines in slot order; results.json and
- * results.csv come from the decoded rows through
- * ResultStore::writeResults. All three are byte-identical to a
- * single-process run's; stats.json holds the summed shard counters.
- * campaign.json is only read.
+ * other file in a shard directory (an older build's shard.json or
+ * results.json) is ignored. The merged checkpoint journal is the
+ * shard journals' lines in slot order; results.json and results.csv
+ * come from the decoded rows through ResultStore::writeResults. All
+ * three are byte-identical to a single-process run's; stats.json
+ * holds the summed shard counters. campaign.json is only read.
  */
 MergeSummary mergeCampaign(const std::string &dir);
 
@@ -100,11 +119,14 @@ MergeSummary mergeCampaign(const std::string &dir);
 struct ShardProgress
 {
     std::size_t shard = 0;
-    std::uint64_t attempts = 0;
-    bool completed = false;       ///< worker reached the end
-    std::size_t doneSlots = 0;    ///< journaled (valid) slots
+    std::size_t doneSlots = 0;    ///< owned slots journaled
     std::size_t ownedSlots = 0;   ///< 0 while the total is unknown
-    std::string state;            ///< pending | partial | complete
+    /** Why mergeCampaign would refuse the shard; empty when it would
+     *  accept it. */
+    std::string problem;
+    /** complete (merge accepts it), partial (some owned slots
+     *  journaled), or pending (none). */
+    std::string state;
 };
 
 /** Read-only snapshot of a whole campaign. */
@@ -118,6 +140,11 @@ struct CampaignStatus
     bool allComplete() const;
 };
 
+/** Progress of every shard, each judged by the check mergeCampaign
+ *  runs: a shard is complete exactly when the merge would accept it,
+ *  so allComplete() holds exactly when mergeCampaign would succeed.
+ *  Neither reads config.json; the CLI checks it for both through
+ *  loadPlannedConfig. */
 CampaignStatus campaignStatus(const std::string &dir);
 
 } // namespace campaign

@@ -24,42 +24,11 @@ hasNumber(const JsonValue &doc, const std::string &key)
     return doc.isObject() && doc.has(key) && doc.at(key).isNumber();
 }
 
-bool
-hasBool(const JsonValue &doc, const std::string &key)
-{
-    return doc.isObject() && doc.has(key) && doc.at(key).isBool();
-}
-
 /** What `doc` holds under `key`, as diagnostics quote it. */
 std::string
 shown(const JsonValue &doc, const std::string &key)
 {
     return doc.has(key) ? doc.at(key).dump(-1) : "nothing";
-}
-
-/** The version/fingerprint preamble both files share. */
-void
-checkVersions(const JsonValue &doc, const std::string &context)
-{
-    if (!doc.isObject())
-        fatal(context, ": document must be a JSON object");
-    if (!hasNumber(doc, "format") ||
-        doc.at("format").asNumber() != store::kFormatVersion) {
-        fatal(context, ": \"format\" must be the store format version ",
-              store::kFormatVersion, " this build reads, got ",
-              shown(doc, "format"));
-    }
-    if (!hasNumber(doc, "campaign_format") ||
-        doc.at("campaign_format").asNumber() != kCampaignFormatVersion) {
-        fatal(context, ": \"campaign_format\" must be ",
-              kCampaignFormatVersion, ", got ", shown(doc, "campaign_format"),
-              " (plan the campaign again with this build)");
-    }
-    if (!hasString(doc, "fingerprint") ||
-        doc.at("fingerprint").asString().empty()) {
-        fatal(context,
-              ": \"fingerprint\" must be the sweep fingerprint string");
-    }
 }
 
 } // namespace
@@ -93,7 +62,25 @@ CampaignManifest
 CampaignManifest::fromJson(const JsonValue &doc,
                            const std::string &context)
 {
-    checkVersions(doc, context);
+    if (!doc.isObject())
+        fatal(context, ": document must be a JSON object");
+    if (!hasNumber(doc, "format") ||
+        doc.at("format").asNumber() != store::kFormatVersion) {
+        fatal(context, ": \"format\" must be the store format version ",
+              store::kFormatVersion, " this build reads, got ",
+              shown(doc, "format"));
+    }
+    if (!hasNumber(doc, "campaign_format") ||
+        doc.at("campaign_format").asNumber() != kCampaignFormatVersion) {
+        fatal(context, ": \"campaign_format\" must be ",
+              kCampaignFormatVersion, ", got ", shown(doc, "campaign_format"),
+              " (plan the campaign again with this build)");
+    }
+    if (!hasString(doc, "fingerprint") ||
+        doc.at("fingerprint").asString().empty()) {
+        fatal(context,
+              ": \"fingerprint\" must be the sweep fingerprint string");
+    }
     CampaignManifest m;
     m.fingerprint = doc.at("fingerprint").asString();
     m.shardCount = (std::size_t)wholeNumberKey(
@@ -120,45 +107,6 @@ loadManifest(const std::string &dir)
     return CampaignManifest::fromJson(JsonValue::parseFile(path),
                                       "campaign manifest '" + path +
                                           "'");
-}
-
-ShardState
-loadShardState(const std::string &shardDir,
-               const std::string &fingerprint)
-{
-    ShardState state;
-    std::string path = shardDir + "/shard.json";
-    std::string text;
-    JsonValue doc;
-    if (!readFile(path, text) || !JsonValue::tryParse(text, doc))
-        return state;
-    if (!hasString(doc, "fingerprint") ||
-        doc.at("fingerprint").asString() != fingerprint)
-        return state;
-    if (hasNumber(doc, "attempts") &&
-        isWholeNumber(doc.at("attempts").asNumber(), 0,
-                      (double)kMaxExactInteger))
-        state.attempts = (std::uint64_t)doc.at("attempts").asNumber();
-    if (hasBool(doc, "completed"))
-        state.completed = doc.at("completed").asBool();
-    return state;
-}
-
-void
-saveShardState(const std::string &shardDir,
-               const std::string &fingerprint, std::size_t shard,
-               std::size_t shardCount, const ShardState &state)
-{
-    JsonValue v = JsonValue::makeObject();
-    v.set("format", JsonValue::makeNumber(store::kFormatVersion));
-    v.set("campaign_format",
-          JsonValue::makeNumber(kCampaignFormatVersion));
-    v.set("fingerprint", JsonValue::makeString(fingerprint));
-    v.set("shard", JsonValue::makeNumber((double)shard));
-    v.set("shard_count", JsonValue::makeNumber((double)shardCount));
-    v.set("attempts", JsonValue::makeNumber((double)state.attempts));
-    v.set("completed", JsonValue::makeBool(state.completed));
-    v.writeFile(shardDir + "/shard.json");
 }
 
 } // namespace campaign

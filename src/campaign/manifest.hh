@@ -1,7 +1,6 @@
 /**
  * @file
- * The campaign manifest (campaign.json) and per-shard progress files
- * (shard.json).
+ * The campaign manifest (campaign.json).
  *
  * A campaign directory looks like:
  *
@@ -14,25 +13,24 @@
  *   <dir>/cache/               ONE characterization cache shared by
  *                              every shard and the merged store
  *   <dir>/shards/shard-<k>/    one shard: its checkpoint journal (the
- *                              only durable copy of its rows),
- *                              stats.json, and shard.json
+ *                              only durable copy of its rows, and the
+ *                              only record of its progress) and
+ *                              stats.json
  *   <dir>/merged/              the canonical merged store
  *
  * Single-writer discipline: campaign.json is written only by `plan`
  * and never changes after that. A shard worker writes only inside its
- * own shard directory (journal, stats.json, and shard.json with
- * {attempts, completed}) and the shared cache, so concurrent workers
+ * own shard directory and the shared cache, so concurrent workers
  * never race on a shared file other than cache entries; `merge` writes
- * only <dir>/merged. Per-shard progress is read from the shard
- * directories, never from the manifest. Both files are written
- * atomically (write-then-rename); a torn shard.json reads as "no
- * progress" and simply causes a redundant (resume, hence cheap) retry.
+ * only <dir>/merged. Whether a shard is complete is read from its
+ * journal and stats.json (campaign.hh), never from the manifest, so a
+ * kill at any byte leaves nothing that claims more than the journal
+ * holds.
  */
 
 #ifndef NVMEXP_CAMPAIGN_MANIFEST_HH
 #define NVMEXP_CAMPAIGN_MANIFEST_HH
 
-#include <cstdint>
 #include <string>
 
 #include "campaign/shard_plan.hh"
@@ -41,9 +39,9 @@
 namespace nvmexp {
 namespace campaign {
 
-/** Version of the campaign.json/shard.json schema itself, separate
- *  from the store format the fingerprint is defined over. Version 1
- *  manifests carried a mutable shard table; they are refused. */
+/** Version of the campaign.json schema itself, separate from the
+ *  store format the fingerprint is defined over. Version 1 manifests
+ *  carried a mutable shard table; they are refused. */
 constexpr int kCampaignFormatVersion = 2;
 
 struct CampaignManifest
@@ -69,24 +67,6 @@ std::string shardDirName(std::size_t shard);
 
 /** Load+validate <dir>/campaign.json; fatal() if absent or invalid. */
 CampaignManifest loadManifest(const std::string &dir);
-
-/** A worker's own progress record (shard.json in its store dir). */
-struct ShardState
-{
-    std::uint64_t attempts = 0;
-    bool completed = false;
-};
-
-/** Lenient read of <shardDir>/shard.json: a missing, torn, or
- *  foreign-fingerprint file reads as zero progress, and an
- *  "attempts" that is not a whole number in range reads as 0. */
-ShardState loadShardState(const std::string &shardDir,
-                          const std::string &fingerprint);
-
-/** Atomically write <shardDir>/shard.json. */
-void saveShardState(const std::string &shardDir,
-                    const std::string &fingerprint, std::size_t shard,
-                    std::size_t shardCount, const ShardState &state);
 
 } // namespace campaign
 } // namespace nvmexp

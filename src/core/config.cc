@@ -4,10 +4,8 @@
 
 #include "celldb/tentpole.hh"
 #include "core/dashboard.hh"
-#include "core/parallel_sweep.hh"
 #include "metrics/metric.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 #include "workload/workload.hh"
 
 namespace nvmexp {
@@ -79,6 +77,22 @@ customCellFromJson(const JsonValue &spec)
     cell.validate();
     return cell;
 }
+
+/** A run setting that a config once carried and the flag that now
+ *  does: a config still naming one is refused, not run on other
+ *  settings than it asks for. */
+struct RunSettingKey
+{
+    const char *key;
+    const char *flag;
+};
+
+constexpr RunSettingKey kRunSettingKeys[] = {
+    {"jobs", "--jobs"},
+    {"out_dir", "--out"},
+    {"resume", "--resume"},
+    {"campaign", "`campaign plan --shards N`"},
+};
 
 /**
  * The integer value of an optional key: `fallback` when `doc` lacks
@@ -211,13 +225,28 @@ knownConfigKeys()
     static const std::set<std::string> keys = {
         "experiment",  "cells",       "capacities_mib",
         "word_bits",   "node_nm",     "sram_node_nm",
-        "jobs",        "out_dir",     "resume",
         "targets",     "traffic",     "workloads",
         "workload",    "reliability", "ecc",
         "constraints", "pareto",      "top_k",
-        "output_csv",  "campaign",
+        "output_csv",
     };
     return keys;
+}
+
+std::string
+unknownKeyMessage(const std::string &key)
+{
+    for (const RunSettingKey &setting : kRunSettingKeys) {
+        if (key == setting.key) {
+            return "key '" + key + "' is a run setting, not part of " +
+                "the design space; pass " + setting.flag +
+                " on the command line instead";
+        }
+    }
+    std::string known;
+    for (const auto &name : knownConfigKeys())
+        known += " " + name;
+    return "unknown key '" + key + "' (known keys:" + known + ")";
 }
 
 ExperimentConfig
@@ -228,13 +257,8 @@ loadExperiment(const JsonValue &doc)
     const std::string context = "config '" + config.name + "'";
 
     for (const auto &key : doc.memberNames()) {
-        if (knownConfigKeys().count(key))
-            continue;
-        std::string known;
-        for (const auto &name : knownConfigKeys())
-            known += " " + name;
-        fatal(context, ": unknown key '", key, "' (known keys:", known,
-              ")");
+        if (!knownConfigKeys().count(key))
+            fatal(context, ": ", unknownKeyMessage(key));
     }
 
     // Cells: names, "study-set", or inline custom definitions.
@@ -275,40 +299,6 @@ loadExperiment(const JsonValue &doc)
     config.sweep.nodeNm = integerKey(doc, "node_nm", 22, 7, 130, context);
     config.sweep.sramNodeNm =
         integerKey(doc, "sram_node_nm", 16, 7, 130, context);
-
-    // Worker threads: an explicit "jobs" key wins, else the process
-    // default (the CLI's --jobs flag, same range). 0 = all hardware
-    // threads.
-    config.sweep.jobs = integerKey(doc, "jobs", defaultSweepJobs(), 0,
-                                   ThreadPool::kMaxThreads, context);
-
-    // Result store: only the config's own keys here. The CLI layers
-    // its --out/--resume flags (and the $NVMEXP_STORE_DIR fallback)
-    // on top of configs that leave these unset, handling one-store-
-    // per-experiment isolation there.
-    config.sweep.outDir = doc.stringOr("out_dir", "");
-    config.sweep.resume = doc.boolOr("resume", false);
-
-    // Campaign block: how many shards `campaign plan` splits this
-    // sweep into when --shards isn't given on the command line. The
-    // shard count never affects result bytes (the merge is canonical),
-    // so like jobs it lives outside the sweep fingerprint.
-    if (doc.has("campaign")) {
-        const JsonValue &c = doc.at("campaign");
-        if (!c.isObject() || !c.has("shards") ||
-            !c.at("shards").isNumber()) {
-            fatal(context, ": \"campaign\" must be an object with a "
-                  "\"shards\" count");
-        }
-        for (const auto &key : c.memberNames()) {
-            if (key != "shards") {
-                fatal(context, ": unknown \"campaign\" key \"", key,
-                      "\"");
-            }
-        }
-        config.campaignShards =
-            (std::size_t)integerKey(c, "shards", 0, 1, 4096, context);
-    }
 
     // Optimization targets (default ReadEDP).
     config.sweep.targets.clear();

@@ -8,12 +8,16 @@
  * loadExperiment turns it into a SweepConfig + store::StoreQuery and
  * runExperiment produces the combined results table (and optional
  * CSV).
+ *
+ * A config describes the design space only. How a run executes (its
+ * worker count, store directory, resume, and campaign shard count)
+ * comes from the command line alone, so the same file always loads
+ * to the same SweepConfig: jobs 1, no store, no resume.
  */
 
 #ifndef NVMEXP_CORE_CONFIG_HH
 #define NVMEXP_CORE_CONFIG_HH
 
-#include <cstddef>
 #include <set>
 #include <string>
 #include <vector>
@@ -42,10 +46,6 @@ struct ExperimentConfig
      *  grows ECC/failure-rate columns. Off by default so sweeps
      *  without a reliability axis print exactly as before. */
     bool showReliability = false;
-    /** The "campaign" block's shard count; 0 = config doesn't ask for
-     *  a distributed campaign. `campaign plan` uses this as the
-     *  default when --shards isn't given. */
-    std::size_t campaignShards = 0;
     std::string outputCsv;  ///< empty = don't write
 };
 
@@ -62,6 +62,14 @@ MemCell resolveCellReference(const std::string &reference);
  *  refuses any other (a typo'd "tagets" must not run the default
  *  sweep), and nvmexplorer_lint reports it. */
 const std::set<std::string> &knownConfigKeys();
+
+/** Why a config may not carry the top-level `key`, one that is not
+ *  in knownConfigKeys(): the run settings "jobs", "out_dir",
+ *  "resume", and "campaign" name the flag that carries each (--jobs,
+ *  --out, --resume, and `campaign plan --shards N`); any other key
+ *  gets the list of known keys. loadExperiment's fatal and
+ *  nvmexplorer_lint's diagnostic both give this message. */
+std::string unknownKeyMessage(const std::string &key);
 
 /** Build an ExperimentConfig from a parsed JSON document; fatal()
  *  naming the config on an unknown top-level key or a bad value. */

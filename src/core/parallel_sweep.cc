@@ -1,8 +1,6 @@
 #include "core/parallel_sweep.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <mutex>
 
 #include "eval/batch.hh"
 #include "util/logging.hh"
@@ -47,25 +45,6 @@ reliabilityEvaluators(
         evaluators.emplace_back(spec);
     return evaluators;
 }
-
-/**
- * Process-wide sweep default knobs, guarded by one mutex so a driver
- * thread can set them while bench fixtures or worker threads read
- * them. (The previous bare globals plus a lazily-initialized
- * $NVMEXP_STORE_DIR probe raced under concurrent first use.)
- */
-struct SweepDefaults
-{
-    std::mutex mutex;
-    int jobs = 1;
-    std::string storeDir;
-    bool storeDirSet = false; // an explicit set beats the environment
-    bool envProbed = false;
-};
-
-// Deliberately mutable process state; every access takes the mutex.
-// Allowlisted by name (AllowNames) in tools/tidy/nvmexp.clang-tidy.
-SweepDefaults sweepDefaultsState;
 
 void
 warnNoOrganization(const MemCell &cell, double capacity)
@@ -152,49 +131,6 @@ characterizePair(const SweepConfig &config, const MemCell &cell,
 }
 
 } // namespace
-
-int
-defaultSweepJobs()
-{
-    std::lock_guard<std::mutex> hold(sweepDefaultsState.mutex);
-    return sweepDefaultsState.jobs;
-}
-
-void
-setDefaultSweepJobs(int jobs)
-{
-    const int resolved = ThreadPool::resolveJobs(jobs);
-    std::lock_guard<std::mutex> hold(sweepDefaultsState.mutex);
-    sweepDefaultsState.jobs = resolved;
-}
-
-std::string
-defaultSweepStoreDir()
-{
-    // Bench binaries and study drivers have no store flag of their
-    // own; NVMEXP_STORE_DIR lets figure regeneration share one
-    // characterization cache. Any explicit setDefaultSweepStoreDir()
-    // — including an explicit "" to force persistence off — wins
-    // over the environment.
-    std::lock_guard<std::mutex> hold(sweepDefaultsState.mutex);
-    if (!sweepDefaultsState.envProbed) {
-        sweepDefaultsState.envProbed = true;
-        if (!sweepDefaultsState.storeDirSet) {
-            if (const char *env = std::getenv("NVMEXP_STORE_DIR"))
-                sweepDefaultsState.storeDir = env;
-        }
-    }
-    return sweepDefaultsState.storeDir;
-}
-
-void
-setDefaultSweepStoreDir(std::string dir)
-{
-    std::lock_guard<std::mutex> hold(sweepDefaultsState.mutex);
-    sweepDefaultsState.storeDir = std::move(dir);
-    sweepDefaultsState.storeDirSet = true;
-    sweepDefaultsState.envProbed = true; // the explicit set wins
-}
 
 ParallelSweepRunner::ParallelSweepRunner(int jobs)
     : jobs_(ThreadPool::resolveJobs(jobs))

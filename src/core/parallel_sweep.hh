@@ -9,6 +9,10 @@
  * into its serial-order slot, so the output is identical regardless of
  * worker count or scheduling. Evaluation always runs the batched path
  * of eval/batch.hh.
+ *
+ * There is no process-wide default: the worker count and the store
+ * come from each SweepConfig (the CLI writes its --jobs/--out/--resume
+ * flags there) or from the runner's constructor argument.
  */
 
 #ifndef NVMEXP_CORE_PARALLEL_SWEEP_HH
@@ -25,26 +29,6 @@
 namespace nvmexp {
 
 class BatchEvalContext;
-
-/**
- * Process-wide default worker count for sweeps that don't specify one
- * (studies, bench binaries). The CLI's --jobs flag sets this. 1 on
- * startup; <=0 means "all hardware threads".
- */
-int defaultSweepJobs();
-void setDefaultSweepJobs(int jobs);
-
-/**
- * Process-wide default result-store directory for sweeps that don't
- * specify one: studies and bench binaries route their SweepConfigs
- * through it so repeated figure regeneration hits the
- * characterization cache. Initialized from $NVMEXP_STORE_DIR on first
- * use unless setDefaultSweepStoreDir() ran earlier; empty disables
- * persistence. Returns a copy: the underlying state is mutex-guarded
- * and may be reset by another thread after this returns.
- */
-std::string defaultSweepStoreDir();
-void setDefaultSweepStoreDir(std::string dir);
 
 /**
  * Resolve a sweep's effective traffic list: explicit patterns first,

@@ -26,6 +26,10 @@ namespace {
  */
 constexpr double kAccuracyBerCeiling = 2e-3;
 
+/** Studies run on every hardware thread and without a store: their
+ *  results do not depend on the worker count. */
+constexpr int kStudyJobs = 0;
+
 ArrayResult
 optimizeFor(const MemCell &cell, double capacityBytes, int wordBits,
             OptTarget target)
@@ -56,14 +60,14 @@ provisionCapacity(double footprintBytes)
 
 /** Registry dispatch for the studies: a JSON workload spec (the same
  *  syntax config files use) expanded at the study's word width, its
- *  parts on defaultSweepJobs() threads. */
+ *  parts on every hardware thread. */
 std::vector<TrafficPattern>
 workloadTraffic(const std::string &specJson, int wordBits)
 {
     workload::TrafficContext context;
     context.wordBits = wordBits;
     return workload::expandWorkloads({JsonValue::parse(specJson)},
-                                     context, defaultSweepJobs());
+                                     context, kStudyJobs);
 }
 
 /** Single-pattern convenience for scenario-shaped studies. */
@@ -87,8 +91,7 @@ arrayLandscape(double capacityBytes)
     sweep.cells = catalog.studyCells();
     sweep.capacitiesBytes = {capacityBytes};
     sweep.targets = allOptTargets();
-    sweep.jobs = defaultSweepJobs();
-    sweep.outDir = defaultSweepStoreDir();
+    sweep.jobs = kStudyJobs;
     return characterizeSweep(sweep);
 }
 
@@ -140,7 +143,7 @@ std::vector<ArrayResult>
 dnnBufferArrays(double capacityBytes)
 {
     CellCatalog catalog;
-    return ParallelSweepRunner(defaultSweepJobs())
+    return ParallelSweepRunner(kStudyJobs)
         .optimizeAll(catalog.studyCells(), capacityBytes, 512,
                      OptTarget::ReadEDP);
 }
@@ -163,7 +166,7 @@ dnnContinuousPower()
         {"multi/w+a", 3, "weights+activations"},
     };
 
-    ParallelSweepRunner runner(defaultSweepJobs());
+    ParallelSweepRunner runner(kStudyJobs);
     std::vector<DnnPowerRow> rows;
     for (const auto &spec : scenarios) {
         TrafficPattern traffic = workloadPattern(
@@ -420,7 +423,7 @@ graphStudyWithCells(const std::vector<MemCell> &cells,
     GraphStudyResult result;
     constexpr int kWordBits = 64;  // 8-byte vertex/edge records
 
-    ParallelSweepRunner runner(defaultSweepJobs());
+    ParallelSweepRunner runner(kStudyJobs);
     auto arrays = runner.optimizeAll(cells, capacityBytes, kWordBits,
                                      OptTarget::ReadEDP);
 
@@ -475,15 +478,14 @@ llcArrays(double capacityBytes)
     sweep.cells = catalog.studyCells();
     sweep.capacitiesBytes = {capacityBytes};
     sweep.targets = allOptTargets();
-    sweep.outDir = defaultSweepStoreDir();
-    return ParallelSweepRunner(defaultSweepJobs()).characterize(sweep);
+    return ParallelSweepRunner(kStudyJobs).characterize(sweep);
 }
 
 std::vector<EvalResult>
 llcStudy(double capacityBytes)
 {
     CellCatalog catalog;
-    ParallelSweepRunner runner(defaultSweepJobs());
+    ParallelSweepRunner runner(kStudyJobs);
     auto arrays = runner.optimizeAll(catalog.studyCells(),
                                      capacityBytes, 512,
                                      OptTarget::ReadEDP);

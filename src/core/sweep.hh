@@ -56,11 +56,12 @@ struct SweepConfig
     int wordBits = 512;
     int nodeNm = 22;       ///< eNVM implementation node
     int sramNodeNm = 16;   ///< SRAM baseline node
-    /** Worker threads for the sweep cross product; <=0 means all
-     *  hardware threads. Results are identical for any value. */
+    /** Worker threads for the sweep cross product (CLI --jobs); <=0
+     *  means all hardware threads. Results are identical for any
+     *  value. */
     int jobs = 1;
     /**
-     * Result-store directory (CLI --out / config "out_dir"): persists
+     * Result-store directory (CLI --out): persists
      * results.json/.csv, a content-hashed characterization cache, and
      * an evaluation checkpoint journal there. Empty disables
      * persistence. Neither this nor `resume` affects result values or

@@ -254,13 +254,18 @@ parseResponseHead(const std::string &head, HttpClientResult &out,
         error = "malformed status line '" + status + "'";
         return false;
     }
-    double code = 0.0;
-    std::string codeText = status.substr(sp + 1, 3);
-    if (!JsonValue::parseNumber(codeText, code)) {
+    // The status code is exactly three ASCII digits, the first 1-9,
+    // up to the reason phrase's space or the end of the line.
+    std::string codeText =
+        status.substr(sp + 1, status.find(' ', sp + 1) - sp - 1);
+    bool wellFormed = codeText.size() == 3 && codeText[0] != '0';
+    for (char c : codeText)
+        wellFormed = wellFormed && std::isdigit((unsigned char)c);
+    if (!wellFormed) {
         error = "malformed status code '" + codeText + "'";
         return false;
     }
-    out.status = (int)code;
+    out.status = std::stoi(codeText);
     out.headers.clear();
     for (std::size_t i = 1; i < lines.size(); ++i) {
         std::string line = trimmed(lines[i]);
@@ -425,7 +430,7 @@ HttpClient::exchange(const std::string &method,
         double length = 0.0;
         if (cl == out.headers.end() ||
             !JsonValue::parseNumber(cl->second, length) ||
-            length < 0.0) {
+            !isWholeNumber(length, 0.0, (double)kMaxExactInteger)) {
             disconnect();
             error = "response carries no usable Content-Length";
             return false;

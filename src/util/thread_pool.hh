@@ -67,15 +67,6 @@ class ThreadPool
      *  hardware threads, large values clamp to kMaxThreads. */
     static int resolveJobs(int jobs);
 
-    /** A user-supplied jobs value is acceptable iff it lies in
-     *  [0, kMaxThreads]: the CLI --jobs flag's check. The config
-     *  front-end's "jobs" key accepts the integers of the same
-     *  range. */
-    static bool jobsInRange(double jobs)
-    {
-        return jobs >= 0.0 && jobs <= (double)kMaxThreads;
-    }
-
   private:
     void workerLoop();
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "campaign/campaign.hh"
+#include "core/config.hh"
 #include "core/parallel_sweep.hh"
 #include "reliability/reliability.hh"
 #include "store/result_store.hh"
@@ -224,10 +225,76 @@ TEST_F(CampaignTest, KilledShardRetriesAndMergesIdentically)
     EXPECT_EQ(summary.stats.checkpointLoaded, 2u);
     expectMergedMatches(dir, ref, "after retry");
 
-    // The shard's own record shows both attempts.
     campaign::CampaignStatus status = campaign::campaignStatus(dir);
-    EXPECT_EQ(status.shards[1].attempts, 2u);
+    EXPECT_EQ(status.shards[1].state, "complete");
     EXPECT_EQ(rows.size(), status.shards[1].ownedSlots);
+}
+
+/** Status judges a shard by the merge's own check: a finished shard
+ *  whose journal is cut to one entry, or whose stats.json is gone, or
+ *  whose journal carries another shard's slot, is not complete, and
+ *  status names the reason the merge refuses it with. An older build
+ *  recorded completion in shard.json too; such a file is ignored. */
+TEST_F(CampaignTest, StatusAgreesWithMergeOnATornFinishedShard)
+{
+    SweepConfig config = specSweep();
+    std::string dir = freshDir("campaign");
+    campaign::planCampaign(dir, config, 3);
+    ParallelSweepRunner runner(1);
+    for (std::size_t k = 0; k < 3; ++k)
+        campaign::runShard(dir, config, k, runner);
+    ASSERT_TRUE(campaign::campaignStatus(dir).allComplete());
+    ASSERT_EQ(mergeError(dir), "");
+
+    std::string shardDir = dir + "/" + campaign::shardDirName(1);
+    std::string journalPath = shardDir + "/checkpoint.jsonl";
+    const std::string journal = readFile(journalPath);
+    const std::string stats = readFile(shardDir + "/stats.json");
+    writeText(shardDir + "/shard.json", "{\"completed\": true}");
+    auto lines = readLines(journalPath);
+    std::string foreign =
+        readLines(dir + "/" + campaign::shardDirName(0) +
+                  "/checkpoint.jsonl")[1];
+
+    const std::vector<std::pair<std::string, std::function<void()>>>
+        tears = {
+            {"journal cut to one entry",
+             [&] { writeLines(journalPath, {lines[0], lines[1]}); }},
+            {"stats.json deleted",
+             [&] { std::filesystem::remove(shardDir + "/stats.json"); }},
+            {"another shard's slot journaled",
+             [&] {
+                 auto grown = lines;
+                 grown.push_back(foreign);
+                 writeLines(journalPath, grown);
+             }},
+        };
+    for (const auto &[label, tear] : tears) {
+        tear();
+        campaign::CampaignStatus status = campaign::campaignStatus(dir);
+        EXPECT_FALSE(status.allComplete()) << label;
+        const campaign::ShardProgress &torn = status.shards[1];
+        EXPECT_EQ(torn.state, "partial") << label;
+        EXPECT_EQ(status.shards[0].state, "complete") << label;
+        EXPECT_EQ(status.shards[2].state, "complete") << label;
+        std::string error = mergeError(dir);
+        EXPECT_NE(error.find("shard-1"), std::string::npos) << error;
+        ASSERT_FALSE(torn.problem.empty()) << label;
+        EXPECT_NE(error.find(torn.problem), std::string::npos)
+            << label << ": status says '" << torn.problem
+            << "', merge says '" << error << "'";
+        writeText(journalPath, journal);
+        writeText(shardDir + "/stats.json", stats);
+    }
+    campaign::CampaignStatus healed = campaign::campaignStatus(dir);
+    EXPECT_TRUE(healed.allComplete());
+    EXPECT_EQ(mergeError(dir), "");
+
+    // A journal cut to one entry counts that one owned slot.
+    writeLines(journalPath, {lines[0], lines[1]});
+    campaign::ShardProgress cut = campaign::campaignStatus(dir).shards[1];
+    EXPECT_EQ(cut.doneSlots, 1u);
+    EXPECT_EQ(cut.ownedSlots, lines.size() - 1);
 }
 
 TEST_F(CampaignTest, MergeRefusesMissingAndForeignShards)
@@ -271,9 +338,10 @@ TEST_F(CampaignTest, MergeRefusesMissingAndForeignShards)
     ASSERT_EQ(mergeError(dir), "");
 }
 
-/** A shard directory is its journal, stats.json, and shard.json. The
- *  results.json/.csv an older build left beside them are never read:
- *  garbage there leaves the merged bytes unchanged. */
+/** A shard directory is its journal and stats.json. The results.json,
+ *  results.csv and shard.json an older build left beside them are
+ *  never read: garbage there, or a shard.json claiming completion,
+ *  leaves the merged bytes unchanged. */
 TEST_F(CampaignTest, MergeIgnoresLeftoverShardArtifacts)
 {
     SweepConfig config = specSweep();
@@ -288,6 +356,7 @@ TEST_F(CampaignTest, MergeIgnoresLeftoverShardArtifacts)
         std::string shardDir = dir + "/" + campaign::shardDirName(k);
         writeText(shardDir + "/results.json", "{\"format\": 2, \"resu");
         writeText(shardDir + "/results.csv", "not,a\n\"csv");
+        writeText(shardDir + "/shard.json", "{\"completed\": true}");
     }
     campaign::mergeCampaign(dir);
     expectMergedMatches(dir, ref, "leftover shard artifacts");
@@ -311,6 +380,55 @@ TEST_F(CampaignTest, PlanIsIdempotentButRefusesConflicts)
     SweepConfig other = config;
     other.reliability.pop_back();
     EXPECT_THROW(campaign::planCampaign(dir, other, 3), FatalError);
+}
+
+/** The CLI's `run`, `merge` and `status` load the config snapshot
+ *  through loadPlannedConfig, so all three refuse the same snapshots:
+ *  a missing one, one an older build planned with a run-setting key,
+ *  and one edited since the plan, each naming the file. */
+TEST_F(CampaignTest, PlannedConfigMustLoadAndMatchThePlan)
+{
+    const std::string source =
+        std::string(NVMEXP_SOURCE_DIR) + "/config/main_dnn_study.json";
+    const std::string bytes = readFile(source);
+    std::string dir = freshDir("campaign");
+    campaign::CampaignManifest manifest = campaign::planCampaign(
+        dir, loadExperimentFile(source).sweep, 3);
+    const std::string path = dir + "/config.json";
+    auto refusal = [&] {
+        ScopedFatalThrows guard;
+        try {
+            campaign::loadPlannedConfig(dir, manifest);
+        } catch (const FatalError &error) {
+            return std::string(error.what());
+        }
+        return std::string();
+    };
+
+    EXPECT_NE(refusal().find("'" + path + "'"), std::string::npos);
+
+    writeText(path, bytes);
+    EXPECT_EQ(refusal(), "");
+
+    // The same design space with a run setting the parent build read.
+    writeText(path, "{\"campaign\": {\"shards\": 3}," + bytes.substr(1));
+    std::string stale = refusal();
+    EXPECT_NE(stale.find("'" + path + "'"), std::string::npos) << stale;
+    EXPECT_NE(stale.find("key 'campaign'"), std::string::npos) << stale;
+    EXPECT_NE(stale.find("campaign plan --shards"), std::string::npos)
+        << stale;
+    EXPECT_NE(stale.find("plan the campaign again"), std::string::npos)
+        << stale;
+
+    std::string drifted = bytes;
+    drifted.replace(drifted.find("[2, 4, 8]"), 9, "[2, 4]");
+    writeText(path, drifted);
+    std::string drift = refusal();
+    EXPECT_NE(drift.find("'" + path + "' now fingerprints to"),
+              std::string::npos)
+        << drift;
+    EXPECT_NE(drift.find(manifest.fingerprint), std::string::npos)
+        << drift;
 }
 
 TEST_F(CampaignTest, ManifestRoundTripsThroughJson)
@@ -359,10 +477,10 @@ TEST_F(CampaignTest, StatusTracksShardLifecycles)
     EXPECT_EQ(half.shards[1].state, "pending");
 
     campaign::runShard(dir, config, 1, runner);
-    // A finished shard is its journal plus two small records, and the
+    // A finished shard is its journal plus stats.json, and the
     // manifest is the plan alone, which merge only reads.
     const std::set<std::string> shardFiles = {"checkpoint.jsonl",
-                                              "shard.json", "stats.json"};
+                                              "stats.json"};
     for (std::size_t k = 0; k < 2; ++k) {
         std::set<std::string> files;
         for (const auto &entry : std::filesystem::directory_iterator(
@@ -517,30 +635,12 @@ TEST_F(CampaignTest, CampaignFormatOneManifestIsRefused)
     EXPECT_FALSE(std::filesystem::exists(dir + "/shards"));
 }
 
-/** The lenient shard.json reader treats an attempt count that is not a
- *  whole number in range as absent, like a torn file. */
-TEST_F(CampaignTest, ShardStateReadsBadAttemptCountsAsAbsent)
-{
-    std::string shardDir = freshDir("shard");
-    std::filesystem::create_directories(shardDir);
-    for (const char *raw : {"2.5", "-1", "NaN", "Infinity", "1e300",
-                            "9007199254740994"}) {
-        writeText(shardDir + "/shard.json",
-                  std::string("{\"fingerprint\": \"f\", \"completed\": "
-                              "true, \"attempts\": ") + raw + "}");
-        campaign::ShardState state =
-            campaign::loadShardState(shardDir, "f");
-        EXPECT_EQ(state.attempts, 0u) << raw;
-        EXPECT_TRUE(state.completed) << raw;
-    }
-}
-
-/** Seeded fuzz of the campaign files a user can edit, in the style of
+/** Seeded fuzz of the campaign file a user can edit, in the style of
  *  tests/util/test_json_fuzz.cc (fixed seed, bounded rounds): one
- *  member of campaign.json and of a shard.json set to a hostile value
- *  or deleted, sometimes with the text cut short. No reader crashes or
- *  hangs, and every refusal names campaign.json and the edited key
- *  (or, for text that is not JSON, a line and column). */
+ *  member of campaign.json set to a hostile value or deleted,
+ *  sometimes with the text cut short. No reader crashes or hangs, and
+ *  every refusal names campaign.json and the edited key (or, for text
+ *  that is not JSON, a line and column). */
 TEST_F(CampaignTest, FuzzedCampaignFilesAreRefusedByNameOrReadSafely)
 {
     std::string dir = freshDir("campaign");
@@ -551,7 +651,6 @@ TEST_F(CampaignTest, FuzzedCampaignFilesAreRefusedByNameOrReadSafely)
         campaign::runShard(dir, config, k, runner);
     const std::string manifestPath = dir + "/campaign.json";
     const JsonValue manifest = JsonValue::parseFile(manifestPath);
-    const std::string fingerprint = manifest.at("fingerprint").asString();
 
     const double inf = std::numeric_limits<double>::infinity();
     const JsonValue values[] = {
@@ -565,8 +664,7 @@ TEST_F(CampaignTest, FuzzedCampaignFilesAreRefusedByNameOrReadSafely)
         JsonValue::makeString("partial"), JsonValue::makeBool(true),
         JsonValue(), JsonValue::makeArray(), JsonValue::makeObject()};
     const char *const keys[] = {"format", "campaign_format", "fingerprint",
-                                "shard_count", "granularity", "attempts",
-                                "shard", "completed"};
+                                "shard_count", "granularity"};
     Rng rng(0xCA4E1A);
     int refused = 0, accepted = 0;
     ScopedFatalThrows guard;
@@ -576,22 +674,11 @@ TEST_F(CampaignTest, FuzzedCampaignFilesAreRefusedByNameOrReadSafely)
             rng.bernoulli(0.2) ? nullptr
                                : &values[rng.range(std::size(values))];
         bool cut = rng.bernoulli(0.2);
-        std::size_t shard = rng.range(3);
 
         std::string text = edited(manifest, key, value).dump(2);
         if (cut)
             text.resize(rng.range(text.size()));
         writeText(manifestPath, text);
-        std::string shardDir = dir + "/" + campaign::shardDirName(shard);
-        std::string state = readFile(shardDir + "/shard.json");
-        std::string mutated =
-            edited(JsonValue::parse(state), key, value).dump(2);
-        writeText(shardDir + "/shard.json",
-                  cut ? mutated.substr(0, rng.range(mutated.size()))
-                      : mutated);
-
-        EXPECT_LE(campaign::loadShardState(shardDir, fingerprint).attempts,
-                  (std::uint64_t)kMaxExactInteger);
         try {
             campaign::ShardPlan plan = campaign::loadManifest(dir).plan();
             for (std::size_t slot = 0; slot < 32; ++slot)
@@ -607,10 +694,12 @@ TEST_F(CampaignTest, FuzzedCampaignFilesAreRefusedByNameOrReadSafely)
                 << key << ": " << error << "\n" << text;
             ++refused;
         }
-        writeText(shardDir + "/shard.json", state);
     }
-    EXPECT_GT(refused, 300);
-    EXPECT_GT(accepted, 300);
+    // Most edits break the manifest; the rest (an in-range count, a
+    // fingerprint string, an uncut text) must still be read (925/75
+    // refused/accepted at this seed).
+    EXPECT_GT(refused, 700);
+    EXPECT_GT(accepted, 40);
 }
 
 } // namespace

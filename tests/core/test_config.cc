@@ -2,17 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
 #include "../support/fixtures.hh"
 #include "core/config.hh"
-#include "core/parallel_sweep.hh"
 #include "store/result_store.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace nvmexp {
 namespace {
@@ -341,6 +338,67 @@ TEST_F(ConfigTest, FileRejectionsNameTheFile)
     }
 }
 
+/** How a run executes comes from the command line alone: a config
+ *  still carrying a run setting is refused naming the file, the key,
+ *  and the flag that carries it, so one file never loads to different
+ *  settings in different processes. */
+TEST_F(ConfigTest, RunSettingKeysAreRefusedNamingTheirFlag)
+{
+    struct Case
+    {
+        const char *member;
+        const char *key;
+        const char *flag;
+    };
+    const Case cases[] = {
+        {R"("jobs": 4)", "jobs", "--jobs"},
+        {R"("out_dir": "/tmp/nvmexp-store")", "out_dir", "--out"},
+        {R"("resume": true)", "resume", "--resume"},
+        {R"("campaign": {"shards": 4})", "campaign",
+         "campaign plan --shards"},
+    };
+    std::string path = ::testing::TempDir() + "nvmexp_run_setting.json";
+    ScopedFatalThrows guard;
+    for (const Case &c : cases) {
+        std::ofstream(path) << minimalConfigJson(c.member);
+        try {
+            loadExperimentFile(path);
+            ADD_FAILURE() << "\"" << c.key << "\" was accepted";
+        } catch (const FatalError &error) {
+            std::string message = error.what();
+            EXPECT_EQ(message.rfind("'" + path + "': ", 0), 0u) << message;
+            EXPECT_NE(message.find(std::string("key '") + c.key + "'"),
+                      std::string::npos) << message;
+            EXPECT_NE(message.find(c.flag), std::string::npos) << message;
+        }
+        EXPECT_FALSE(knownConfigKeys().count(c.key)) << c.key;
+    }
+
+    // Every other key still loads, output_csv included ("ecc" is the
+    // shorthand of "reliability" and cannot join it).
+    const std::string everyKey = R"({
+        "experiment": "every-key", "cells": ["SRAM"],
+        "capacities_mib": [2], "word_bits": 64, "node_nm": 22,
+        "sram_node_nm": 16, "targets": ["ReadEDP"],
+        "traffic": [{"name": "t", "reads": 1}],
+        "workloads": [{"name": "wal"}], "workload": {"name": "kv-store"},
+        "reliability": {"ecc": "none"},
+        "constraints": ["latency_load<=1"],
+        "pareto": ["total_power", "read_latency"],
+        "top_k": {"metric": "total_power", "k": 3},
+        "output_csv": "every-key.csv"})";
+    for (const auto &key : knownConfigKeys())
+        EXPECT_TRUE(key == "ecc" || JsonValue::parse(everyKey).has(key))
+            << key;
+    std::ofstream(path) << everyKey;
+    ExperimentConfig config = loadExperimentFile(path);
+    EXPECT_EQ(config.outputCsv, "every-key.csv");
+    EXPECT_EQ(config.query.topK, 3u);
+    EXPECT_EQ(config.sweep.jobs, 1);
+    EXPECT_TRUE(config.sweep.outDir.empty());
+    EXPECT_FALSE(config.sweep.resume);
+}
+
 TEST_F(ConfigTest, ConfigWithoutTrafficOrWorkloadsIsFatal)
 {
     EXPECT_EXIT(loadExperiment(JsonValue::parse(R"({
@@ -348,57 +406,6 @@ TEST_F(ConfigTest, ConfigWithoutTrafficOrWorkloadsIsFatal)
         "capacities_mib": [2]
     })")), ::testing::ExitedWithCode(1),
                 "traffic.*patterns or .*workloads");
-}
-
-TEST_F(ConfigTest, JobsKeyValidatedLikeTheCliFlag)
-{
-    // The JSON "jobs" key accepts exactly the integers of the --jobs
-    // range [0, kMaxThreads] that ThreadPool::jobsInRange checks.
-    auto configWithJobs = [](const std::string &jobs) {
-        return JsonValue::parse(R"({
-            "cells": ["SRAM"],
-            "capacities_mib": [2],
-            "traffic": [{"name": "t", "reads": 1}],
-            "jobs": )" + jobs + "}");
-    };
-
-    for (const char *ok : {"0", "1", "256"}) {
-        ExperimentConfig config = loadExperiment(configWithJobs(ok));
-        EXPECT_EQ(config.sweep.jobs, std::atoi(ok)) << ok;
-        EXPECT_TRUE(ThreadPool::jobsInRange(std::atof(ok))) << ok;
-    }
-    for (const char *bad : {"-1", "257", "1e9", "-0.5", "NaN"}) {
-        EXPECT_FALSE(ThreadPool::jobsInRange(std::atof(bad))) << bad;
-        EXPECT_EXIT(loadExperiment(configWithJobs(bad)),
-                    ::testing::ExitedWithCode(1), "jobs")
-            << bad;
-    }
-}
-
-TEST_F(ConfigTest, StoreKeysThreadThroughToTheSweep)
-{
-    auto doc = JsonValue::parse(R"({
-        "cells": ["SRAM"],
-        "capacities_mib": [2],
-        "traffic": [{"name": "t", "reads": 1}],
-        "out_dir": "/tmp/nvmexp-store",
-        "resume": true
-    })");
-    ExperimentConfig config = loadExperiment(doc);
-    EXPECT_EQ(config.sweep.outDir, "/tmp/nvmexp-store");
-    EXPECT_TRUE(config.sweep.resume);
-
-    // Without store keys a config stays persistence-free — the
-    // process-wide default (studies/bench/$NVMEXP_STORE_DIR hook) is
-    // layered on by the CLI, never inside loadExperiment, so configs
-    // loaded programmatically are unaffected by the environment.
-    setDefaultSweepStoreDir("/tmp/nvmexp-default-store");
-    ExperimentConfig plain =
-        loadExperiment(JsonValue::parse(basicConfigJson()));
-    EXPECT_TRUE(plain.sweep.outDir.empty());
-    EXPECT_FALSE(plain.sweep.resume);
-    EXPECT_EQ(defaultSweepStoreDir(), "/tmp/nvmexp-default-store");
-    setDefaultSweepStoreDir("");
 }
 
 TEST_F(ConfigTest, BadConfigsAreFatal)
@@ -551,8 +558,7 @@ TEST_F(ConfigTest, IntegerKeysRejectFractionsAndOutOfRangeValues)
         {"word_bits", "64.9"},    {"word_bits", "1e12"},
         {"word_bits", "4"},       {"node_nm", "22.5"},
         {"node_nm", "5"},         {"sram_node_nm", "16.5"},
-        {"sram_node_nm", "131"},  {"jobs", "1.5"},
-        {"jobs", "257"},
+        {"sram_node_nm", "131"},
     };
     for (const auto &c : cases) {
         EXPECT_EXIT(loadExperiment(JsonValue::parse(minimalConfigJson(
@@ -562,15 +568,6 @@ TEST_F(ConfigTest, IntegerKeysRejectFractionsAndOutOfRangeValues)
                     std::string("config 'ints': \"") + c.key +
                         "\" must be an integer in \\[.*got")
             << c.key << " = " << c.bad;
-    }
-
-    for (const char *shards : {"2.5", "0", "4097"}) {
-        EXPECT_EXIT(loadExperiment(JsonValue::parse(minimalConfigJson(
-                        std::string(R"("campaign": {"shards": )") +
-                        shards + "}"))),
-                    ::testing::ExitedWithCode(1),
-                    "\"shards\" must be an integer in \\[1, 4096\\]")
-            << shards;
     }
 
     // A generic grid has steps^2 patterns: "steps": 2.9 used to run a
@@ -591,13 +588,10 @@ TEST_F(ConfigTest, IntegerKeysRejectFractionsAndOutOfRangeValues)
     // In-range whole numbers load unchanged.
     ExperimentConfig ok = loadExperiment(JsonValue::parse(
         minimalConfigJson(R"("word_bits": 64, "node_nm": 45,
-                             "sram_node_nm": 7, "jobs": 2,
-                             "campaign": {"shards": 4096})")));
+                             "sram_node_nm": 7)")));
     EXPECT_EQ(ok.sweep.wordBits, 64);
     EXPECT_EQ(ok.sweep.nodeNm, 45);
     EXPECT_EQ(ok.sweep.sramNodeNm, 7);
-    EXPECT_EQ(ok.sweep.jobs, 2);
-    EXPECT_EQ(ok.campaignShards, 4096u);
 }
 
 } // namespace

@@ -134,15 +134,5 @@ TEST(ParallelSweep, OptimizeAllKeepsCellOrder)
         EXPECT_EQ(arrays[i].cell.name, cells[i].name);
 }
 
-TEST(ParallelSweep, DefaultJobsRoundTrip)
-{
-    int before = defaultSweepJobs();
-    setDefaultSweepJobs(3);
-    EXPECT_EQ(defaultSweepJobs(), 3);
-    setDefaultSweepJobs(0);  // all hardware threads
-    EXPECT_GE(defaultSweepJobs(), 1);
-    setDefaultSweepJobs(before);
-}
-
 } // namespace
 } // namespace nvmexp

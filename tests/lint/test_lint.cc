@@ -13,6 +13,7 @@
 
 #include "../support/fixtures.hh"
 #include "campaign/campaign.hh"
+#include "core/config.hh"
 #include "core/parallel_sweep.hh"
 #include "lint.hh"
 
@@ -184,6 +185,19 @@ TEST_F(LintTest, UnknownTopLevelKeyIsDiagnosed)
                       validConfig("  \"trafic\": []"));
     LintReport report = lintConfigFile(path);
     expectOneDiagnostic(report, path, "trafic");
+    EXPECT_EQ(report.diagnostics[0].message, unknownKeyMessage("trafic"));
+}
+
+TEST_F(LintTest, RunSettingKeyIsDiagnosedNamingItsFlag)
+{
+    // The loader's refusal, word for word: the flag that replaced it.
+    auto path = write("jobs.json", validConfig("  \"jobs\": 4"));
+    LintReport report = lintConfigFile(path);
+    expectOneDiagnostic(report, path, "jobs");
+    EXPECT_EQ(report.diagnostics[0].message, unknownKeyMessage("jobs"));
+    EXPECT_NE(report.diagnostics[0].message.find("pass --jobs"),
+              std::string::npos)
+        << report.diagnostics[0].message;
 }
 
 TEST_F(LintTest, UnparseableConfigIsDiagnosed)
@@ -335,42 +349,6 @@ TEST_F(CampaignLintTest, ForeignShardJournalFingerprintIsDiagnosed)
     expectOneDiagnostic(report, journal, "fingerprint");
     EXPECT_NE(report.diagnostics[0].message.find("00000000bbbbbbbb"),
               std::string::npos);
-}
-
-TEST_F(CampaignLintTest, InconsistentShardStateIsDiagnosed)
-{
-    write("campaign.json", manifestJson("00000000aaaaaaaa"));
-    write("shards/shard-1/checkpoint.jsonl",
-          journalHeader("00000000aaaaaaaa"));
-    // A shard.json claiming another shard's identity: torn retry
-    // bookkeeping the lenient loader would silently zero.
-    auto state = write("shards/shard-1/shard.json",
-                       "{\"format\": 2, \"campaign_format\": 2,\n"
-                       " \"fingerprint\": \"00000000aaaaaaaa\",\n"
-                       " \"shard\": 0, \"shard_count\": 2,\n"
-                       " \"attempts\": 1, \"completed\": false}\n");
-    LintReport report = lintCampaignDir(dir_.string());
-    expectOneDiagnostic(report, state, "shard");
-}
-
-TEST_F(CampaignLintTest, ShardStateCountsThatAreNotWholeAreDiagnosed)
-{
-    write("campaign.json", manifestJson("00000000aaaaaaaa"));
-    write("shards/shard-1/checkpoint.jsonl",
-          journalHeader("00000000aaaaaaaa"));
-    // Checked as doubles before any cast: 1e300 is no shard id (the
-    // cast is undefined behavior) and 2.5 no attempt count.
-    auto state = write("shards/shard-1/shard.json",
-                       "{\"format\": 2, \"campaign_format\": 2,\n"
-                       " \"fingerprint\": \"00000000aaaaaaaa\",\n"
-                       " \"shard\": 1e300, \"shard_count\": 2,\n"
-                       " \"attempts\": 2.5, \"completed\": false}\n");
-    LintReport report = lintCampaignDir(dir_.string());
-    ASSERT_EQ(report.diagnostics.size(), 2u);
-    EXPECT_EQ(report.diagnostics[0].file, state);
-    EXPECT_EQ(report.diagnostics[0].key, "shard");
-    EXPECT_EQ(report.diagnostics[1].file, state);
-    EXPECT_EQ(report.diagnostics[1].key, "attempts");
 }
 
 TEST_F(CampaignLintTest, MergedStoreFingerprintMismatchIsDiagnosed)

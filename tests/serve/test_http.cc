@@ -1,6 +1,12 @@
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 
 #include "serve/http.hh"
 
@@ -10,6 +16,67 @@ namespace {
 using serve::HttpRequestParser;
 using serve::HttpResponse;
 using serve::ParseState;
+
+/** A loopback peer for one connection: it reads the request head and
+ *  answers `response` verbatim, so a test controls every byte the
+ *  client parses. */
+class CannedPeer
+{
+  public:
+    explicit CannedPeer(std::string response)
+    {
+        listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        socklen_t size = sizeof(addr);
+        if (listener_ < 0 ||
+            ::bind(listener_, (const sockaddr *)&addr, size) != 0 ||
+            ::listen(listener_, 1) != 0 ||
+            ::getsockname(listener_, (sockaddr *)&addr, &size) != 0)
+            ADD_FAILURE() << "cannot listen on the loopback interface";
+        port_ = ntohs(addr.sin_port);
+        thread_ = std::thread([this, response] {
+            int fd = ::accept(listener_, nullptr, nullptr);
+            if (fd < 0)
+                return;
+            std::string head;
+            char byte = 0;
+            while (head.find("\r\n\r\n") == std::string::npos &&
+                   ::recv(fd, &byte, 1, 0) == 1)
+                head += byte;
+            ::send(fd, response.data(), response.size(), MSG_NOSIGNAL);
+            ::close(fd);
+        });
+    }
+
+    ~CannedPeer()
+    {
+        ::shutdown(listener_, SHUT_RDWR);  // unblocks an idle accept
+        thread_.join();
+        ::close(listener_);
+    }
+
+    CannedPeer(const CannedPeer &) = delete;
+    CannedPeer &operator=(const CannedPeer &) = delete;
+
+    int port() const { return port_; }
+
+  private:
+    int listener_ = -1;
+    int port_ = 0;
+    std::thread thread_;
+};
+
+/** One HttpClient exchange against a peer answering `response`. */
+bool
+exchangeWith(const std::string &response, serve::HttpClientResult &out,
+             std::string &error)
+{
+    CannedPeer peer(response);
+    serve::HttpClient client(peer.port());
+    return client.exchange("GET", "/healthz", "", out, error);
+}
 
 TEST(HttpParser, ParsesPostWithBody)
 {
@@ -195,6 +262,50 @@ TEST(HttpResponseSerialization, ReasonPhrasesCoverServerStatuses)
     EXPECT_STREQ(serve::reasonPhrase(413), "Payload Too Large");
     EXPECT_STREQ(serve::reasonPhrase(500), "Internal Server Error");
     EXPECT_STREQ(serve::reasonPhrase(299), "Unknown");
+}
+
+TEST(HttpClient, ReadsAWellFormedResponse)
+{
+    serve::HttpClientResult out;
+    std::string error;
+    ASSERT_TRUE(exchangeWith("HTTP/1.1 200 OK\r\nContent-Length: 3\r\n"
+                             "Connection: close\r\n\r\nabc",
+                             out, error))
+        << error;
+    EXPECT_EQ(out.status, 200);
+    EXPECT_EQ(out.body, "abc");
+}
+
+/** A peer's status code is exactly three digits and its
+ *  Content-Length a whole number in range before any cast: unchecked,
+ *  "NaN" read as status INT_MIN, "2e2" as 200, "2.5" truncated a
+ *  3-byte body to "ab", and 1e300 or Infinity was an undefined cast. */
+TEST(HttpClient, RefusesMalformedStatusCodesAndContentLengths)
+{
+    for (const char *code : {"NaN", "2.5", "1e3", "2e2", "1E2", "099",
+                             "-20", "+20", "2000", "20", ""}) {
+        serve::HttpClientResult out;
+        std::string error;
+        EXPECT_FALSE(exchangeWith(std::string("HTTP/1.1 ") + code +
+                                      " OK\r\nContent-Length: 2\r\n"
+                                      "\r\n{}",
+                                  out, error))
+            << code;
+        EXPECT_NE(error.find("status code"), std::string::npos)
+            << code << ": " << error;
+    }
+    for (const char *length : {"2.5", "1e300", "Infinity", "NaN", "-1",
+                               "9007199254740994", "abc"}) {
+        serve::HttpClientResult out;
+        std::string error;
+        EXPECT_FALSE(exchangeWith(std::string("HTTP/1.1 200 OK\r\n"
+                                              "Content-Length: ") +
+                                      length + "\r\n\r\nabc",
+                                  out, error))
+            << length << " read as body '" << out.body << "'";
+        EXPECT_NE(error.find("Content-Length"), std::string::npos)
+            << length << ": " << error;
+    }
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <limits>
 #include <vector>
 
 #include "util/thread_pool.hh"
@@ -51,24 +50,6 @@ TEST(ThreadPool, ResolveJobs)
     EXPECT_GE(ThreadPool::resolveJobs(0), 1);
     EXPECT_GE(ThreadPool::resolveJobs(-1), 1);
     EXPECT_GE(ThreadPool::hardwareThreads(), 1);
-}
-
-TEST(ThreadPool, JobsInRangeBoundsUserInput)
-{
-    // Shared validator behind both the CLI --jobs flag and the config
-    // front-end's "jobs" key: [0, kMaxThreads], nothing else.
-    EXPECT_TRUE(ThreadPool::jobsInRange(0.0));
-    EXPECT_TRUE(ThreadPool::jobsInRange(1.0));
-    EXPECT_TRUE(ThreadPool::jobsInRange((double)ThreadPool::kMaxThreads));
-    EXPECT_FALSE(ThreadPool::jobsInRange(-1.0));
-    EXPECT_FALSE(
-        ThreadPool::jobsInRange((double)ThreadPool::kMaxThreads + 1.0));
-    EXPECT_FALSE(ThreadPool::jobsInRange(1e18));
-    EXPECT_FALSE(ThreadPool::jobsInRange(-1e18));
-    EXPECT_FALSE(ThreadPool::jobsInRange(
-        std::numeric_limits<double>::quiet_NaN()));
-    EXPECT_FALSE(ThreadPool::jobsInRange(
-        std::numeric_limits<double>::infinity()));
 }
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce)

@@ -125,13 +125,8 @@ checkConfigSections(LintReport &report, const std::string &path,
                     const JsonValue &doc)
 {
     for (const auto &key : doc.memberNames()) {
-        if (!knownConfigKeys().count(key)) {
-            report.add(path, key,
-                       "unknown top-level key (known keys: " +
-                           joined({knownConfigKeys().begin(),
-                                   knownConfigKeys().end()}) +
-                           ")");
-        }
+        if (!knownConfigKeys().count(key))
+            report.add(path, key, unknownKeyMessage(key));
     }
 
     if (doc.has("constraints") && doc.at("constraints").isArray()) {
@@ -223,8 +218,8 @@ lintConfigFile(const std::string &path)
     checkConfigSections(report, path, doc);
 
     // The full load validates everything the section checks do not
-    // reach: cell references, traffic shapes, targets, jobs bounds,
-    // reliability cross products. Skipped when the section checks
+    // reach: cell references, traffic shapes, targets, reliability
+    // cross products. Skipped when the section checks
     // already failed — the load would re-report the first of them.
     if (report.clean())
         guarded(report, path, "load", [&] { loadExperiment(doc); });
@@ -464,53 +459,6 @@ journalFingerprint(const std::string &dir)
     return header.headerOk ? header.fingerprint : "";
 }
 
-/** shard.json checks beyond what the lenient loader tolerates: when
- *  the file exists it must be a consistent record of this shard of
- *  this campaign. */
-void
-checkShardState(LintReport &report, const std::string &path,
-                const campaign::CampaignManifest &manifest,
-                std::size_t shard)
-{
-    JsonValue doc;
-    if (!guarded(report, path, "",
-                 [&] { doc = JsonValue::parseFile(path); }))
-        return;
-    if (!doc.isObject()) {
-        report.add(path, "", "shard state must be a JSON object");
-        return;
-    }
-    checkFormatHeader(report, path, doc);
-    if (!doc.has("fingerprint") ||
-        !doc.at("fingerprint").isString() ||
-        doc.at("fingerprint").asString() != manifest.fingerprint) {
-        report.add(path, "fingerprint",
-                   "does not match the campaign fingerprint " +
-                       manifest.fingerprint);
-    }
-    // Counts are checked as doubles, never cast: a cast of an
-    // out-of-range double is undefined behavior.
-    if (!doc.has("shard") || !doc.at("shard").isNumber() ||
-        doc.at("shard").asNumber() != (double)shard) {
-        report.add(path, "shard",
-                   "must be this shard's id " + std::to_string(shard));
-    }
-    if (!doc.has("shard_count") ||
-        !doc.at("shard_count").isNumber() ||
-        doc.at("shard_count").asNumber() != (double)manifest.shardCount) {
-        report.add(path, "shard_count",
-                   "must be the campaign's shard count " +
-                       std::to_string(manifest.shardCount));
-    }
-    if (!doc.has("attempts") || !doc.at("attempts").isNumber() ||
-        !isWholeNumber(doc.at("attempts").asNumber(), 0,
-                       (double)kMaxExactInteger))
-        report.add(path, "attempts",
-                   "must be a whole, non-negative attempt count");
-    if (!doc.has("completed") || !doc.at("completed").isBool())
-        report.add(path, "completed", "must be a boolean");
-}
-
 } // namespace
 
 LintReport
@@ -540,9 +488,6 @@ lintCampaignDir(const std::string &dir)
                            " does not match the campaign fingerprint " +
                            manifest.fingerprint);
         }
-        std::string state = shardDir + "/shard.json";
-        if (fs::exists(state))
-            checkShardState(report, state, manifest, shard);
     }
 
     std::string merged = dir + "/merged";

@@ -82,9 +82,8 @@ LintReport lintStoreDir(const std::string &dir);
 
 /** Lint one campaign directory: campaign.json (format versions,
  *  fingerprint, whole counts), every shard directory present
- *  (lintStoreDir + journal/shard.json fingerprint cross-checks
- *  against the manifest), the merged store, and the snapshotted
- *  config.json. */
+ *  (lintStoreDir + a journal fingerprint cross-check against the
+ *  manifest), the merged store, and the snapshotted config.json. */
 LintReport lintCampaignDir(const std::string &dir);
 
 /** Lint the built-in registries and the CSV/dashboard schemas. */

@@ -5,8 +5,6 @@
  * C++ analog of the original release's `python run.py <config>`.
  */
 
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <set>
@@ -19,6 +17,7 @@
 #include "reliability/reliability.hh"
 #include "serve/server.hh"
 #include "store/result_store.hh"
+#include "util/flags.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -41,7 +40,7 @@ usage()
         "                       [--query FILE]\n"
         "       nvmexplorer_cli serve --store DIR [--port N] [--jobs N]\n"
         "       nvmexplorer_cli campaign plan --dir DIR --config FILE\n"
-        "                       [--shards N]\n"
+        "                       --shards N\n"
         "       nvmexplorer_cli campaign run --dir DIR --shard K/N\n"
         "                       [--jobs N]\n"
         "       nvmexplorer_cli campaign merge --dir DIR\n"
@@ -49,16 +48,17 @@ usage()
         "\n"
         "Runs the design sweep(s) described by the JSON config(s) and\n"
         "prints the results table. See config/README-style samples in\n"
-        "the repository's config/ directory.\n"
+        "the repository's config/ directory. A config describes the\n"
+        "design space only: how a run executes comes from these flags\n"
+        "alone, and a config carrying \"jobs\", \"out_dir\",\n"
+        "\"resume\" or \"campaign\" is refused.\n"
         "  -q         suppress informational warnings\n"
         "  --jobs N   worker threads for the sweep cross product\n"
-        "             (0 = all hardware threads; default 1); a config's\n"
-        "             own \"jobs\" key overrides this\n"
+        "             (0 = all hardware threads; default 1)\n"
         "  --out DIR  persist results.json/.csv, the characterization\n"
         "             cache, and a checkpoint journal under DIR (one\n"
         "             subdirectory per experiment when several configs\n"
-        "             are given); a config's own \"out_dir\" key\n"
-        "             overrides this\n"
+        "             are given); without it nothing is persisted\n"
         "  --resume   continue an interrupted sweep from DIR's\n"
         "             checkpoint journal (results are byte-identical\n"
         "             to an uninterrupted run)\n"
@@ -101,7 +101,10 @@ usage()
         "shard resumes from its journal); `merge` validates every\n"
         "shard journal and writes DIR/merged from them, byte-identical\n"
         "to a single-process --out run; `status` prints per-shard\n"
-        "progress.\n";
+        "progress and exits 0 exactly when `merge` would accept the\n"
+        "config snapshot and every shard. A shard directory holds its\n"
+        "journal and stats.json. A campaign planned from a config that\n"
+        "carries a run-setting key must be planned again.\n";
 }
 
 /** `--list-metrics`: the registry is the single source of truth for
@@ -187,18 +190,12 @@ parseRefineFlag(int argc, char **argv, int argi, store::StoreQuery &query)
     if (std::strcmp(argv[argi], "--top") == 0) {
         if (argi + 2 >= argc)
             fatal("--top needs a count and a metric name");
-        errno = 0;
-        char *end = nullptr;
-        long k = std::strtol(argv[argi + 1], &end, 10);
-        if (end == argv[argi + 1] || *end != '\0' || errno != 0 ||
-            k < 1) {
-            fatal("--top: '", argv[argi + 1],
-                  "' must be a positive integer");
-        }
+        // The bound "top_k" k has in a config and in query.json.
+        query.topK = (std::size_t)parseCount("--top", argv[argi + 1], 1,
+                                             (long)kMaxExactInteger);
         query.topMetric = argv[argi + 2];
         metrics::MetricRegistry::instance().require(query.topMetric,
                                                     "--top");
-        query.topK = (std::size_t)k;
         return 3;
     }
     return 0;
@@ -230,31 +227,14 @@ parseStoreCommand(const char *command, int argc, char **argv, int argi,
         } else if (isServe && std::strcmp(argv[argi], "--port") == 0) {
             if (argi + 1 >= argc)
                 fatal("serve: --port needs a port number");
-            errno = 0;
-            char *end = nullptr;
-            long port = std::strtol(argv[argi + 1], &end, 10);
-            if (end == argv[argi + 1] || *end != '\0' || errno != 0 ||
-                port < 0 || port > 65535) {
-                fatal("serve: --port '", argv[argi + 1],
-                      "' must be an integer in [0, 65535]");
-            }
-            out.port = (int)port;
-            ++argi;
+            out.port =
+                (int)parseCount("serve: --port", argv[++argi], 0, 65535);
         } else if (isServe && (std::strcmp(argv[argi], "--jobs") == 0 ||
                                std::strcmp(argv[argi], "-j") == 0)) {
             if (argi + 1 >= argc)
                 fatal("serve: --jobs needs a thread count");
-            errno = 0;
-            char *end = nullptr;
-            long jobs = std::strtol(argv[argi + 1], &end, 10);
-            if (end == argv[argi + 1] || *end != '\0' || errno != 0 ||
-                jobs < 1 || !ThreadPool::jobsInRange((double)jobs)) {
-                fatal("serve: --jobs '", argv[argi + 1],
-                      "' must be an integer in [1, ",
-                      ThreadPool::kMaxThreads, "]");
-            }
-            out.jobs = (int)jobs;
-            ++argi;
+            out.jobs = (int)parseCount("serve: --jobs", argv[++argi], 1,
+                                       ThreadPool::kMaxThreads);
         } else if (!isServe &&
                    std::strcmp(argv[argi], "--query") == 0) {
             if (argi + 1 >= argc)
@@ -319,22 +299,6 @@ runServeCommand(int argc, char **argv, int argi)
     return 0;
 }
 
-/** strtol with the CLI's usual full-string + range validation. */
-long
-parseCount(const char *command, const char *flag, const char *text,
-           long lo, long hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    long value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno != 0 || value < lo ||
-        value > hi) {
-        fatal(command, ": ", flag, " '", text,
-              "' must be an integer in [", lo, ", ", hi, "]");
-    }
-    return value;
-}
-
 /** Parsed flags of the `campaign` subcommands. */
 struct CampaignArgs
 {
@@ -344,8 +308,7 @@ struct CampaignArgs
     std::size_t shard = 0;       ///< run: K of --shard K/N
     std::size_t shardCount = 0;  ///< run: N of --shard K/N
     bool shardSet = false;
-    int jobs = 0;
-    bool jobsSet = false;
+    int jobs = 1;                ///< run: --jobs
 };
 
 CampaignArgs
@@ -353,6 +316,7 @@ parseCampaignArgs(const std::string &command, int argc, char **argv,
                   int argi)
 {
     const char *cmd = command.c_str();
+    const std::string shardFlag = command + ": --shard";
     CampaignArgs out;
     for (; argi < argc; ++argi) {
         if (std::strcmp(argv[argi], "-q") == 0) {
@@ -371,7 +335,7 @@ parseCampaignArgs(const std::string &command, int argc, char **argv,
             if (argi + 1 >= argc)
                 fatal(cmd, ": --shards needs a shard count");
             out.shards = (std::size_t)parseCount(
-                cmd, "--shards", argv[argi + 1], 1,
+                command + ": --shards", argv[argi + 1], 1,
                 (long)campaign::kMaxShards);
             ++argi;
         } else if (command == "campaign run" &&
@@ -386,10 +350,10 @@ parseCampaignArgs(const std::string &command, int argc, char **argv,
                       "' must be K/N (e.g. 0/4)");
             }
             out.shardCount = (std::size_t)parseCount(
-                cmd, "--shard", spec.substr(slash + 1).c_str(), 1,
+                shardFlag, spec.substr(slash + 1).c_str(), 1,
                 (long)campaign::kMaxShards);
             out.shard = (std::size_t)parseCount(
-                cmd, "--shard", spec.substr(0, slash).c_str(), 0,
+                shardFlag, spec.substr(0, slash).c_str(), 0,
                 (long)out.shardCount - 1);
             out.shardSet = true;
             ++argi;
@@ -398,9 +362,9 @@ parseCampaignArgs(const std::string &command, int argc, char **argv,
                     std::strcmp(argv[argi], "-j") == 0)) {
             if (argi + 1 >= argc)
                 fatal(cmd, ": --jobs needs a thread count");
-            out.jobs = (int)parseCount(cmd, "--jobs", argv[argi + 1],
-                                       0, ThreadPool::kMaxThreads);
-            out.jobsSet = true;
+            out.jobs = (int)parseCount(command + ": --jobs",
+                                       argv[argi + 1], 0,
+                                       ThreadPool::kMaxThreads);
             ++argi;
         } else {
             fatal(cmd, ": unknown argument '", argv[argi],
@@ -410,18 +374,6 @@ parseCampaignArgs(const std::string &command, int argc, char **argv,
     if (out.dir.empty())
         fatal(cmd, ": --dir DIR is required");
     return out;
-}
-
-/** Load the campaign's snapshotted config (written by `plan`). */
-ExperimentConfig
-loadCampaignConfig(const std::string &dir)
-{
-    std::string path = dir + "/config.json";
-    ExperimentConfig config = loadExperimentFile(path);
-    // Shard stores live under the campaign directory; a config
-    // out_dir was already warned about (and ignored) at plan time.
-    config.sweep.outDir.clear();
-    return config;
 }
 
 int
@@ -438,21 +390,12 @@ runCampaignCommand(int argc, char **argv, int argi)
             parseCampaignArgs("campaign plan", argc, argv, argi);
         if (args.configFile.empty())
             fatal("campaign plan: --config FILE is required");
+        if (args.shards == 0)
+            fatal("campaign plan: --shards N is required");
         ExperimentConfig config =
             loadExperimentFile(args.configFile);
-        if (!config.sweep.outDir.empty()) {
-            warn("campaign plan: config \"out_dir\" is ignored; "
-                 "shard stores live under '", args.dir, "'");
-            config.sweep.outDir.clear();
-        }
-        std::size_t shards =
-            args.shards ? args.shards : config.campaignShards;
-        if (shards == 0) {
-            fatal("campaign plan: pass --shards N or give the config "
-                  "a \"campaign\": {\"shards\": N} block");
-        }
         campaign::CampaignManifest manifest =
-            campaign::planCampaign(args.dir, config.sweep, shards);
+            campaign::planCampaign(args.dir, config.sweep, args.shards);
         // Snapshot the config bytes verbatim so workers and the merge
         // see exactly the planned sweep even if the original file is
         // edited later.
@@ -483,10 +426,10 @@ runCampaignCommand(int argc, char **argv, int argi)
             fatal("campaign run: --shard names ", args.shardCount,
                   " shards, the campaign has ", manifest.shardCount);
         }
-        ExperimentConfig config = loadCampaignConfig(args.dir);
-        if (args.jobsSet)
-            config.sweep.jobs = args.jobs;
-        ParallelSweepRunner runner(config.sweep.jobs);
+        ExperimentConfig config =
+            campaign::loadPlannedConfig(args.dir, manifest);
+        config.sweep.jobs = args.jobs;
+        ParallelSweepRunner runner(args.jobs);
         auto rows = campaign::runShard(args.dir, config.sweep,
                                        args.shard, runner);
         inform("campaign run: shard ", args.shard, "/",
@@ -500,19 +443,9 @@ runCampaignCommand(int argc, char **argv, int argi)
             parseCampaignArgs("campaign merge", argc, argv, argi);
         campaign::CampaignManifest manifest =
             campaign::loadManifest(args.dir);
-        // Guard against a config.json edited after plan: the shard
-        // stores carry the planned fingerprint, so a drifted config
-        // is a user error worth naming before the per-shard checks.
-        ExperimentConfig config = loadCampaignConfig(args.dir);
-        campaign::ShardPlan plan = campaign::makeShardPlan(
-            config.sweep, manifest.shardCount);
-        if (plan.fingerprint != manifest.fingerprint) {
-            fatal("campaign merge: '", args.dir, "/config.json' now "
-                  "fingerprints to ", plan.fingerprint,
-                  ", the campaign was planned for ",
-                  manifest.fingerprint,
-                  " (config edited after `campaign plan`?)");
-        }
+        // A config snapshot that no longer loads or drifted since the
+        // plan is a user error worth naming before the shard checks.
+        campaign::loadPlannedConfig(args.dir, manifest);
         campaign::MergeSummary summary =
             campaign::mergeCampaign(args.dir);
         inform("campaign merge: ", summary.totalSlots,
@@ -527,22 +460,34 @@ runCampaignCommand(int argc, char **argv, int argi)
             parseCampaignArgs("campaign status", argc, argv, argi);
         campaign::CampaignStatus status =
             campaign::campaignStatus(args.dir);
+        // The config snapshot and every shard pass the checks merge
+        // runs, or status exits 1 naming what merge would refuse.
+        std::string configProblem;
+        try {
+            ScopedFatalThrows guard;
+            campaign::loadPlannedConfig(args.dir, status.manifest);
+        } catch (const FatalError &error) {
+            configProblem = error.what();
+        }
         std::cout << "campaign " << args.dir << ": fingerprint "
                   << status.manifest.fingerprint << ", "
                   << status.manifest.shardCount
                   << " shards, granularity "
                   << status.manifest.granularity << "\n";
+        if (!configProblem.empty())
+            std::cout << "  config: " << configProblem << "\n";
         for (const auto &shard : status.shards) {
             std::cout << "  shard " << shard.shard << ": "
                       << shard.state << ", " << shard.doneSlots;
             if (shard.ownedSlots)
                 std::cout << "/" << shard.ownedSlots;
-            std::cout << " slots journaled, " << shard.attempts
-                      << " attempt(s)\n";
+            std::cout << " slots journaled\n";
+            if (!shard.problem.empty())
+                std::cout << "    " << shard.problem << "\n";
         }
         std::cout << "  merged: " << (status.merged ? "yes" : "no")
                   << "\n";
-        return status.allComplete() ? 0 : 1;
+        return status.allComplete() && configProblem.empty() ? 0 : 1;
     }
 
     fatal("campaign: unknown subcommand '", sub,
@@ -561,6 +506,7 @@ main(int argc, char **argv)
     if (argc > 1 && std::strcmp(argv[1], "campaign") == 0)
         return runCampaignCommand(argc, argv, 2);
     int argi = 1;
+    int jobs = 1;
     std::string outDir;
     bool resume = false;
     store::StoreQuery cliQuery;  ///< --filter/--pareto/--top
@@ -576,16 +522,8 @@ main(int argc, char **argv)
                    std::strcmp(argv[argi], "-j") == 0) {
             if (argi + 1 >= argc)
                 fatal("--jobs needs a thread count");
-            errno = 0;
-            char *end = nullptr;
-            long jobs = std::strtol(argv[argi + 1], &end, 10);
-            if (end == argv[argi + 1] || *end != '\0' || errno != 0 ||
-                !ThreadPool::jobsInRange((double)jobs)) {
-                fatal("--jobs: '", argv[argi + 1],
-                      "' must be an integer in [0, ",
-                      ThreadPool::kMaxThreads, "]");
-            }
-            setDefaultSweepJobs((int)jobs);
+            jobs = (int)parseCount("--jobs", argv[argi + 1], 0,
+                                   ThreadPool::kMaxThreads);
             argi += 2;
         } else if (std::strcmp(argv[argi], "--out") == 0 ||
                    std::strcmp(argv[argi], "-o") == 0) {
@@ -618,31 +556,25 @@ main(int argc, char **argv)
         usage();
         return 2;
     }
-    // --out wins over the environment fallback (both only apply to
-    // configs without their own "out_dir" key).
-    if (outDir.empty())
-        outDir = defaultSweepStoreDir();
+    if (resume && outDir.empty())
+        fatal("--resume needs a store: pass --out DIR");
     const bool multipleConfigs = argc - argi > 1;
     std::set<std::string> usedSubdirs;
     for (; argi < argc; ++argi) {
         ExperimentConfig config = loadExperimentFile(argv[argi]);
-        // The CLI flags fill in store settings a config didn't pin
-        // down itself; several experiments sharing one --out each get
-        // their own subdirectory (a store holds one sweep at a time),
-        // made unique even when experiment names repeat or collide
-        // with an earlier name's "-N" suffix.
-        if (!outDir.empty() && config.sweep.outDir.empty()) {
+        // The run settings come from the flags alone. Several
+        // experiments sharing one --out each get their own
+        // subdirectory (a store holds one sweep at a time), made
+        // unique even when experiment names repeat or collide with an
+        // earlier name's "-N" suffix.
+        config.sweep.jobs = jobs;
+        config.sweep.resume = resume;
+        if (!outDir.empty()) {
             std::string sub = config.name;
             for (int n = 2; !usedSubdirs.insert(sub).second; ++n)
                 sub = config.name + "-" + std::to_string(n);
             config.sweep.outDir =
                 multipleConfigs ? outDir + "/" + sub : outDir;
-        }
-        if (resume)
-            config.sweep.resume = true;
-        if (config.sweep.resume && config.sweep.outDir.empty()) {
-            fatal("--resume needs a store: pass --out or set "
-                  "\"out_dir\" in the config");
         }
         // Refine flags layer onto the config's own pipeline: --filter
         // clauses are ANDed after the config's constraints, while
