@@ -51,7 +51,7 @@ planCampaign(const std::string &dir, const SweepConfig &config,
     manifest.shardCount = shardCount;
     manifest.granularity = plan.runLength;
     // The one write of campaign.json: the plan never changes after it.
-    manifest.toJson().writeFile(dir + "/campaign.json");
+    store::writeJsonFile(dir + "/campaign.json", manifest);
     return manifest;
 }
 

@@ -8,31 +8,6 @@
 namespace nvmexp {
 namespace campaign {
 
-namespace {
-
-/** Typed member guards: the fatal()-based JsonValue accessors must
- *  never run on untrusted shapes (same discipline as the store). */
-bool
-hasString(const JsonValue &doc, const std::string &key)
-{
-    return doc.isObject() && doc.has(key) && doc.at(key).isString();
-}
-
-bool
-hasNumber(const JsonValue &doc, const std::string &key)
-{
-    return doc.isObject() && doc.has(key) && doc.at(key).isNumber();
-}
-
-/** What `doc` holds under `key`, as diagnostics quote it. */
-std::string
-shown(const JsonValue &doc, const std::string &key)
-{
-    return doc.has(key) ? doc.at(key).dump(-1) : "nothing";
-}
-
-} // namespace
-
 ShardPlan
 CampaignManifest::plan() const
 {
@@ -45,49 +20,55 @@ CampaignManifest::plan() const
     return plan;
 }
 
-JsonValue
-CampaignManifest::toJson() const
+namespace {
+
+constexpr store::Field<CampaignManifest> kManifestFields[] = {
+    store::kFormatField<CampaignManifest>,
+    {"campaign_format",
+     [](JsonWriter &w, const CampaignManifest &) {
+         w.number(kCampaignFormatVersion);
+     },
+     [](store::Member &m, CampaignManifest &) {
+         m.readVersion(kCampaignFormatVersion,
+                       " (plan the campaign again with this build)");
+     }},
+    {"fingerprint",
+     [](JsonWriter &w, const CampaignManifest &c) {
+         w.string(c.fingerprint);
+     },
+     [](store::Member &m, CampaignManifest &c) {
+         m.read(c.fingerprint);
+         if (c.fingerprint.empty())
+             m.reject("must be the sweep fingerprint, got \"\"");
+     }},
+    {"shard_count",
+     [](JsonWriter &w, const CampaignManifest &c) {
+         store::writeValue(w, c.shardCount);
+     },
+     [](store::Member &m, CampaignManifest &c) {
+         m.read(c.shardCount, 1, (std::int64_t)kMaxShards);
+     }},
+    {"granularity",
+     [](JsonWriter &w, const CampaignManifest &c) {
+         store::writeValue(w, c.granularity);
+     },
+     [](store::Member &m, CampaignManifest &c) {
+         m.read(c.granularity, 1, kMaxExactInteger);
+     }},
+};
+
+} // namespace
+
+void
+writeJson(JsonWriter &w, const CampaignManifest &manifest)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("format", JsonValue::makeNumber(store::kFormatVersion));
-    v.set("campaign_format",
-          JsonValue::makeNumber(kCampaignFormatVersion));
-    v.set("fingerprint", JsonValue::makeString(fingerprint));
-    v.set("shard_count", JsonValue::makeNumber((double)shardCount));
-    v.set("granularity", JsonValue::makeNumber((double)granularity));
-    return v;
+    store::writeFields(w, kManifestFields, manifest);
 }
 
-CampaignManifest
-CampaignManifest::fromJson(const JsonValue &doc,
-                           const std::string &context)
+void
+readJson(JsonReader &r, CampaignManifest &manifest)
 {
-    if (!doc.isObject())
-        fatal(context, ": document must be a JSON object");
-    if (!hasNumber(doc, "format") ||
-        doc.at("format").asNumber() != store::kFormatVersion) {
-        fatal(context, ": \"format\" must be the store format version ",
-              store::kFormatVersion, " this build reads, got ",
-              shown(doc, "format"));
-    }
-    if (!hasNumber(doc, "campaign_format") ||
-        doc.at("campaign_format").asNumber() != kCampaignFormatVersion) {
-        fatal(context, ": \"campaign_format\" must be ",
-              kCampaignFormatVersion, ", got ", shown(doc, "campaign_format"),
-              " (plan the campaign again with this build)");
-    }
-    if (!hasString(doc, "fingerprint") ||
-        doc.at("fingerprint").asString().empty()) {
-        fatal(context,
-              ": \"fingerprint\" must be the sweep fingerprint string");
-    }
-    CampaignManifest m;
-    m.fingerprint = doc.at("fingerprint").asString();
-    m.shardCount = (std::size_t)wholeNumberKey(
-        doc, "shard_count", 1, (std::int64_t)kMaxShards, context);
-    m.granularity = (std::size_t)wholeNumberKey(
-        doc, "granularity", 1, kMaxExactInteger, context);
-    return m;
+    store::readFields(r, kManifestFields, manifest);
 }
 
 std::string
@@ -104,9 +85,9 @@ loadManifest(const std::string &dir)
         fatal("campaign: no manifest at '", path,
               "' (run `campaign plan` first)");
     }
-    return CampaignManifest::fromJson(JsonValue::parseFile(path),
-                                      "campaign manifest '" + path +
-                                          "'");
+    CampaignManifest manifest;
+    store::readJsonFile(path, manifest);
+    return manifest;
 }
 
 } // namespace campaign

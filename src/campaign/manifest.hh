@@ -53,14 +53,16 @@ struct CampaignManifest
     /** Reconstruct the slot->shard mapping (pure function of the
      *  manifest fields). */
     ShardPlan plan() const;
-
-    JsonValue toJson() const;
-    /** Validating parse; fatal() naming `context`, the key, and the
-     *  value on any structural problem (a wrong version, a missing
-     *  fingerprint, a count that is not a whole number in range). */
-    static CampaignManifest fromJson(const JsonValue &doc,
-                                     const std::string &context);
 };
+
+/** campaign.json, through the store's codec (store/serialize.hh):
+ *  "format" (the store format this build reads), "campaign_format"
+ *  (kCampaignFormatVersion), a non-empty "fingerprint", "shard_count"
+ *  (a whole number in [1, kMaxShards]) and "granularity" (a whole
+ *  number, at least 1), each once and nothing else. A read refuses
+ *  anything else naming the member and its value. */
+void writeJson(JsonWriter &w, const CampaignManifest &manifest);
+void readJson(JsonReader &r, CampaignManifest &manifest);
 
 /** Relative shard-store directory for shard k ("shards/shard-k"). */
 std::string shardDirName(std::size_t shard);

@@ -52,16 +52,6 @@ requireEccScheme(const std::string &name, const std::string &context)
     return *scheme;
 }
 
-JsonValue
-ReliabilitySpec::toJson() const
-{
-    JsonValue v = JsonValue::makeObject();
-    v.set("ecc", JsonValue::makeString(ecc));
-    v.set("scrub_interval_sec",
-          JsonValue::makeNumber(scrubIntervalSec));
-    return v;
-}
-
 ReliabilityEvaluator::ReliabilityEvaluator(const ReliabilitySpec &spec,
                                            const std::string &context)
     : spec_(spec), scheme_(&requireEccScheme(spec.ecc, context))

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "nvsim/array_model.hh"
-#include "util/json.hh"
 
 namespace nvmexp {
 namespace reliability {
@@ -69,9 +68,6 @@ struct ReliabilitySpec
 {
     std::string ecc = "none";
     double scrubIntervalSec = 0.0;
-
-    /** Stable encoding for sweep fingerprints. */
-    JsonValue toJson() const;
 };
 
 /** Per-configuration reliability numbers attached to every

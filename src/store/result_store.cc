@@ -15,42 +15,47 @@
 namespace nvmexp {
 namespace store {
 
-JsonValue
-StoreStats::toJson() const
+namespace {
+
+constexpr Field<StoreStats> kStatsFields[] = {
+    kFormatField<StoreStats>,
+    field<&StoreStats::cacheHits>("cache_hits"),
+    field<&StoreStats::cacheMisses>("cache_misses"),
+    field<&StoreStats::cacheStores>("cache_stores"),
+    field<&StoreStats::checkpointLoaded>("checkpoint_loaded"),
+    field<&StoreStats::checkpointComputed>("checkpoint_computed"),
+};
+
+constexpr Field<CheckpointHeader> kHeaderFields[] = {
+    field<&CheckpointHeader::format>("format"),
+    field<&CheckpointHeader::fingerprint>("fingerprint"),
+    field<&CheckpointHeader::slots>("slots"),
+};
+
+} // namespace
+
+void
+writeJson(JsonWriter &w, const StoreStats &stats)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("format", JsonValue::makeNumber(kFormatVersion));
-    v.set("cache_hits", JsonValue::makeNumber((double)cacheHits));
-    v.set("cache_misses", JsonValue::makeNumber((double)cacheMisses));
-    v.set("cache_stores", JsonValue::makeNumber((double)cacheStores));
-    v.set("checkpoint_loaded",
-          JsonValue::makeNumber((double)checkpointLoaded));
-    v.set("checkpoint_computed",
-          JsonValue::makeNumber((double)checkpointComputed));
-    return v;
+    writeFields(w, kStatsFields, stats);
 }
 
-StoreStats
-StoreStats::fromJson(const JsonValue &doc, const std::string &context)
+void
+readJson(JsonReader &r, StoreStats &stats)
 {
-    std::int64_t format = wholeNumberKey(doc, "format", 0,
-                                         std::numeric_limits<int>::max(),
-                                         context);
-    if (format != kFormatVersion) {
-        fatal(context, ": stats written with format ", format,
-              ", this build reads format ", kFormatVersion);
-    }
-    auto counter = [&](const char *key) {
-        return (std::uint64_t)wholeNumberKey(doc, key, 0, kMaxExactInteger,
-                                             context);
-    };
-    StoreStats s;
-    s.cacheHits = counter("cache_hits");
-    s.cacheMisses = counter("cache_misses");
-    s.cacheStores = counter("cache_stores");
-    s.checkpointLoaded = counter("checkpoint_loaded");
-    s.checkpointComputed = counter("checkpoint_computed");
-    return s;
+    readFields(r, kStatsFields, stats);
+}
+
+void
+writeJson(JsonWriter &w, const CheckpointHeader &header)
+{
+    writeFields(w, kHeaderFields, header);
+}
+
+void
+readJson(JsonReader &r, CheckpointHeader &header)
+{
+    readFields(r, kHeaderFields, header);
 }
 
 std::uint64_t
@@ -106,11 +111,12 @@ sweepFingerprint(const SweepConfig &config)
     // spelling out {ecc: "none"} and omitting the block are the same
     // sweep.
     w.key("reliability").beginArray();
-    if (config.reliability.empty()) {
-        w.value(reliability::ReliabilitySpec{}.toJson());
-    } else {
-        for (const auto &spec : config.reliability)
-            w.value(spec.toJson());
+    const std::vector<reliability::ReliabilitySpec> implicit(1);
+    for (const auto &spec :
+         config.reliability.empty() ? implicit : config.reliability) {
+        w.beginObject().key("ecc").string(spec.ecc);
+        w.key("scrub_interval_sec").number(spec.scrubIntervalSec);
+        w.endObject();
     }
     w.endArray();
     w.key("word_bits").number(config.wordBits);
@@ -195,9 +201,7 @@ ResultStore::storeArray(const std::string &key, const ArrayResult &array)
 {
     std::string entry;
     JsonWriter w(entry);
-    w.beginObject().key("key").string(key).key("array");
-    writeJson(w, array);
-    w.endObject();
+    writeJson(w, CacheEntry{key, false, array});
     entry += '\n';
     // Concurrent writers of one key (duplicate cells in a sweep, or
     // processes sharing a cache directory) each rename a complete
@@ -211,8 +215,8 @@ void
 ResultStore::storeInvalid(const std::string &key)
 {
     std::string entry;
-    JsonWriter(entry).beginObject().key("key").string(key).key("invalid")
-        .boolean(true).endObject();
+    JsonWriter w(entry);
+    writeJson(w, CacheEntry{key, true, {}});
     entry += '\n';
     writeFileAtomically(cachePath(key), entry);
     std::lock_guard<std::mutex> lock(mutex_);
@@ -223,9 +227,10 @@ std::string
 checkpointHeaderLine(const std::string &fingerprint, std::size_t slots)
 {
     std::string line;
-    JsonWriter(line).beginObject().key("format").number(kFormatVersion)
-        .key("fingerprint").string(fingerprint)
-        .key("slots").number((double)slots).endObject();
+    JsonWriter w(line);
+    writeJson(w, CheckpointHeader{.format = kFormatVersion,
+                                  .fingerprint = fingerprint,
+                                  .slots = slots});
     return line;
 }
 
@@ -237,37 +242,19 @@ appendCheckpointLine(std::string &out, std::size_t slot,
                      const EvalResult &result)
 {
     JsonWriter w(out);
-    w.beginObject().key("slot").number((double)slot).key("result");
-    writeJson(w, result);
-    w.endObject();
+    writeJson(w, JournalLine{slot, &result});
     out += '\n';
 }
 
-} // namespace
-
-namespace {
-
-/** The journal header line decoded; members checked before any cast. */
+/** The journal header `line` read leniently. */
 CheckpointHeader
-parseHeaderLine(const std::string &line)
+readHeaderLine(std::string_view line)
 {
     CheckpointHeader header;
-    JsonValue doc;
-    if (!JsonValue::tryParse(line, doc))
-        return header;
-    header.headerParsed = true;
-    auto whole = [&](const char *key, std::int64_t max) {
-        return doc.isObject() && doc.has(key) && doc.at(key).isNumber() &&
-            isWholeNumber(doc.at(key).asNumber(), 0.0, (double)max);
-    };
-    header.headerOk = whole("format", std::numeric_limits<int>::max()) &&
-        whole("slots", kMaxExactInteger) && doc.has("fingerprint") &&
-        doc.at("fingerprint").isString();
-    if (header.headerOk) {
-        header.format = (int)doc.at("format").asNumber();
-        header.fingerprint = doc.at("fingerprint").asString();
-        header.slots = (std::size_t)doc.at("slots").asNumber();
-    }
+    bool malformed = false;
+    if (!tryReadJson(line, header, &malformed))
+        return {.headerParsed = !malformed};
+    header.headerParsed = header.headerOk = true;
     return header;
 }
 
@@ -280,7 +267,7 @@ readCheckpointHeader(const std::string &dir)
     std::string line;
     if (!in || !std::getline(in, line))
         return {};
-    return parseHeaderLine(line);
+    return readHeaderLine(line);
 }
 
 CheckpointScan
@@ -290,7 +277,8 @@ scanCheckpoint(const std::string &dir)
     if (!readFile(dir + "/checkpoint.jsonl", text))
         return {};
     std::size_t end = std::min(text.find('\n'), text.size());
-    CheckpointScan scan{parseHeaderLine(text.substr(0, end)), {}};
+    CheckpointScan scan{readHeaderLine(std::string_view(text).substr(0, end)),
+                        {}};
     if (!scan.headerOk)
         return scan;
     JournalEntry entry;
@@ -521,7 +509,7 @@ ResultStore::writeStats()
 void
 ResultStore::writeStats(const StoreStats &stats)
 {
-    stats.toJson().writeFile(dir_ + "/stats.json");
+    writeJsonFile(dir_ + "/stats.json", stats);
 }
 
 StoreStats
@@ -534,20 +522,17 @@ ResultStore::stats() const
 std::vector<EvalResult>
 loadResults(const std::string &dir)
 {
-    std::string path = dir + "/results.json";
-    std::string text;
-    if (!readFile(path, text))
-        fatal("result store: cannot read '", path, "'");
     std::vector<EvalResult> results;
-    readJson(text, path, results);
+    readJsonFile(dir + "/results.json", results);
     return results;
 }
 
 StoreStats
 loadStats(const std::string &dir)
 {
-    std::string path = dir + "/stats.json";
-    return StoreStats::fromJson(JsonValue::parseFile(path), path);
+    StoreStats stats;
+    readJsonFile(dir + "/stats.json", stats);
+    return stats;
 }
 
 JsonValue

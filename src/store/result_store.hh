@@ -62,13 +62,12 @@ struct StoreStats
     std::uint64_t checkpointComputed = 0; ///< eval slots computed
 
     std::uint64_t cacheLookups() const { return cacheHits + cacheMisses; }
-
-    JsonValue toJson() const;
-    /** Every member a whole number (checked before the cast); fatal()
-     *  naming `context` (the file), the key and the value otherwise. */
-    static StoreStats fromJson(const JsonValue &doc,
-                               const std::string &context);
 };
+
+/** stats.json: "format" (this build's) and each counter, a whole
+ *  number in [0, 2^53], once; nothing else. */
+void writeJson(JsonWriter &w, const StoreStats &stats);
+void readJson(JsonReader &r, StoreStats &stats);
 
 /** 64-bit FNV-1a content hash (stable across platforms/runs). */
 std::uint64_t fnv1a64(const std::string &text);
@@ -171,17 +170,27 @@ struct CheckpointEntry
 /** A checkpoint journal's first line: which sweep it belongs to. */
 struct CheckpointHeader
 {
-    bool headerParsed = false; ///< first line parsed as JSON at all
-    /** ...and carried a string fingerprint and whole-number format and
-     *  slots (checked before any cast) */
+    /** The first line is JSON as far as the header read it: it failed,
+     *  if at all, on a member rather than on malformed text. */
+    bool headerParsed = false;
+    /** ...and it read whole: a string fingerprint and whole-number
+     *  format and slots (checked before any cast), each once, and no
+     *  other member. */
     bool headerOk = false;
     int format = 0;
     std::string fingerprint;
     std::size_t slots = 0;
 };
 
-/** The header of `dir`'s journal: the one reader of it, for resume,
- *  campaigns, the query server and the lint. */
+/** The header line, {"format": f, "fingerprint": "...", "slots": n}:
+ *  a record like the others, so a strict read (the lint's) names the
+ *  member at fault. The format is read as any whole number; callers
+ *  compare it with kFormatVersion. */
+void writeJson(JsonWriter &w, const CheckpointHeader &header);
+void readJson(JsonReader &r, CheckpointHeader &header);
+
+/** The header of `dir`'s journal, read leniently: the one reader of it
+ *  for resume, campaigns and the query server. */
 CheckpointHeader readCheckpointHeader(const std::string &dir);
 
 /**

@@ -1,19 +1,31 @@
 /**
  * @file
- * JSON serialization for the result store: lossless, round-trippable
- * encodings of ArrayResult and EvalResult (and the MemCell, traffic,
- * and organization records they embed).
+ * The result store's codec. Each stored record is declared once, as a
+ * table of Fields, and that one table both writes the record (straight
+ * into a JsonWriter) and reads it back (straight from a JsonReader),
+ * with no DOM either way. serialize.cc holds the tables of the result
+ * records (MemCell, TrafficPattern, Organization, ReliabilityResult,
+ * ArrayResult, EvalResult), the results.json envelope, journal entries
+ * and cache entries; the journal header and stats.json
+ * (store/result_store.cc) and campaign.json (campaign/manifest.cc)
+ * declare theirs with the same Field.
  *
- * Encoders stream straight into a JsonWriter and decoders pull
- * straight from a JsonReader, with no DOM either way. Doubles are
- * written in shortest-exact form (util/json), so decoding what
- * writeJson wrote reproduces every field bit-for-bit — the property
+ * Doubles are written in shortest-exact form (util/json), so reading
+ * what a table wrote reproduces every field bit-for-bit — the property
  * the characterization cache, resumable checkpoints, and golden-file
  * regression tier all depend on.
  */
 
 #ifndef NVMEXP_STORE_SERIALIZE_HH
 #define NVMEXP_STORE_SERIALIZE_HH
+
+#include <bitset>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "celldb/cell.hh"
 #include "eval/engine.hh"
@@ -30,20 +42,9 @@ namespace store {
  *  rates, overhead) and sweep fingerprints the reliability axis. */
 constexpr int kFormatVersion = 2;
 
-/**
- * Each writeJson emits one JSON object at the writer's position,
- * members in a fixed order; each readJson decodes one at the reader's
- * position into the record. Members may come in any order, but every
- * one must be present exactly once, with its kind: a number, a
- * boolean, a string, a nested record, a name from the enum's
- * vocabulary, or, for the integer fields (bits_per_cell, node_nm,
- * word_bits, the organization counts, ...), a whole number in
- * [0, INT_MAX] checked before any cast. Anything else — a missing,
- * repeated or unknown member, a wrong kind, a bad integer — fails
- * naming the key, through JsonReader::reject() (fail() for a repeated
- * member, as in the DOM, and for malformed text), so a lenient reader
- * turns it into a skip.
- */
+/** Each writeJson emits one JSON object at the writer's position,
+ *  members in table order; each readJson decodes one at the reader's
+ *  position into the record, as readFields below reads it. */
 void writeJson(JsonWriter &w, const MemCell &cell);
 void readJson(JsonReader &r, MemCell &cell);
 
@@ -67,14 +68,21 @@ void readJson(JsonReader &r, EvalResult &result);
 void writeJson(JsonWriter &w, const std::vector<EvalResult> &results);
 void readJson(JsonReader &r, std::vector<EvalResult> &results);
 
-/** A checkpoint journal entry line, {"slot": n, "result": {...}}
- *  (written by ResultStore::checkpointSlot); the slot is a whole
- *  number in [0, 2^53]. */
+/** A checkpoint journal entry line, {"slot": n, "result": {...}}; the
+ *  slot is a whole number in [0, 2^53]. It is read into a JournalEntry
+ *  and written (by ResultStore::checkpointSlot) from a JournalLine,
+ *  which points at the caller's row instead of copying it. */
 struct JournalEntry
 {
     std::size_t slot = 0;
     EvalResult result;
 };
+struct JournalLine
+{
+    std::size_t slot = 0;
+    const EvalResult *result = nullptr;
+};
+void writeJson(JsonWriter &w, const JournalLine &line);
 void readJson(JsonReader &r, JournalEntry &entry);
 
 /** A characterization cache entry (written by ResultStore::storeArray
@@ -86,7 +94,246 @@ struct CacheEntry
     bool invalid = false;
     ArrayResult array; ///< unset when invalid
 };
+void writeJson(JsonWriter &w, const CacheEntry &entry);
 void readJson(JsonReader &r, CacheEntry &entry);
+
+/** The member being read; its key names every rejection. */
+class Member
+{
+  public:
+    Member(JsonReader &r, std::string_view key) : r_(r), key_(key) {}
+
+    /** A boolean, a number, a string, a nested record (its readJson),
+     *  or, for an integer type, a whole number in [0, INT_MAX] (int) or
+     *  [0, 2^53] (wider types), checked before any cast. */
+    template <typename T>
+    void
+    read(T &out)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            expect(JsonValue::Kind::Bool, "a boolean");
+            out = r_.boolean();
+        } else if constexpr (std::is_floating_point_v<T>) {
+            expect(JsonValue::Kind::Number, "a number");
+            out = r_.number();
+        } else if constexpr (std::is_integral_v<T>) {
+            out = (T)whole(0, sizeof(T) < sizeof(std::int64_t)
+                                  ? std::numeric_limits<T>::max()
+                                  : kMaxExactInteger);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            expect(JsonValue::Kind::String, "a string");
+            out.assign(r_.string());
+        } else {
+            expect(JsonValue::Kind::Object, "an object");
+            readJson(r_, out);
+        }
+    }
+
+    /** A whole number in [lo, hi], checked before the cast. */
+    template <typename Int>
+    void
+    read(Int &out, std::int64_t lo, std::int64_t hi)
+    {
+        out = (Int)whole(lo, hi);
+    }
+
+    /** An array of records, appended to `out`. */
+    template <typename Record>
+    void
+    readEach(std::vector<Record> &out)
+    {
+        expect(JsonValue::Kind::Array, "an array");
+        r_.beginArray();
+        std::size_t begin = r_.offset();
+        while (r_.nextElement()) {
+            out.emplace_back();
+            read(out.back());
+            // Records of one kind encode to about the same size: the
+            // first sizes the rest, so the rows are never moved.
+            if (out.size() == 1) {
+                std::size_t first = r_.offset() - begin;
+                out.reserve(1 + (r_.size() - r_.offset()) / first);
+            }
+        }
+    }
+
+    /** A version number, which must be `expected`; `hint` ends the
+     *  rejection. */
+    void readVersion(int expected, std::string_view hint = {});
+
+    /** An enumerator spelled as `name(e)` for one of the first `count`
+     *  enumerators. */
+    template <typename Enum, typename Name>
+    void
+    readName(Enum &out, int count, Name name)
+    {
+        expect(JsonValue::Kind::String, "a string");
+        std::string_view text = r_.string();
+        for (int i = 0; i < count; ++i) {
+            if (text == name((Enum)i)) {
+                out = (Enum)i;
+                return;
+            }
+        }
+        std::string known;
+        for (int i = 0; i < count; ++i) {
+            if (i)
+                known += ", ";
+            known += name((Enum)i);
+        }
+        reject("must be one of " + known + ", got \"" + std::string(text) +
+               "\"");
+    }
+
+    /** Refuse the value: "KEY" `what`, through JsonReader::reject(). */
+    [[noreturn]] void reject(const std::string &what) const;
+
+  private:
+    double whole(std::int64_t lo, std::int64_t hi);
+    void expect(JsonValue::Kind kind, const char *what);
+
+    JsonReader &r_;
+    std::string_view key_;
+};
+
+/** Write `value` as Member::read reads it back. */
+template <typename T>
+void
+writeValue(JsonWriter &w, const T &value)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        w.boolean(value);
+    else if constexpr (std::is_arithmetic_v<T>)
+        w.number((double)value);
+    else if constexpr (std::is_same_v<T, std::string>)
+        w.string(value);
+    else
+        writeJson(w, value);
+}
+
+/**
+ * One member of a record's encoding: its key, how to write it from a
+ * Source and how to read it into a Record (the same type, except where
+ * writing must not copy: see JournalLine). A field with `present` is
+ * written only when present(source) holds, and may be missing when
+ * read; every other field is required.
+ */
+template <typename Record, typename Source = Record>
+struct Field
+{
+    std::string_view key;
+    void (*write)(JsonWriter &, const Source &) = nullptr;
+    void (*read)(Member &, Record &) = nullptr;
+    bool (*present)(const Source &) = nullptr;
+};
+
+/** The class a pointer to member points into. */
+template <typename Pointer>
+struct MemberOf;
+template <typename Class, typename Type>
+struct MemberOf<Type Class::*>
+{
+    using Record = Class;
+};
+
+/** The field for member `first` of a record (followed through `rest`
+ *  into nested structs): written by writeValue, read by Member::read. */
+template <auto first, auto... rest>
+constexpr auto
+field(std::string_view key,
+      bool (*present)(const typename MemberOf<decltype(first)>::Record &) =
+          nullptr)
+{
+    using Record = typename MemberOf<decltype(first)>::Record;
+    return Field<Record>{
+        key,
+        [](JsonWriter &w, const Record &r) {
+            writeValue(w, ((r.*first) .* ... .* rest));
+        },
+        [](Member &m, Record &r) { m.read(((r.*first) .* ... .* rest)); },
+        present};
+}
+
+/** The field for enum member `member`, spelled `name(value)`, one of
+ *  the first `count` enumerators. */
+template <auto member, auto name, int count>
+constexpr auto
+named(std::string_view key)
+{
+    using Record = typename MemberOf<decltype(member)>::Record;
+    return Field<Record>{
+        key,
+        [](JsonWriter &w, const Record &r) { w.string(name(r.*member)); },
+        [](Member &m, Record &r) { m.readName(r.*member, count, name); }};
+}
+
+/** A document's "format" member: written as kFormatVersion, and read
+ *  only when it is that. */
+template <typename Record>
+constexpr Field<Record> kFormatField = {
+    "format",
+    [](JsonWriter &w, const Record &) { w.number(kFormatVersion); },
+    [](Member &m, Record &) {
+        m.readVersion(kFormatVersion, " (the store format this build reads)");
+    }};
+
+/** Write `source` as one object: each field under its key, in table
+ *  order, an optional one only when present. */
+template <typename Record, typename Source, std::size_t N>
+void
+writeFields(JsonWriter &w, const Field<Record, Source> (&fields)[N],
+            const Source &source)
+{
+    w.beginObject();
+    for (const auto &f : fields) {
+        if (f.present && !f.present(source))
+            continue;
+        w.key(f.key);
+        f.write(w, source);
+    }
+    w.endObject();
+}
+
+/**
+ * Read the object at the reader's position, member by member, into
+ * `record` through `fields` (listed in writer order, which is tried
+ * first). Members may come in any order, but each required one must be
+ * present and none may repeat or be unknown. Anything else — a missing,
+ * repeated or unknown member, a wrong kind, a bad integer — fails
+ * naming the key, through JsonReader::reject() (fail() for a repeated
+ * member, as in the DOM, and for malformed text), so a lenient reader
+ * turns it into a skip. @return which fields were present.
+ */
+template <typename Record, typename Source, std::size_t N>
+std::bitset<N>
+readFields(JsonReader &r, const Field<Record, Source> (&fields)[N],
+           Record &record)
+{
+    std::bitset<N> seen;
+    std::size_t next = 0;
+    std::string_view name;
+    r.beginObject();
+    while (r.nextMember(name)) {
+        std::size_t i = next;
+        if (i >= N || fields[i].key != name)
+            for (i = 0; i < N && fields[i].key != name; ++i) {
+            }
+        if (i == N)
+            r.reject("unknown member \"" + std::string(name) + "\"");
+        if (seen[i])
+            r.fail("duplicate member '" + std::string(name) + "'");
+        seen.set(i);
+        Member member(r, fields[i].key);
+        fields[i].read(member, record);
+        next = i + 1;
+    }
+    for (std::size_t i = 0; i < N; ++i) {
+        if (!seen[i] && !fields[i].present)
+            r.reject("missing member \"" + std::string(fields[i].key) +
+                     "\"");
+    }
+    return seen;
+}
 
 /** readJson over all of `text` on a strict reader: anything malformed
  *  is fatal, the message naming `source` (e.g. the file). */
@@ -100,13 +347,38 @@ readJson(std::string_view text, std::string_view source, Record &out)
 }
 
 /** readJson over all of `text` on a lenient reader: false on any
- *  syntax or schema error, for artifacts that may be torn or edited. */
+ *  syntax or schema error, for artifacts that may be torn or edited;
+ *  `malformed` as in JsonReader::tryRead(). */
 template <typename Record>
 bool
-tryReadJson(std::string_view text, Record &out)
+tryReadJson(std::string_view text, Record &out, bool *malformed = nullptr)
 {
-    return JsonReader::tryRead(text,
-                               [&](JsonReader &r) { readJson(r, out); });
+    return JsonReader::tryRead(
+        text, [&](JsonReader &r) { readJson(r, out); }, malformed);
+}
+
+/** The text of `path`; fatal() naming it when it cannot be read. */
+std::string readDocument(const std::string &path);
+
+/** readJson over the file at `path` on a strict reader. */
+template <typename Record>
+void
+readJsonFile(const std::string &path, Record &out)
+{
+    readJson(readDocument(path), path, out);
+}
+
+/** writeJson pretty-printed (two-space indent) plus a newline, written
+ *  to `path` write-then-rename (writeFileAtomically). */
+template <typename Record>
+void
+writeJsonFile(const std::string &path, const Record &record)
+{
+    std::string text;
+    JsonWriter w(text, 2);
+    writeJson(w, record);
+    text += '\n';
+    writeFileAtomically(path, text);
 }
 
 /** Exact field-by-field equality via the serialized form: doubles

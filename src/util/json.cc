@@ -442,7 +442,7 @@ JsonReader::failAt(std::size_t offset, std::string_view what,
                    bool syntax) const
 {
     if (lenient_)
-        throw Abort{};
+        throw Abort{syntax};
     std::size_t line = 1, col = 1;
     for (std::size_t i = 0; i < offset && i < text_.size(); ++i) {
         if (text_[i] == '\n') {

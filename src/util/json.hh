@@ -169,9 +169,11 @@ class JsonValue
 class JsonReader
 {
   public:
-    /** What the lenient reader of tryRead() throws on any failure. */
+    /** What the lenient reader of tryRead() throws on any failure:
+     *  fail() throws it malformed, reject() not. */
     struct Abort
     {
+        bool malformed = true;
     };
 
     /** A strict reader; `source` (e.g. a file path) names the document
@@ -225,11 +227,13 @@ class JsonReader
     /**
      * Run `read` on a lenient reader over `text`, then end(): true when
      * nothing failed. For input that may be torn or edited (cache
-     * entries, journal lines), which the caller skips on false.
+     * entries, journal lines), which the caller skips on false. On
+     * false, `*malformed` (when given) tells whether it was fail() that
+     * stopped the read, on text that is not JSON, rather than reject().
      */
     template <typename Read>
     static bool
-    tryRead(std::string_view text, Read &&read)
+    tryRead(std::string_view text, Read &&read, bool *malformed = nullptr)
     {
         JsonReader reader(text);
         reader.lenient_ = true;
@@ -237,7 +241,9 @@ class JsonReader
             read(reader);
             reader.end();
             return true;
-        } catch (const Abort &) {
+        } catch (const Abort &abort) {
+            if (malformed)
+                *malformed = abort.malformed;
             return false;
         }
     }

@@ -441,8 +441,11 @@ TEST_F(CampaignTest, ManifestRoundTripsThroughJson)
     EXPECT_EQ(loaded.fingerprint, written.fingerprint);
     EXPECT_EQ(loaded.shardCount, 5u);
     EXPECT_EQ(loaded.granularity, 2u);
-    campaign::CampaignManifest reparsed =
-        campaign::CampaignManifest::fromJson(loaded.toJson(), "test");
+    std::string text;
+    JsonWriter writer(text);
+    campaign::writeJson(writer, loaded);
+    campaign::CampaignManifest reparsed;
+    store::readJson(text, "test", reparsed);
     EXPECT_EQ(reparsed.fingerprint, loaded.fingerprint);
     EXPECT_EQ(reparsed.shardCount, loaded.shardCount);
     EXPECT_EQ(reparsed.granularity, loaded.granularity);
@@ -497,6 +500,35 @@ TEST_F(CampaignTest, StatusTracksShardLifecycles)
     EXPECT_TRUE(done.merged);
     EXPECT_EQ(done.shards[0].doneSlots + done.shards[1].doneSlots,
               32u);
+}
+
+/** campaign.json takes each member once and no other: an unknown or a
+ *  repeated member is refused, naming the file and the member. */
+TEST_F(CampaignTest, ManifestMembersAreKnownAndOnce)
+{
+    std::string dir = freshDir("campaign");
+    campaign::planCampaign(dir, specSweep(), 2);
+    const std::string path = dir + "/campaign.json";
+    const std::string manifest = readFile(path);
+    const std::string last = "\"granularity\": 2\n";
+    ASSERT_NE(manifest.find(last), std::string::npos) << manifest;
+    for (const std::string member : {"shards", "granularity"}) {
+        SCOPED_TRACE(member);
+        std::string edited = manifest;
+        edited.replace(edited.find(last), last.size(),
+                       "\"granularity\": 2,\n  \"" + member + "\": 2\n");
+        writeText(path, edited);
+        ScopedFatalThrows guard;
+        try {
+            campaign::loadManifest(dir);
+            ADD_FAILURE() << edited << " was accepted";
+        } catch (const FatalError &e) {
+            std::string error = e.what();
+            EXPECT_NE(error.find(path), std::string::npos) << error;
+            EXPECT_NE(error.find(" member "), std::string::npos) << error;
+            EXPECT_NE(error.find(member), std::string::npos) << error;
+        }
+    }
 }
 
 /** Every shard of a plan running at once, each its own worker with

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "../support/fixtures.hh"
+#include "../support/golden_compare.hh"
 #include "campaign/campaign.hh"
 #include "core/config.hh"
 #include "core/parallel_sweep.hh"
@@ -227,16 +228,22 @@ TEST_F(LintTest, StaleGoldenFormatVersionIsDiagnosed)
     auto path = write("golden.json",
                       "{\"format\": 1, \"results\": []}");
     LintReport report = lintGoldenFile(path);
-    expectOneDiagnostic(report, path, "format");
-    EXPECT_NE(report.diagnostics[0].message.find("stale"),
-              std::string::npos);
+    expectOneDiagnostic(report, path, "");
+    EXPECT_NE(report.diagnostics[0].message.find("\"format\" must be 2, "
+                                                 "got 1"),
+              std::string::npos)
+        << report.diagnostics[0].message;
 }
 
 TEST_F(LintTest, GoldenWithoutResultsIsDiagnosed)
 {
     auto path = write("golden2.json", "{\"format\": 2}");
     LintReport report = lintGoldenFile(path);
-    expectOneDiagnostic(report, path, "results");
+    expectOneDiagnostic(report, path, "");
+    EXPECT_NE(report.diagnostics[0].message.find(
+                  "missing member \"results\""),
+              std::string::npos)
+        << report.diagnostics[0].message;
 }
 
 TEST_F(LintTest, StaleStoreCheckpointFormatIsDiagnosed)
@@ -253,7 +260,11 @@ TEST_F(LintTest, CheckpointWithoutFingerprintIsDiagnosed)
     write("store/checkpoint.jsonl", "{\"format\":2,\"slots\":4}\n");
     LintReport report = lintStoreDir((dir_ / "store").string());
     ASSERT_EQ(report.diagnostics.size(), 1u);
-    EXPECT_EQ(report.diagnostics[0].key, "fingerprint");
+    EXPECT_EQ(report.diagnostics[0].key, "header");
+    EXPECT_NE(report.diagnostics[0].message.find(
+                  "missing member \"fingerprint\""),
+              std::string::npos)
+        << report.diagnostics[0].message;
 }
 
 TEST_F(LintTest, UnparseableCheckpointHeaderIsDiagnosed)
@@ -272,6 +283,28 @@ TEST_F(LintTest, FreshStoreDirectoryLintsClean)
     LintReport report = lintStoreDir(sweep.outDir);
     for (const auto &d : report.diagnostics)
         ADD_FAILURE() << d.file << ": [" << d.key << "] " << d.message;
+}
+
+/** A results.json member renamed after the run: `query` and `serve`
+ *  refuse the store naming it, and so does the lint. */
+TEST_F(LintTest, RenamedResultsMemberIsDiagnosed)
+{
+    auto sweep = testsupport::smallSweep();
+    sweep.outDir = (dir_ / "store").string();
+    runSweep(sweep);
+    std::string path = sweep.outDir + "/results.json";
+    std::string text = testsupport::fileText(path);
+    std::size_t at = text.find("\"read_latency\"");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 14, "\"read_latencx\"");
+    write("store/results.json", text);
+
+    LintReport report = lintStoreDir(sweep.outDir);
+    ASSERT_NO_FATAL_FAILURE(expectOneDiagnostic(report, path, ""));
+    EXPECT_NE(report.diagnostics[0].message.find(
+                  "unknown member \"read_latencx\""),
+              std::string::npos)
+        << report.diagnostics[0].message;
 }
 
 TEST_F(LintTest, RegistriesAreConsistent)
@@ -375,6 +408,34 @@ TEST_F(CampaignLintTest, RealCampaignLifecycleLintsClean)
         ADD_FAILURE() << d.file << ": [" << d.key << "] " << d.message;
     // The campaign itself, two shard directories, and the merged store.
     EXPECT_GE(report.checked, 4u);
+}
+
+/** A config snapshot edited after planning lints as `campaign run`,
+ *  `merge` and `status` load it: refused, naming the file and both
+ *  fingerprints. */
+TEST_F(CampaignLintTest, EditedConfigSnapshotIsDiagnosed)
+{
+    const std::string source =
+        std::string(NVMEXP_SOURCE_DIR) + "/config/main_dnn_study.json";
+    const std::string bytes = testsupport::fileText(source);
+    campaign::CampaignManifest manifest = campaign::planCampaign(
+        dir_.string(), loadExperimentFile(source).sweep, 2);
+    auto config = write("config.json", bytes);
+    LintReport planned = lintCampaignDir(dir_.string());
+    for (const auto &d : planned.diagnostics)
+        ADD_FAILURE() << d.file << ": [" << d.key << "] " << d.message;
+
+    std::string edited = bytes;
+    edited.replace(edited.find("[2, 4, 8]"), 9, "[2, 4, 8, 64]");
+    write("config.json", edited);
+    LintReport report = lintCampaignDir(dir_.string());
+    ASSERT_NO_FATAL_FAILURE(expectOneDiagnostic(report, config, "fingerprint"));
+    EXPECT_NE(report.diagnostics[0].message.find("now fingerprints to"),
+              std::string::npos)
+        << report.diagnostics[0].message;
+    EXPECT_NE(report.diagnostics[0].message.find(manifest.fingerprint),
+              std::string::npos)
+        << report.diagnostics[0].message;
 }
 
 class BenchLintTest : public LintTest

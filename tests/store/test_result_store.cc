@@ -361,6 +361,58 @@ TEST_F(ResultStoreTest, ArtifactIntegersThatAreNotWholeAreFatalByName)
               "");
 }
 
+/** stats.json takes each member once and no other: an unknown or a
+ *  repeated member is fatal, naming the file and the member. */
+TEST_F(ResultStoreTest, StatsMembersAreKnownAndOnce)
+{
+    SweepConfig config = smallSweep();
+    config.outDir = storeDir("stats_members");
+    runSweep(config);
+    const std::string path = config.outDir + "/stats.json";
+    const std::string stats = readFile(path);
+    const std::string last = "\"checkpoint_computed\": 8\n";
+    ASSERT_NE(stats.find(last), std::string::npos) << stats;
+    for (const std::string member : {"cache_hit", "cache_hits"}) {
+        SCOPED_TRACE(member);
+        std::ofstream(path, std::ios::trunc) << replaceAll(
+            stats, last, "\"checkpoint_computed\": 8,\n  \"" + member +
+                "\": 0\n");
+        std::string error =
+            fatalMessage([&] { store::loadStats(config.outDir); });
+        EXPECT_NE(error.find(path), std::string::npos) << error;
+        EXPECT_NE(error.find(" member "), std::string::npos) << error;
+        EXPECT_NE(error.find(member), std::string::npos) << error;
+    }
+}
+
+/** So does the journal header: one with an unknown or a repeated
+ *  member is not ok, so resume restarts the journal and recomputes
+ *  every slot, to the same bytes. */
+TEST_F(ResultStoreTest, HeaderMembersAreKnownAndOnce)
+{
+    SweepConfig config = smallSweep();
+    config.outDir = storeDir("header_members");
+    runSweep(config);
+    const std::string journal = config.outDir + "/checkpoint.jsonl";
+    const std::string golden = readFile(config.outDir + "/results.json");
+    const auto lines = readLines(journal);
+    for (const char *member : {",\"note\":1}", ",\"slots\":8}"}) {
+        SCOPED_TRACE(member);
+        auto edited = lines;
+        edited[0].replace(edited[0].size() - 1, 1, member);
+        writeLines(journal, edited);
+        EXPECT_FALSE(store::scanCheckpoint(config.outDir).headerOk);
+
+        SweepConfig resumed = config;
+        resumed.resume = true;
+        runSweep(resumed);
+        store::StoreStats stats = store::loadStats(config.outDir);
+        EXPECT_EQ(stats.checkpointLoaded, 0u);
+        EXPECT_EQ(stats.checkpointComputed, 8u);
+        EXPECT_EQ(readFile(config.outDir + "/results.json"), golden);
+    }
+}
+
 TEST_F(ResultStoreTest, RunSweepPersistsLoadableResults)
 {
     SweepConfig config = smallSweep();

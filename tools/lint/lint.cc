@@ -8,7 +8,7 @@
 #include <set>
 #include <sstream>
 
-#include "campaign/manifest.hh"
+#include "campaign/campaign.hh"
 #include "core/config.hh"
 #include "core/dashboard.hh"
 #include "metrics/constraints.hh"
@@ -178,27 +178,6 @@ checkConfigSections(LintReport &report, const std::string &path,
         checkEccNames(report, path, "ecc", doc.at("ecc"));
 }
 
-void
-checkFormatHeader(LintReport &report, const std::string &path,
-                  const JsonValue &doc)
-{
-    if (!doc.isObject() || !doc.has("format") ||
-        !doc.at("format").isNumber()) {
-        report.add(path, "format", "missing numeric \"format\" version");
-        return;
-    }
-    // Compared as a double: casting an arbitrary number is undefined
-    // behavior.
-    double format = doc.at("format").asNumber();
-    if (format != (double)store::kFormatVersion) {
-        report.add(path, "format",
-                   "format version " + JsonValue::formatNumber(format) +
-                       " is stale (current: " +
-                       std::to_string(store::kFormatVersion) +
-                       "); regenerate the artifact");
-    }
-}
-
 } // namespace
 
 LintReport
@@ -232,23 +211,11 @@ lintGoldenFile(const std::string &path)
     LintReport report;
     ++report.checked;
 
-    JsonValue doc;
-    if (!guarded(report, path, "", [&] { doc = JsonValue::parseFile(path); }))
-        return report;
-    checkFormatHeader(report, path, doc);
-    if (!report.clean())
-        return report;
-    if (!doc.has("results") || !doc.at("results").isArray()) {
-        report.add(path, "results", "missing \"results\" array");
-        return report;
-    }
-    // The record decoders name the member and value at fault.
-    guarded(report, path, "results", [&] {
-        std::string text;
-        if (!readFile(path, text))
-            fatal("cannot read '", path, "'");
+    // The record decoders name the member and value at fault: a stale
+    // "format", a missing "results", a bad row.
+    guarded(report, path, "", [&] {
         std::vector<EvalResult> rows;
-        store::readJson(text, path, rows);
+        store::readJsonFile(path, rows);
     });
     return report;
 }
@@ -399,41 +366,42 @@ lintStoreDir(const std::string &dir)
     LintReport report;
     ++report.checked;
 
+    // The header is read as the store reads it, strictly, so a bad one
+    // is named by its member.
     std::string checkpoint = dir + "/checkpoint.jsonl";
     if (fs::exists(checkpoint)) {
         std::ifstream in(checkpoint);
         std::string line;
-        JsonValue header;
+        store::CheckpointHeader header;
         if (!in || !std::getline(in, line)) {
             report.add(checkpoint, "", "unreadable or empty journal");
-        } else if (!JsonValue::tryParse(line, header)) {
-            report.add(checkpoint, "header",
-                       "first line does not parse as JSON");
-        } else {
-            checkFormatHeader(report, checkpoint, header);
-            if (!header.has("fingerprint") ||
-                !header.at("fingerprint").isString() ||
-                header.at("fingerprint").asString().empty()) {
+        } else if (guarded(report, checkpoint, "header", [&] {
+                       store::readJson(line, checkpoint, header);
+                   })) {
+            if (header.format != store::kFormatVersion) {
+                report.add(checkpoint, "format",
+                           "format version " +
+                               std::to_string(header.format) +
+                               " is stale (current: " +
+                               std::to_string(store::kFormatVersion) +
+                               "); regenerate the artifact");
+            }
+            if (header.fingerprint.empty()) {
                 report.add(checkpoint, "fingerprint",
                            "header carries no sweep fingerprint");
             }
-            if (!header.has("slots") || !header.at("slots").isNumber())
-                report.add(checkpoint, "slots",
-                           "header carries no slot count");
         }
     }
 
-    std::string stats = dir + "/stats.json";
-    if (fs::exists(stats)) {
-        guarded(report, stats, "", [&] { store::loadStats(dir); });
+    // stats.json and results.json go through the loaders query and
+    // serve use.
+    if (fs::exists(dir + "/stats.json")) {
+        guarded(report, dir + "/stats.json", "",
+                [&] { store::loadStats(dir); });
     }
-
-    std::string results = dir + "/results.json";
-    if (fs::exists(results)) {
-        JsonValue doc;
-        if (guarded(report, results, "",
-                    [&] { doc = JsonValue::parseFile(results); }))
-            checkFormatHeader(report, results, doc);
+    if (fs::exists(dir + "/results.json")) {
+        guarded(report, dir + "/results.json", "",
+                [&] { store::loadResults(dir); });
     }
 
     // A persisted query must deserialize under the full StoreQuery
@@ -502,8 +470,18 @@ lintCampaignDir(const std::string &dir)
         }
     }
 
-    if (fs::exists(dir + "/config.json"))
-        report.merge(lintConfigFile(dir + "/config.json"));
+    // The config snapshot, as `campaign run`, `merge` and `status`
+    // check it: once it lints clean, it must fingerprint to the plan.
+    std::string config = dir + "/config.json";
+    if (fs::exists(config)) {
+        LintReport snapshot = lintConfigFile(config);
+        if (snapshot.clean()) {
+            guarded(snapshot, config, "fingerprint", [&] {
+                campaign::loadPlannedConfig(dir, manifest);
+            });
+        }
+        report.merge(snapshot);
+    }
     return report;
 }
 

@@ -15,11 +15,12 @@
  *               sorted keys, unit + description + eval present), and
  *               every results.csv and dashboard column is either a
  *               known identity column or backed by a registered metric
- *   goldens     golden result files carry the current store format
- *               version and decode end to end
- *   stores      store directories carry a current-format,
- *               fingerprint-parseable checkpoint header and readable
- *               stats/results artifacts
+ *   goldens     golden result files decode end to end through the
+ *               store's record decoders, at the current store format
+ *   stores      store directories carry a current-format checkpoint
+ *               header with a fingerprint, read as the store's header
+ *               record, and stats.json and results.json that load as
+ *               `query` and `serve` load them
  *
  * Checks collect diagnostics instead of exiting: load-time fatal()s
  * are converted to FatalError via ScopedFatalThrows and reported with
@@ -76,14 +77,17 @@ LintReport lintGoldenFile(const std::string &path);
  *  say NDEBUG and __OPTIMIZE__ were set. */
 LintReport lintBenchFile(const std::string &path);
 
-/** Lint one result-store directory (checkpoint.jsonl header,
- *  stats.json, results.json format). */
+/** Lint one result-store directory: the checkpoint.jsonl header,
+ *  stats.json and results.json, each read by the store's own decoders
+ *  (a renamed member is named). */
 LintReport lintStoreDir(const std::string &dir);
 
 /** Lint one campaign directory: campaign.json (format versions,
  *  fingerprint, whole counts), every shard directory present
  *  (lintStoreDir + a journal fingerprint cross-check against the
- *  manifest), the merged store, and the snapshotted config.json. */
+ *  manifest), the merged store, and the snapshotted config.json, which
+ *  must lint clean and then pass campaign::loadPlannedConfig, as for
+ *  `campaign run`, `merge` and `status`. */
 LintReport lintCampaignDir(const std::string &dir);
 
 /** Lint the built-in registries and the CSV/dashboard schemas. */
