@@ -1,6 +1,8 @@
 /**
  * @file
- * The campaign manifest (campaign.json).
+ * The campaign manifest (campaign.json), written and read through one
+ * field table in the store's codec (store/serialize.hh), so a member
+ * this build does not know, or one given twice, is refused by name.
  *
  * A campaign directory looks like:
  *
@@ -55,11 +57,10 @@ struct CampaignManifest
     ShardPlan plan() const;
 };
 
-/** campaign.json, through the store's codec (store/serialize.hh):
- *  "format" (the store format this build reads), "campaign_format"
- *  (kCampaignFormatVersion), a non-empty "fingerprint", "shard_count"
- *  (a whole number in [1, kMaxShards]) and "granularity" (a whole
- *  number, at least 1), each once and nothing else. A read refuses
+/** campaign.json: "format" (the store format this build reads),
+ *  "campaign_format" (kCampaignFormatVersion), a non-empty
+ *  "fingerprint", "shard_count" (a whole number in [1, kMaxShards])
+ *  and "granularity" (a whole number, at least 1). A read refuses
  *  anything else naming the member and its value. */
 void writeJson(JsonWriter &w, const CampaignManifest &manifest);
 void readJson(JsonReader &r, CampaignManifest &manifest);

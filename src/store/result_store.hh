@@ -170,22 +170,20 @@ struct CheckpointEntry
 /** A checkpoint journal's first line: which sweep it belongs to. */
 struct CheckpointHeader
 {
-    /** The first line is JSON as far as the header read it: it failed,
-     *  if at all, on a member rather than on malformed text. */
+    /** The first line is JSON as far as reading the header got: it
+     *  stopped, if at all, at a member, not at malformed text. */
     bool headerParsed = false;
-    /** ...and it read whole: a string fingerprint and whole-number
-     *  format and slots (checked before any cast), each once, and no
-     *  other member. */
+    /** ...and read whole: a string fingerprint and whole-number format
+     *  and slots (checked before any cast), each once, nothing else */
     bool headerOk = false;
     int format = 0;
     std::string fingerprint;
     std::size_t slots = 0;
 };
 
-/** The header line, {"format": f, "fingerprint": "...", "slots": n}:
- *  a record like the others, so a strict read (the lint's) names the
- *  member at fault. The format is read as any whole number; callers
- *  compare it with kFormatVersion. */
+/** The header line, {"format": f, "fingerprint": "...", "slots": n},
+ *  as a record, so a strict read (the lint's) names the member at
+ *  fault. Callers compare the format with kFormatVersion. */
 void writeJson(JsonWriter &w, const CheckpointHeader &header);
 void readJson(JsonReader &r, CheckpointHeader &header);
 

@@ -1,7 +1,5 @@
 #include "store/serialize.hh"
 
-#include "util/logging.hh"
-
 namespace nvmexp {
 namespace store {
 
@@ -42,15 +40,6 @@ Member::expect(JsonValue::Kind kind, const char *what)
 {
     if (r_.peek() != kind)
         reject(std::string("must be ") + what);
-}
-
-std::string
-readDocument(const std::string &path)
-{
-    std::string text;
-    if (!readFile(path, text))
-        fatal("result store: cannot read '", path, "'");
-    return text;
 }
 
 namespace {

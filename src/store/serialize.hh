@@ -32,6 +32,7 @@
 #include "eval/traffic.hh"
 #include "nvsim/array_model.hh"
 #include "util/json.hh"
+#include "util/logging.hh"
 
 namespace nvmexp {
 namespace store {
@@ -227,24 +228,18 @@ struct Field
     bool (*present)(const Source &) = nullptr;
 };
 
-/** The class a pointer to member points into. */
-template <typename Pointer>
-struct MemberOf;
+/** The class a pointer to member points into (never called). */
 template <typename Class, typename Type>
-struct MemberOf<Type Class::*>
-{
-    using Record = Class;
-};
+Class recordOf(Type Class::*);
 
 /** The field for member `first` of a record (followed through `rest`
  *  into nested structs): written by writeValue, read by Member::read. */
 template <auto first, auto... rest>
 constexpr auto
 field(std::string_view key,
-      bool (*present)(const typename MemberOf<decltype(first)>::Record &) =
-          nullptr)
+      bool (*present)(const decltype(recordOf(first)) &) = nullptr)
 {
-    using Record = typename MemberOf<decltype(first)>::Record;
+    using Record = decltype(recordOf(first));
     return Field<Record>{
         key,
         [](JsonWriter &w, const Record &r) {
@@ -260,7 +255,7 @@ template <auto member, auto name, int count>
 constexpr auto
 named(std::string_view key)
 {
-    using Record = typename MemberOf<decltype(member)>::Record;
+    using Record = decltype(recordOf(member));
     return Field<Record>{
         key,
         [](JsonWriter &w, const Record &r) { w.string(name(r.*member)); },
@@ -295,14 +290,13 @@ writeFields(JsonWriter &w, const Field<Record, Source> (&fields)[N],
 }
 
 /**
- * Read the object at the reader's position, member by member, into
- * `record` through `fields` (listed in writer order, which is tried
- * first). Members may come in any order, but each required one must be
- * present and none may repeat or be unknown. Anything else — a missing,
- * repeated or unknown member, a wrong kind, a bad integer — fails
- * naming the key, through JsonReader::reject() (fail() for a repeated
- * member, as in the DOM, and for malformed text), so a lenient reader
- * turns it into a skip. @return which fields were present.
+ * Read the object at the reader's position into `record` through
+ * `fields` (listed in writer order, which is tried first). Members may
+ * come in any order; a missing required member, a repeated or unknown
+ * one, a wrong kind or a bad integer fails naming the key, through
+ * JsonReader::reject() (fail() for a repeated member, as in the DOM,
+ * and for malformed text), so a lenient reader turns it into a skip.
+ * @return which fields were present.
  */
 template <typename Record, typename Source, std::size_t N>
 std::bitset<N>
@@ -357,15 +351,16 @@ tryReadJson(std::string_view text, Record &out, bool *malformed = nullptr)
         text, [&](JsonReader &r) { readJson(r, out); }, malformed);
 }
 
-/** The text of `path`; fatal() naming it when it cannot be read. */
-std::string readDocument(const std::string &path);
-
-/** readJson over the file at `path` on a strict reader. */
+/** readJson over the file at `path` on a strict reader; fatal()
+ *  naming it when it cannot be read. */
 template <typename Record>
 void
 readJsonFile(const std::string &path, Record &out)
 {
-    readJson(readDocument(path), path, out);
+    std::string text;
+    if (!readFile(path, text))
+        fatal("result store: cannot read '", path, "'");
+    readJson(text, path, out);
 }
 
 /** writeJson pretty-printed (two-space indent) plus a newline, written

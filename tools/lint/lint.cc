@@ -416,19 +416,6 @@ lintStoreDir(const std::string &dir)
     return report;
 }
 
-namespace {
-
-/** The fingerprint a store journal's header claims, or "" when the
- *  header is not ok (lintStoreDir reports those). */
-std::string
-journalFingerprint(const std::string &dir)
-{
-    store::CheckpointHeader header = store::readCheckpointHeader(dir);
-    return header.headerOk ? header.fingerprint : "";
-}
-
-} // namespace
-
 LintReport
 lintCampaignDir(const std::string &dir)
 {
@@ -437,34 +424,29 @@ lintCampaignDir(const std::string &dir)
 
     std::string manifestPath = dir + "/campaign.json";
     campaign::CampaignManifest manifest;
-    // fromJson carries the format/fingerprint/count validation; the
-    // guard turns each fatal into a diagnostic.
+    // The manifest's decoder carries the format, fingerprint and count
+    // checks; the guard turns each fatal into a diagnostic.
     if (!guarded(report, manifestPath, "",
                  [&] { manifest = campaign::loadManifest(dir); }))
         return report;
 
-    for (std::size_t shard = 0; shard < manifest.shardCount; ++shard) {
-        // A shard that has not run yet has no directory.
-        std::string shardDir = dir + "/" + campaign::shardDirName(shard);
-        if (!fs::is_directory(shardDir))
+    // Each shard that has run (a pending one has no directory) and the
+    // merged store hold a journal of the campaign's sweep.
+    std::vector<std::string> stores;
+    for (std::size_t shard = 0; shard < manifest.shardCount; ++shard)
+        stores.push_back(dir + "/" + campaign::shardDirName(shard));
+    stores.push_back(dir + "/merged");
+    for (const auto &storeDir : stores) {
+        if (!fs::is_directory(storeDir))
             continue;
-        report.merge(lintStoreDir(shardDir));
-        std::string claimed = journalFingerprint(shardDir);
-        if (!claimed.empty() && claimed != manifest.fingerprint) {
-            report.add(shardDir + "/checkpoint.jsonl", "fingerprint",
-                       "journal fingerprint " + claimed +
-                           " does not match the campaign fingerprint " +
-                           manifest.fingerprint);
-        }
-    }
-
-    std::string merged = dir + "/merged";
-    if (fs::is_directory(merged)) {
-        report.merge(lintStoreDir(merged));
-        std::string claimed = journalFingerprint(merged);
-        if (!claimed.empty() && claimed != manifest.fingerprint) {
-            report.add(merged + "/checkpoint.jsonl", "fingerprint",
-                       "merged fingerprint " + claimed +
+        report.merge(lintStoreDir(storeDir));
+        // A header that is not ok, or has no fingerprint, is reported
+        // by lintStoreDir.
+        store::CheckpointHeader header = store::readCheckpointHeader(storeDir);
+        if (header.headerOk && !header.fingerprint.empty() &&
+            header.fingerprint != manifest.fingerprint) {
+            report.add(storeDir + "/checkpoint.jsonl", "fingerprint",
+                       "journal fingerprint " + header.fingerprint +
                            " does not match the campaign fingerprint " +
                            manifest.fingerprint);
         }
