@@ -429,7 +429,8 @@ TEST_F(CampaignLintTest, EditedConfigSnapshotIsDiagnosed)
     edited.replace(edited.find("[2, 4, 8]"), 9, "[2, 4, 8, 64]");
     write("config.json", edited);
     LintReport report = lintCampaignDir(dir_.string());
-    ASSERT_NO_FATAL_FAILURE(expectOneDiagnostic(report, config, "fingerprint"));
+    ASSERT_NO_FATAL_FAILURE(
+        expectOneDiagnostic(report, config, "fingerprint"));
     EXPECT_NE(report.diagnostics[0].message.find("now fingerprints to"),
               std::string::npos)
         << report.diagnostics[0].message;

@@ -396,10 +396,10 @@ TEST_F(ResultStoreTest, HeaderMembersAreKnownAndOnce)
     const std::string journal = config.outDir + "/checkpoint.jsonl";
     const std::string golden = readFile(config.outDir + "/results.json");
     const auto lines = readLines(journal);
-    for (const char *member : {",\"note\":1}", ",\"slots\":8}"}) {
-        SCOPED_TRACE(member);
+    for (const char *tail : {",\"note\":1}", ",\"slots\":8}"}) {
+        SCOPED_TRACE(tail);
         auto edited = lines;
-        edited[0].replace(edited[0].size() - 1, 1, member);
+        edited[0].replace(edited[0].size() - 1, 1, tail);
         writeLines(journal, edited);
         EXPECT_FALSE(store::scanCheckpoint(config.outDir).headerOk);
 

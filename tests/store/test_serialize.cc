@@ -203,16 +203,19 @@ TEST(StoreSerialize, StoredDocumentsKeepTheirBytes)
               "}\n");
 
     const std::string array =
-        R"json({"cell":{"name":"STT-Opt","tech":"STT","flavor":"Optimistic",)json"
+        R"json({"cell":{"name":"STT-Opt","tech":"STT",)json"
+        R"json("flavor":"Optimistic",)json"
         R"json("sense_mode":"Current","bits_per_cell":1,"area_f2":14,)json"
         R"json("aspect_ratio":1,"read_voltage":0.1,"write_voltage":0.8,)json"
-        R"json("resistance_on":2500,"resistance_off":6000,"set_pulse":2e-09,)json"
+        R"json("resistance_on":2500,"resistance_off":6000,)json"
+        R"json("set_pulse":2e-09,)json"
         R"json("reset_pulse":2e-09,"set_current":4.9999999999999996e-05,)json"
         R"json("reset_current":4.9999999999999996e-05,)json"
         R"json("read_energy_per_bit":1e-15,"endurance":1e+15,)json"
         R"json("retention":1e+08,"non_volatile":true,"cell_leakage":0,)json"
         R"json("min_node_nm":22,"mlc_capable":true},"node_nm":22,)json"
-        R"json("capacity_bytes":2097152,"word_bits":512,"org":{"banks":16,)json"
+        R"json("capacity_bytes":2097152,"word_bits":512,)json"
+        R"json("org":{"banks":16,)json"
         R"json("subarrays_per_bank":2,"rows":256,"cols":2048,)json"
         R"json("sensed_bits":512},"read_latency":1.023111710351807e-09,)json"
         R"json("write_latency":2.4740364828717696e-09,)json"
@@ -227,15 +230,18 @@ TEST(StoreSerialize, StoredDocumentsKeepTheirBytes)
     std::string header, first;
     ASSERT_TRUE(std::getline(journal, header) && std::getline(journal, first));
     EXPECT_EQ(header,
-              R"json({"format":2,"fingerprint":"90467609970c072e","slots":16})json");
+              R"json({"format":2,"fingerprint":"90467609970c072e",)json"
+              R"json("slots":16})json");
     EXPECT_EQ(first,
               R"json({"slot":0,"result":{"array":)json" + array +
-                  R"json(,"traffic":{"name":"light","reads_per_sec":15625000,)json"
+                  R"json(,"traffic":{"name":"light",)json"
+                  R"json("reads_per_sec":15625000,)json"
                   R"json("writes_per_sec":15625,"exec_time":1},)json"
                   R"json("dynamic_power":0.0004681706241430523,)json"
                   R"json("leakage_power":0.00044049681189273606,)json"
                   R"json("total_power":0.0009086674360357884,)json"
-                  R"json("latency_load":0.0010015485808932407,"slowdown":1,)json"
+                  R"json("latency_load":0.0010015485808932407,)json"
+                  R"json("slowdown":1,)json"
                   R"json("total_access_latency":0.016024777294291852,)json"
                   R"json("meets_read_bandwidth":true,)json"
                   R"json("meets_write_bandwidth":true,"reliability":{)json"
@@ -244,7 +250,8 @@ TEST(StoreSerialize, StoredDocumentsKeepTheirBytes)
                   R"json("scrubbed_ber":9.588709444976104e-07,)json"
                   R"json("uncorrectable_word_rate":6.136588690666678e-05,)json"
                   R"json("uncorrectable_image_rate":0.999999896861456,)json"
-                  R"json("ecc_overhead":1},"lifetime_sec":2.097152e+15}})json");
+                  R"json("ecc_overhead":1},)json"
+                  R"json("lifetime_sec":2.097152e+15}})json");
 
     store::ResultStore arrays(base + "/array");
     arrays.storeArray("pinned-array", results[0].array);
