@@ -1,10 +1,14 @@
 #include "core/config.hh"
 
 #include <cmath>
+#include <map>
+#include <optional>
 
 #include "celldb/tentpole.hh"
 #include "core/dashboard.hh"
 #include "metrics/metric.hh"
+#include "reliability/reliability.hh"
+#include "store/serialize.hh"
 #include "util/logging.hh"
 #include "workload/workload.hh"
 
@@ -46,175 +50,425 @@ resolveCellReference(const std::string &reference)
 
 namespace {
 
-MemCell
-customCellFromJson(const JsonValue &spec)
+using store::Field;
+using store::Member;
+using store::option;
+using store::readOnly;
+
+/** A custom cell as its members decode: a catalog cell ("base", a
+ *  reference, or "tech", that technology's optimistic cell) and the
+ *  parameters it overrides. */
+struct CustomCell
 {
-    CellCatalog catalog;
-    MemCell cell;
-    if (spec.has("base")) {
-        cell = resolveCellReference(spec.at("base").asString());
-    } else {
-        cell = catalog.optimistic(
-            techFromName(spec.at("tech").asString()));
+    std::optional<MemCell> base;
+    std::optional<std::string> name;
+    std::optional<double> areaF2, writePulseNs, writeCurrentUa,
+        writeVoltage, readVoltage, endurance, retentionSec;
+};
+
+/** A technology's optimistic catalog cell. */
+MemCell
+techCell(const std::string &tech)
+{
+    return CellCatalog().optimistic(techFromName(tech));
+}
+
+/** The catalog cell that member `m` ("base" or "tech") names. */
+template <MemCell (*resolve)(const std::string &)>
+void
+readBaseCell(Member &m, CustomCell &c)
+{
+    std::string text;
+    m.read(text);
+    m.check([&] { c.base = resolve(text); });
+}
+
+constexpr Field<CustomCell> kCustomCellFields[] = {
+    readOnly<CustomCell>("base", readBaseCell<resolveCellReference>),
+    readOnly<CustomCell>("tech", readBaseCell<techCell>),
+    option<&CustomCell::name>("name"),
+    option<&CustomCell::areaF2>("area_f2"),
+    option<&CustomCell::writePulseNs>("write_pulse_ns"),
+    option<&CustomCell::writeCurrentUa>("write_current_ua"),
+    option<&CustomCell::writeVoltage>("write_voltage"),
+    option<&CustomCell::readVoltage>("read_voltage"),
+    option<&CustomCell::endurance>("endurance"),
+    option<&CustomCell::retentionSec>("retention_sec"),
+};
+
+MemCell
+readCustomCell(Member &m)
+{
+    CustomCell spec;
+    auto seen = m.read(kCustomCellFields, spec);
+    if (seen[0] && seen[1]) {
+        m.reader().reject("\"base\" and \"tech\" exclude each other: a "
+                          "custom cell starts from one catalog cell");
     }
+    if (!spec.base)
+        m.reader().reject("a custom cell needs \"base\" or \"tech\"");
+    MemCell cell = *spec.base;
     cell.flavor = CellFlavor::Custom;
-    cell.name = spec.stringOr("name", cell.name + "-custom");
-    cell.areaF2 = spec.numberOr("area_f2", cell.areaF2);
-    if (spec.has("write_pulse_ns")) {
-        double pulse = spec.at("write_pulse_ns").asNumber() * 1e-9;
-        cell.setPulse = pulse;
-        cell.resetPulse = pulse;
-    }
-    if (spec.has("write_current_ua")) {
-        double current = spec.at("write_current_ua").asNumber() * 1e-6;
-        cell.setCurrent = current;
-        cell.resetCurrent = current;
-    }
-    cell.writeVoltage = spec.numberOr("write_voltage", cell.writeVoltage);
-    cell.readVoltage = spec.numberOr("read_voltage", cell.readVoltage);
-    cell.endurance = spec.numberOr("endurance", cell.endurance);
-    cell.retention = spec.numberOr("retention_sec", cell.retention);
-    cell.validate();
+    cell.name = spec.name.value_or(cell.name + "-custom");
+    cell.areaF2 = spec.areaF2.value_or(cell.areaF2);
+    if (spec.writePulseNs)
+        cell.setPulse = cell.resetPulse = *spec.writePulseNs * 1e-9;
+    if (spec.writeCurrentUa)
+        cell.setCurrent = cell.resetCurrent = *spec.writeCurrentUa * 1e-6;
+    cell.writeVoltage = spec.writeVoltage.value_or(cell.writeVoltage);
+    cell.readVoltage = spec.readVoltage.value_or(cell.readVoltage);
+    cell.endurance = spec.endurance.value_or(cell.endurance);
+    cell.retention = spec.retentionSec.value_or(cell.retention);
+    std::string message = store::fatalMessage([&] { cell.validate(); });
+    if (!message.empty())
+        m.reader().reject(message);
     return cell;
 }
 
-/** A run setting that a config once carried and the flag that now
- *  does: a config still naming one is refused, not run on other
- *  settings than it asks for. */
-struct RunSettingKey
+/** A "traffic" entry as it decodes: access rates in bytes or in
+ *  counts, or a generic grid. Patterns are built from it once the
+ *  config's word width is known. */
+struct TrafficEntry
 {
-    const char *key;
-    const char *flag;
+    bool grid = false;
+    bool rates = false; ///< byte rates, not access counts
+    std::string name = "traffic";
+    double readBytesPerSec = 0.0, writeBytesPerSec = 0.0;
+    double reads = 0.0, writes = 0.0, execTime = 1.0;
+    double readLo = 0.0, readHi = 0.0, writeLo = 0.0, writeHi = 0.0;
+    int steps = 3;
 };
 
-constexpr RunSettingKey kRunSettingKeys[] = {
-    {"jobs", "--jobs"},
-    {"out_dir", "--out"},
-    {"resume", "--resume"},
-    {"campaign", "`campaign plan --shards N`"},
+constexpr Field<TrafficEntry> kTrafficFields[] = {
+    option<&TrafficEntry::name>("name"),
+    option<&TrafficEntry::readBytesPerSec>("read_bytes_per_sec"),
+    option<&TrafficEntry::writeBytesPerSec>("write_bytes_per_sec"),
+    option<&TrafficEntry::reads>("reads"),
+    option<&TrafficEntry::writes>("writes"),
+    option<&TrafficEntry::execTime>("exec_time"),
 };
 
-/**
- * The integer value of an optional key: `fallback` when `doc` lacks
- * it, else a whole number in [lo, hi] or a fatal naming the config
- * (`context`), key, and value (wholeNumberKey).
- */
-int
-integerKey(const JsonValue &doc, const std::string &key, int fallback,
-           int lo, int hi, const std::string &context)
+void
+readGridKind(Member &m, TrafficEntry &)
 {
-    if (!doc.has(key))
-        return fallback;
-    return (int)wholeNumberKey(doc, key, lo, hi, context);
+    std::string kind;
+    m.read(kind);
+    if (kind != "generic_grid")
+        m.reject("must be \"generic_grid\", got \"" + kind + "\"");
 }
 
-OptTarget
-targetFromName(const std::string &name)
-{
-    for (OptTarget target : allOptTargets())
-        if (optTargetName(target) == name)
-            return target;
-    fatal("unknown optimization target '", name, "'");
-}
+constexpr Field<TrafficEntry> kGridFields[] = {
+    readOnly<TrafficEntry>("kind", readGridKind, /*required=*/true),
+    store::field<&TrafficEntry::readLo>("read_lo"),
+    store::field<&TrafficEntry::readHi>("read_hi"),
+    store::field<&TrafficEntry::writeLo>("write_lo"),
+    store::field<&TrafficEntry::writeHi>("write_hi"),
+    // steps^2 patterns: the largest shipped grid uses 3.
+    readOnly<TrafficEntry>("steps", [](Member &m, TrafficEntry &t) {
+        m.read(t.steps, 2, 1000);
+    }),
+};
 
-TrafficPattern
-trafficFromJson(const JsonValue &spec, int wordBits)
+/** An entry that names a "kind" is a grid; any other is one pattern,
+ *  given by byte rates or by access counts. */
+TrafficEntry
+readTrafficEntry(Member &m)
 {
-    std::string name = spec.stringOr("name", "traffic");
-    if (spec.has("read_bytes_per_sec") ||
-        spec.has("write_bytes_per_sec")) {
-        return TrafficPattern::fromByteRates(
-            name, spec.numberOr("read_bytes_per_sec", 0.0),
-            spec.numberOr("write_bytes_per_sec", 0.0), wordBits,
-            spec.numberOr("exec_time", 1.0));
+    TrafficEntry entry;
+    if (m.kind() != JsonValue::Kind::Object)
+        m.reject("must be an object");
+    JsonReader probe = m.reader();
+    std::string_view key;
+    probe.beginObject();
+    while (probe.nextMember(key) && key != "kind")
+        probe.skip();
+    entry.grid = key == "kind";
+    if (entry.grid) {
+        m.read(kGridFields, entry);
+        return entry;
     }
-    if (spec.has("reads") || spec.has("writes")) {
-        return TrafficPattern::fromCounts(
-            name, spec.numberOr("reads", 0.0),
-            spec.numberOr("writes", 0.0),
-            spec.numberOr("exec_time", 1.0));
+    auto seen = m.read(kTrafficFields, entry);
+    entry.rates = seen[1] || seen[2];
+    bool counts = seen[3] || seen[4];
+    if (entry.rates && counts) {
+        m.reader().reject("byte rates (\"read_bytes_per_sec\", "
+                          "\"write_bytes_per_sec\") and access counts "
+                          "(\"reads\", \"writes\") exclude each other");
     }
-    fatal("traffic entry '", name,
-          "' needs byte rates or access counts");
+    if (!entry.rates && !counts) {
+        m.reader().reject("traffic entry '" + entry.name +
+                          "' needs byte rates or access counts");
+    }
+    return entry;
+}
+
+/** A config as its members decode, before the members that depend on
+ *  each other are joined (finish()). */
+struct ConfigDoc
+{
+    ExperimentConfig config;
+    std::vector<TrafficEntry> traffic;
+    std::vector<std::string> schemes;
+    std::vector<double> scrubs;
+};
+
+/** An ECC scheme the reliability model knows. */
+void
+readScheme(Member &m, ConfigDoc &d)
+{
+    std::string &scheme = d.schemes.emplace_back();
+    m.read(scheme);
+    m.check([&] { reliability::requireEccScheme(scheme, ""); });
 }
 
 /**
- * Parse the "reliability"/"ecc" block into the sweep's reliability
- * axis. Accepted forms:
+ * The "reliability"/"ecc" block: the sweep's reliability axis.
  *
  *   "ecc": "secded-72-64"                       one scheme, no scrub
  *   "reliability": {"ecc": "none", ...}         one spec
  *   "reliability": {"ecc": ["none", "secded-72-64"],
  *                   "scrub_interval_sec": [0, 86400]}
  *
- * Array-valued keys sweep like cells/capacities: the axis is the
- * cross product of schemes x scrub intervals, scheme-major. Scheme
- * names and scrub intervals are validated here, so a typo fails
- * before any simulation runs.
+ * A list sweeps like cells/capacities: the axis is the cross product
+ * of schemes x scrub intervals, scheme-major.
  */
-std::vector<reliability::ReliabilitySpec>
-reliabilityFromJson(const JsonValue &block, const std::string &context)
+constexpr Field<ConfigDoc> kReliabilityFields[] = {
+    readOnly<ConfigDoc>("ecc",
+                        [](Member &m, ConfigDoc &d) {
+                            m.oneOrMore([&] { readScheme(m, d); });
+                        }),
+    readOnly<ConfigDoc>("scrub_interval_sec", [](Member &m, ConfigDoc &d) {
+        m.oneOrMore([&] {
+            double &scrub = d.scrubs.emplace_back();
+            m.read(scrub);
+            m.check([&] {
+                reliability::ReliabilitySpec spec;
+                spec.scrubIntervalSec = scrub;
+                reliability::ReliabilityEvaluator(spec, "");
+            });
+        });
+    }),
+};
+
+void
+readReliability(Member &m, ConfigDoc &d)
 {
-    std::vector<std::string> schemes;
-    std::vector<double> scrubs;
-
-    if (block.isString()) {
-        schemes.push_back(block.asString());
-    } else if (block.isObject()) {
-        for (const auto &key : block.memberNames()) {
-            if (key != "ecc" && key != "scrub_interval_sec") {
-                fatal(context, ": reliability block has unknown key '",
-                      key, "' (expected \"ecc\" and/or "
-                      "\"scrub_interval_sec\")");
-            }
-        }
-        if (block.has("ecc")) {
-            const JsonValue &ecc = block.at("ecc");
-            if (ecc.isArray()) {
-                for (const auto &entry : ecc.asArray())
-                    schemes.push_back(entry.asString());
-                if (schemes.empty())
-                    fatal(context, ": reliability \"ecc\" list is "
-                          "empty");
-            } else {
-                schemes.push_back(ecc.asString());
-            }
-        }
-        if (block.has("scrub_interval_sec")) {
-            const JsonValue &scrub = block.at("scrub_interval_sec");
-            if (scrub.isArray()) {
-                for (const auto &entry : scrub.asArray())
-                    scrubs.push_back(entry.asNumber());
-                if (scrubs.empty())
-                    fatal(context, ": reliability "
-                          "\"scrub_interval_sec\" list is empty");
-            } else {
-                scrubs.push_back(scrub.asNumber());
-            }
-        }
-    } else {
-        fatal(context, ": \"reliability\"/\"ecc\" must be a scheme "
-              "name or an object with \"ecc\"/\"scrub_interval_sec\"");
+    // Either promotes reliability columns into the dashboard.
+    if (d.config.showReliability) {
+        m.reader().reject("give either \"reliability\" or the \"ecc\" "
+                          "shorthand, not both");
     }
+    d.config.showReliability = true;
+    if (m.kind() == JsonValue::Kind::String)
+        readScheme(m, d);
+    else if (m.kind() == JsonValue::Kind::Object)
+        m.read(kReliabilityFields, d);
+    else
+        m.reject("must be a scheme name or an object with \"ecc\"/"
+                 "\"scrub_interval_sec\"");
+}
 
-    if (schemes.empty())
-        schemes.push_back("none");
-    if (scrubs.empty())
-        scrubs.push_back(0.0);
+/** A workload spec, validated (workload::WorkloadSpec::read) and kept
+ *  as its text for the sweep engine to expand. */
+void
+readWorkload(Member &m, ConfigDoc &d)
+{
+    JsonReader spec = m.reader();
+    d.config.sweep.workloads.push_back(m.reader().value());
+    workload::WorkloadSpec::read(spec);
+}
 
-    std::vector<reliability::ReliabilitySpec> specs;
-    specs.reserve(schemes.size() * scrubs.size());
-    for (const auto &scheme : schemes) {
-        for (double scrub : scrubs) {
-            reliability::ReliabilitySpec spec;
-            spec.ecc = scheme;
-            spec.scrubIntervalSec = scrub;
-            // Constructing the evaluator validates scheme + interval.
-            reliability::ReliabilityEvaluator(spec, context);
-            specs.push_back(std::move(spec));
+/** A run setting that a config once carried: refused naming the flag
+ *  that now carries it, so a file never loads to other settings than
+ *  it asks for. */
+void
+refuseRunSetting(Member &m, ConfigDoc &)
+{
+    static const std::map<std::string_view, const char *> flags = {
+        {"jobs", "--jobs"},
+        {"out_dir", "--out"},
+        {"resume", "--resume"},
+        {"campaign", "`campaign plan --shards N`"},
+    };
+    m.reject(std::string("is a run setting, not part of the design "
+                         "space; pass ") +
+             flags.at(m.key()) + " on the command line instead");
+}
+
+/** The field of a run setting: refused, and hidden from the known
+ *  members. */
+constexpr Field<ConfigDoc>
+runSetting(std::string_view key)
+{
+    return {key, nullptr, refuseRunSetting, nullptr, true, true};
+}
+
+/** Cells: names, "study-set", or inline custom definitions. */
+void
+readCells(Member &m, ConfigDoc &d)
+{
+    auto &cells = d.config.sweep.cells;
+    m.each([&] {
+        if (m.kind() == JsonValue::Kind::Object) {
+            cells.push_back(readCustomCell(m));
+            return;
+        }
+        if (m.kind() != JsonValue::Kind::String)
+            m.reject("must be a cell reference or a custom cell object");
+        std::string reference;
+        m.read(reference);
+        if (reference == "study-set") {
+            auto all = CellCatalog().studyCells();
+            cells.insert(cells.end(), all.begin(), all.end());
+            return;
+        }
+        m.check([&] { cells.push_back(resolveCellReference(reference)); });
+    });
+    if (cells.empty())
+        m.reject("lists no cells");
+}
+
+/** Capacities in MiB, each one the array designer can build. */
+void
+readCapacities(Member &m, ConfigDoc &d)
+{
+    auto &capacities = d.config.sweep.capacitiesBytes;
+    capacities.clear();
+    m.each([&] {
+        double mib = 0.0;
+        m.read(mib);
+        double bytes = mib * 1024.0 * 1024.0;
+        if (!std::isfinite(bytes) ||
+            bytes < ArrayConfig::kMinCapacityBytes) {
+            m.reject("must be finite and at least 1 KiB (0.0009765625), "
+                     "got " +
+                     JsonValue::formatNumber(mib));
+        }
+        capacities.push_back(bytes);
+    });
+}
+
+void
+refineMember(Member &m, ConfigDoc &d)
+{
+    store::readRefineMember(m, d.config.query);
+}
+
+constexpr Field<ConfigDoc> kConfigFields[] = {
+    option<&ConfigDoc::config, &ExperimentConfig::name>("experiment"),
+    readOnly<ConfigDoc>("cells", readCells, /*required=*/true),
+    readOnly<ConfigDoc>("capacities_mib", readCapacities,
+                        /*required=*/true),
+    // Word width within ArrayDesigner's range; nodes within
+    // techNodeFor's table.
+    readOnly<ConfigDoc>("word_bits",
+                        [](Member &m, ConfigDoc &d) {
+                            m.read(d.config.sweep.wordBits, 8, 4096);
+                        }),
+    readOnly<ConfigDoc>("node_nm",
+                        [](Member &m, ConfigDoc &d) {
+                            m.read(d.config.sweep.nodeNm, 7, 130);
+                        }),
+    readOnly<ConfigDoc>("sram_node_nm",
+                        [](Member &m, ConfigDoc &d) {
+                            m.read(d.config.sweep.sramNodeNm, 7, 130);
+                        }),
+    readOnly<ConfigDoc>("targets",
+                        [](Member &m, ConfigDoc &d) {
+                            auto &targets = d.config.sweep.targets;
+                            targets.clear();
+                            m.each([&] {
+                                m.readName(targets.emplace_back(),
+                                           (int)allOptTargets().size(),
+                                           optTargetName);
+                            });
+                        }),
+    // Traffic: explicit patterns and/or generic grids. Optional when
+    // the config names registry workloads instead.
+    readOnly<ConfigDoc>("traffic",
+                        [](Member &m, ConfigDoc &d) {
+                            m.each([&] {
+                                d.traffic.push_back(readTrafficEntry(m));
+                            });
+                        }),
+    // Workloads: registry-dispatched traffic sources, validated here
+    // (unknown names and bad parameters fail before any simulation)
+    // but expanded by the sweep engine.
+    readOnly<ConfigDoc>("workloads",
+                        [](Member &m, ConfigDoc &d) {
+                            m.each([&] { readWorkload(m, d); });
+                        }),
+    readOnly<ConfigDoc>("workload", readWorkload),
+    readOnly<ConfigDoc>("reliability", readReliability),
+    readOnly<ConfigDoc>("ecc", readReliability),
+    // Refine pipeline: read exactly as a store's query.json reads it.
+    readOnly<ConfigDoc>("constraints", refineMember),
+    readOnly<ConfigDoc>("pareto", refineMember),
+    readOnly<ConfigDoc>("top_k", refineMember),
+    option<&ConfigDoc::config, &ExperimentConfig::outputCsv>("output_csv"),
+    runSetting("jobs"),
+    runSetting("out_dir"),
+    runSetting("resume"),
+    runSetting("campaign"),
+};
+
+/** Join the members that depend on each other: traffic patterns need
+ *  the word width, and the reliability axis is one block. */
+void
+finish(JsonReader &r, ConfigDoc &d)
+{
+    SweepConfig &sweep = d.config.sweep;
+    std::string message = store::fatalMessage([&] {
+        for (const TrafficEntry &t : d.traffic) {
+            if (t.grid) {
+                auto grid = genericTrafficGrid(t.readLo, t.readHi,
+                                               t.writeLo, t.writeHi,
+                                               t.steps, sweep.wordBits);
+                sweep.traffics.insert(sweep.traffics.end(), grid.begin(),
+                                      grid.end());
+            } else if (t.rates) {
+                sweep.traffics.push_back(TrafficPattern::fromByteRates(
+                    t.name, t.readBytesPerSec, t.writeBytesPerSec,
+                    sweep.wordBits, t.execTime));
+            } else {
+                sweep.traffics.push_back(TrafficPattern::fromCounts(
+                    t.name, t.reads, t.writes, t.execTime));
+            }
+        }
+    });
+    if (!message.empty())
+        r.reject(message);
+    if (sweep.traffics.empty() && sweep.workloads.empty())
+        r.reject("needs \"traffic\" patterns or \"workloads\"");
+
+    if (d.config.showReliability) {
+        if (d.schemes.empty())
+            d.schemes.push_back("none");
+        if (d.scrubs.empty())
+            d.scrubs.push_back(0.0);
+        for (const auto &scheme : d.schemes) {
+            for (double scrub : d.scrubs) {
+                reliability::ReliabilitySpec spec;
+                spec.ecc = scheme;
+                spec.scrubIntervalSec = scrub;
+                sweep.reliability.push_back(std::move(spec));
+            }
         }
     }
-    return specs;
+}
+
+/** The config document at the reader, whole. */
+ExperimentConfig
+readConfig(JsonReader &r)
+{
+    if (r.peek() != JsonValue::Kind::Object)
+        r.reject("a config must be a JSON object");
+    ConfigDoc d;
+    d.config.sweep.targets = {OptTarget::ReadEDP};
+    store::readFields(r, kConfigFields, d);
+    finish(r, d);
+    r.end();
+    return std::move(d.config);
 }
 
 } // namespace
@@ -222,172 +476,40 @@ reliabilityFromJson(const JsonValue &block, const std::string &context)
 const std::set<std::string> &
 knownConfigKeys()
 {
-    static const std::set<std::string> keys = {
-        "experiment",  "cells",       "capacities_mib",
-        "word_bits",   "node_nm",     "sram_node_nm",
-        "targets",     "traffic",     "workloads",
-        "workload",    "reliability", "ecc",
-        "constraints", "pareto",      "top_k",
-        "output_csv",
-    };
+    static const std::set<std::string> keys = [] {
+        std::set<std::string> out;
+        for (const auto &f : kConfigFields)
+            if (!f.hidden)
+                out.emplace(f.key);
+        return out;
+    }();
     return keys;
 }
 
-std::string
-unknownKeyMessage(const std::string &key)
+void
+checkConfigMember(JsonReader &r, std::string_view key)
 {
-    for (const RunSettingKey &setting : kRunSettingKeys) {
-        if (key == setting.key) {
-            return "key '" + key + "' is a run setting, not part of " +
-                "the design space; pass " + setting.flag +
-                " on the command line instead";
-        }
-    }
-    std::string known;
-    for (const auto &name : knownConfigKeys())
-        known += " " + name;
-    return "unknown key '" + key + "' (known keys:" + known + ")";
+    ConfigDoc scratch;
+    const auto &f = kConfigFields[store::fieldIndex(r, kConfigFields, key)];
+    Member member(r, f.key);
+    f.read(member, scratch);
 }
 
 ExperimentConfig
 loadExperiment(const JsonValue &doc)
 {
-    ExperimentConfig config;
-    config.name = doc.stringOr("experiment", "experiment");
-    const std::string context = "config '" + config.name + "'";
-
-    for (const auto &key : doc.memberNames()) {
-        if (!knownConfigKeys().count(key))
-            fatal(context, ": ", unknownKeyMessage(key));
-    }
-
-    // Cells: names, "study-set", or inline custom definitions.
-    CellCatalog catalog;
-    for (const auto &entry : doc.at("cells").asArray()) {
-        if (entry.isString()) {
-            if (entry.asString() == "study-set") {
-                auto all = catalog.studyCells();
-                config.sweep.cells.insert(config.sweep.cells.end(),
-                                          all.begin(), all.end());
-            } else {
-                config.sweep.cells.push_back(
-                    resolveCellReference(entry.asString()));
-            }
-        } else {
-            config.sweep.cells.push_back(customCellFromJson(entry));
-        }
-    }
-    if (config.sweep.cells.empty())
-        fatal(context, ": no cells");
-
-    // Capacities, word width, nodes.
-    config.sweep.capacitiesBytes.clear();
-    for (const auto &mib : doc.at("capacities_mib").asArray()) {
-        double bytes = mib.asNumber() * 1024.0 * 1024.0;
-        if (!std::isfinite(bytes) ||
-            bytes < ArrayConfig::kMinCapacityBytes) {
-            fatal(context, ": \"capacities_mib\" entries must be finite "
-                  "and at least 1 KiB (0.0009765625), got ",
-                  mib.dump(-1));
-        }
-        config.sweep.capacitiesBytes.push_back(bytes);
-    }
-    // Word width within ArrayDesigner's range; nodes within
-    // techNodeFor's table.
-    config.sweep.wordBits =
-        integerKey(doc, "word_bits", 512, 8, 4096, context);
-    config.sweep.nodeNm = integerKey(doc, "node_nm", 22, 7, 130, context);
-    config.sweep.sramNodeNm =
-        integerKey(doc, "sram_node_nm", 16, 7, 130, context);
-
-    // Optimization targets (default ReadEDP).
-    config.sweep.targets.clear();
-    if (doc.has("targets")) {
-        for (const auto &t : doc.at("targets").asArray())
-            config.sweep.targets.push_back(
-                targetFromName(t.asString()));
-    } else {
-        config.sweep.targets.push_back(OptTarget::ReadEDP);
-    }
-
-    // Traffic: explicit patterns and/or a generic grid. Optional when
-    // the config names registry workloads instead.
-    if (doc.has("traffic")) {
-        for (const auto &spec : doc.at("traffic").asArray()) {
-            if (spec.isObject() && spec.stringOr("kind", "") ==
-                    "generic_grid") {
-                // steps^2 patterns: the largest shipped grid uses 3.
-                auto grid = genericTrafficGrid(
-                    spec.at("read_lo").asNumber(),
-                    spec.at("read_hi").asNumber(),
-                    spec.at("write_lo").asNumber(),
-                    spec.at("write_hi").asNumber(),
-                    integerKey(spec, "steps", 3, 2, 1000, context),
-                    config.sweep.wordBits);
-                config.sweep.traffics.insert(
-                    config.sweep.traffics.end(), grid.begin(),
-                    grid.end());
-            } else {
-                config.sweep.traffics.push_back(
-                    trafficFromJson(spec, config.sweep.wordBits));
-            }
-        }
-    }
-
-    // Workloads: registry-dispatched traffic sources. Specs are
-    // validated here (unknown names and bad parameters fail before
-    // any simulation) but expanded by the sweep engine.
-    if (doc.has("workloads")) {
-        for (const auto &spec : doc.at("workloads").asArray()) {
-            workload::validateWorkloadJson(spec);
-            config.sweep.workloads.push_back(spec);
-        }
-    }
-    if (doc.has("workload")) {
-        const JsonValue &spec = doc.at("workload");
-        workload::validateWorkloadJson(spec);
-        config.sweep.workloads.push_back(spec);
-    }
-    if (config.sweep.traffics.empty() && config.sweep.workloads.empty())
-        fatal(context, ": needs \"traffic\" patterns or \"workloads\"");
-
-    // Reliability axis: a "reliability" object or an "ecc" shorthand
-    // (one scheme name, or the same object shape). Either promotes
-    // reliability columns into the dashboard table.
-    if (doc.has("reliability") && doc.has("ecc")) {
-        fatal(context, ": give either \"reliability\" or the \"ecc\" "
-              "shorthand, not both");
-    }
-    if (doc.has("reliability") || doc.has("ecc")) {
-        config.sweep.reliability = reliabilityFromJson(
-            doc.at(doc.has("reliability") ? "reliability" : "ecc"),
-            context);
-        config.showReliability = true;
-    }
-
-    // Refine pipeline: the "constraints" clause array, "pareto", and
-    // "top_k", read exactly as a store's query.json reads them. Metric
-    // names validate here, so a bad filter fails before any
-    // simulation runs.
-    config.query = store::StoreQuery::fromRefineKeys(doc, context);
-
-    config.outputCsv = doc.stringOr("output_csv", "");
-    return config;
+    JsonReader reader(doc.text());
+    return readConfig(reader);
 }
 
 ExperimentConfig
 loadExperimentFile(const std::string &path)
 {
-    // The parser names the file and the line and column. Past it, a
-    // rejection names the experiment or only a member ("JSON: expected
-    // a string"), so it is raised again naming the file.
-    JsonValue doc = JsonValue::parseFile(path);
-    try {
-        ScopedFatalThrows guard;
-        return loadExperiment(doc);
-    } catch (const FatalError &error) {
-        fatal("'", path, "': ", error.what());
-    }
+    std::string text;
+    if (!readFile(path, text))
+        fatal("cannot open config file '", path, "'");
+    JsonReader reader(text, path);
+    return readConfig(reader);
 }
 
 Table

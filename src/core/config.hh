@@ -20,6 +20,7 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/sweep.hh"
@@ -58,24 +59,30 @@ struct ExperimentConfig
  */
 MemCell resolveCellReference(const std::string &reference);
 
-/** The top-level keys a config may hold, sorted: loadExperiment
- *  refuses any other (a typo'd "tagets" must not run the default
- *  sweep), and nvmexplorer_lint reports it. */
+/** The top-level keys a config may hold, sorted, as the config's
+ *  field table declares them: loadExperiment refuses any other (a
+ *  typo'd "tagets" must not run the default sweep), naming the known
+ *  ones. The run settings "jobs", "out_dir", "resume", and "campaign"
+ *  are refused by name too, naming the flag that carries each (--jobs,
+ *  --out, --resume, and `campaign plan --shards N`). */
 const std::set<std::string> &knownConfigKeys();
 
-/** Why a config may not carry the top-level `key`, one that is not
- *  in knownConfigKeys(): the run settings "jobs", "out_dir",
- *  "resume", and "campaign" name the flag that carries each (--jobs,
- *  --out, --resume, and `campaign plan --shards N`); any other key
- *  gets the list of known keys. loadExperiment's fatal and
- *  nvmexplorer_lint's diagnostic both give this message. */
-std::string unknownKeyMessage(const std::string &key);
+/** Decode the value at `r` as the top-level member `key` on its own,
+ *  through its field in the config table, refusing it exactly as
+ *  loadExperiment would. nvmexplorer_lint checks each member so, and
+ *  the members that depend on each other by the full load. */
+void checkConfigMember(JsonReader &r, std::string_view key);
 
-/** Build an ExperimentConfig from a parsed JSON document; fatal()
- *  naming the config on an unknown top-level key or a bad value. */
+/**
+ * Build an ExperimentConfig from a config document, decoded through
+ * the config's field tables: every member, at every depth, is declared,
+ * so a misspelled one is refused by name, as is a wrong kind, a bad
+ * value, and members that exclude each other. Each refusal is fatal,
+ * naming the line, column and member path.
+ */
 ExperimentConfig loadExperiment(const JsonValue &doc);
 
-/** Parse + load a config file; every rejection names `path`. */
+/** loadExperiment over a config file; every refusal names `path`. */
 ExperimentConfig loadExperimentFile(const std::string &path);
 
 /**

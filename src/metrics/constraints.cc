@@ -118,43 +118,6 @@ ConstraintClause::parse(const std::string &input,
     return out;
 }
 
-JsonValue
-ConstraintClause::toJson() const
-{
-    JsonValue v = JsonValue::makeObject();
-    v.set("metric", JsonValue::makeString(metric));
-    v.set("op", JsonValue::makeString(constraintOpName(op)));
-    v.set("bound", JsonValue::makeNumber(bound));
-    return v;
-}
-
-ConstraintClause
-ConstraintClause::fromJson(const JsonValue &doc,
-                           const std::string &context)
-{
-    if (doc.isString())
-        return parse(doc.asString(), context);
-    if (!doc.isObject()) {
-        fatal(withContext(context),
-              " entries must be \"metric<bound\" strings or "
-              "{\"metric\", \"op\", \"bound\"} objects");
-    }
-    ConstraintClause out;
-    out.metric = doc.at("metric").asString();
-    MetricRegistry::instance().require(out.metric, withContext(context));
-    out.op = constraintOpFromName(doc.at("op").asString(), context);
-    if (!doc.at("bound").isNumber()) {
-        fatal(withContext(context), " on '", out.metric,
-              "': \"bound\" must be a number");
-    }
-    out.bound = doc.at("bound").asNumber();
-    if (std::isnan(out.bound)) {
-        fatal(withContext(context), " on '", out.metric,
-              "': \"bound\" must not be NaN");
-    }
-    return out;
-}
-
 void
 ConstraintSet::add(ConstraintClause clause)
 {
@@ -166,36 +129,6 @@ void
 ConstraintSet::add(const std::string &text, const std::string &context)
 {
     add(ConstraintClause::parse(text, context));
-}
-
-JsonValue
-ConstraintSet::toJson() const
-{
-    JsonValue v = JsonValue::makeArray();
-    for (const auto &clause : clauses_)
-        v.append(clause.toJson());
-    return v;
-}
-
-ConstraintSet
-ConstraintSet::fromJson(const JsonValue &doc, const std::string &context)
-{
-    // The fixed-field object form went away because it ignored
-    // unknown keys: {"max_power": 1e-9} filtered nothing. Name the
-    // clauses its defaults stood for, so a migration is one edit.
-    if (!doc.isArray()) {
-        fatal(context.empty() ? std::string() : context + ": ",
-              "\"constraints\" must be an array of clauses, e.g. "
-              "[\"latency_load<=1\", \"meets_read_bw>=1\", "
-              "\"meets_write_bw>=1\"] (the clauses the removed "
-              "fixed-field object implied by default; README "
-              "\"Metrics and filter-and-refine\" maps each of its keys "
-              "to a clause)");
-    }
-    ConstraintSet out;
-    for (const auto &entry : doc.asArray())
-        out.add(ConstraintClause::fromJson(entry, context));
-    return out;
 }
 
 } // namespace metrics

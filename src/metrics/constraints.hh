@@ -12,7 +12,8 @@
  *   C++     ConstraintClause{"total_power", ConstraintOp::LT, 0.5}
  *
  * so the same filter can live in a JSON config, a CLI flag, a store's
- * query.json, or a study driver. A set only holds and serializes its
+ * query.json (whose field table, in store/result_store.cc, reads and
+ * writes the JSON form), or a study driver. A set only holds its
  * clauses, in declared order; rows are selected by the refine engine
  * (store::selectRows), which reads each clause's metric as a column
  * and keeps a row when every clause holds() for its value.
@@ -59,16 +60,13 @@ struct ConstraintClause
     /**
      * Parse "metric<bound" / "metric>=bound" / ... text. The metric
      * must be registered, the operator one of the six forms, and the
-     * bound a finite double — each failure is fatal with `context`
-     * (e.g. "--filter") and the offending input in the message.
+     * bound a number other than NaN (Infinity and -Infinity bound too,
+     * e.g. "lifetime_sec>=Infinity") — each failure is fatal with
+     * `context` (e.g. "--filter") and the offending input in the
+     * message.
      */
     static ConstraintClause parse(const std::string &text,
                                   const std::string &context = "");
-
-    JsonValue toJson() const;
-    /** Accepts the object form or a text-form JSON string. */
-    static ConstraintClause fromJson(const JsonValue &doc,
-                                     const std::string &context = "");
 };
 
 /** An ANDed set of clauses. */
@@ -89,14 +87,6 @@ class ConstraintSet
     {
         return clauses_;
     }
-
-    /** Serialize as a JSON array of clause objects. */
-    JsonValue toJson() const;
-    /** Parse a JSON array of clause objects / text strings; fatal
-     *  (with `context`) on anything else, including the removed
-     *  fixed-field object form ({"max_power_w": ...}). */
-    static ConstraintSet fromJson(const JsonValue &doc,
-                                  const std::string &context = "");
 
   private:
     std::vector<ConstraintClause> clauses_;  ///< declared order

@@ -40,12 +40,25 @@ setRecvTimeout(int fd, int millis)
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
+/** A response body: the object `members` writes, pretty-printed,
+ *  and a newline. */
+template <typename Members>
+std::string
+jsonBody(Members &&members)
+{
+    std::string body;
+    JsonWriter w(body, 2);
+    w.beginObject();
+    members(w);
+    w.endObject();
+    body += '\n';
+    return body;
+}
+
 std::string
 errorBody(const std::string &message)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("error", JsonValue::makeString(message));
-    return v.dump(2) + "\n";
+    return jsonBody([&](JsonWriter &w) { w.key("error").string(message); });
 }
 
 } // namespace
@@ -210,8 +223,8 @@ QueryServer::handleQuery(const HttpRequest &request)
         // (malformed JSON, unknown keys, unknown metrics); the guard
         // turns each into a structured 400 instead of process exit.
         ScopedFatalThrows guard;
-        store::StoreQuery query =
-            store::StoreQuery::fromJson(JsonValue::parse(request.body));
+        store::StoreQuery query;
+        store::readJson(request.body, {}, query);
         response.body = store::serializeResults(snapshot->query(query));
     } catch (const FatalError &e) {
         badRequests_.fetch_add(1, std::memory_order_relaxed);
@@ -233,11 +246,11 @@ QueryServer::handleReload()
     if (!reload(error))
         return {409, "application/json", errorBody(error)};
     auto snapshot = index();
-    JsonValue v = JsonValue::makeObject();
-    v.set("status", JsonValue::makeString("reloaded"));
-    v.set("fingerprint", JsonValue::makeString(snapshot->fingerprint()));
-    v.set("rows", JsonValue::makeNumber((double)snapshot->rows()));
-    return {200, "application/json", v.dump(2) + "\n"};
+    return {200, "application/json", jsonBody([&](JsonWriter &w) {
+                w.key("status").string("reloaded");
+                w.key("fingerprint").string(snapshot->fingerprint());
+                w.key("rows").number((double)snapshot->rows());
+            })};
 }
 
 HttpResponse
@@ -270,14 +283,12 @@ QueryServer::dispatch(const HttpRequest &request)
                     errorBody("/healthz takes GET")};
         }
         auto snapshot = index();
-        JsonValue v = JsonValue::makeObject();
-        v.set("status", JsonValue::makeString("ok"));
-        v.set("fingerprint",
-              JsonValue::makeString(snapshot->fingerprint()));
-        v.set("rows", JsonValue::makeNumber((double)snapshot->rows()));
-        v.set("format",
-              JsonValue::makeNumber((double)store::kFormatVersion));
-        return {200, "application/json", v.dump(2) + "\n"};
+        return {200, "application/json", jsonBody([&](JsonWriter &w) {
+                    w.key("status").string("ok");
+                    w.key("fingerprint").string(snapshot->fingerprint());
+                    w.key("rows").number((double)snapshot->rows());
+                    w.key("format").number(store::kFormatVersion);
+                })};
     }
 
     if (path == "/statz") {
@@ -287,18 +298,14 @@ QueryServer::dispatch(const HttpRequest &request)
                     errorBody("/statz takes GET")};
         }
         ServeCounters c = counters();
-        JsonValue v = JsonValue::makeObject();
-        v.set("queries", JsonValue::makeNumber((double)c.queries));
-        v.set("bad_requests",
-              JsonValue::makeNumber((double)c.badRequests));
-        v.set("reloads", JsonValue::makeNumber((double)c.reloads));
-        v.set("reload_failures",
-              JsonValue::makeNumber((double)c.reloadFailures));
-        v.set("dropped_connections",
-              JsonValue::makeNumber((double)c.dropped));
-        v.set("query_micros",
-              JsonValue::makeNumber((double)c.queryMicros));
-        return {200, "application/json", v.dump(2) + "\n"};
+        return {200, "application/json", jsonBody([&](JsonWriter &w) {
+                    w.key("queries").number((double)c.queries);
+                    w.key("bad_requests").number((double)c.badRequests);
+                    w.key("reloads").number((double)c.reloads);
+                    w.key("reload_failures").number((double)c.reloadFailures);
+                    w.key("dropped_connections").number((double)c.dropped);
+                    w.key("query_micros").number((double)c.queryMicros);
+                })};
     }
 
     badRequests_.fetch_add(1, std::memory_order_relaxed);

@@ -4,11 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <iterator>
-#include <limits>
 
 #include "metrics/metric.hh"
-#include "metrics/refine.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -535,81 +532,145 @@ loadStats(const std::string &dir)
     return stats;
 }
 
-JsonValue
-StoreQuery::toJson() const
+namespace {
+
+/** A registered metric's name. */
+void
+readMetric(Member &m, std::string &name)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("format", JsonValue::makeNumber(kFormatVersion));
-    if (!constraints.empty())
-        v.set("constraints", constraints.toJson());
-    if (!paretoMetrics.empty()) {
-        JsonValue pareto = JsonValue::makeArray();
-        for (const auto &name : paretoMetrics)
-            pareto.append(JsonValue::makeString(name));
-        v.set("pareto", std::move(pareto));
+    m.read(name);
+    m.check([&] { metrics::MetricRegistry::instance().require(name); });
+}
+
+using metrics::ConstraintClause;
+
+constexpr Field<ConstraintClause> kClauseFields[] = {
+    {"metric",
+     [](JsonWriter &w, const ConstraintClause &c) { w.string(c.metric); },
+     [](Member &m, ConstraintClause &c) { readMetric(m, c.metric); }},
+    {"op",
+     [](JsonWriter &w, const ConstraintClause &c) {
+         w.string(metrics::constraintOpName(c.op));
+     },
+     [](Member &m, ConstraintClause &c) {
+         std::string op;
+         m.read(op);
+         m.check([&] { c.op = metrics::constraintOpFromName(op); });
+     }},
+    {"bound",
+     [](JsonWriter &w, const ConstraintClause &c) { w.number(c.bound); },
+     [](Member &m, ConstraintClause &c) {
+         m.read(c.bound);
+         if (std::isnan(c.bound))
+             m.reject("must not be NaN");
+     }},
+};
+
+/** "top_k" is an object of two members of the query itself. */
+constexpr Field<StoreQuery> kTopFields[] = {
+    {"metric",
+     [](JsonWriter &w, const StoreQuery &q) { w.string(q.topMetric); },
+     [](Member &m, StoreQuery &q) { readMetric(m, q.topMetric); }},
+    {"k", [](JsonWriter &w, const StoreQuery &q) { writeValue(w, q.topK); },
+     [](Member &m, StoreQuery &q) { m.read(q.topK, 1, kMaxExactInteger); }},
+};
+
+void
+readConstraints(Member &m, StoreQuery &q)
+{
+    // The fixed-field object form went away because it ignored
+    // unknown keys: {"max_power": 1e-9} filtered nothing. Name the
+    // clauses its defaults stood for, so a migration is one edit.
+    if (m.kind() != JsonValue::Kind::Array) {
+        m.reject("must be an array of clauses, e.g. "
+                 "[\"latency_load<=1\", \"meets_read_bw>=1\", "
+                 "\"meets_write_bw>=1\"] (the clauses the removed "
+                 "fixed-field object implied by default; README "
+                 "\"Metrics and filter-and-refine\" maps each of its keys "
+                 "to a clause)");
     }
-    if (!topMetric.empty()) {
-        JsonValue top = JsonValue::makeObject();
-        top.set("metric", JsonValue::makeString(topMetric));
-        top.set("k", JsonValue::makeNumber((double)topK));
-        v.set("top_k", std::move(top));
-    }
-    return v;
+    m.each([&] {
+        ConstraintClause clause;
+        if (m.kind() == JsonValue::Kind::String) {
+            std::string text;
+            m.read(text);
+            m.check([&] { clause = ConstraintClause::parse(text); });
+        } else if (m.kind() == JsonValue::Kind::Object) {
+            m.read(kClauseFields, clause);
+        } else {
+            m.reject("must be a \"metric<bound\" string or a "
+                     "{\"metric\", \"op\", \"bound\"} object");
+        }
+        q.constraints.add(std::move(clause));
+    });
+}
+
+constexpr Field<StoreQuery> kQueryFields[] = {
+    {"format",
+     [](JsonWriter &w, const StoreQuery &) { w.number(kFormatVersion); },
+     [](Member &m, StoreQuery &) {
+         m.readVersion(kFormatVersion,
+                       " (the store format this build reads)");
+     },
+     nullptr, /*optional=*/true},
+    {"constraints",
+     [](JsonWriter &w, const StoreQuery &q) {
+         w.beginArray();
+         for (const auto &clause : q.constraints.clauses())
+             writeFields(w, kClauseFields, clause);
+         w.endArray();
+     },
+     readConstraints,
+     [](const StoreQuery &q) { return !q.constraints.empty(); }},
+    {"pareto",
+     [](JsonWriter &w, const StoreQuery &q) {
+         w.beginArray();
+         for (const auto &name : q.paretoMetrics)
+             w.string(name);
+         w.endArray();
+     },
+     [](Member &m, StoreQuery &q) {
+         m.each([&] { readMetric(m, q.paretoMetrics.emplace_back()); });
+         if (q.paretoMetrics.empty())
+             m.reject("needs at least one metric name");
+     },
+     [](const StoreQuery &q) { return !q.paretoMetrics.empty(); }},
+    {"top_k",
+     [](JsonWriter &w, const StoreQuery &q) {
+         writeFields(w, kTopFields, q);
+     },
+     [](Member &m, StoreQuery &q) { m.read(kTopFields, q); },
+     [](const StoreQuery &q) { return !q.topMetric.empty(); }},
+};
+
+} // namespace
+
+void
+writeJson(JsonWriter &w, const StoreQuery &query)
+{
+    writeFields(w, kQueryFields, query);
+}
+
+void
+readJson(JsonReader &r, StoreQuery &query)
+{
+    if (r.peek() != JsonValue::Kind::Object)
+        r.reject("a store query must be a JSON object");
+    readFields(r, kQueryFields, query);
+}
+
+void
+readRefineMember(Member &m, StoreQuery &query)
+{
+    kQueryFields[fieldIndex(m.reader(), kQueryFields, m.key())].read(
+        m, query);
 }
 
 StoreQuery
 StoreQuery::fromJson(const JsonValue &doc)
 {
-    if (!doc.isObject())
-        fatal("store query: document must be a JSON object, got ",
-              doc.dump(0));
-    // Reject unknown keys outright, mirroring the config front-end's
-    // top-level vocabulary: a typo'd key ("paretto") would otherwise
-    // deserialize as the match-everything query and silently return
-    // the entire store.
-    static const char *const known[] = {"format", "constraints",
-                                        "pareto", "top_k"};
-    for (const auto &key : doc.memberNames()) {
-        if (std::find_if(std::begin(known), std::end(known),
-                         [&](const char *k) { return key == k; }) ==
-            std::end(known)) {
-            fatal("store query: unknown key '", key,
-                  "' (known keys: constraints pareto top_k format)");
-        }
-    }
-    if (doc.has("format")) {
-        // A whole number before the cast: 2.5 must not read as format
-        // 2, and casting 1e300 to an integer is undefined.
-        std::int64_t format =
-            wholeNumberKey(doc, "format", 0,
-                           std::numeric_limits<int>::max(), "store query");
-        if (format != kFormatVersion) {
-            fatal("store query: written with format ", format,
-                  ", this build reads format ", kFormatVersion);
-        }
-    }
-    return fromRefineKeys(doc, "store query");
-}
-
-StoreQuery
-StoreQuery::fromRefineKeys(const JsonValue &doc,
-                           const std::string &context)
-{
     StoreQuery query;
-    if (doc.has("constraints")) {
-        query.constraints = metrics::ConstraintSet::fromJson(
-            doc.at("constraints"), context);
-    }
-    if (doc.has("pareto")) {
-        query.paretoMetrics =
-            metrics::paretoMetricsFromJson(doc.at("pareto"), context);
-    }
-    if (doc.has("top_k")) {
-        metrics::TopSpec top =
-            metrics::topSpecFromJson(doc.at("top_k"), context);
-        query.topMetric = top.metric;
-        query.topK = top.k;
-    }
+    readJson(doc.text(), {}, query);
     return query;
 }
 

@@ -283,22 +283,31 @@ struct StoreQuery
                topMetric.empty();
     }
 
-    /** Lossless serialization (the query.json document). */
-    JsonValue toJson() const;
-    /** Parse a query.json document: the refine keys plus an optional
-     *  "format" (a whole number equal to kFormatVersion, checked
-     *  before any cast); any other key is fatal. */
+    /** Decode a query.json document (readJson below). */
     static StoreQuery fromJson(const JsonValue &doc);
-
-    /**
-     * Read the "constraints", "pareto", and "top_k" members of `doc`
-     * (each optional; other members are left to the caller), every
-     * metric name validated against the registry. Shared by configs
-     * and query.json; a malformed member is fatal with `context`.
-     */
-    static StoreQuery fromRefineKeys(const JsonValue &doc,
-                                     const std::string &context);
 };
+
+/**
+ * The query.json document, and the body of a /query request: an
+ * optional "format" (a whole number equal to kFormatVersion, checked
+ * before any cast) and the refine members, each optional and written
+ * only when set:
+ *
+ *  - "constraints": an array of clauses, each a "metric<bound" string
+ *    (ConstraintClause::parse) or a {"metric", "op", "bound"} object;
+ *  - "pareto": a non-empty array of metric names;
+ *  - "top_k": {"metric": <name>, "k": <whole number in [1, 2^53]>}.
+ *
+ * Every metric name must be registered. Reading refuses any other
+ * member, at any depth, by name (store/serialize.hh).
+ */
+void writeJson(JsonWriter &w, const StoreQuery &query);
+void readJson(JsonReader &r, StoreQuery &query);
+
+/** Read `m`, a config's "constraints", "pareto" or "top_k" member,
+ *  into `query` through the query table, so a config's refine keys
+ *  read exactly as query.json's do. */
+void readRefineMember(Member &m, StoreQuery &query);
 
 /**
  * The value of metric `m` for every row, in row order. selectRows asks

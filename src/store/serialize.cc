@@ -14,12 +14,6 @@ Member::readVersion(int expected, std::string_view hint)
     }
 }
 
-void
-Member::reject(const std::string &what) const
-{
-    r_.reject("\"" + std::string(key_) + "\" " + what);
-}
-
 /** A whole number in [lo, hi], tested as a double before any cast (out
  *  of range, the cast is undefined behavior). */
 double

@@ -22,6 +22,7 @@
 #include <bitset>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -98,20 +99,61 @@ struct CacheEntry
 void writeJson(JsonWriter &w, const CacheEntry &entry);
 void readJson(JsonReader &r, CacheEntry &entry);
 
-/** The member being read; its key names every rejection. */
+template <typename Record, typename Source>
+struct Field;
+
+template <typename T>
+struct IsOptional : std::false_type
+{
+};
+template <typename T>
+struct IsOptional<std::optional<T>> : std::true_type
+{
+};
+
+/** What `check` fatal()s (a registry lookup, a model's own checks) as
+ *  a message, or empty when it passes. */
+template <typename Check>
+std::string
+fatalMessage(Check &&check)
+{
+    try {
+        ScopedFatalThrows guard;
+        check();
+        return {};
+    } catch (const FatalError &error) {
+        return error.what();
+    }
+}
+
+/**
+ * The member being read. While it lives, its key (and, inside each(),
+ * the element's index) is the innermost step of the reader's member
+ * path, which every rejection names.
+ */
 class Member
 {
   public:
-    Member(JsonReader &r, std::string_view key) : r_(r), key_(key) {}
+    Member(JsonReader &r, std::string_view key) : r_(r), step_(r, key) {}
+
+    std::string_view key() const { return step_.key(); }
+    /** The reader, at the member's value (or at the element each()
+     *  stands on). */
+    JsonReader &reader() { return r_; }
+    /** The kind of the value the reader is at. */
+    JsonValue::Kind kind() { return r_.peek(); }
 
     /** A boolean, a number, a string, a nested record (its readJson),
      *  or, for an integer type, a whole number in [0, INT_MAX] (int) or
-     *  [0, 2^53] (wider types), checked before any cast. */
+     *  [0, 2^53] (wider types), checked before any cast; into a
+     *  std::optional, its value. */
     template <typename T>
     void
     read(T &out)
     {
-        if constexpr (std::is_same_v<T, bool>) {
+        if constexpr (IsOptional<T>::value) {
+            read(out.emplace());
+        } else if constexpr (std::is_same_v<T, bool>) {
             expect(JsonValue::Kind::Bool, "a boolean");
             out = r_.boolean();
         } else if constexpr (std::is_floating_point_v<T>) {
@@ -138,15 +180,35 @@ class Member
         out = (Int)whole(lo, hi);
     }
 
+    /** An object read through `fields` into `record` (readFields). */
+    template <typename Record, std::size_t N>
+    auto
+    read(const Field<Record, Record> (&fields)[N], Record &record)
+    {
+        expect(JsonValue::Kind::Object, "an object");
+        return readFields(r_, fields, record);
+    }
+
+    /** An array: `element` runs once per element, with the reader at
+     *  it and its index on the member path. */
+    template <typename Element>
+    void
+    each(Element &&element)
+    {
+        expect(JsonValue::Kind::Array, "an array");
+        r_.beginArray();
+        for (step_.index = 0; r_.nextElement(); ++step_.index)
+            element();
+        step_.index = JsonReader::PathStep::kNoIndex;
+    }
+
     /** An array of records, appended to `out`. */
     template <typename Record>
     void
     readEach(std::vector<Record> &out)
     {
-        expect(JsonValue::Kind::Array, "an array");
-        r_.beginArray();
         std::size_t begin = r_.offset();
-        while (r_.nextElement()) {
+        each([&] {
             out.emplace_back();
             read(out.back());
             // Records of one kind encode to about the same size: the
@@ -155,7 +217,26 @@ class Member
                 std::size_t first = r_.offset() - begin;
                 out.reserve(1 + (r_.size() - r_.offset()) / first);
             }
+        });
+    }
+
+    /** One value or a non-empty array of them: `element` runs once per
+     *  value, with the reader at it. */
+    template <typename Element>
+    void
+    oneOrMore(Element &&element)
+    {
+        if (kind() != JsonValue::Kind::Array) {
+            element();
+            return;
         }
+        std::size_t count = 0;
+        each([&] {
+            element();
+            ++count;
+        });
+        if (count == 0)
+            reject("must not be an empty list");
     }
 
     /** A version number, which must be `expected`; `hint` ends the
@@ -186,15 +267,31 @@ class Member
                "\"");
     }
 
-    /** Refuse the value: "KEY" `what`, through JsonReader::reject(). */
-    [[noreturn]] void reject(const std::string &what) const;
+    /** Run `check`, a validation that may fatal() (a registry lookup,
+     *  a model's own checks), and refuse the member with its message. */
+    template <typename Check>
+    void
+    check(Check &&check)
+    {
+        std::string message = fatalMessage(check);
+        if (!message.empty())
+            reject(message);
+    }
+
+    /** Refuse the value (JsonReader::PathStep::reject()): a top-level
+     *  member as "KEY" `what`, a nested one by its path, as in
+     *  `cells[1].area_f2: what`. */
+    [[noreturn]] void reject(const std::string &what) const
+    {
+        step_.reject(what);
+    }
 
   private:
     double whole(std::int64_t lo, std::int64_t hi);
     void expect(JsonValue::Kind kind, const char *what);
 
     JsonReader &r_;
-    std::string_view key_;
+    JsonReader::PathStep step_;
 };
 
 /** Write `value` as Member::read reads it back. */
@@ -217,7 +314,8 @@ writeValue(JsonWriter &w, const T &value)
  * Source and how to read it into a Record (the same type, except where
  * writing must not copy: see JournalLine). A field with `present` is
  * written only when present(source) holds, and may be missing when
- * read; every other field is required.
+ * read, as may an `optional` one; every other field is required. A
+ * record that is only read (a config) has fields with no `write`.
  */
 template <typename Record, typename Source = Record>
 struct Field
@@ -226,6 +324,12 @@ struct Field
     void (*write)(JsonWriter &, const Source &) = nullptr;
     void (*read)(Member &, Record &) = nullptr;
     bool (*present)(const Source &) = nullptr;
+    /** May be missing when read, though always written. */
+    bool optional = false;
+    /** Left out of the known members an unknown one is refused with:
+     *  a retired member, whose read refuses it naming what replaced
+     *  it. */
+    bool hidden = false;
 };
 
 /** The class a pointer to member points into (never called). */
@@ -247,6 +351,29 @@ field(std::string_view key,
         },
         [](Member &m, Record &r) { m.read(((r.*first) .* ... .* rest)); },
         present};
+}
+
+/** The optional field for member `first` (through `rest`) of a record
+ *  that is only read: Member::read decodes it. */
+template <auto first, auto... rest>
+constexpr auto
+option(std::string_view key)
+{
+    using Record = decltype(recordOf(first));
+    return Field<Record>{
+        key, nullptr,
+        [](Member &m, Record &r) { m.read(((r.*first) .* ... .* rest)); },
+        nullptr, true};
+}
+
+/** A field of a record that is only read, decoded by `read`; it may be
+ *  missing unless `required`. */
+template <typename Record>
+constexpr Field<Record>
+readOnly(std::string_view key, void (*read)(Member &, Record &),
+         bool required = false)
+{
+    return Field<Record>{key, nullptr, read, nullptr, !required};
 }
 
 /** The field for enum member `member`, spelled `name(value)`, one of
@@ -289,13 +416,34 @@ writeFields(JsonWriter &w, const Field<Record, Source> (&fields)[N],
     w.endObject();
 }
 
+/** The index of the field keyed `name`, trying `hint` first; a
+ *  rejection naming the member and every key of `fields` when there is
+ *  none. */
+template <typename Record, typename Source, std::size_t N>
+std::size_t
+fieldIndex(JsonReader &r, const Field<Record, Source> (&fields)[N],
+           std::string_view name, std::size_t hint = 0)
+{
+    if (hint < N && fields[hint].key == name)
+        return hint;
+    for (std::size_t i = 0; i < N; ++i)
+        if (fields[i].key == name)
+            return i;
+    std::string known;
+    for (const auto &f : fields)
+        if (!f.hidden)
+            known += (known.empty() ? "" : ", ") + std::string(f.key);
+    r.reject("unknown member \"" + std::string(name) + "\" (known: " +
+             known + ")");
+}
+
 /**
  * Read the object at the reader's position into `record` through
  * `fields` (listed in writer order, which is tried first). Members may
  * come in any order; a missing required member, a repeated or unknown
  * one, a wrong kind or a bad integer fails naming the key, through
- * JsonReader::reject() (fail() for a repeated member, as in the DOM,
- * and for malformed text), so a lenient reader turns it into a skip.
+ * JsonReader::reject() (fail() for a repeated member, and for malformed
+ * text), so a lenient reader turns it into a skip.
  * @return which fields were present.
  */
 template <typename Record, typename Source, std::size_t N>
@@ -308,12 +456,7 @@ readFields(JsonReader &r, const Field<Record, Source> (&fields)[N],
     std::string_view name;
     r.beginObject();
     while (r.nextMember(name)) {
-        std::size_t i = next;
-        if (i >= N || fields[i].key != name)
-            for (i = 0; i < N && fields[i].key != name; ++i) {
-            }
-        if (i == N)
-            r.reject("unknown member \"" + std::string(name) + "\"");
+        std::size_t i = fieldIndex(r, fields, name, next);
         if (seen[i])
             r.fail("duplicate member '" + std::string(name) + "'");
         seen.set(i);
@@ -322,7 +465,7 @@ readFields(JsonReader &r, const Field<Record, Source> (&fields)[N],
         next = i + 1;
     }
     for (std::size_t i = 0; i < N; ++i) {
-        if (!seen[i] && !fields[i].present)
+        if (!seen[i] && !fields[i].present && !fields[i].optional)
             r.reject("missing member \"" + std::string(fields[i].key) +
                      "\"");
     }

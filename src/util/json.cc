@@ -16,148 +16,6 @@
 
 namespace nvmexp {
 
-JsonValue
-JsonValue::makeBool(bool value)
-{
-    JsonValue v;
-    v.kind_ = Kind::Bool;
-    v.bool_ = value;
-    return v;
-}
-
-JsonValue
-JsonValue::makeNumber(double value)
-{
-    JsonValue v;
-    v.kind_ = Kind::Number;
-    v.number_ = value;
-    return v;
-}
-
-JsonValue
-JsonValue::makeString(std::string value)
-{
-    JsonValue v;
-    v.kind_ = Kind::String;
-    v.string_ = std::move(value);
-    return v;
-}
-
-JsonValue
-JsonValue::makeArray()
-{
-    JsonValue v;
-    v.kind_ = Kind::Array;
-    return v;
-}
-
-JsonValue
-JsonValue::makeObject()
-{
-    JsonValue v;
-    v.kind_ = Kind::Object;
-    return v;
-}
-
-JsonValue &
-JsonValue::append(JsonValue element)
-{
-    if (!isArray())
-        fatal("JSON: append on non-array");
-    array_.push_back(std::move(element));
-    return *this;
-}
-
-JsonValue &
-JsonValue::set(const std::string &key, JsonValue member)
-{
-    if (!isObject())
-        fatal("JSON: set on non-object");
-    auto it = object_.find(key);
-    if (it == object_.end()) {
-        memberOrder_.push_back(key);
-        object_.emplace(key, std::move(member));
-    } else {
-        it->second = std::move(member);
-    }
-    return *this;
-}
-
-bool
-JsonValue::asBool() const
-{
-    if (!isBool())
-        fatal("JSON: expected a boolean");
-    return bool_;
-}
-
-double
-JsonValue::asNumber() const
-{
-    if (!isNumber())
-        fatal("JSON: expected a number");
-    return number_;
-}
-
-const std::string &
-JsonValue::asString() const
-{
-    if (!isString())
-        fatal("JSON: expected a string");
-    return string_;
-}
-
-const std::vector<JsonValue> &
-JsonValue::asArray() const
-{
-    if (!isArray())
-        fatal("JSON: expected an array");
-    return array_;
-}
-
-bool
-JsonValue::has(const std::string &key) const
-{
-    return isObject() && object_.count(key) > 0;
-}
-
-const JsonValue &
-JsonValue::at(const std::string &key) const
-{
-    if (!isObject())
-        fatal("JSON: expected an object holding '", key, "'");
-    auto it = object_.find(key);
-    if (it == object_.end())
-        fatal("JSON: missing required member '", key, "'");
-    return it->second;
-}
-
-double
-JsonValue::numberOr(const std::string &key, double dflt) const
-{
-    return has(key) ? at(key).asNumber() : dflt;
-}
-
-bool
-JsonValue::boolOr(const std::string &key, bool dflt) const
-{
-    return has(key) ? at(key).asBool() : dflt;
-}
-
-std::string
-JsonValue::stringOr(const std::string &key, const std::string &dflt) const
-{
-    return has(key) ? at(key).asString() : dflt;
-}
-
-const std::vector<std::string> &
-JsonValue::memberNames() const
-{
-    if (!isObject())
-        fatal("JSON: memberNames on non-object");
-    return memberOrder_;
-}
-
 std::string
 JsonValue::formatNumber(double value)
 {
@@ -208,22 +66,6 @@ JsonValue::parseNumber(const std::string &text, double &out)
         return false;
     out = value;
     return true;
-}
-
-std::string
-JsonValue::dump(int indent) const
-{
-    std::string out;
-    JsonWriter(out, indent).value(*this);
-    return out;
-}
-
-void
-JsonValue::writeFile(const std::string &path) const
-{
-    std::string text = dump();
-    text += '\n';
-    writeFileAtomically(path, text);
 }
 
 void
@@ -368,32 +210,6 @@ JsonWriter::null()
     return *this;
 }
 
-JsonWriter &
-JsonWriter::value(const JsonValue &doc)
-{
-    switch (doc.kind()) {
-      case JsonValue::Kind::Null:
-        return null();
-      case JsonValue::Kind::Bool:
-        return boolean(doc.asBool());
-      case JsonValue::Kind::Number:
-        return number(doc.asNumber());
-      case JsonValue::Kind::String:
-        return string(doc.asString());
-      case JsonValue::Kind::Array:
-        beginArray();
-        for (const auto &element : doc.asArray())
-            value(element);
-        return endArray();
-      case JsonValue::Kind::Object:
-        beginObject();
-        for (const auto &name : doc.memberNames())
-            key(name).value(doc.at(name));
-        return endObject();
-    }
-    panic("unhandled JsonValue::Kind");
-}
-
 void
 writeFileAtomically(const std::string &path, std::string_view bytes)
 {
@@ -424,19 +240,6 @@ isWholeNumber(double value, double lo, double hi)
     return value >= lo && value <= hi && value == std::floor(value);
 }
 
-std::int64_t
-wholeNumberKey(const JsonValue &doc, const std::string &key,
-               std::int64_t lo, std::int64_t hi, const std::string &context)
-{
-    const JsonValue *member = doc.has(key) ? &doc.at(key) : nullptr;
-    if (!member || !member->isNumber() ||
-        !isWholeNumber(member->asNumber(), (double)lo, (double)hi)) {
-        fatal(context, ": \"", key, "\" must be an integer in [", lo,
-              ", ", hi, "], got ", member ? member->dump(-1) : "nothing");
-    }
-    return (std::int64_t)member->asNumber();
-}
-
 void
 JsonReader::failAt(std::size_t offset, std::string_view what,
                    bool syntax) const
@@ -460,8 +263,39 @@ JsonReader::failAt(std::size_t offset, std::string_view what,
               source.empty() ? std::string() : " in '" + source + "'",
               where, what);
     }
+    std::string path = render(path_);
     fatal(source.empty() ? "JSON document" : "'" + source + "'", where,
-          what);
+          path.empty() ? path : path + ": ", what);
+}
+
+std::string
+JsonReader::render(const PathStep *step)
+{
+    std::string path;
+    for (; step; step = step->parent_) {
+        std::string part(step->key_);
+        if (step->index != PathStep::kNoIndex) {
+            part += '[';
+            part += std::to_string(step->index);
+            part += ']';
+        }
+        if (!path.empty()) {
+            part += '.';
+            part += path;
+        }
+        path = std::move(part);
+    }
+    return path;
+}
+
+void
+JsonReader::PathStep::reject(std::string_view what) const
+{
+    if (parent_ || index != kNoIndex)
+        reader_.reject(what);
+    // A top-level member is named in quotes, with no path before it.
+    reader_.path_ = nullptr;
+    reader_.reject("\"" + std::string(key_) + "\" " + std::string(what));
 }
 
 void
@@ -775,122 +609,62 @@ JsonReader::end()
 }
 
 /**
- * Keeps its own stack of open containers, so reading never recurses;
- * the stack stops at kMaxDepth, because the finished tree's destructor
- * and dump() do recurse. A repeated member name fails once its value
- * has been read, and anything after the value fails too.
+ * Keeps its own stack of open containers, so skipping never recurses;
+ * the stack stops at kMaxDepth, so a decoder that recurses once per
+ * level of what it skipped stays far from the end of the stack.
  */
-JsonValue
-JsonValue::read(JsonReader &reader)
+void
+JsonReader::skip()
 {
-    struct Open
-    {
-        JsonValue container;
-        std::string key; ///< the member its next value fills
-    };
-    std::vector<Open> open;
+    std::string open; // '{' or '[' per open container, innermost last
     while (true) {
-        // Start the value at the reader's position: a scalar is whole
-        // at once, a container opens.
-        JsonValue value;
-        bool whole = true;
-        Kind kind = reader.peek();
-        if ((kind == Kind::Object || kind == Kind::Array) &&
-            open.size() == kMaxDepth) {
-            reader.fail("nesting deeper than " + std::to_string(kMaxDepth) +
-                        " levels");
+        switch (peek()) {
+          case JsonValue::Kind::Object:
+          case JsonValue::Kind::Array:
+            if (open.size() == JsonValue::kMaxDepth) {
+                fail("nesting deeper than " +
+                     std::to_string(JsonValue::kMaxDepth) + " levels");
+            }
+            open += text_[pos_];
+            if (open.back() == '{')
+                beginObject();
+            else
+                beginArray();
+            break;
+          case JsonValue::Kind::String: string(); break;
+          case JsonValue::Kind::Bool: boolean(); break;
+          case JsonValue::Kind::Null: null(); break;
+          case JsonValue::Kind::Number: number(); break;
         }
-        switch (kind) {
-          case Kind::Object:
-            reader.beginObject();
-            open.emplace_back();
-            open.back().container.kind_ = Kind::Object;
-            whole = false;
-            break;
-          case Kind::Array:
-            reader.beginArray();
-            open.emplace_back();
-            open.back().container.kind_ = Kind::Array;
-            whole = false;
-            break;
-          case Kind::String:
-            value.kind_ = Kind::String;
-            value.string_ = reader.string();
-            break;
-          case Kind::Bool:
-            value.kind_ = Kind::Bool;
-            value.bool_ = reader.boolean();
-            break;
-          case Kind::Null:
-            reader.null();
-            break;
-          case Kind::Number:
-            value.kind_ = Kind::Number;
-            value.number_ = reader.number();
-            break;
-        }
-        // File each whole value into its container, and every
-        // container that closes behind it, until one has another
+        // Close every container that ends here, until one has another
         // member or element to read.
-        while (true) {
-            if (whole) {
-                if (open.empty()) {
-                    reader.end();
-                    return value;
-                }
-                Open &parent = open.back();
-                JsonValue &container = parent.container;
-                if (container.kind_ == Kind::Array) {
-                    container.array_.push_back(std::move(value));
-                } else if (container.object_
-                               .try_emplace(parent.key, std::move(value))
-                               .second) {
-                    container.memberOrder_.push_back(parent.key);
-                } else {
-                    reader.fail("duplicate member '" + parent.key + "'");
-                }
-            }
-            Open &top = open.back();
+        while (!open.empty()) {
             std::string_view name;
-            bool more = top.container.kind_ == Kind::Array
-                ? reader.nextElement()
-                : reader.nextMember(name);
-            if (more) {
-                top.key.assign(name);
+            if (open.back() == '{' ? nextMember(name) : nextElement())
                 break;
-            }
-            value = std::move(top.container);
             open.pop_back();
-            whole = true;
         }
+        if (open.empty())
+            return;
     }
+}
+
+JsonValue
+JsonReader::value()
+{
+    next();
+    std::size_t start = pos_;
+    skip();
+    return JsonValue(std::string(text_.substr(start, pos_ - start)));
 }
 
 JsonValue
 JsonValue::parse(const std::string &text)
 {
     JsonReader reader(text);
-    return read(reader);
-}
-
-bool
-JsonValue::tryParse(const std::string &text, JsonValue &out)
-{
-    JsonValue value;
-    if (!JsonReader::tryRead(text, [&](JsonReader &r) { value = read(r); }))
-        return false;
-    out = std::move(value);
-    return true;
-}
-
-JsonValue
-JsonValue::parseFile(const std::string &path)
-{
-    std::string text;
-    if (!readFile(path, text))
-        fatal("cannot open config file '", path, "'");
-    JsonReader reader(text, path);
-    return read(reader);
+    reader.skip();
+    reader.end();
+    return JsonValue(text);
 }
 
 bool

@@ -1,7 +1,7 @@
 /**
  * @file
  * JSON for the configuration front-end and the result store: one pull
- * reader, one streaming writer, and a small DOM built on the reader.
+ * reader and one streaming writer, with no DOM.
  *
  * Reading: JsonReader is the one grammar. It accepts the full JSON
  * value grammar (objects, arrays, strings with every escape including
@@ -10,112 +10,60 @@
  * JSON5-style literals `Infinity`, `-Infinity`, and `NaN` so
  * serialized metrics (e.g. unlimited lifetimes) survive a round trip.
  * Errors are reported with line/column context via fatal(), or, for
- * input that may be corrupt, thrown for the caller to skip. The
- * JsonValue DOM (configs, queries) is parsed through a JsonReader; the
- * result store decodes its records straight from one, with no DOM.
+ * input that may be corrupt, thrown for the caller to skip. Every
+ * record (stored results, configs, queries, workload specs) decodes
+ * straight from a reader through its field table (store/serialize.hh).
  *
- * Writing: JsonWriter is the one emitter. Result artifacts stream
- * straight through it; the JsonValue DOM dumps through it too.
- * Doubles print in exact round-trip form (shortest decimal that
- * parses back bit-identically), so serialize -> parse -> serialize is
- * byte-stable — the property the result store's resume and
- * golden-file tiers rely on.
+ * Writing: JsonWriter is the one emitter; every JSON text the program
+ * writes streams through it. Doubles print in exact round-trip form
+ * (shortest decimal that parses back bit-identically), so serialize ->
+ * parse -> serialize is byte-stable — the property the result store's
+ * resume and golden-file tiers rely on.
+ *
+ * JsonValue is no tree: it is the checked text of one JSON document,
+ * which a caller decodes with a JsonReader when it needs the values.
  */
 
 #ifndef NVMEXP_UTIL_JSON_HH
 #define NVMEXP_UTIL_JSON_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 namespace nvmexp {
 
-class JsonReader;
-
-/** A JSON value: parsed from text or built with the make* helpers. */
+/**
+ * The text of one JSON document that parse() checked: the reader's
+ * grammar, one value and nothing after it, containers nested at most
+ * kMaxDepth deep. A workload spec is held as one until its workload
+ * decodes it (workload::expandWorkloads).
+ */
 class JsonValue
 {
   public:
+    /** What a JsonReader finds next (JsonReader::peek()). */
     enum class Kind { Null, Bool, Number, String, Array, Object };
 
-    JsonValue() = default;
-
-    /** Deepest container nesting parse() accepts. Deeper input fails
-     *  at the opening bracket that would exceed it, so the destructor
-     *  and dump(), which recurse once per level, stay far from the
-     *  end of the stack whatever the input. */
+    /** Deepest container nesting parse() and JsonReader::skip()
+     *  accept. Deeper input fails at the opening bracket that would
+     *  exceed it, so a decoder that recurses once per level of what
+     *  they accepted stays far from the end of the stack. */
     static constexpr std::size_t kMaxDepth = 512;
 
-    /** Builders for writing (a default-constructed value is null). */
-    static JsonValue makeBool(bool value);
-    static JsonValue makeNumber(double value);
-    static JsonValue makeString(std::string value);
-    static JsonValue makeArray();
-    static JsonValue makeObject();
-
-    /** Append to an array value; fatal() on non-arrays. */
-    JsonValue &append(JsonValue element);
-
-    /** Insert/overwrite an object member; fatal() on non-objects.
-     *  First-insertion order is preserved when dumping. */
-    JsonValue &set(const std::string &key, JsonValue member);
-
-    Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isBool() const { return kind_ == Kind::Bool; }
-    bool isNumber() const { return kind_ == Kind::Number; }
-    bool isString() const { return kind_ == Kind::String; }
-    bool isArray() const { return kind_ == Kind::Array; }
-    bool isObject() const { return kind_ == Kind::Object; }
-
-    /** Typed accessors; fatal() on kind mismatch. */
-    bool asBool() const;
-    double asNumber() const;
-    const std::string &asString() const;
-    const std::vector<JsonValue> &asArray() const;
-
-    /** Object access. */
-    bool has(const std::string &key) const;
-    /** Required member; fatal() when missing. */
-    const JsonValue &at(const std::string &key) const;
-    /** Optional member with defaults. */
-    double numberOr(const std::string &key, double dflt) const;
-    bool boolOr(const std::string &key, bool dflt) const;
-    std::string stringOr(const std::string &key,
-                         const std::string &dflt) const;
-    const std::vector<std::string> &memberNames() const;
-
-    /** Parse a JSON document; fatal() with position on bad input,
-     *  including nesting deeper than kMaxDepth. */
+    /** Check `text` as one document and keep it; fatal() with position
+     *  on bad input, including nesting deeper than kMaxDepth. */
     static JsonValue parse(const std::string &text);
 
-    /** Non-fatal parse for documents that may be corrupt: @return
-     *  true and fill `out` on success, false (leaving `out` alone) on
-     *  any syntax error. */
-    static bool tryParse(const std::string &text, JsonValue &out);
-
-    /** Parse the contents of a file; a parse error names `path`. */
-    static JsonValue parseFile(const std::string &path);
-
-    /**
-     * Serialize through JsonWriter. indent >= 0 pretty-prints with
-     * that many spaces per level; indent < 0 emits the compact
-     * single-line form.
-     */
-    std::string dump(int indent = 2) const;
-
-    /** Write dump() + trailing newline to a file, write-then-rename
-     *  (writeFileAtomically); fatal() on failure. */
-    void writeFile(const std::string &path) const;
+    /** The document, byte for byte as it was parsed. */
+    const std::string &text() const { return text_; }
 
     /**
      * Format a double as the shortest decimal string that parses back
-     * to the exact same bits ("inf"-style values dump as Infinity/NaN
-     * literals): JsonWriter::appendNumber into a new string.
+     * to the exact same bits ("inf"-style values print as the
+     * Infinity/NaN literals): JsonWriter::appendNumber into a new
+     * string.
      */
     static std::string formatNumber(double value);
 
@@ -134,32 +82,26 @@ class JsonValue
     static bool parseNumber(const std::string &text, double &out);
 
   private:
-    /** The DOM builder behind parse(): the document at the reader,
-     *  one value and nothing after it. */
-    static JsonValue read(JsonReader &reader);
+    friend class JsonReader;
+    explicit JsonValue(std::string text) : text_(std::move(text)) {}
 
-    Kind kind_ = Kind::Null;
-    bool bool_ = false;
-    double number_ = 0.0;
-    std::string string_;
-    std::vector<JsonValue> array_;
-    std::map<std::string, JsonValue> object_;
-    std::vector<std::string> memberOrder_;
+    std::string text_;
 };
 
 /**
  * Pull reader over one JSON document in memory: the one JSON grammar
- * (see the file comment). JsonValue::parse() builds its DOM through
- * one; the result store decodes records straight into structs.
+ * (see the file comment). Record decoders read straight from one
+ * (store/serialize.hh).
  *
  * Callers walk the document in order, as JsonWriter's callers write
  * it: peek() names the kind of the next value, a typed call consumes
  * it, beginObject()/nextMember() and beginArray()/nextElement() walk
- * containers, and end() requires that nothing but whitespace follows.
- * The reader does not track nesting; it checks that each token is the
- * one its caller asks for. Repeated member names are for an object's
- * consumer to reject: the DOM by its map, record decoders by their
- * field tables.
+ * containers, skip() passes over a whole value, and end() requires
+ * that nothing but whitespace follows. The reader does not track
+ * nesting; it checks that each token is the one its caller asks for.
+ * Repeated member names are for an object's consumer to reject: record
+ * decoders do, by their field tables. A copy of a reader is a bookmark:
+ * it reads on from where the original stood, over the same text.
  *
  * Failures are positioned at "line L column C". A reader calls fatal()
  * ("JSON parse error in 'SOURCE' at line L column C: what"); the
@@ -174,6 +116,44 @@ class JsonReader
     struct Abort
     {
         bool malformed = true;
+    };
+
+    /**
+     * One step of the member path that reject() names, e.g.
+     * `cells[1].area_f2`: a member `key`, and while the reader is at
+     * one of its array elements, that element's `index`. A step is on
+     * its reader's path while it lives; a decoder makes one for each
+     * member it reads (store::Member does).
+     */
+    class PathStep
+    {
+      public:
+        static constexpr std::size_t kNoIndex = ~std::size_t{0};
+
+        PathStep(JsonReader &reader, std::string_view key)
+            : reader_(reader), parent_(reader.path_), key_(key)
+        {
+            reader.path_ = this;
+        }
+        ~PathStep() { reader_.path_ = parent_; }
+        PathStep(const PathStep &) = delete;
+        PathStep &operator=(const PathStep &) = delete;
+
+        std::string_view key() const { return key_; }
+
+        /** Refuse the value at this step through reader.reject(): a
+         *  top-level member as "KEY" `what`, a nested one by its path,
+         *  as in `cells[1].area_f2: what`. */
+        [[noreturn]] void reject(std::string_view what) const;
+
+        std::size_t index = kNoIndex;
+
+      private:
+        friend class JsonReader;
+
+        JsonReader &reader_;
+        const PathStep *parent_;
+        std::string_view key_;
     };
 
     /** A strict reader; `source` (e.g. a file path) names the document
@@ -211,6 +191,13 @@ class JsonReader
     /** A string value, unescaped; valid until the next call. */
     std::string_view string();
 
+    /** Pass over the next value, checking its grammar; it may nest
+     *  JsonValue::kMaxDepth containers deep. Iterative, so any input is
+     *  refused before it could exhaust the stack. */
+    void skip();
+    /** The next value, skip()ped, as the text it spans. */
+    JsonValue value();
+
     /** Require that only whitespace and comments remain. */
     void end();
 
@@ -221,7 +208,9 @@ class JsonReader
     /** Fail at the current position on malformed text. */
     [[noreturn]] void fail(std::string_view what) const;
     /** Fail at the current position on a well-formed document that is
-     *  not what the caller reads ("'SOURCE' at line L column C: what"). */
+     *  not what the caller reads ("'SOURCE' at line L column C: PATH:
+     *  what", PATH the member path of the live PathSteps, when there is
+     *  one). */
     [[noreturn]] void reject(std::string_view what) const;
 
     /**
@@ -251,6 +240,9 @@ class JsonReader
   private:
     [[noreturn]] void failAt(std::size_t offset, std::string_view what,
                              bool syntax = true) const;
+    /** The member path from the document's root to `step`, e.g.
+     *  `cells[1].area_f2`; empty for none. */
+    static std::string render(const PathStep *step);
     void skipWhitespace();
     /** The next character after whitespace; fail()s at end of input. */
     char
@@ -274,6 +266,7 @@ class JsonReader
     std::string_view source_;
     bool lenient_ = false;
     std::size_t pos_ = 0;
+    const PathStep *path_ = nullptr;
     bool afterOpen_ = false; ///< a container was just entered
     std::string unescaped_;  ///< string()'s storage for escaped text
 };
@@ -281,8 +274,8 @@ class JsonReader
 /**
  * Streaming JSON emitter: appends one document to a caller-owned
  * string, with no intermediate DOM. Every JSON text the program writes
- * comes from here (JsonValue::dump() walks its tree through one), so
- * artifacts, cache keys, and responses share one set of rules:
+ * comes from here, so artifacts, cache keys, queries and responses
+ * share one set of rules:
  *
  *  - Layout. indent >= 0 puts each array element and object member on
  *    its own line, indented `indent` spaces per level, with ": " after
@@ -290,7 +283,7 @@ class JsonReader
  *    containers print as [] and {} in both.
  *  - Numbers. Shortest exact round-trip decimal (std::to_chars, so
  *    independent of the C locale); NaN and +/-infinity print as the
- *    NaN, Infinity, -Infinity literals JsonValue::parse() accepts.
+ *    NaN, Infinity, -Infinity literals JsonReader accepts.
  *  - Strings. '"' and '\\' are backslash-escaped, \b \f \n \r \t use
  *    their short escapes, every other byte below 0x20 is written as
  *    \u00XX (lower-case hex), and all other bytes, UTF-8 included,
@@ -320,9 +313,6 @@ class JsonWriter
     JsonWriter &string(std::string_view value);
     JsonWriter &boolean(bool value);
     JsonWriter &null();
-
-    /** A whole DOM value (e.g. a config fragment) at this position. */
-    JsonWriter &value(const JsonValue &doc);
 
     /** Append one number to `out` by the rules above, outside any
      *  document layout (CSV cells, formatNumber()). */
@@ -365,13 +355,6 @@ constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
  * behavior.
  */
 bool isWholeNumber(double value, double lo, double hi);
-
-/** Member `key` of `doc` as a whole number in [lo, hi], or a fatal
- *  naming `context` (the file), the key, and the value it holds (a
- *  missing or non-number member too). */
-std::int64_t wholeNumberKey(const JsonValue &doc, const std::string &key,
-                            std::int64_t lo, std::int64_t hi,
-                            const std::string &context);
 
 } // namespace nvmexp
 

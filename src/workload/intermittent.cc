@@ -70,8 +70,7 @@ class IntermittentWorkload final : public Workload
     generateTraffic(const Params &params,
                     const TrafficContext &context) const override
     {
-        auto inner =
-            trafficFromWorkloadJson(params.object("inner"), context);
+        auto inner = params.object("inner").generate(context);
 
         const double wordBytes = (double)context.wordBits / 8.0;
         const double duty = params.number("duty_cycle");

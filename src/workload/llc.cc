@@ -45,18 +45,17 @@ class LlcWorkload final : public Workload
         };
     }
 
-    /** A suite spec splits into one spec per profile, in suite order:
-     *  each profile simulates on its own hierarchy and seeds. */
-    std::vector<JsonValue>
-    split(const JsonValue &spec, const Params &params) const override
+    /** A suite splits into one part per profile, in suite order: each
+     *  profile simulates on its own hierarchy and seeds. */
+    std::vector<Params>
+    split(const Params &params) const override
     {
         if (params.str("benchmark") != "suite")
-            return {spec};
-        std::vector<JsonValue> parts;
+            return {params};
+        std::vector<Params> parts;
         for (const auto &profile : specLikeSuite()) {
-            parts.push_back(spec);
-            parts.back().set("benchmark",
-                             JsonValue::makeString(profile.name));
+            parts.push_back(params);
+            parts.back().set("benchmark", profile.name);
         }
         return parts;
     }

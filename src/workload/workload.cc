@@ -25,16 +25,17 @@ paramKindName(ParamKind kind)
 
 namespace {
 
-bool
-kindMatches(ParamKind kind, const JsonValue &value)
+/** The JSON kind a parameter of `kind` is given as. */
+JsonValue::Kind
+jsonKind(ParamKind kind)
 {
     switch (kind) {
-      case ParamKind::Number: return value.isNumber();
-      case ParamKind::String: return value.isString();
-      case ParamKind::Bool: return value.isBool();
-      case ParamKind::Object: return value.isObject();
+      case ParamKind::Number: return JsonValue::Kind::Number;
+      case ParamKind::String: return JsonValue::Kind::String;
+      case ParamKind::Bool: return JsonValue::Kind::Bool;
+      case ParamKind::Object: return JsonValue::Kind::Object;
     }
-    return false;
+    return JsonValue::Kind::Null;
 }
 
 std::string
@@ -123,95 +124,103 @@ ParamSpec::mandatory()
 }
 
 Params
-Params::fromJson(const std::string &workloadName, const JsonValue &spec,
-                 const std::vector<ParamSpec> &schema)
+Params::read(JsonReader &r, const std::string &workloadName,
+             const std::vector<ParamSpec> &schema)
 {
-    if (!spec.isObject())
-        fatal("workload '", workloadName, "': spec must be an object");
+    auto refuse = [&](const std::string &what) {
+        r.reject("workload '" + workloadName + "': " + what);
+    };
+    if (r.peek() != JsonValue::Kind::Object)
+        refuse("spec must be an object");
 
     Params params;
     params.workload_ = workloadName;
-
-    // Unknown keys are rejected up front: a typo'd parameter silently
-    // falling back to its default is the worst possible sweep bug.
-    for (const auto &key : spec.memberNames()) {
-        if (key == "name")  // reserved for registry dispatch
+    bool named = false;
+    std::string_view key;
+    r.beginObject();
+    while (r.nextMember(key)) {
+        if (key == "name") { // read by WorkloadSpec::read
+            if (named)
+                r.fail("duplicate member 'name'");
+            named = true;
+            r.skip();
             continue;
-        bool known = std::any_of(
+        }
+        // Unknown keys are refused: a typo'd parameter silently
+        // falling back to its default is the worst possible sweep bug.
+        auto p = std::find_if(
             schema.begin(), schema.end(),
-            [&](const ParamSpec &p) { return p.key == key; });
-        if (!known) {
+            [&](const ParamSpec &spec) { return spec.key == key; });
+        if (p == schema.end()) {
             std::vector<std::string> keys;
-            for (const auto &p : schema)
-                keys.push_back(p.key);
-            fatal("workload '", workloadName, "': unknown parameter '",
-                  key, "' (accepted: ", joined(keys), ")");
+            for (const auto &spec : schema)
+                keys.push_back(spec.key);
+            refuse("unknown parameter '" + std::string(key) +
+                   "' (known: " + joined(keys) + ")");
+        }
+        Value &value = params.values_[p->key];
+        if (value.provided)
+            r.fail("duplicate member '" + p->key + "'");
+        value.provided = true;
+        if (r.peek() != jsonKind(p->kind)) {
+            refuse("parameter '" + p->key + "' must be a " +
+                   paramKindName(p->kind));
+        }
+        switch (p->kind) {
+          case ParamKind::Number: {
+            double v = value.number = r.number();
+            if (v != v)
+                refuse("parameter '" + p->key + "' is NaN");
+            if ((p->hasMin && v < p->minValue) ||
+                (p->hasMax && v > p->maxValue)) {
+                refuse("parameter '" + p->key + "' = " +
+                       JsonValue::formatNumber(v) + " out of range [" +
+                       (p->hasMin ? JsonValue::formatNumber(p->minValue)
+                                  : std::string("-inf")) +
+                       ", " +
+                       (p->hasMax ? JsonValue::formatNumber(p->maxValue)
+                                  : std::string("+inf")) +
+                       "]");
+            }
+            break;
+          }
+          case ParamKind::String:
+            value.string.assign(r.string());
+            if (!p->choices.empty() &&
+                std::find(p->choices.begin(), p->choices.end(),
+                          value.string) == p->choices.end()) {
+                refuse("parameter '" + p->key + "' = '" + value.string +
+                       "' (expected one of: " + joined(p->choices) + ")");
+            }
+            break;
+          case ParamKind::Bool:
+            value.flag = r.boolean();
+            break;
+          case ParamKind::Object: {
+            // A nested workload spec, validated here so a wrapper's
+            // inner errors surface at load time too.
+            JsonReader::PathStep step(r, p->key);
+            value.object =
+                std::make_shared<const WorkloadSpec>(WorkloadSpec::read(r));
+            break;
+          }
         }
     }
 
     for (const auto &p : schema) {
-        bool present = spec.has(p.key);
-        if (!present && p.required) {
-            fatal("workload '", workloadName,
-                  "': missing required parameter '", p.key, "'");
-        }
-        JsonValue value;
-        if (present) {
-            value = spec.at(p.key);
-            if (!kindMatches(p.kind, value)) {
-                fatal("workload '", workloadName, "': parameter '",
-                      p.key, "' must be a ", paramKindName(p.kind));
-            }
-        } else {
-            switch (p.kind) {
-              case ParamKind::Number:
-                value = JsonValue::makeNumber(p.numberDefault);
-                break;
-              case ParamKind::String:
-                value = JsonValue::makeString(p.stringDefault);
-                break;
-              case ParamKind::Bool:
-                value = JsonValue::makeBool(p.boolDefault);
-                break;
-              case ParamKind::Object:
-                value = JsonValue::makeObject();
-                break;
-            }
-        }
-        if (p.kind == ParamKind::Number) {
-            double v = value.asNumber();
-            if (v != v) {
-                fatal("workload '", workloadName, "': parameter '",
-                      p.key, "' is NaN");
-            }
-            if ((p.hasMin && v < p.minValue) ||
-                (p.hasMax && v > p.maxValue)) {
-                fatal("workload '", workloadName, "': parameter '",
-                      p.key, "' = ", v, " out of range [",
-                      p.hasMin ? JsonValue::formatNumber(p.minValue)
-                               : std::string("-inf"),
-                      ", ",
-                      p.hasMax ? JsonValue::formatNumber(p.maxValue)
-                               : std::string("+inf"),
-                      "]");
-            }
-        }
-        if (p.kind == ParamKind::String && !p.choices.empty()) {
-            const std::string &v = value.asString();
-            if (std::find(p.choices.begin(), p.choices.end(), v) ==
-                p.choices.end()) {
-                fatal("workload '", workloadName, "': parameter '",
-                      p.key, "' = '", v, "' (expected one of: ",
-                      joined(p.choices), ")");
-            }
-        }
-        params.values_[p.key] = std::move(value);
-        params.explicit_[p.key] = present;
+        Value &value = params.values_[p.key];
+        if (value.provided)
+            continue;
+        if (p.required)
+            refuse("missing required parameter '" + p.key + "'");
+        value.number = p.numberDefault;
+        value.string = p.stringDefault;
+        value.flag = p.boolDefault;
     }
     return params;
 }
 
-const JsonValue &
+const Params::Value &
 Params::lookup(const std::string &key) const
 {
     auto it = values_.find(key);
@@ -225,46 +234,86 @@ Params::lookup(const std::string &key) const
 double
 Params::number(const std::string &key) const
 {
-    return lookup(key).asNumber();
+    return lookup(key).number;
 }
 
 const std::string &
 Params::str(const std::string &key) const
 {
-    return lookup(key).asString();
+    return lookup(key).string;
 }
 
 bool
 Params::flag(const std::string &key) const
 {
-    return lookup(key).asBool();
+    return lookup(key).flag;
 }
 
-const JsonValue &
+const WorkloadSpec &
 Params::object(const std::string &key) const
 {
-    return lookup(key);
+    const Value &value = lookup(key);
+    if (!value.object) {
+        panic("workload '", workload_, "': object parameter '", key,
+              "' read but not given");
+    }
+    return *value.object;
 }
 
 bool
 Params::provided(const std::string &key) const
 {
-    auto it = explicit_.find(key);
-    return it != explicit_.end() && it->second;
+    auto it = values_.find(key);
+    return it != values_.end() && it->second.provided;
 }
 
-std::vector<JsonValue>
-Workload::split(const JsonValue &spec, const Params &) const
+void
+Params::set(const std::string &key, std::string value)
 {
-    return {spec};
+    Value &slot = values_[key];
+    slot.string = std::move(value);
+    slot.provided = true;
+}
+
+std::vector<Params>
+Workload::split(const Params &params) const
+{
+    return {params};
+}
+
+WorkloadSpec
+WorkloadSpec::read(JsonReader &r)
+{
+    // The "name" may come anywhere among the parameters: a bookmark
+    // finds it, and the spec is then read once, against its schema.
+    const char *const needsName = "workload spec needs a \"name\" key "
+                                  "selecting a registered workload";
+    if (r.peek() != JsonValue::Kind::Object)
+        r.reject(needsName);
+    JsonReader probe = r;
+    std::string_view key;
+    probe.beginObject();
+    while (probe.nextMember(key) && key != "name")
+        probe.skip();
+    if (key != "name")
+        r.reject(needsName);
+    if (probe.peek() != JsonValue::Kind::String)
+        probe.reject("workload spec \"name\" must be a string");
+    std::string name(probe.string());
+    WorkloadSpec spec;
+    spec.workload = WorkloadRegistry::instance().find(name);
+    if (!spec.workload) {
+        probe.reject("unknown workload '" + name + "' (registered: " +
+                     joined(WorkloadRegistry::instance().names()) + ")");
+    }
+    spec.params = Params::read(r, name, spec.workload->schema());
+    return spec;
 }
 
 std::vector<TrafficPattern>
-Workload::generateFromJson(const JsonValue &spec,
-                           const TrafficContext &context) const
+WorkloadSpec::generate(const TrafficContext &context) const
 {
-    Params params = Params::fromJson(name(), spec, schema());
-    auto patterns = generateTraffic(params, context);
+    auto patterns = workload->generateTraffic(params, context);
     for (auto &pattern : patterns)
         pattern.validate();
     return patterns;
@@ -333,31 +382,14 @@ WorkloadRegistry::names() const
 
 namespace {
 
-/** The registered workload a spec names; fatal when it names none. */
-const Workload &
-workloadFor(const JsonValue &spec)
+/** The spec of a whole document. */
+WorkloadSpec
+specOf(const JsonValue &doc)
 {
-    if (!spec.isObject() || !spec.has("name"))
-        fatal("workload spec needs a \"name\" key selecting a "
-              "registered workload");
-    return WorkloadRegistry::instance().require(
-        spec.at("name").asString());
-}
-
-/** validateWorkloadJson's body, returning the spec's parameters. */
-Params
-validatedParams(const Workload &workload, const JsonValue &spec)
-{
-    auto schema = workload.schema();
-    Params params = Params::fromJson(workload.name(), spec, schema);
-    // Recurse into nested workload specs (object-kind parameters are
-    // inner workloads) so a wrapper's inner errors surface at load
-    // time too.
-    for (const auto &p : schema) {
-        if (p.kind == ParamKind::Object && params.provided(p.key))
-            validateWorkloadJson(params.object(p.key));
-    }
-    return params;
+    JsonReader r(doc.text());
+    WorkloadSpec spec = WorkloadSpec::read(r);
+    r.end();
+    return spec;
 }
 
 } // namespace
@@ -366,29 +398,29 @@ std::vector<TrafficPattern>
 trafficFromWorkloadJson(const JsonValue &spec,
                         const TrafficContext &context)
 {
-    return workloadFor(spec).generateFromJson(spec, context);
+    return specOf(spec).generate(context);
 }
 
 void
 validateWorkloadJson(const JsonValue &spec)
 {
-    validatedParams(workloadFor(spec), spec);
+    specOf(spec);
 }
 
 std::vector<TrafficPattern>
 expandWorkloads(const std::vector<JsonValue> &specs,
                 const TrafficContext &context, int jobs)
 {
-    std::vector<JsonValue> parts;
-    for (const auto &spec : specs) {
-        const Workload &workload = workloadFor(spec);
-        auto split = workload.split(spec, validatedParams(workload, spec));
-        parts.insert(parts.end(), split.begin(), split.end());
+    std::vector<WorkloadSpec> parts;
+    for (const auto &doc : specs) {
+        WorkloadSpec spec = specOf(doc);
+        for (Params &params : spec.workload->split(spec.params))
+            parts.push_back({spec.workload, std::move(params)});
     }
 
     std::vector<std::vector<TrafficPattern>> slots(parts.size());
     parallelFor(parts.size(), jobs, [&](std::size_t i) {
-        slots[i] = trafficFromWorkloadJson(parts[i], context);
+        slots[i] = parts[i].generate(context);
     });
     std::vector<TrafficPattern> patterns;
     for (auto &slot : slots) {

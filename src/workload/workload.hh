@@ -73,41 +73,59 @@ struct ParamSpec
     ParamSpec &mandatory();
 };
 
-/**
- * A validated parameter set: every key checked against the schema
- * (unknown keys, kind mismatches, out-of-range numbers, and
- * out-of-vocabulary strings are fatal with the workload name and the
- * offending key in the message), defaults filled in.
- */
-class Params
-{
-  public:
-    /** Validate `spec` (a JSON object; the "name" key is reserved for
-     *  registry dispatch and ignored here) against `schema`. */
-    static Params fromJson(const std::string &workloadName,
-                           const JsonValue &spec,
-                           const std::vector<ParamSpec> &schema);
-
-    double number(const std::string &key) const;
-    const std::string &str(const std::string &key) const;
-    bool flag(const std::string &key) const;
-    /** Object-kind parameter (e.g. a nested workload spec). */
-    const JsonValue &object(const std::string &key) const;
-    /** True when the spec provided the key explicitly. */
-    bool provided(const std::string &key) const;
-
-  private:
-    std::string workload_;
-    std::map<std::string, JsonValue> values_;
-    std::map<std::string, bool> explicit_;
-
-    const JsonValue &lookup(const std::string &key) const;
-};
-
 /** Cross-cutting context a generator may need beyond its params. */
 struct TrafficContext
 {
     int wordBits = 512;  ///< array access width of the target sweep
+};
+
+struct WorkloadSpec;
+
+/**
+ * A validated parameter set: every key checked against the schema
+ * (unknown keys, kind mismatches, out-of-range numbers, and
+ * out-of-vocabulary strings are refused naming the workload and the
+ * offending key), defaults filled in. Values are typed; an object
+ * parameter holds its nested, validated spec.
+ */
+class Params
+{
+  public:
+    /**
+     * Decode the spec object at the reader against `schema`; its
+     * "name" member, which selected the workload, is skipped. Every
+     * refusal is JsonReader::reject()'s, so it names the document, the
+     * line and column, and the member path.
+     */
+    static Params read(JsonReader &r, const std::string &workloadName,
+                       const std::vector<ParamSpec> &schema);
+
+    double number(const std::string &key) const;
+    const std::string &str(const std::string &key) const;
+    bool flag(const std::string &key) const;
+    /** Object-kind parameter: the nested workload spec. */
+    const WorkloadSpec &object(const std::string &key) const;
+    /** True when the spec provided the key explicitly. */
+    bool provided(const std::string &key) const;
+
+    /** Set string parameter `key`, as if the spec gave it (a split()
+     *  part's own value). */
+    void set(const std::string &key, std::string value);
+
+  private:
+    struct Value
+    {
+        double number = 0.0;
+        std::string string;
+        bool flag = false;
+        std::shared_ptr<const WorkloadSpec> object;
+        bool provided = false;
+    };
+
+    const Value &lookup(const std::string &key) const;
+
+    std::string workload_;
+    std::map<std::string, Value> values_;
 };
 
 /** One pluggable traffic source. */
@@ -129,18 +147,29 @@ class Workload
                     const TrafficContext &context) const = 0;
 
     /**
-     * Split a validated spec into parts that generate independently
-     * and whose patterns, concatenated in order, are exactly the
-     * spec's own: expandWorkloads runs the parts in parallel. The
-     * default is one part, the spec itself.
+     * Split validated parameters into parts that generate
+     * independently and whose patterns, concatenated in order, are
+     * exactly the whole's: expandWorkloads runs the parts in parallel.
+     * The default is one part, the parameters themselves.
      */
-    virtual std::vector<JsonValue> split(const JsonValue &spec,
-                                         const Params &params) const;
+    virtual std::vector<Params> split(const Params &params) const;
+};
 
-    /** Validate a raw JSON spec against schema() and generate. */
+/** A validated workload spec: the workload its "name" selects, and its
+ *  parameters. */
+struct WorkloadSpec
+{
+    const Workload *workload = nullptr;
+    Params params;
+
+    /** Decode the spec object at the reader: {"name": "<registry
+     *  key>", ...params}, an unknown name refused naming the
+     *  registered ones. */
+    static WorkloadSpec read(JsonReader &r);
+
+    /** The workload's patterns for these parameters, each validated. */
     std::vector<TrafficPattern>
-    generateFromJson(const JsonValue &spec,
-                     const TrafficContext &context) const;
+    generate(const TrafficContext &context) const;
 };
 
 /**
@@ -175,8 +204,8 @@ class WorkloadRegistry
 
 /**
  * Expand one JSON workload spec — {"name": "<registry key>", ...params}
- * — into traffic patterns via the registry. The entry point used by
- * the sweep engine, the config front-end, and the study drivers.
+ * — into traffic patterns via the registry: WorkloadSpec::read over the
+ * document, then generate().
  */
 std::vector<TrafficPattern>
 trafficFromWorkloadJson(const JsonValue &spec,
@@ -184,7 +213,7 @@ trafficFromWorkloadJson(const JsonValue &spec,
 
 /**
  * Expand a list of specs, concatenating their patterns in spec order.
- * Every spec is validated first, in order, on the calling thread (the
+ * Every spec is decoded first, in order, on the calling thread (the
  * first bad one fails as a serial expansion would, under the caller's
  * ScopedFatalThrows too); then each spec's split() parts are generated
  * on up to `jobs` threads (<=0 = all hardware threads) into indexed
@@ -196,10 +225,10 @@ expandWorkloads(const std::vector<JsonValue> &specs,
 
 /**
  * Validate a spec (name known, parameters well-formed) without
- * generating traffic — the cheap eager check config loading performs
- * so bad studies fail before any simulation runs. Fatal on errors.
- * Nested specs (the intermittent wrapper's "inner") are validated
- * recursively.
+ * generating traffic: WorkloadSpec::read over the document, which
+ * validates nested specs (the intermittent wrapper's "inner") with
+ * their wrapper. Fatal on errors. (A config decodes its specs straight
+ * from its own reader, so their refusals name the config's file.)
  */
 void validateWorkloadJson(const JsonValue &spec);
 

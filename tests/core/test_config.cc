@@ -192,9 +192,10 @@ TEST_F(ConfigTest, WorkloadKeysThreadThroughToTheSweep)
     })"));
     ASSERT_EQ(config.sweep.workloads.size(), 3u);
     EXPECT_TRUE(config.sweep.traffics.empty());
-    EXPECT_EQ(config.sweep.workloads[0].at("name").asString(),
-              "kv-store");
-    EXPECT_EQ(config.sweep.workloads[2].at("name").asString(), "dnn");
+    EXPECT_EQ(config.sweep.workloads[0].text(),
+              R"({"name": "kv-store", "zipf_skew": 0.8})");
+    EXPECT_EQ(config.sweep.workloads[2].text(),
+              R"({"name": "dnn", "network": "resnet26"})");
 
     // The sweep expands them: 1 cell x 1 capacity x 1 target x
     // (1 kv + 2 wal + 1 dnn) patterns.
@@ -270,7 +271,9 @@ TEST_F(ConfigTest, ReliabilityErrorsAreFatalAtLoadTime)
     EXPECT_EXIT(
         loadExperiment(JsonValue::parse(minimalConfigJson(
             R"("reliability": {"scheme": "none"})"))),
-        ::testing::ExitedWithCode(1), "unknown key 'scheme'");
+        ::testing::ExitedWithCode(1),
+        "reliability: unknown member \"scheme\" \\(known: ecc, "
+        "scrub_interval_sec\\)");
     EXPECT_EXIT(
         loadExperiment(JsonValue::parse(minimalConfigJson(
             R"("reliability": {"ecc": "none"}, "ecc": "none")"))),
@@ -285,7 +288,7 @@ TEST_F(ConfigTest, UnknownTopLevelKeyIsFatal)
         loadExperiment(JsonValue::parse(minimalConfigJson(
             R"("experiment": "typo", "tagets": ["WriteEDP"])"))),
         ::testing::ExitedWithCode(1),
-        "config 'typo': unknown key 'tagets' \\(known keys: .*targets");
+        "unknown member \"tagets\" \\(known: .*targets");
     // The one list, which nvmexplorer_lint reads too.
     EXPECT_TRUE(knownConfigKeys().count("targets"));
     EXPECT_TRUE(knownConfigKeys().count("top_k"));
@@ -306,8 +309,8 @@ TEST_F(ConfigTest, CapacitiesMustBeFiniteAndBuildable)
                                 "capacities_mib": [)") +
                 mib + "]}")),
             ::testing::ExitedWithCode(1),
-            "config 'cap': \"capacities_mib\" entries must be finite "
-            "and at least 1 KiB .*, got ")
+            "capacities_mib\\[0\\]: must be finite and at least 1 KiB "
+            ".*, got ")
             << mib;
     }
     ExperimentConfig smallest = loadExperiment(JsonValue::parse(
@@ -333,8 +336,8 @@ TEST_F(ConfigTest, FileRejectionsNameTheFile)
         FAIL() << "a number accepted as a cell";
     } catch (const FatalError &error) {
         EXPECT_EQ(std::string(error.what()),
-                  "'" + path + "': JSON: expected an object holding "
-                  "'tech'");
+                  "'" + path + "' at line 1 column 12: cells[0]: must be "
+                  "a cell reference or a custom cell object");
     }
 }
 
@@ -366,8 +369,9 @@ TEST_F(ConfigTest, RunSettingKeysAreRefusedNamingTheirFlag)
             ADD_FAILURE() << "\"" << c.key << "\" was accepted";
         } catch (const FatalError &error) {
             std::string message = error.what();
-            EXPECT_EQ(message.rfind("'" + path + "': ", 0), 0u) << message;
-            EXPECT_NE(message.find(std::string("key '") + c.key + "'"),
+            EXPECT_EQ(message.rfind("'" + path + "' at line ", 0), 0u)
+                << message;
+            EXPECT_NE(message.find(std::string("\"") + c.key + "\""),
                       std::string::npos) << message;
             EXPECT_NE(message.find(c.flag), std::string::npos) << message;
         }
@@ -388,7 +392,8 @@ TEST_F(ConfigTest, RunSettingKeysAreRefusedNamingTheirFlag)
         "top_k": {"metric": "total_power", "k": 3},
         "output_csv": "every-key.csv"})";
     for (const auto &key : knownConfigKeys())
-        EXPECT_TRUE(key == "ecc" || JsonValue::parse(everyKey).has(key))
+        EXPECT_TRUE(key == "ecc" ||
+                    everyKey.find("\"" + key + "\"") != std::string::npos)
             << key;
     std::ofstream(path) << everyKey;
     ExperimentConfig config = loadExperimentFile(path);
@@ -427,7 +432,8 @@ TEST_F(ConfigTest, BadConfigsAreFatal)
         "capacities_mib": [2],
         "targets": ["FastestEver"],
         "traffic": [{"name": "t", "reads": 1}]
-    })")), ::testing::ExitedWithCode(1), "unknown optimization");
+    })")), ::testing::ExitedWithCode(1),
+                "targets\\[0\\]: must be one of .*got \"FastestEver\"");
 }
 
 TEST_F(ConfigTest, DeclarativeConstraintArrayLoads)
@@ -508,7 +514,8 @@ TEST_F(ConfigTest, RefineKeyErrorPathsAreFatalAtLoadTime)
         EXPECT_EXIT(loadExperiment(JsonValue::parse(minimalConfigJson(
                         std::string(R"("top_k": {"metric":
                             "total_power", "k": )") + k + "}"))),
-                    ::testing::ExitedWithCode(1), "positive integer")
+                    ::testing::ExitedWithCode(1),
+                    "top_k.k: must be a whole number in \\[1, ")
             << k;
     }
 
@@ -538,7 +545,7 @@ TEST_F(ConfigTest, LegacyConstraintObjectIsFatalWithTheClauseSpelling)
                 std::string(R"("experiment": "old", "constraints": )") +
                 legacy))),
             ::testing::ExitedWithCode(1),
-            "config 'old': \"constraints\" must be an array of "
+            "\"constraints\" must be an array of "
             "clauses, e\\.g\\. \\[\"latency_load<=1\", "
             "\"meets_read_bw>=1\", \"meets_write_bw>=1\"\\]")
             << legacy;
@@ -565,8 +572,8 @@ TEST_F(ConfigTest, IntegerKeysRejectFractionsAndOutOfRangeValues)
                         std::string(R"("experiment": "ints", ")") +
                         c.key + "\": " + c.bad))),
                     ::testing::ExitedWithCode(1),
-                    std::string("config 'ints': \"") + c.key +
-                        "\" must be an integer in \\[.*got")
+                    std::string("\"") + c.key +
+                        "\" must be a whole number in \\[.*got")
             << c.key << " = " << c.bad;
     }
 
@@ -581,7 +588,8 @@ TEST_F(ConfigTest, IntegerKeysRejectFractionsAndOutOfRangeValues)
                                 "write_lo": 1e6, "write_hi": 1e8,
                                 "steps": )") + steps + "}]}")),
                     ::testing::ExitedWithCode(1),
-                    "\"steps\" must be an integer in \\[2, 1000\\]")
+                    "traffic\\[0\\].steps: must be a whole number in "
+                    "\\[2, 1000\\]")
             << steps;
     }
 
@@ -592,6 +600,125 @@ TEST_F(ConfigTest, IntegerKeysRejectFractionsAndOutOfRangeValues)
     EXPECT_EQ(ok.sweep.wordBits, 64);
     EXPECT_EQ(ok.sweep.nodeNm, 45);
     EXPECT_EQ(ok.sweep.sramNodeNm, 7);
+}
+
+/** A config whose members are `cells`, `capacities`, `traffic`, and
+ *  `extra` (more members, or nothing), one per line. */
+std::string
+configWith(const std::string &cells, const std::string &capacities,
+           const std::string &traffic, const std::string &extra = "")
+{
+    return "{\"experiment\": \"nested\",\n\"cells\": " + cells +
+        ",\n\"capacities_mib\": " + capacities + ",\n\"traffic\": " +
+        traffic + (extra.empty() ? "" : ",\n" + extra) + "}\n";
+}
+
+/** Load `text` from a file; the refusal, which must name the file and
+ *  a line and column. */
+std::string
+refusal(const std::string &text)
+{
+    std::string path = ::testing::TempDir() + "nvmexp_nested_member.json";
+    std::ofstream(path, std::ios::trunc) << text;
+    ScopedFatalThrows guard;
+    try {
+        loadExperimentFile(path);
+    } catch (const FatalError &error) {
+        std::string message = error.what();
+        EXPECT_EQ(message.rfind("'" + path + "' at line ", 0), 0u)
+            << message;
+        EXPECT_NE(message.find(" column "), std::string::npos) << message;
+        return message;
+    }
+    ADD_FAILURE() << "loaded:\n" << text;
+    return "";
+}
+
+/** Every member, at every depth, is declared: a misspelled nested key
+ *  used to load and run on its default (a custom cell's "endurence"
+ *  kept the catalog endurance, and a lifetime from it), and a wrong
+ *  kind named no member. */
+TEST_F(ConfigTest, MisspelledNestedMembersAreRefusedByName)
+{
+    const std::string cells = R"(["SRAM"])", caps = "[2]",
+                      traffic = R"([{"name": "t", "reads": 1}])";
+    const std::string grid = R"({"kind": "generic_grid", "read_lo": 1e9,
+        "read_hi": 1e10, "write_lo": 1e6, "write_hi": 1e8)";
+    struct Case
+    {
+        std::string text;
+        std::string expected;
+    };
+    const Case cases[] = {
+        {configWith(R"([{"tech": "RRAM", "endurence": 1e3}])", caps,
+                    traffic),
+         "cells[0]: unknown member \"endurence\" (known: base, tech, "},
+        {configWith(cells, caps,
+                    R"([{"name": "t", "reads": 1, "exec_tim": 5}])"),
+         "traffic[0]: unknown member \"exec_tim\" (known: name, "},
+        {configWith(cells, caps, "[" + grid + R"(, "stepz": 5}])"),
+         "traffic[0]: unknown member \"stepz\" (known: kind, "},
+        {configWith(cells, caps, traffic,
+                    R"("constraints": [{"metric": "total_power",
+                        "op": "<", "bound": 1, "unit": "mW"}])"),
+         "constraints[0]: unknown member \"unit\" (known: metric, op, "
+         "bound)"},
+        {configWith(cells, caps, traffic,
+                    R"("constraints": [{"metric": "total_power",
+                        "op": "<", "bound": 1, "bund": 99}])"),
+         "constraints[0]: unknown member \"bund\""},
+        {configWith(cells, caps, traffic,
+                    R"("top_k": {"metric": "total_power", "k": 3,
+                                 "direction": "max"})"),
+         "top_k: unknown member \"direction\" (known: metric, k)"},
+        {configWith(cells, caps, traffic,
+                    R"("top_k": {"metric": "total_power", "k": 3,
+                                 "dir": "max"})"),
+         "top_k: unknown member \"dir\" (known: metric, k)"},
+        {configWith(cells, R"(["2"])", traffic),
+         "capacities_mib[0]: must be a number"},
+    };
+    for (const Case &c : cases) {
+        std::string message = refusal(c.text);
+        EXPECT_NE(message.find(c.expected), std::string::npos)
+            << message << "\nexpected: " << c.expected;
+    }
+}
+
+/** Members that exclude each other used to load, one of them silently
+ *  dropped: a traffic entry's counts beside its byte rates, a custom
+ *  cell's "tech" beside its "base", and a grid's "name". */
+TEST_F(ConfigTest, MembersThatExcludeEachOtherAreRefused)
+{
+    const std::string cells = R"(["SRAM"])", caps = "[2]",
+                      traffic = R"([{"name": "t", "reads": 1}])";
+    struct Case
+    {
+        std::string text;
+        std::string expected;
+    };
+    const Case cases[] = {
+        {configWith(cells, caps,
+                    R"([{"name": "t", "read_bytes_per_sec": 1e9,
+                         "write_bytes_per_sec": 1e8, "reads": 5,
+                         "writes": 1}])"),
+         "traffic[0]: byte rates (\"read_bytes_per_sec\", "
+         "\"write_bytes_per_sec\") and access counts (\"reads\", "
+         "\"writes\") exclude each other"},
+        {configWith(R"([{"base": "STT-Opt", "tech": "RRAM"}])", caps,
+                    traffic),
+         "cells[0]: \"base\" and \"tech\" exclude each other"},
+        {configWith(cells, caps,
+                    R"([{"kind": "generic_grid", "name": "g",
+                         "read_lo": 1e9, "read_hi": 1e10,
+                         "write_lo": 1e6, "write_hi": 1e8}])"),
+         "traffic[0]: unknown member \"name\" (known: kind, read_lo, "},
+    };
+    for (const Case &c : cases) {
+        std::string message = refusal(c.text);
+        EXPECT_NE(message.find(c.expected), std::string::npos)
+            << message << "\nexpected: " << c.expected;
+    }
 }
 
 } // namespace

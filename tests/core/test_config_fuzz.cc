@@ -11,7 +11,8 @@
  * capacities are finite and buildable and whose explicit traffic is
  * finite, so a run can neither reject them without naming the file nor
  * turn them into NaN rows or an empty table. Nothing crashes and
- * nothing hangs.
+ * nothing hangs. A differential inserts an unknown member into every
+ * object of every seed, which must be refused naming it.
  */
 
 #include <gtest/gtest.h>
@@ -244,6 +245,43 @@ TEST_F(ConfigFuzzTest, EveryShippedConfigLoadsUnmutated)
     ASSERT_EQ(shippedConfigs().size(), 8u);
     for (const auto &seed : shippedConfigs())
         EXPECT_EQ(load(seed.name, seed.text), "") << seed.name;
+}
+
+/** A seed the shipped configs lack: a custom cell object. */
+const char *const kCustomCellSeed = R"({
+    "experiment": "custom-cell",
+    "cells": ["SRAM", {"name": "hero", "base": "STT-Opt",
+                       "write_pulse_ns": 2, "endurance": 1e12}],
+    "capacities_mib": [2],
+    "traffic": [{"name": "t", "reads": 1e5, "writes": 1e4}]
+})";
+
+/** Differential: a member no table declares, inserted into any object
+ *  of any seed at any depth (custom cells, traffic entries, grids,
+ *  clause objects, top_k, the reliability block, workload specs and
+ *  their nested specs), is refused naming it, its line and its column.
+ *  At the parent the nested ones were dropped and the config loaded. */
+TEST_F(ConfigFuzzTest, UnknownMemberAtAnyDepthIsRefusedByName)
+{
+    std::vector<Seed> seeds = shippedConfigs();
+    seeds.push_back({"custom_cell.json", kCustomCellSeed});
+    std::size_t checked = 0;
+    for (const Seed &seed : seeds) {
+        EXPECT_EQ(load(seed.name, seed.text), "") << seed.name;
+        for (std::size_t at : testsupport::objectOpenings(seed.text)) {
+            std::string where;
+            std::string text =
+                testsupport::unknownMemberAt(seed.text, at, where);
+            std::string error = load(seed.name, text);
+            EXPECT_NE(error.find(where + ": "), std::string::npos)
+                << seed.name << " at " << at << ": " << error;
+            EXPECT_NE(error.find(testsupport::kUnknownMember),
+                      std::string::npos)
+                << seed.name << " at " << at << ": " << error;
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 25u);
 }
 
 TEST_F(ConfigFuzzTest, MutatedConfigsLoadOrFailByName)

@@ -50,12 +50,11 @@ TEST_F(GoldenSweep, MetricsMatchTheCommittedReference)
         GTEST_SKIP() << "regenerated " << kGoldenRelPath;
     }
 
-    JsonValue golden = JsonValue::parseFile(goldenPath());
+    std::string golden = testsupport::fileText(goldenPath());
     std::vector<std::string> diffs;
     // Tolerance 0: the store's exact double serialization makes the
     // golden comparison bitwise; any drift is a real model change.
-    bool same = testsupport::jsonNear(golden, JsonValue::parse(current),
-                                      0.0, diffs);
+    bool same = testsupport::jsonNear(golden, current, 0.0, diffs);
     for (const auto &diff : diffs)
         ADD_FAILURE() << diff;
     EXPECT_TRUE(same)
@@ -89,9 +88,9 @@ TEST_F(GoldenSweep, StoreRoundTripAndCacheReproduceTheReference)
     EXPECT_EQ(stats.cacheHits, stats.cacheLookups());
     EXPECT_GT(stats.cacheHits, 0u);
 
-    JsonValue golden = JsonValue::parseFile(goldenPath());
-    JsonValue roundTripped =
-        JsonValue::parse(store::serializeResults(store::loadResults(dir)));
+    std::string golden = testsupport::fileText(goldenPath());
+    std::string roundTripped =
+        store::serializeResults(store::loadResults(dir));
     std::vector<std::string> diffs;
     bool same = testsupport::jsonNear(golden, roundTripped, 0.0, diffs);
     for (const auto &diff : diffs)

@@ -83,13 +83,12 @@ TEST_F(WorkloadGolden, NewWorkloadMetricsMatchTheCommittedReference)
         GTEST_SKIP() << "regenerated " << kGoldenRelPath;
     }
 
-    JsonValue golden = JsonValue::parseFile(goldenPath());
+    std::string golden = testsupport::fileText(goldenPath());
     std::vector<std::string> diffs;
     // Tolerance 0: generators are deterministic and the store
     // serializes doubles exactly, so any drift is a real change to a
     // traffic model.
-    bool same = testsupport::jsonNear(golden, JsonValue::parse(current),
-                                      0.0, diffs);
+    bool same = testsupport::jsonNear(golden, current, 0.0, diffs);
     for (const auto &diff : diffs)
         ADD_FAILURE() << diff;
     EXPECT_TRUE(same)

@@ -225,24 +225,36 @@ TEST_F(ConstraintsTest, ClauseSetsMatchHandWrittenFieldComparisons)
     }
 }
 
+/** A query holding `clauses`, as query.json writes it. */
+std::string
+written(const ConstraintSet &clauses)
+{
+    store::StoreQuery query;
+    query.constraints = clauses;
+    std::string out;
+    JsonWriter w(out);
+    store::writeJson(w, query);
+    return out;
+}
+
 TEST_F(ConstraintsTest, JsonRoundTripIsLossless)
 {
     ConstraintSet set;
     set.add("total_power<0.5");
     set.add(ConstraintClause{"lifetime_sec", ConstraintOp::GE,
                              3.0 * 365.0 * 86400.0});
-    std::string dumped = set.toJson().dump(-1);
+    std::string text = written(set);
     ConstraintSet reloaded =
-        ConstraintSet::fromJson(JsonValue::parse(dumped));
-    EXPECT_EQ(reloaded.toJson().dump(-1), dumped);
+        store::StoreQuery::fromJson(JsonValue::parse(text)).constraints;
+    EXPECT_EQ(written(reloaded), text);
     ASSERT_EQ(reloaded.size(), 2u);
     EXPECT_EQ(reloaded.clauses()[0].text(), "total_power<0.5");
 
     // String entries are accepted alongside object entries.
-    ConstraintSet fromStrings = ConstraintSet::fromJson(
-        JsonValue::parse(R"(["total_power<0.5",
-            {"metric": "viable", "op": "==", "bound": 1}])"));
-    EXPECT_EQ(fromStrings.size(), 2u);
+    store::StoreQuery fromStrings = store::StoreQuery::fromJson(
+        JsonValue::parse(R"({"constraints": ["total_power<0.5",
+            {"metric": "viable", "op": "==", "bound": 1}]})"));
+    EXPECT_EQ(fromStrings.constraints.size(), 2u);
 }
 
 using ConstraintsDeathTest = ConstraintsTest;
@@ -258,10 +270,11 @@ TEST_F(ConstraintsDeathTest, BadOperatorIsFatal)
 {
     EXPECT_EXIT(metrics::constraintOpFromName("=<"),
                 ::testing::ExitedWithCode(1), "operator '=<' unknown");
-    EXPECT_EXIT(ConstraintClause::fromJson(JsonValue::parse(
-                    R"({"metric": "total_power", "op": "~",
-                        "bound": 1})")),
-                ::testing::ExitedWithCode(1), "operator '~' unknown");
+    EXPECT_EXIT(store::StoreQuery::fromJson(JsonValue::parse(
+                    R"({"constraints": [{"metric": "total_power",
+                        "op": "~", "bound": 1}]})")),
+                ::testing::ExitedWithCode(1),
+                "constraints\\[0\\]\\.op: .*operator '~' unknown");
 }
 
 TEST_F(ConstraintsDeathTest, MalformedClausesAreFatal)
@@ -284,10 +297,11 @@ TEST_F(ConstraintsDeathTest, MalformedBoundsAreFatal)
                 ::testing::ExitedWithCode(1), "not a number");
     EXPECT_EXIT(ConstraintClause::parse("total_power<NaN"),
                 ::testing::ExitedWithCode(1), "not a number");
-    EXPECT_EXIT(ConstraintClause::fromJson(JsonValue::parse(
-                    R"({"metric": "total_power", "op": "<",
-                        "bound": "high"})")),
-                ::testing::ExitedWithCode(1), "must be a number");
+    EXPECT_EXIT(store::StoreQuery::fromJson(JsonValue::parse(
+                    R"({"constraints": [{"metric": "total_power",
+                        "op": "<", "bound": "high"}]})")),
+                ::testing::ExitedWithCode(1),
+                "constraints\\[0\\]\\.bound: must be a number");
 }
 
 /** RAII LC_NUMERIC override restoring the previous locale. */

@@ -338,6 +338,16 @@ randomQuery(Rng &rng, std::size_t rows)
     return query;
 }
 
+/** `query` as query.json writes it, compact. */
+std::string
+shown(const store::StoreQuery &query)
+{
+    std::string out;
+    JsonWriter w(out);
+    store::writeJson(w, query);
+    return out;
+}
+
 TEST_F(RefineTest, SelectRowsMatchesNaiveReference)
 {
     Rng rng(0x5E1EC7);
@@ -352,7 +362,7 @@ TEST_F(RefineTest, SelectRowsMatchesNaiveReference)
         auto got = store::selectRows(query, rows, source);
         EXPECT_EQ(got, referenceRows(query, columns, rows))
             << "round " << round << ": "
-            << query.toJson().dump(-1);
+            << shown(query);
         nonEmpty += !got.empty();
     }
     EXPECT_GT(nonEmpty, 200u);
@@ -390,7 +400,7 @@ TEST_F(RefineTest, SelectRowsMatchesReferenceOnEachStageAlone)
         };
         EXPECT_EQ(store::selectRows(query, rows, source),
                   referenceRows(query, columns, rows))
-            << "round " << round << ": " << query.toJson().dump(-1);
+            << "round " << round << ": " << shown(query);
     }
 }
 

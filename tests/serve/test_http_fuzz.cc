@@ -270,8 +270,8 @@ TEST(HttpParserFuzz, OutcomeIsIndependentOfChunking)
         std::string input = mutated(rng);
         std::size_t cap = rng.bernoulli(0.5) ? 64 : 4096;
         std::string label = "round " + std::to_string(round) + " cap " +
-            std::to_string(cap) + ": " +
-            JsonValue::makeString(input).dump(-1);
+            std::to_string(cap) + ": ";
+        JsonWriter(label).string(input); // escaped, so it prints whole
 
         Outcome whole = feed(input, cap, {});
         checkOutcome(whole, input, cap, label);

@@ -7,7 +7,8 @@
  * and handed straight to QueryServer::dispatch. Every answer is a 200
  * or a 400 whose body is {"error": ...}, and the server goes on
  * answering. Also pins the reproducer of a remote crash: a 400k-deep
- * [...] body, under the 1 MiB body cap, used to overflow the stack.
+ * [...] body, under the 1 MiB body cap, used to overflow the stack; and
+ * checks that a member inserted into any object is refused by name.
  */
 
 #include <gtest/gtest.h>
@@ -72,19 +73,26 @@ class QueryFuzzTest : public testsupport::QuietTest
         return server_->dispatch(request);
     }
 
-    /** A 400's body is exactly {"error": "<non-empty message>"}. */
-    static void
+    /** A 400's body is exactly {"error": "<non-empty message>"}: the
+     *  message, or "" when the body is anything else. */
+    static std::string
     expectErrorBody(const serve::HttpResponse &response,
                     const std::string &body)
     {
-        JsonValue doc;
-        ASSERT_TRUE(JsonValue::tryParse(response.body, doc))
-            << response.body;
-        ASSERT_TRUE(doc.isObject()) << response.body;
-        ASSERT_EQ(doc.memberNames().size(), 1u) << response.body;
-        ASSERT_TRUE(doc.has("error") && doc.at("error").isString())
-            << response.body;
-        EXPECT_FALSE(doc.at("error").asString().empty()) << body;
+        std::string message;
+        bool ok = JsonReader::tryRead(response.body, [&](JsonReader &r) {
+            std::string_view name;
+            r.beginObject();
+            if (!r.nextMember(name) || name != "error" ||
+                r.peek() != JsonValue::Kind::String)
+                r.reject("not an error body");
+            message = r.string();
+            if (r.nextMember(name))
+                r.reject("more than the error");
+        });
+        EXPECT_TRUE(ok) << response.body;
+        EXPECT_FALSE(message.empty()) << body;
+        return message;
     }
 
     std::unique_ptr<serve::QueryServer> server_;
@@ -137,7 +145,7 @@ mutated(Rng &rng)
         for (std::uint64_t n = 1 + rng.range(4); n > 0; --n)
             body[rng.range(body.size())] = (char)rng.range(256);
         break;
-      case 2: { // nesting around the DOM's depth cap, and far past it
+      case 2: { // nesting around the reader's depth cap, and far past it
         std::size_t depth = 0;
         bool objects = rng.bernoulli(0.5);
         switch (rng.range(3)) {
@@ -147,7 +155,7 @@ mutated(Rng &rng)
           case 1:
             depth = rng.range(4 * JsonValue::kMaxDepth);
             break;
-          default: // deep enough to overflow a recursive DOM, < 1 MiB
+          default: // deep enough to overflow a recursive decoder, < 1 MiB
             depth = 300000 + rng.range(200000);
             objects = false;
             break;
@@ -198,10 +206,8 @@ TEST_F(QueryFuzzTest, MutatedBodiesGet200OrStructured400)
         std::string body = mutated(rng);
         serve::HttpResponse response = post(body);
         if (response.status == 200) {
-            JsonValue doc;
-            ASSERT_TRUE(JsonValue::tryParse(response.body, doc)) << body;
-            EXPECT_TRUE(doc.has("results") && doc.at("results").isArray())
-                << body;
+            std::vector<EvalResult> rows;
+            EXPECT_TRUE(store::tryReadJson(response.body, rows)) << body;
             ++ok;
         } else {
             ASSERT_EQ(response.status, 400) << body;
@@ -246,21 +252,28 @@ TEST_F(QueryFuzzTest, FormatMustBeTheWholeFormatVersion)
 }
 
 /** The reproducer: 400k nested arrays (800 KB, under the 1 MiB body
- *  cap) parsed into a DOM whose recursive destructor overflowed the
- *  stack. The parse now stops at the depth cap with a positioned
- *  diagnostic, and the next request is served. */
+ *  cap) once parsed into a DOM whose recursive destructor overflowed
+ *  the stack. The query's decoder refuses it at its first byte, as it
+ *  refuses any document that is not an object, and the next request is
+ *  served. */
 TEST_F(QueryFuzzTest, FourHundredThousandDeepBodyGets400)
 {
     std::string body = nested(400000, false);
     ASSERT_LT(body.size(), serve::ServeOptions{}.maxBodyBytes);
     serve::HttpResponse response = post(body);
     EXPECT_EQ(response.status, 400);
-    expectErrorBody(response, "400k-deep arrays");
-    EXPECT_NE(response.body.find("line 1 column 513"), std::string::npos)
-        << response.body.substr(0, 200);
-    EXPECT_NE(response.body.find("nesting deeper than 512"),
+    std::string error = expectErrorBody(response, "400k-deep arrays");
+    EXPECT_NE(error.find("line 1 column 1: a store query must be a JSON "
+                         "object"),
               std::string::npos)
-        << response.body.substr(0, 200);
+        << error;
+    // Deep inside a member, the member's decoder refuses it as early.
+    response = post("{\"constraints\": " + body + "}");
+    EXPECT_EQ(response.status, 400);
+    error = expectErrorBody(response, "400k-deep clause");
+    EXPECT_NE(error.find("line 1 column 18: constraints[0]: must be a "),
+              std::string::npos)
+        << error;
 
     serve::HttpResponse next = post("{}");
     EXPECT_EQ(next.status, 200);
@@ -277,15 +290,44 @@ TEST_F(QueryFuzzTest, FourHundredThousandDeepQueryFileIsRefusedByName)
     }
     ScopedFatalThrows guard;
     try {
-        store::StoreQuery::fromJson(JsonValue::parseFile(path));
+        store::StoreQuery query;
+        store::readJsonFile(path, query);
         ADD_FAILURE() << "a 400k-deep query file was accepted";
     } catch (const FatalError &e) {
         std::string error = e.what();
-        EXPECT_NE(error.find(path), std::string::npos) << error;
-        EXPECT_NE(error.find("nesting deeper than 512"), std::string::npos)
+        EXPECT_NE(error.find("'" + path + "' at line 1 column 1"),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find("must be a JSON object"), std::string::npos)
             << error;
     }
     std::filesystem::remove(path);
+}
+
+/** Differential: a member no table declares, inserted into any object
+ *  of a valid body at any depth (the query, a clause object, top_k),
+ *  is refused with a 400 naming it, its line and its column. At the
+ *  parent the nested ones were dropped and answered 200. */
+TEST_F(QueryFuzzTest, UnknownMemberAtAnyDepthGets400NamingIt)
+{
+    std::size_t checked = 0;
+    for (const char *seed : kSeeds) {
+        for (std::size_t at : testsupport::objectOpenings(seed)) {
+            std::string where;
+            std::string body = testsupport::unknownMemberAt(seed, at, where);
+            serve::HttpResponse response = post(body);
+            ASSERT_EQ(response.status, 400) << body;
+            std::string error = expectErrorBody(response, body);
+            EXPECT_NE(error.find(where + ": "), std::string::npos)
+                << body << "\n" << error;
+            EXPECT_NE(error.find(std::string("unknown member \"") +
+                                 testsupport::kUnknownMember + "\""),
+                      std::string::npos)
+                << body << "\n" << error;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 9u);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "celldb/tentpole.hh"
 #include "core/sweep.hh"
@@ -121,6 +122,51 @@ minimalConfigJson(const std::string &extraKeys)
         "capacities_mib": [2],
         "traffic": [{"name": "t", "reads": 1}])" +
         (extraKeys.empty() ? std::string() : ", " + extraKeys) + "}";
+}
+
+/** Where each object of the JSON text `text` opens: every '{' outside
+ *  strings and `//` comments. */
+inline std::vector<std::size_t>
+objectOpenings(const std::string &text)
+{
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        if (text[i] == '"') {
+            for (++i; i < text.size() && text[i] != '"'; ++i)
+                i += text[i] == '\\';
+        } else if (text.compare(i, 2, "//") == 0) {
+            i = text.find('\n', i);
+            if (i == std::string::npos)
+                break;
+        } else if (text[i] == '{') {
+            out.push_back(i);
+        }
+    }
+    return out;
+}
+
+/** The name of the member unknownMemberAt() inserts. */
+constexpr const char *kUnknownMember = "zz_unknown";
+
+/** `text` with the member "zz_unknown": 1 first in the object that
+ *  opens at `at`; `where` is set to the position a reader reports once
+ *  it has read that member's name, "line L column C". */
+inline std::string
+unknownMemberAt(std::string text, std::size_t at, std::string &where)
+{
+    std::size_t next = text.find_first_not_of(" \t\r\n", at + 1);
+    bool empty = next != std::string::npos && text[next] == '}';
+    std::string member = std::string("\"") + kUnknownMember + "\":";
+    text.insert(at + 1, member + (empty ? "1" : "1, "));
+    std::size_t after = at + 1 + member.size();
+    std::size_t line = 1, column = 1;
+    for (std::size_t i = 0; i < after; ++i) {
+        line += text[i] == '\n';
+        column = text[i] == '\n' ? 1 : column + 1;
+    }
+    where = "line " + std::to_string(line) + " column " +
+        std::to_string(column);
+    return text;
 }
 
 } // namespace testsupport

@@ -14,10 +14,11 @@
 #define NVMEXP_TESTS_SUPPORT_GOLDEN_COMPARE_HH
 
 #include <cmath>
+#include <algorithm>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.hh"
@@ -38,83 +39,152 @@ numbersNear(double expected, double actual, double relTol)
     return std::fabs(expected - actual) <= relTol * scale;
 }
 
-/**
- * Recursively compare `actual` against `expected`; every mismatch is
- * appended to `diffs` as "<path>: <detail>" (capped so a wholesale
- * regression stays readable). @return true when no differences.
- */
+namespace detail {
+
+/** The value at `expected` against the one at `actual`, both readers
+ *  consumed past them unless a size or member name differs (then
+ *  false, and the readers are left where they stopped). */
 inline bool
-jsonNear(const JsonValue &expected, const JsonValue &actual,
-         double relTol, std::vector<std::string> &diffs,
-         const std::string &path = "$")
+readersNear(JsonReader &expected, JsonReader &actual, double relTol,
+            std::vector<std::string> &diffs, const std::string &path)
 {
     constexpr std::size_t kMaxDiffs = 25;
     if (diffs.size() >= kMaxDiffs)
         return false;
-    if (expected.kind() != actual.kind()) {
-        diffs.push_back(path + ": kind mismatch (" +
-                        expected.dump(-1).substr(0, 40) + " vs " +
-                        actual.dump(-1).substr(0, 40) + ")");
+    JsonValue::Kind kind = expected.peek();
+    if (kind != actual.peek()) {
+        diffs.push_back(path + ": kind mismatch");
+        expected.skip();
+        actual.skip();
         return false;
     }
-    bool same = true;
-    switch (expected.kind()) {
+    switch (kind) {
       case JsonValue::Kind::Null:
-        break;
+        expected.null();
+        actual.null();
+        return true;
       case JsonValue::Kind::Bool:
-        if (expected.asBool() != actual.asBool()) {
+        if (expected.boolean() != actual.boolean()) {
             diffs.push_back(path + ": bool mismatch");
-            same = false;
-        }
-        break;
-      case JsonValue::Kind::String:
-        if (expected.asString() != actual.asString()) {
-            diffs.push_back(path + ": '" + expected.asString() +
-                            "' vs '" + actual.asString() + "'");
-            same = false;
-        }
-        break;
-      case JsonValue::Kind::Number:
-        if (!numbersNear(expected.asNumber(), actual.asNumber(),
-                         relTol)) {
-            diffs.push_back(
-                path + ": " + JsonValue::formatNumber(expected.asNumber()) +
-                " vs " + JsonValue::formatNumber(actual.asNumber()));
-            same = false;
-        }
-        break;
-      case JsonValue::Kind::Array: {
-        const auto &e = expected.asArray();
-        const auto &a = actual.asArray();
-        if (e.size() != a.size()) {
-            diffs.push_back(path + ": array size " +
-                            std::to_string(e.size()) + " vs " +
-                            std::to_string(a.size()));
             return false;
         }
-        for (std::size_t i = 0; i < e.size(); ++i) {
-            same &= jsonNear(e[i], a[i], relTol, diffs,
-                             path + "[" + std::to_string(i) + "]");
+        return true;
+      case JsonValue::Kind::String: {
+        std::string e(expected.string());
+        std::string a(actual.string());
+        if (e != a) {
+            diffs.push_back(path + ": '" + e + "' vs '" + a + "'");
+            return false;
         }
-        break;
+        return true;
+      }
+      case JsonValue::Kind::Number: {
+        double e = expected.number();
+        double a = actual.number();
+        if (!numbersNear(e, a, relTol)) {
+            diffs.push_back(path + ": " + JsonValue::formatNumber(e) +
+                            " vs " + JsonValue::formatNumber(a));
+            return false;
+        }
+        return true;
+      }
+      case JsonValue::Kind::Array: {
+        bool same = true;
+        expected.beginArray();
+        actual.beginArray();
+        for (std::size_t i = 0;; ++i) {
+            bool more = expected.nextElement();
+            if (more != actual.nextElement()) {
+                diffs.push_back(path + ": array size differs at " +
+                                std::to_string(i));
+                return false;
+            }
+            if (!more)
+                return same;
+            same &= readersNear(expected, actual, relTol, diffs,
+                                path + "[" + std::to_string(i) + "]");
+        }
       }
       case JsonValue::Kind::Object: {
-        std::set<std::string> names(expected.memberNames().begin(),
-                                    expected.memberNames().end());
-        std::set<std::string> actualNames(actual.memberNames().begin(),
-                                          actual.memberNames().end());
-        if (names != actualNames) {
-            diffs.push_back(path + ": member set differs");
-            return false;
+        bool same = true;
+        expected.beginObject();
+        actual.beginObject();
+        std::string_view e, a;
+        while (true) {
+            bool more = expected.nextMember(e);
+            if (more != actual.nextMember(a) || (more && e != a)) {
+                diffs.push_back(path + ": members differ");
+                return false;
+            }
+            if (!more)
+                return same;
+            same &= readersNear(expected, actual, relTol, diffs,
+                                path + "." + std::string(e));
         }
-        for (const auto &name : names) {
-            same &= jsonNear(expected.at(name), actual.at(name), relTol,
-                             diffs, path + "." + name);
-        }
-        break;
       }
     }
-    return same;
+    return false;
+}
+
+} // namespace detail
+
+/**
+ * Compare the JSON text `actual` against `expected`, walking a reader
+ * over each in lockstep (members in the same order); every mismatch is
+ * appended to `diffs` as "<path>: <detail>" (capped so a wholesale
+ * regression stays readable). @return true when no differences.
+ */
+inline bool
+jsonNear(std::string_view expected, std::string_view actual, double relTol,
+         std::vector<std::string> &diffs)
+{
+    JsonReader e(expected, "expected");
+    JsonReader a(actual, "actual");
+    if (!detail::readersNear(e, a, relTol, diffs, "$"))
+        return false;
+    e.end();
+    a.end();
+    return true;
+}
+
+/** Copy the value at `reader` through `writer`, kind by kind: the
+ *  reader and the writer agree on every kind, so a document the writer
+ *  wrote copies to the same bytes at the same indent. */
+inline void
+copyJson(JsonReader &reader, JsonWriter &writer)
+{
+    std::string_view name;
+    switch (reader.peek()) {
+      case JsonValue::Kind::Null:
+        reader.null();
+        writer.null();
+        break;
+      case JsonValue::Kind::Bool:
+        writer.boolean(reader.boolean());
+        break;
+      case JsonValue::Kind::Number:
+        writer.number(reader.number());
+        break;
+      case JsonValue::Kind::String:
+        writer.string(reader.string());
+        break;
+      case JsonValue::Kind::Array:
+        reader.beginArray();
+        writer.beginArray();
+        while (reader.nextElement())
+            copyJson(reader, writer);
+        writer.endArray();
+        break;
+      case JsonValue::Kind::Object:
+        reader.beginObject();
+        writer.beginObject();
+        while (reader.nextMember(name)) {
+            writer.key(name);
+            copyJson(reader, writer);
+        }
+        writer.endObject();
+        break;
+    }
 }
 
 /** The exact bytes of a file, e.g. a golden ("" when unreadable). */

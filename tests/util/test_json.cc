@@ -10,145 +10,209 @@
 namespace nvmexp {
 namespace {
 
+/** The one string document `text` holds, unescaped. */
+std::string
+stringOf(const std::string &text)
+{
+    JsonReader reader(text);
+    std::string out(reader.string());
+    reader.end();
+    return out;
+}
+
+/** The one number document `text` holds. */
+double
+numberOf(const std::string &text)
+{
+    JsonReader reader(text);
+    double out = reader.number();
+    reader.end();
+    return out;
+}
+
 TEST(Json, ParsesScalars)
 {
-    EXPECT_TRUE(JsonValue::parse("null").isNull());
-    EXPECT_TRUE(JsonValue::parse("true").asBool());
-    EXPECT_FALSE(JsonValue::parse("false").asBool());
-    EXPECT_DOUBLE_EQ(JsonValue::parse("42").asNumber(), 42.0);
-    EXPECT_DOUBLE_EQ(JsonValue::parse("-3.5e2").asNumber(), -350.0);
-    EXPECT_EQ(JsonValue::parse("\"hi\"").asString(), "hi");
+    JsonReader null("null");
+    EXPECT_EQ(null.peek(), JsonValue::Kind::Null);
+    null.null();
+    EXPECT_TRUE(JsonReader("true").boolean());
+    EXPECT_FALSE(JsonReader("false").boolean());
+    EXPECT_DOUBLE_EQ(numberOf("42"), 42.0);
+    EXPECT_DOUBLE_EQ(numberOf("-3.5e2"), -350.0);
+    EXPECT_EQ(stringOf("\"hi\""), "hi");
 }
 
 TEST(Json, ParsesEscapes)
 {
-    auto v = JsonValue::parse(R"("a\"b\\c\nd\te")");
-    EXPECT_EQ(v.asString(), "a\"b\\c\nd\te");
+    EXPECT_EQ(stringOf(R"("a\"b\\c\nd\te")"), "a\"b\\c\nd\te");
 }
 
 TEST(Json, ParsesNestedStructures)
 {
-    auto v = JsonValue::parse(R"({
+    JsonReader r(R"({
         "name": "sweep",
         "caps": [1, 2, 16],
         "inner": {"flag": true, "x": 0.5}
     })");
-    EXPECT_EQ(v.at("name").asString(), "sweep");
-    EXPECT_EQ(v.at("caps").asArray().size(), 3u);
-    EXPECT_DOUBLE_EQ(v.at("caps").asArray()[2].asNumber(), 16.0);
-    EXPECT_TRUE(v.at("inner").at("flag").asBool());
-    EXPECT_DOUBLE_EQ(v.at("inner").numberOr("x", 0.0), 0.5);
+    std::string_view name;
+    r.beginObject();
+    ASSERT_TRUE(r.nextMember(name));
+    EXPECT_EQ(name, "name");
+    EXPECT_EQ(r.string(), "sweep");
+    ASSERT_TRUE(r.nextMember(name));
+    EXPECT_EQ(name, "caps");
+    std::vector<double> caps;
+    r.beginArray();
+    while (r.nextElement())
+        caps.push_back(r.number());
+    EXPECT_EQ(caps, (std::vector<double>{1, 2, 16}));
+    ASSERT_TRUE(r.nextMember(name));
+    EXPECT_EQ(name, "inner");
+    r.beginObject();
+    ASSERT_TRUE(r.nextMember(name));
+    EXPECT_TRUE(r.boolean());
+    ASSERT_TRUE(r.nextMember(name));
+    EXPECT_DOUBLE_EQ(r.number(), 0.5);
+    EXPECT_FALSE(r.nextMember(name));
+    EXPECT_FALSE(r.nextMember(name));
+    r.end();
 }
 
 TEST(Json, LineCommentsAreSkipped)
 {
-    auto v = JsonValue::parse(
-        "// leading comment\n"
-        "{ \"a\": 1, // trailing comment\n"
-        "  \"b\": 2 }\n");
-    EXPECT_DOUBLE_EQ(v.at("a").asNumber(), 1.0);
-    EXPECT_DOUBLE_EQ(v.at("b").asNumber(), 2.0);
-}
-
-TEST(Json, DefaultsApplyWhenMembersAbsent)
-{
-    auto v = JsonValue::parse(R"({"present": 7})");
-    EXPECT_DOUBLE_EQ(v.numberOr("present", 1.0), 7.0);
-    EXPECT_DOUBLE_EQ(v.numberOr("absent", 1.0), 1.0);
-    EXPECT_EQ(v.stringOr("absent", "d"), "d");
-    EXPECT_TRUE(v.boolOr("absent", true));
+    JsonReader r("// leading comment\n"
+                 "{ \"a\": 1, // trailing comment\n"
+                 "  \"b\": 2 }\n");
+    std::string_view name;
+    r.beginObject();
+    ASSERT_TRUE(r.nextMember(name));
+    EXPECT_DOUBLE_EQ(r.number(), 1.0);
+    ASSERT_TRUE(r.nextMember(name));
+    EXPECT_EQ(name, "b");
+    EXPECT_DOUBLE_EQ(r.number(), 2.0);
+    EXPECT_FALSE(r.nextMember(name));
+    r.end();
 }
 
 TEST(Json, MemberNamesPreserveOrder)
 {
-    auto v = JsonValue::parse(R"({"z": 1, "a": 2, "m": 3})");
-    auto names = v.memberNames();
-    ASSERT_EQ(names.size(), 3u);
-    EXPECT_EQ(names[0], "z");
-    EXPECT_EQ(names[1], "a");
-    EXPECT_EQ(names[2], "m");
+    JsonReader r(R"({"z": 1, "a": 2, "m": 3})");
+    std::vector<std::string> names;
+    std::string_view name;
+    r.beginObject();
+    while (r.nextMember(name)) {
+        names.emplace_back(name);
+        r.skip();
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{"z", "a", "m"}));
 }
 
 TEST(Json, EmptyContainers)
 {
-    EXPECT_TRUE(JsonValue::parse("[]").asArray().empty());
-    EXPECT_TRUE(JsonValue::parse("{}").isObject());
+    JsonReader array("[]");
+    array.beginArray();
+    EXPECT_FALSE(array.nextElement());
+    array.end();
+    JsonReader object("{}");
+    std::string_view name;
+    object.beginObject();
+    EXPECT_FALSE(object.nextMember(name));
+    object.end();
 }
 
 TEST(JsonDeath, ReportsPositionOnErrors)
 {
     EXPECT_EXIT(JsonValue::parse("{\"a\": }"),
                 ::testing::ExitedWithCode(1), "line 1");
-    EXPECT_EXIT(JsonValue::parse("{\"a\": 1,\n\"a\": 2}"),
-                ::testing::ExitedWithCode(1), "duplicate member");
     EXPECT_EXIT(JsonValue::parse("[1, 2"),
                 ::testing::ExitedWithCode(1), "unexpected end");
     EXPECT_EXIT(JsonValue::parse("{} extra"),
                 ::testing::ExitedWithCode(1), "trailing");
 }
 
+/** parse() keeps the document byte for byte; value() keeps the span of
+ *  one value, without the whitespace and comments around it. */
+TEST(Json, ParseAndValueKeepTheText)
+{
+    const std::string text = " {\"a\": [1, 2.50], // note\n \"b\": {}}\n";
+    EXPECT_EQ(JsonValue::parse(text).text(), text);
+    JsonReader r(text);
+    std::string_view name;
+    r.beginObject();
+    ASSERT_TRUE(r.nextMember(name));
+    EXPECT_EQ(r.value().text(), "[1, 2.50]");
+    ASSERT_TRUE(r.nextMember(name));
+    EXPECT_EQ(r.value().text(), "{}");
+    EXPECT_FALSE(r.nextMember(name));
+    r.end();
+}
+
 TEST(Json, NestingStopsAtTheDepthCap)
 {
-    // kMaxDepth levels parse and dump; one more fails at the bracket
-    // that exceeds the cap, objects and arrays alike.
+    // kMaxDepth levels parse; one more fails at the bracket that
+    // exceeds the cap, objects and arrays alike.
     auto deep = [](std::size_t depth, const char *open, char close) {
         std::string text;
         for (std::size_t i = 0; i < depth; ++i)
             text += open;
         return text + "0" + std::string(depth, close);
     };
+    auto skips = [](const std::string &text) {
+        return JsonReader::tryRead(text, [](JsonReader &r) { r.skip(); });
+    };
     const std::size_t cap = JsonValue::kMaxDepth;
-    JsonValue out;
-    ASSERT_TRUE(JsonValue::tryParse(deep(cap, "[", ']'), out));
-    EXPECT_EQ(out.dump(-1), deep(cap, "[", ']'));
-    EXPECT_TRUE(JsonValue::tryParse(deep(cap, "{\"a\":", '}'), out));
-    EXPECT_FALSE(JsonValue::tryParse(deep(cap + 1, "[", ']'), out));
-    EXPECT_FALSE(JsonValue::tryParse(deep(cap + 1, "{\"a\":", '}'), out));
+    EXPECT_EQ(JsonValue::parse(deep(cap, "[", ']')).text(),
+              deep(cap, "[", ']'));
+    EXPECT_TRUE(skips(deep(cap, "{\"a\":", '}')));
+    EXPECT_FALSE(skips(deep(cap + 1, "[", ']')));
+    EXPECT_FALSE(skips(deep(cap + 1, "{\"a\":", '}')));
     EXPECT_EXIT(JsonValue::parse(deep(cap + 1, "[", ']')),
                 ::testing::ExitedWithCode(1),
                 "line 1 column 513: nesting deeper than 512 levels");
+    // Far past the cap too: the skip keeps no stack frame per level.
+    EXPECT_FALSE(skips(deep(400000, "[", ']')));
 }
 
 TEST(JsonDeath, TypeMismatchesAreFatal)
 {
-    auto v = JsonValue::parse(R"({"s": "x"})");
-    EXPECT_EXIT(v.at("s").asNumber(), ::testing::ExitedWithCode(1),
-                "expected a number");
-    EXPECT_EXIT(v.at("missing"), ::testing::ExitedWithCode(1),
-                "missing required member");
-    EXPECT_EXIT(JsonValue::parse("3").at("x"),
-                ::testing::ExitedWithCode(1), "expected an object");
+    EXPECT_EXIT(JsonReader(R"("x")").number(),
+                ::testing::ExitedWithCode(1), "expected a value");
+    EXPECT_EXIT(JsonReader("3").beginObject(),
+                ::testing::ExitedWithCode(1), "expected '\\{'");
+    EXPECT_EXIT(JsonReader("[1]", "doc.json").reject("not this"),
+                ::testing::ExitedWithCode(1),
+                "'doc.json' at line 1 column 1: not this");
 }
 
-TEST(JsonDeath, MissingFileIsFatal)
+/** reject() names the member path its steps make, and a step leaves
+ *  the path when it goes. */
+TEST(JsonDeath, RejectNamesTheMemberPath)
 {
-    EXPECT_EXIT(JsonValue::parseFile("/no/such/file.json"),
-                ::testing::ExitedWithCode(1), "cannot open");
-}
-
-TEST(JsonWriter, BuildersDumpAndReparse)
-{
-    JsonValue doc = JsonValue::makeObject();
-    doc.set("name", JsonValue::makeString("line \"1\"\n\ttab"));
-    doc.set("flag", JsonValue::makeBool(true));
-    doc.set("nothing", JsonValue());
-    JsonValue list = JsonValue::makeArray();
-    list.append(JsonValue::makeNumber(1.0));
-    list.append(JsonValue::makeNumber(-2.5e-19));
-    doc.set("list", std::move(list));
-    doc.set("flag", JsonValue::makeBool(false));  // overwrite in place
-
-    JsonValue back = JsonValue::parse(doc.dump());
-    EXPECT_EQ(back.at("name").asString(), "line \"1\"\n\ttab");
-    EXPECT_FALSE(back.at("flag").asBool());
-    EXPECT_TRUE(back.at("nothing").isNull());
-    EXPECT_EQ(back.at("list").asArray()[1].asNumber(), -2.5e-19);
-    // Member order is preserved, so dumps are byte-stable.
-    EXPECT_EQ(doc.dump(), back.dump());
-    EXPECT_EQ(doc.dump(-1), back.dump(-1));
-    EXPECT_EQ(doc.dump(-1),
-              "{\"name\":\"line \\\"1\\\"\\n\\ttab\",\"flag\":false,"
-              "\"nothing\":null,\"list\":[1,-2.5e-19]}");
+    auto rejectAt = [](bool nested) {
+        JsonReader r("{}", "doc.json");
+        JsonReader::PathStep cells(r, "cells");
+        cells.index = 1;
+        if (!nested)
+            cells.reject("first");
+        {
+            JsonReader::PathStep area(r, "area_f2");
+            (void)area;
+        }
+        JsonReader::PathStep area(r, "area_f2");
+        area.reject("must be a number");
+    };
+    EXPECT_EXIT(rejectAt(true), ::testing::ExitedWithCode(1),
+                "'doc.json' at line 1 column 1: cells\\[1\\]\\.area_f2: "
+                "must be a number");
+    EXPECT_EXIT(rejectAt(false), ::testing::ExitedWithCode(1),
+                "at line 1 column 1: cells\\[1\\]: first");
+    auto topLevel = [] {
+        JsonReader r("{}");
+        JsonReader::PathStep format(r, "format");
+        format.reject("must be 2");
+    };
+    EXPECT_EXIT(topLevel(), ::testing::ExitedWithCode(1),
+                "JSON document at line 1 column 1: \"format\" must be 2");
 }
 
 TEST(JsonWriter, FormatNumberRoundTripsExactly)
@@ -158,7 +222,7 @@ TEST(JsonWriter, FormatNumberRoundTripsExactly)
                              2.0e-19, 146.0};
     for (double v : values) {
         std::string text = JsonValue::formatNumber(v);
-        EXPECT_EQ(JsonValue::parse(text).asNumber(), v) << text;
+        EXPECT_EQ(numberOf(text), v) << text;
     }
     EXPECT_EQ(JsonValue::formatNumber(
                   std::numeric_limits<double>::infinity()),
@@ -171,40 +235,35 @@ TEST(JsonWriter, FormatNumberRoundTripsExactly)
               "NaN");
 }
 
-TEST(JsonWriter, TryParseReportsErrorsWithoutExiting)
+TEST(JsonReader, TryReadReportsErrorsWithoutExiting)
 {
-    JsonValue out;
-    EXPECT_TRUE(JsonValue::tryParse("{\"a\": [1, Infinity]}", out));
-    EXPECT_EQ(out.at("a").asArray()[0].asNumber(), 1.0);
-    EXPECT_FALSE(JsonValue::tryParse("{\"a\" 1}", out));  // balanced braces
-    EXPECT_FALSE(JsonValue::tryParse("{\"a\": 1", out));  // truncated
-    EXPECT_FALSE(JsonValue::tryParse("{} trailing", out));
-    EXPECT_FALSE(JsonValue::tryParse("{\"a\": tru", out));
-    EXPECT_FALSE(JsonValue::tryParse("", out));
-}
-
-TEST(JsonWriterDeath, BuilderMisuseIsFatal)
-{
-    JsonValue array = JsonValue::makeArray();
-    EXPECT_EXIT(array.set("k", JsonValue()),
-                ::testing::ExitedWithCode(1), "set on non-object");
-    JsonValue object = JsonValue::makeObject();
-    EXPECT_EXIT(object.append(JsonValue()),
-                ::testing::ExitedWithCode(1), "append on non-array");
+    auto skips = [](const std::string &text) {
+        return JsonReader::tryRead(text, [](JsonReader &r) { r.skip(); });
+    };
+    EXPECT_TRUE(skips("{\"a\": [1, Infinity]}"));
+    EXPECT_FALSE(skips("{\"a\" 1}")); // balanced braces
+    EXPECT_FALSE(skips("{\"a\": 1")); // truncated
+    EXPECT_FALSE(skips("{} trailing"));
+    EXPECT_FALSE(skips("{\"a\": tru"));
+    EXPECT_FALSE(skips(""));
 }
 
 TEST(JsonWriter, LayoutMatchesTheDumpFormat)
 {
-    std::string pretty;
-    JsonWriter w(pretty, 2);
-    w.beginObject();
-    w.key("empty_array").beginArray().endArray();
-    w.key("empty_object").beginObject().endObject();
-    w.key("list").beginArray();
-    w.number(1).null().beginObject().key("x").boolean(true).endObject();
-    w.endArray();
-    w.key("s").string("v");
-    w.endObject();
+    auto write = [](int indent) {
+        std::string out;
+        JsonWriter w(out, indent);
+        w.beginObject();
+        w.key("empty_array").beginArray().endArray();
+        w.key("empty_object").beginObject().endObject();
+        w.key("list").beginArray();
+        w.number(1).null().beginObject().key("x").boolean(true).endObject();
+        w.endArray();
+        w.key("s").string("v");
+        w.endObject();
+        return out;
+    };
+    const std::string pretty = write(2);
     EXPECT_EQ(pretty, "{\n"
                       "  \"empty_array\": [],\n"
                       "  \"empty_object\": {},\n"
@@ -217,16 +276,29 @@ TEST(JsonWriter, LayoutMatchesTheDumpFormat)
                       "  ],\n"
                       "  \"s\": \"v\"\n"
                       "}");
-    // The DOM dumps through the same writer, in all three modes.
-    JsonValue doc = JsonValue::parse(pretty);
-    EXPECT_EQ(doc.dump(2), pretty);
-    EXPECT_EQ(doc.dump(-1), "{\"empty_array\":[],\"empty_object\":{},"
-                            "\"list\":[1,null,{\"x\":true}],\"s\":\"v\"}");
-    EXPECT_EQ(doc.dump(0), "{\n\"empty_array\": [],\n\"empty_object\": {},"
-                           "\n\"list\": [\n1,\nnull,\n{\n\"x\": true\n}\n],"
-                           "\n\"s\": \"v\"\n}");
-    EXPECT_EQ(JsonValue::makeArray().dump(2), "[]");
-    EXPECT_EQ(JsonValue::makeNumber(-0.0).dump(2), "-0");
+    EXPECT_EQ(write(-1), "{\"empty_array\":[],\"empty_object\":{},"
+                         "\"list\":[1,null,{\"x\":true}],\"s\":\"v\"}");
+    EXPECT_EQ(write(0), "{\n\"empty_array\": [],\n\"empty_object\": {},"
+                        "\n\"list\": [\n1,\nnull,\n{\n\"x\": true\n}\n],"
+                        "\n\"s\": \"v\"\n}");
+    // A reader copied into a writer reproduces the layout.
+    std::string copy;
+    JsonWriter w(copy, 2);
+    JsonReader r(pretty);
+    testsupport::copyJson(r, w);
+    EXPECT_EQ(copy, pretty);
+    std::string negativeZero;
+    JsonWriter(negativeZero).number(-0.0);
+    EXPECT_EQ(negativeZero, "-0");
+}
+
+/** One string written compactly. */
+std::string
+written(const std::string &value)
+{
+    std::string out;
+    JsonWriter(out).string(value);
+    return out;
 }
 
 TEST(JsonWriter, ControlCharactersAreEscapedAndRoundTrip)
@@ -237,35 +309,27 @@ TEST(JsonWriter, ControlCharactersAreEscapedAndRoundTrip)
         std::string raw = "a";
         raw += (char)c;
         raw += "b";
-        std::string text = JsonValue::makeString(raw).dump(-1);
+        std::string text = written(raw);
         for (char ch : text)
             EXPECT_GE((unsigned char)ch, 0x20) << "byte " << c;
-        EXPECT_EQ(JsonValue::parse(text).asString(), raw) << "byte " << c;
+        EXPECT_EQ(stringOf(text), raw) << "byte " << c;
     }
-    EXPECT_EQ(JsonValue::makeString(std::string("\0\x01\x1f\x7f", 4))
-                  .dump(-1),
+    EXPECT_EQ(written(std::string("\0\x01\x1f\x7f", 4)),
               "\"\\u0000\\u0001\\u001f\x7f\"");
-    EXPECT_EQ(JsonValue::makeString("q\"b\\n\nt\tr\rb\bf\f").dump(-1),
+    EXPECT_EQ(written("q\"b\\n\nt\tr\rb\bf\f"),
               R"("q\"b\\n\nt\tr\rb\bf\f")");
     // UTF-8 passes through unchanged.
-    EXPECT_EQ(JsonValue::makeString("\xc2\xb5s-cache").dump(-1),
-              "\"\xc2\xb5s-cache\"");
+    EXPECT_EQ(written("\xc2\xb5s-cache"), "\"\xc2\xb5s-cache\"");
 }
 
 TEST(Json, ParsesUnicodeEscapesToUtf8)
 {
     // What Python's json.dump writes for non-ASCII names.
-    EXPECT_EQ(JsonValue::parse(R"({"name": "\u00b5s-cache"})")
-                  .at("name")
-                  .asString(),
-              "\xc2\xb5s-cache");
-    EXPECT_EQ(JsonValue::parse(R"("\u00B5")").asString(), "\xc2\xb5");
-    EXPECT_EQ(JsonValue::parse(R"("\u0041\u20ac")").asString(),
-              "A\xe2\x82\xac");
-    EXPECT_EQ(JsonValue::parse(R"("\ud834\udd1e")").asString(),
-              "\xf0\x9d\x84\x9e");
-    EXPECT_EQ(JsonValue::parse(R"("\u0000")").asString(),
-              std::string(1, '\0'));
+    EXPECT_EQ(stringOf(R"("\u00b5s-cache")"), "\xc2\xb5s-cache");
+    EXPECT_EQ(stringOf(R"("\u00B5")"), "\xc2\xb5");
+    EXPECT_EQ(stringOf(R"("\u0041\u20ac")"), "A\xe2\x82\xac");
+    EXPECT_EQ(stringOf(R"("\ud834\udd1e")"), "\xf0\x9d\x84\x9e");
+    EXPECT_EQ(stringOf(R"("\u0000")"), std::string(1, '\0'));
 }
 
 TEST(JsonDeath, MalformedUnicodeEscapesAreRejectedWithTheirOffset)
@@ -281,10 +345,12 @@ TEST(JsonDeath, MalformedUnicodeEscapesAreRejectedWithTheirOffset)
                 "line 2 column 8: lone low surrogate");
     EXPECT_EXIT(JsonValue::parse(R"("\u12g4")"),
                 ::testing::ExitedWithCode(1), "bad hex digit");
-    JsonValue out;
-    EXPECT_FALSE(JsonValue::tryParse(R"("\ud800")", out));
-    EXPECT_FALSE(JsonValue::tryParse(R"("\u12)", out));
-    EXPECT_FALSE(JsonValue::tryParse(R"("\u12")", out));
+    auto skips = [](const std::string &text) {
+        return JsonReader::tryRead(text, [](JsonReader &r) { r.skip(); });
+    };
+    EXPECT_FALSE(skips(R"("\ud800")"));
+    EXPECT_FALSE(skips(R"("\u12)"));
+    EXPECT_FALSE(skips(R"("\u12")"));
 }
 
 std::vector<std::string>

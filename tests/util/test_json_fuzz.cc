@@ -23,10 +23,10 @@
 namespace nvmexp {
 namespace {
 
-/** Random scalar: strings with escapes, numbers across scales
- *  (including Infinity/NaN literals the writer emits), bools, null. */
-JsonValue
-randomScalar(Rng &rng)
+/** Write a random scalar: strings with escapes, numbers across
+ *  scales (including the Infinity/NaN literals), bools, null. */
+void
+randomScalar(Rng &rng, JsonWriter &w)
 {
     switch (rng.range(6)) {
       case 0: {
@@ -36,17 +36,18 @@ randomScalar(Rng &rng)
         std::size_t len = rng.range(12);
         for (std::size_t i = 0; i < len; ++i)
             s += alphabet[rng.range(sizeof alphabet - 1)];
-        return JsonValue::makeString(s);
+        w.string(s);
+        return;
       }
       case 1: {
         // Exact-round-trip doubles across magnitudes and signs.
         double mag = std::pow(10.0, (double)rng.range(600) - 300.0);
-        double v = (rng.uniform() * 2.0 - 1.0) * mag;
-        return JsonValue::makeNumber(v);
+        w.number((rng.uniform() * 2.0 - 1.0) * mag);
+        return;
       }
       case 2:
-        return JsonValue::makeNumber((double)rng() -
-                                     9.22e18);  // huge integers
+        w.number((double)rng() - 9.22e18); // huge integers
+        return;
       case 3: {
         const double specials[] = {
             0.0, -0.0, std::numeric_limits<double>::infinity(),
@@ -55,37 +56,71 @@ randomScalar(Rng &rng)
             std::numeric_limits<double>::denorm_min(),
             std::numeric_limits<double>::max(),
         };
-        return JsonValue::makeNumber(specials[rng.range(7)]);
+        w.number(specials[rng.range(7)]);
+        return;
       }
       case 4:
-        return JsonValue::makeBool(rng.bernoulli(0.5));
+        w.boolean(rng.bernoulli(0.5));
+        return;
       default:
-        return JsonValue();  // null
+        w.null();
+        return;
     }
 }
 
-JsonValue
-randomDocument(Rng &rng, int depth)
+void
+randomValue(Rng &rng, int depth, JsonWriter &w)
 {
-    if (depth <= 0 || rng.bernoulli(0.3))
-        return randomScalar(rng);
-    if (rng.bernoulli(0.5)) {
-        JsonValue array = JsonValue::makeArray();
-        std::size_t n = rng.range(5);
-        for (std::size_t i = 0; i < n; ++i)
-            array.append(randomDocument(rng, depth - 1));
-        return array;
+    if (depth <= 0 || rng.bernoulli(0.3)) {
+        randomScalar(rng, w);
+        return;
     }
-    JsonValue object = JsonValue::makeObject();
     std::size_t n = rng.range(5);
+    if (rng.bernoulli(0.5)) {
+        w.beginArray();
+        for (std::size_t i = 0; i < n; ++i)
+            randomValue(rng, depth - 1, w);
+        w.endArray();
+        return;
+    }
+    w.beginObject();
     for (std::size_t i = 0; i < n; ++i) {
         // Built without operator+ to dodge GCC 12's -Wrestrict false
         // positive (PR105651) on inlined string concatenation.
         std::string key = "k";
         key += std::to_string(rng.range(8));
-        object.set(key, randomDocument(rng, depth - 1));
+        w.key(key);
+        randomValue(rng, depth - 1, w);
     }
-    return object;
+    w.endObject();
+}
+
+/** A random document of at most `depth` levels, written at `indent`. */
+std::string
+randomDocument(Rng &rng, int depth, int indent = -1)
+{
+    std::string text;
+    JsonWriter w(text, indent);
+    randomValue(rng, depth, w);
+    return text;
+}
+
+/** `text` copied through a reader into a writer at `indent`. */
+std::string
+copied(const std::string &text, int indent)
+{
+    std::string out;
+    JsonWriter w(out, indent);
+    JsonReader r(text);
+    testsupport::copyJson(r, w);
+    r.end();
+    return out;
+}
+
+bool
+parses(const std::string &text)
+{
+    return JsonReader::tryRead(text, [](JsonReader &r) { r.skip(); });
 }
 
 TEST(JsonFuzz, RandomDocumentsRoundTripExactly)
@@ -93,20 +128,23 @@ TEST(JsonFuzz, RandomDocumentsRoundTripExactly)
     Rng rng(0xF022);
     for (int round = 0; round < 200; ++round) {
         SCOPED_TRACE("round " + std::to_string(round));
-        JsonValue doc = randomDocument(rng, 4);
-        // Pretty, compact, and re-dumped forms must all reparse to a
-        // structurally identical value (relTol 0: numbers must match
-        // bit-for-bit, NaN==NaN included).
+        const Rng start = rng;
+        Rng compactRng = start;
+        const std::string compact = randomDocument(compactRng, 4);
+        // The same document pretty and compact: each copies through a
+        // reader into a writer to the same bytes, and all compare
+        // equal structurally (relTol 0: numbers bit for bit, NaN==NaN
+        // included).
         for (int indent : {-1, 0, 2}) {
-            std::string text = doc.dump(indent);
-            JsonValue reparsed;
-            ASSERT_TRUE(JsonValue::tryParse(text, reparsed)) << text;
+            Rng again = start;
+            std::string text = randomDocument(again, 4, indent);
+            ASSERT_TRUE(parses(text)) << text;
+            EXPECT_EQ(copied(text, indent), text);
+            EXPECT_EQ(copied(text, -1), compact);
             std::vector<std::string> diffs;
-            EXPECT_TRUE(testsupport::jsonNear(doc, reparsed, 0.0,
-                                              diffs))
+            EXPECT_TRUE(testsupport::jsonNear(compact, text, 0.0, diffs))
                 << text << (diffs.empty() ? "" : "\n" + diffs[0]);
-            // Serialize -> parse -> serialize is byte-stable.
-            EXPECT_EQ(reparsed.dump(indent), text);
+            rng = again;
         }
     }
 }
@@ -116,14 +154,12 @@ TEST(JsonFuzz, TruncatedDocumentsAreRejectedWithoutCrashing)
     Rng rng(0x7239);
     int rejected = 0;
     for (int round = 0; round < 50; ++round) {
-        JsonValue object = JsonValue::makeObject();
-        object.set("payload", randomDocument(rng, 3));
-        std::string text = object.dump(-1);
+        std::string text =
+            "{\"payload\":" + randomDocument(rng, 3) + "}";
         // Every strict prefix of an object document is incomplete.
         for (std::size_t len : {std::size_t{0}, text.size() / 4,
                                 text.size() / 2, text.size() - 1}) {
-            JsonValue out;
-            EXPECT_FALSE(JsonValue::tryParse(text.substr(0, len), out))
+            EXPECT_FALSE(parses(text.substr(0, len)))
                 << "prefix of " << text;
             ++rejected;
         }
@@ -135,8 +171,7 @@ TEST(JsonFuzz, MutatedDocumentsNeverCrashTheParser)
 {
     Rng rng(0xBAD5EED);
     for (int round = 0; round < 300; ++round) {
-        JsonValue doc = randomDocument(rng, 3);
-        std::string text = doc.dump((int)rng.range(3) - 1);
+        std::string text = randomDocument(rng, 3, (int)rng.range(3) - 1);
         // Flip, delete, or insert a handful of bytes.
         std::size_t edits = 1 + rng.range(4);
         for (std::size_t e = 0; e < edits && !text.empty(); ++e) {
@@ -153,12 +188,10 @@ TEST(JsonFuzz, MutatedDocumentsNeverCrashTheParser)
                 break;
             }
         }
-        JsonValue out;
-        bool ok = JsonValue::tryParse(text, out);
-        if (ok) {
-            // Whatever survived mutation must itself round-trip.
-            JsonValue again;
-            EXPECT_TRUE(JsonValue::tryParse(out.dump(-1), again));
+        // Whatever survived mutation must itself round-trip.
+        if (parses(text)) {
+            std::string again = copied(text, -1);
+            EXPECT_EQ(copied(again, -1), again);
         }
     }
 }
@@ -171,25 +204,22 @@ TEST(JsonFuzz, PureGarbageIsRejectedWithoutCrashing)
         std::size_t len = rng.range(64);
         for (std::size_t i = 0; i < len; ++i)
             garbage += (char)rng.range(256);
-        JsonValue out;
         // Must not crash; random bytes essentially never form valid
-        // JSON, but acceptance is not itself a bug — re-dump if so.
-        if (JsonValue::tryParse(garbage, out))
-            (void)out.dump(-1);
+        // JSON, but acceptance is not itself a bug — copy it if so.
+        if (parses(garbage))
+            (void)copied(garbage, -1);
     }
 }
 
 TEST(JsonFuzz, DeeplyNestedInputDoesNotOverflow)
 {
-    // 4k-deep arrays/objects: the parser must either parse or reject
-    // them cleanly (no stack smash under ASan).
+    // 4k-deep arrays/objects: the reader must refuse them cleanly (no
+    // stack smash under ASan), past the depth cap.
     std::string deepArray(4096, '[');
     deepArray += std::string(4096, ']');
-    JsonValue out;
-    bool ok = JsonValue::tryParse(deepArray, out);
+    EXPECT_FALSE(parses(deepArray));
     std::string unterminated(8192, '{');
-    EXPECT_FALSE(JsonValue::tryParse(unterminated, out));
-    (void)ok;
+    EXPECT_FALSE(parses(unterminated));
 }
 
 } // namespace

@@ -142,8 +142,17 @@ class ParamsTest : public testsupport::QuietTest
     Params
     parse(const char *json) const
     {
-        return Params::fromJson("unit", JsonValue::parse(json),
-                                schema());
+        return paramsOf(json, schema());
+    }
+
+    /** Params::read over the whole of `json`. */
+    static Params
+    paramsOf(const char *json, const std::vector<ParamSpec> &schema)
+    {
+        JsonReader reader(json);
+        Params params = Params::read(reader, "unit", schema);
+        reader.end();
+        return params;
     }
 };
 
@@ -213,16 +222,14 @@ TEST_F(ParamsTest, MissingRequiredParameterIsFatal)
 {
     auto required = std::vector<ParamSpec>{
         ParamSpec::object("inner", "inner spec").mandatory()};
-    EXPECT_EXIT(
-        Params::fromJson("unit", JsonValue::parse("{}"), required),
+    EXPECT_EXIT(paramsOf("{}", required),
         ::testing::ExitedWithCode(1),
         "missing required parameter 'inner'");
 }
 
 TEST_F(ParamsTest, NonObjectSpecIsFatal)
 {
-    EXPECT_EXIT(Params::fromJson("unit", JsonValue::parse("[1, 2]"),
-                                 schema()),
+    EXPECT_EXIT(paramsOf("[1, 2]", schema()),
                 ::testing::ExitedWithCode(1), "must be an object");
 }
 

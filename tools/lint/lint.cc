@@ -4,16 +4,15 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <ostream>
 #include <set>
-#include <sstream>
 
 #include "campaign/campaign.hh"
 #include "core/config.hh"
 #include "core/dashboard.hh"
-#include "metrics/constraints.hh"
 #include "metrics/metric.hh"
-#include "metrics/refine.hh"
 #include "reliability/reliability.hh"
 #include "store/result_store.hh"
 #include "store/serialize.hh"
@@ -71,113 +70,6 @@ guarded(LintReport &report, const std::string &file,
     }
 }
 
-std::string
-joined(const std::vector<std::string> &names)
-{
-    std::ostringstream out;
-    for (std::size_t i = 0; i < names.size(); ++i)
-        out << (i ? " " : "") << names[i];
-    return out.str();
-}
-
-/** ECC scheme names referenced by a config's "ecc"/"reliability"
- *  section, across all accepted shapes (lenient: malformed shapes
- *  yield nothing here and are reported by the full load instead). */
-std::vector<std::string>
-referencedEccSchemes(const JsonValue &block)
-{
-    std::vector<std::string> names;
-    if (block.isString()) {
-        names.push_back(block.asString());
-    } else if (block.isObject() && block.has("ecc")) {
-        const JsonValue &ecc = block.at("ecc");
-        if (ecc.isString()) {
-            names.push_back(ecc.asString());
-        } else if (ecc.isArray()) {
-            for (const auto &entry : ecc.asArray())
-                if (entry.isString())
-                    names.push_back(entry.asString());
-        }
-    }
-    return names;
-}
-
-void
-checkEccNames(LintReport &report, const std::string &path,
-              const std::string &key, const JsonValue &block)
-{
-    for (const auto &name : referencedEccSchemes(block)) {
-        if (reliability::findEccScheme(name))
-            continue;
-        std::vector<std::string> known;
-        for (const auto &scheme : reliability::eccSchemes())
-            known.push_back(scheme.name);
-        report.add(path, key,
-                   "ECC scheme '" + name + "' unknown (known schemes: " +
-                       joined(known) + ")");
-    }
-}
-
-/** Per-section checks with precise keys, so one bad config yields one
- *  diagnostic per problem instead of stopping at the first fatal. */
-void
-checkConfigSections(LintReport &report, const std::string &path,
-                    const JsonValue &doc)
-{
-    for (const auto &key : doc.memberNames()) {
-        if (!knownConfigKeys().count(key))
-            report.add(path, key, unknownKeyMessage(key));
-    }
-
-    if (doc.has("constraints") && doc.at("constraints").isArray()) {
-        const auto &clauses = doc.at("constraints").asArray();
-        for (std::size_t i = 0; i < clauses.size(); ++i) {
-            std::string key = "constraints[" + std::to_string(i) + "]";
-            guarded(report, path, key, [&] {
-                metrics::ConstraintClause::fromJson(clauses[i], key);
-            });
-        }
-    } else if (doc.has("constraints")) {
-        // Not a clause array, e.g. the removed fixed-field object; the
-        // diagnostic gives the clause spelling to migrate to.
-        guarded(report, path, "constraints", [&] {
-            metrics::ConstraintSet::fromJson(doc.at("constraints"));
-        });
-    }
-
-    if (doc.has("pareto")) {
-        guarded(report, path, "pareto", [&] {
-            metrics::paretoMetricsFromJson(doc.at("pareto"), "pareto");
-        });
-    }
-
-    if (doc.has("top_k")) {
-        guarded(report, path, "top_k", [&] {
-            metrics::topSpecFromJson(doc.at("top_k"), "top_k");
-        });
-    }
-
-    if (doc.has("workloads") && doc.at("workloads").isArray()) {
-        const auto &specs = doc.at("workloads").asArray();
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            std::string key = "workloads[" + std::to_string(i) + "]";
-            guarded(report, path, key, [&] {
-                workload::validateWorkloadJson(specs[i]);
-            });
-        }
-    }
-    if (doc.has("workload")) {
-        guarded(report, path, "workload", [&] {
-            workload::validateWorkloadJson(doc.at("workload"));
-        });
-    }
-
-    if (doc.has("reliability"))
-        checkEccNames(report, path, "reliability", doc.at("reliability"));
-    if (doc.has("ecc"))
-        checkEccNames(report, path, "ecc", doc.at("ecc"));
-}
-
 } // namespace
 
 LintReport
@@ -186,22 +78,34 @@ lintConfigFile(const std::string &path)
     LintReport report;
     ++report.checked;
 
-    JsonValue doc;
-    if (!guarded(report, path, "", [&] { doc = JsonValue::parseFile(path); }))
-        return report;
-    if (!doc.isObject()) {
-        report.add(path, "", "config root must be a JSON object");
-        return report;
-    }
+    // Each top-level member on its own, through its field in the
+    // config table, so one bad member does not hide the next; a bookmark
+    // decodes it while the reader skips past it.
+    std::string text;
+    bool whole = guarded(report, path, "", [&] {
+        if (!readFile(path, text))
+            fatal("cannot open config file '", path, "'");
+        JsonReader reader(text, path);
+        if (reader.peek() != JsonValue::Kind::Object)
+            reader.reject("a config must be a JSON object");
+        reader.beginObject();
+        std::string_view name;
+        while (reader.nextMember(name)) {
+            std::string key(name);
+            JsonReader member = reader;
+            reader.skip();
+            guarded(report, path, key,
+                    [&] { checkConfigMember(member, key); });
+        }
+        reader.end();
+    });
 
-    checkConfigSections(report, path, doc);
-
-    // The full load validates everything the section checks do not
-    // reach: cell references, traffic shapes, targets, reliability
-    // cross products. Skipped when the section checks
-    // already failed — the load would re-report the first of them.
-    if (report.clean())
-        guarded(report, path, "load", [&] { loadExperiment(doc); });
+    // The full load checks what depends on more than one member (traffic
+    // patterns at the word width, "reliability" beside "ecc", traffic or
+    // workloads at all). Skipped when a member already failed — the load
+    // would re-report the first of them.
+    if (whole && report.clean())
+        guarded(report, path, "load", [&] { loadExperimentFile(path); });
     return report;
 }
 
@@ -230,30 +134,103 @@ const char *const kGateBatched = "BM_SweepEvalBatched/1";
 
 } // namespace
 
+namespace {
+
+/** One member of a benchmark snapshot object, as the checks below need
+ *  it: its kind, and its value when it is a string or a number. */
+struct SnapshotValue
+{
+    JsonValue::Kind kind = JsonValue::Kind::Null;
+    std::string text;
+    double number = 0.0;
+};
+
+using SnapshotObject = std::map<std::string, SnapshotValue, std::less<>>;
+
+/** The object at the reader, its containers skipped. */
+SnapshotObject
+readSnapshotObject(JsonReader &r)
+{
+    SnapshotObject out;
+    std::string_view name;
+    r.beginObject();
+    while (r.nextMember(name)) {
+        SnapshotValue &value = out[std::string(name)];
+        value.kind = r.peek();
+        if (value.kind == JsonValue::Kind::String)
+            value.text.assign(r.string());
+        else if (value.kind == JsonValue::Kind::Number)
+            value.number = r.number();
+        else
+            r.skip();
+    }
+    return out;
+}
+
+/** The member `key` of `object` when it is of `kind`. */
+const SnapshotValue *
+member(const SnapshotObject &object, std::string_view key,
+       JsonValue::Kind kind)
+{
+    auto it = object.find(key);
+    return it != object.end() && it->second.kind == kind ? &it->second
+                                                         : nullptr;
+}
+
+} // namespace
+
 LintReport
 lintBenchFile(const std::string &path)
 {
     LintReport report;
     ++report.checked;
 
-    JsonValue doc;
-    if (!guarded(report, path, "",
-                 [&] { doc = JsonValue::parseFile(path); }))
+    // The snapshot is google-benchmark's format, so it has no field
+    // table: a walk collects the members checked below, skipping the
+    // rest. A row that is not an object stays empty.
+    std::optional<SnapshotObject> context;
+    std::optional<std::vector<std::optional<SnapshotObject>>> rows;
+    std::string text;
+    if (!guarded(report, path, "", [&] {
+            if (!readFile(path, text))
+                fatal("cannot open benchmark snapshot '", path, "'");
+            JsonReader r(text, path);
+            if (r.peek() != JsonValue::Kind::Object)
+                r.reject("benchmark snapshot must be a JSON object");
+            std::string_view name;
+            r.beginObject();
+            while (r.nextMember(name)) {
+                JsonValue::Kind kind = r.peek();
+                if (name == "context" && kind == JsonValue::Kind::Object) {
+                    context = readSnapshotObject(r);
+                } else if (name == "benchmarks" &&
+                           kind == JsonValue::Kind::Array) {
+                    rows.emplace();
+                    r.beginArray();
+                    while (r.nextElement()) {
+                        if (r.peek() == JsonValue::Kind::Object) {
+                            rows->push_back(readSnapshotObject(r));
+                        } else {
+                            rows->emplace_back();
+                            r.skip();
+                        }
+                    }
+                } else {
+                    r.skip();
+                }
+            }
+            r.end();
+        }))
         return report;
-    if (!doc.isObject()) {
-        report.add(path, "", "benchmark snapshot must be a JSON object");
-        return report;
-    }
 
     // A snapshot records the machine it was measured on: timings
     // from different core counts are not comparable.
-    if (!doc.has("context") || !doc.at("context").isObject()) {
+    if (!context) {
         report.add(path, "context", "missing \"context\" object");
     } else {
-        const JsonValue &context = doc.at("context");
-        if (!context.has("num_cpus") ||
-            !context.at("num_cpus").isNumber() ||
-            context.at("num_cpus").asNumber() < 1) {
+        const SnapshotValue *cpus =
+            member(*context, "num_cpus", JsonValue::Kind::Number);
+        if (!cpus || cpus->number < 1) {
             report.add(path, "context.num_cpus",
                        "missing or non-positive CPU count (a snapshot "
                        "must record the machine it was measured on)");
@@ -261,8 +238,9 @@ lintBenchFile(const std::string &path)
         // "library_build_type" describes libbenchmark, not nvmexp;
         // benchsupport::benchMain records nvmexp's own build.
         for (const char *flag : {"nvmexp_ndebug", "nvmexp_optimize"}) {
-            if (!context.has(flag) || !context.at(flag).isString() ||
-                context.at(flag).asString() != "true") {
+            const SnapshotValue *value =
+                member(*context, flag, JsonValue::Kind::String);
+            if (!value || value->text != "true") {
                 report.add(path, std::string("context.") + flag,
                            "missing or not \"true\" (a snapshot must "
                            "come from an optimized nvmexp build: "
@@ -271,8 +249,7 @@ lintBenchFile(const std::string &path)
         }
     }
 
-    if (!doc.has("benchmarks") || !doc.at("benchmarks").isArray() ||
-        doc.at("benchmarks").asArray().empty()) {
+    if (!rows || rows->empty()) {
         report.add(path, "benchmarks",
                    "missing or empty \"benchmarks\" array");
         return report;
@@ -285,40 +262,43 @@ lintBenchFile(const std::string &path)
                                                      "s"};
     std::set<std::string> iterationNames;
     double referenceTime = -1.0;
-    const auto &rows = doc.at("benchmarks").asArray();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t i = 0; i < rows->size(); ++i) {
         std::string key = "benchmarks[" + std::to_string(i) + "]";
-        const JsonValue &row = rows[i];
-        if (!row.isObject()) {
+        if (!(*rows)[i]) {
             report.add(path, key, "row must be a JSON object");
             continue;
         }
-        if (!row.has("name") || !row.at("name").isString() ||
-            row.at("name").asString().empty()) {
+        const SnapshotObject &row = *(*rows)[i];
+        const SnapshotValue *nameValue =
+            member(row, "name", JsonValue::Kind::String);
+        if (!nameValue || nameValue->text.empty()) {
             report.add(path, key, "row carries no benchmark name");
             continue;
         }
-        const std::string name = row.at("name").asString();
+        const std::string name = nameValue->text;
         key += " (" + name + ")";
 
         bool iteration = true;
-        if (row.has("run_type")) {
-            if (!row.at("run_type").isString()) {
+        if (row.count("run_type")) {
+            const SnapshotValue *runType =
+                member(row, "run_type", JsonValue::Kind::String);
+            if (!runType) {
                 report.add(path, key, "run_type must be a string");
                 continue;
             }
-            const std::string runType = row.at("run_type").asString();
-            if (runType != "iteration" && runType != "aggregate") {
+            if (runType->text != "iteration" &&
+                runType->text != "aggregate") {
                 report.add(path, key,
-                           "unknown run_type '" + runType +
+                           "unknown run_type '" + runType->text +
                                "' (bench_gate knows iteration and "
                                "aggregate)");
             }
-            iteration = runType == "iteration";
+            iteration = runType->text == "iteration";
         }
-        if (row.has("time_unit")) {
-            if (!row.at("time_unit").isString() ||
-                !knownUnits.count(row.at("time_unit").asString())) {
+        if (row.count("time_unit")) {
+            const SnapshotValue *unit =
+                member(row, "time_unit", JsonValue::Kind::String);
+            if (!unit || !knownUnits.count(unit->text)) {
                 report.add(path, key,
                            "time_unit must be one of ns/us/ms/s "
                            "(bench_gate scales unknown units by 1.0 "
@@ -332,16 +312,17 @@ lintBenchFile(const std::string &path)
                        "duplicate iteration row (bench_gate keeps "
                        "only the last, masking the first)");
         }
-        if (!row.has("real_time") || !row.at("real_time").isNumber() ||
-            !std::isfinite(row.at("real_time").asNumber()) ||
-            row.at("real_time").asNumber() < 0.0) {
+        const SnapshotValue *realTime =
+            member(row, "real_time", JsonValue::Kind::Number);
+        if (!realTime || !std::isfinite(realTime->number) ||
+            realTime->number < 0.0) {
             report.add(path, key,
                        "real_time must be a finite non-negative "
                        "number");
             continue;
         }
         if (name == kGateReference)
-            referenceTime = row.at("real_time").asNumber();
+            referenceTime = realTime->number;
     }
 
     if (!iterationNames.count(kGateReference)) {
@@ -405,13 +386,14 @@ lintStoreDir(const std::string &dir)
         guarded(report, results, "", [&] { store::loadResults(dir); });
     }
 
-    // A persisted query must deserialize under the full StoreQuery
-    // vocabulary (unknown keys, unknown metrics, and malformed
-    // clauses are all fatal there).
+    // A persisted query must decode through the query's field table,
+    // as `query --query` reads it (unknown members at any depth,
+    // unknown metrics and malformed clauses are all refused there).
     std::string query = dir + "/query.json";
     if (fs::exists(query)) {
         guarded(report, query, "", [&] {
-            store::StoreQuery::fromJson(JsonValue::parseFile(query));
+            store::StoreQuery decoded;
+            store::readJsonFile(query, decoded);
         });
     }
     return report;

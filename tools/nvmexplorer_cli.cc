@@ -268,8 +268,10 @@ runQueryCommand(int argc, char **argv, int argi)
                   "--filter/--pareto/--top flags; pass one or the "
                   "other");
         }
-        args.query = store::StoreQuery::fromJson(
-            JsonValue::parseFile(args.queryFile));
+        std::string text;
+        if (!readFile(args.queryFile, text))
+            fatal("query: cannot read '", args.queryFile, "'");
+        store::readJson(text, args.queryFile, args.query);
     }
     std::cout << store::serializeResults(
         store::queryStore(args.storeDir, args.query));
@@ -600,12 +602,12 @@ main(int argc, char **argv)
             inform("wrote ", config.outputCsv);
         if (!config.sweep.outDir.empty()) {
             // Persist the refine pipeline next to the results it was
-            // applied to: query.json round-trips through
-            // StoreQuery::fromJson, so the exact dashboard view can
+            // applied to: query.json is written and read through the
+            // query's one field table, so the exact dashboard view can
             // be reproduced offline from the store alone.
             if (!config.query.empty()) {
-                config.query.toJson().writeFile(config.sweep.outDir +
-                                                "/query.json");
+                store::writeJsonFile(config.sweep.outDir + "/query.json",
+                                     config.query);
             }
             store::StoreStats stats =
                 store::loadStats(config.sweep.outDir);

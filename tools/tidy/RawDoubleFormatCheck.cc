@@ -64,7 +64,7 @@ RawDoubleFormatCheck::check(const MatchFinder::MatchResult &Result)
     diag(Site->getBeginLoc(),
          "formatting a double through %0 in an artifact-writing module "
          "does not round-trip; route it through util/json "
-         "JsonValue::formatNumber()/dump()")
+         "JsonWriter or JsonValue::formatNumber()")
         << What;
 }
 

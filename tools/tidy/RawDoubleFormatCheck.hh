@@ -9,7 +9,7 @@
  * results.csv / checkpoint.jsonl identical across jobs, batch sizes,
  * and shard counts, cached entries deserializing bit-identically)
  * exists because every double goes through util/json's exact
- * shortest-round-trip JsonValue::formatNumber()/dump() path. This
+ * shortest-round-trip path (JsonWriter, JsonValue::formatNumber()). This
  * check bans the raw alternatives — `stream << someDouble`,
  * printf-family calls with floating arguments, std::to_string on a
  * floating value — inside the modules that write artifacts.
