@@ -119,7 +119,7 @@ readCustomCell(Member &m)
     cell.readVoltage = spec.readVoltage.value_or(cell.readVoltage);
     cell.endurance = spec.endurance.value_or(cell.endurance);
     cell.retention = spec.retentionSec.value_or(cell.retention);
-    std::string message = store::fatalMessage([&] { cell.validate(); });
+    std::string message = fatalMessage([&] { cell.validate(); });
     if (!message.empty())
         m.reader().reject(message);
     return cell;
@@ -180,9 +180,11 @@ readTrafficEntry(Member &m)
     JsonReader probe = m.reader();
     std::string_view key;
     probe.beginObject();
-    while (probe.nextMember(key) && key != "kind")
-        probe.skip();
-    entry.grid = key == "kind";
+    while (!entry.grid && probe.nextMember(key)) {
+        entry.grid = key == "kind";
+        if (!entry.grid)
+            probe.skip();
+    }
     if (entry.grid) {
         m.read(kGridFields, entry);
         return entry;
@@ -418,7 +420,7 @@ void
 finish(JsonReader &r, ConfigDoc &d)
 {
     SweepConfig &sweep = d.config.sweep;
-    std::string message = store::fatalMessage([&] {
+    std::string message = fatalMessage([&] {
         for (const TrafficEntry &t : d.traffic) {
             if (t.grid) {
                 auto grid = genericTrafficGrid(t.readLo, t.readHi,

@@ -111,21 +111,6 @@ struct IsOptional<std::optional<T>> : std::true_type
 {
 };
 
-/** What `check` fatal()s (a registry lookup, a model's own checks) as
- *  a message, or empty when it passes. */
-template <typename Check>
-std::string
-fatalMessage(Check &&check)
-{
-    try {
-        ScopedFatalThrows guard;
-        check();
-        return {};
-    } catch (const FatalError &error) {
-        return error.what();
-    }
-}
-
 /**
  * The member being read. While it lives, its key (and, inside each(),
  * the element's index) is the innermost step of the reader's member

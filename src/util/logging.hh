@@ -66,6 +66,21 @@ class ScopedFatalThrows
 /** @return true when fatal() throws on this thread (guard active). */
 bool fatalThrows();
 
+/** Run `fn` under a ScopedFatalThrows guard: the message of the
+ *  fatal() it raised, or empty when it returned normally. */
+template <typename Fn>
+std::string
+fatalMessage(Fn &&fn)
+{
+    ScopedFatalThrows guard;
+    try {
+        fn();
+    } catch (const FatalError &error) {
+        return error.what();
+    }
+    return {};
+}
+
 namespace detail {
 
 inline void

@@ -292,10 +292,14 @@ WorkloadSpec::read(JsonReader &r)
         r.reject(needsName);
     JsonReader probe = r;
     std::string_view key;
+    bool named = false;
     probe.beginObject();
-    while (probe.nextMember(key) && key != "name")
-        probe.skip();
-    if (key != "name")
+    while (!named && probe.nextMember(key)) {
+        named = key == "name";
+        if (!named)
+            probe.skip();
+    }
+    if (!named)
         r.reject(needsName);
     if (probe.peek() != JsonValue::Kind::String)
         probe.reject("workload spec \"name\" must be a string");

@@ -685,6 +685,38 @@ TEST_F(ConfigTest, MisspelledNestedMembersAreRefusedByName)
     }
 }
 
+/** Workload specs nest (an "intermittent" spec's "inner"), so their
+ *  decoder recurses; a config whose specs nest past the reader's depth
+ *  cap is refused by the iterative skip first, naming the file. */
+TEST_F(ConfigTest, WorkloadSpecsNestedPastTheDepthCapAreRefused)
+{
+    const std::size_t depth = 400000;
+    std::string spec;
+    spec.reserve(depth * 32);
+    for (std::size_t i = 0; i < depth; ++i)
+        spec += R"({"name":"intermittent","inner":)";
+    spec += R"({"name":"wal"})";
+    spec.append(depth, '}');
+    std::string path = ::testing::TempDir() + "nvmexp_deep_specs.json";
+    std::ofstream(path, std::ios::trunc)
+        << configWith(R"(["SRAM"])", "[2]", "[]",
+                      "\"workloads\": [" + spec + "]");
+    ScopedFatalThrows guard;
+    try {
+        loadExperimentFile(path);
+        ADD_FAILURE() << "400k nested workload specs loaded";
+    } catch (const FatalError &error) {
+        std::string message = error.what();
+        EXPECT_NE(message.find("'" + path + "' at line 5 column "),
+                  std::string::npos)
+            << message.substr(0, 300);
+        EXPECT_NE(message.find("nesting deeper than 512 levels"),
+                  std::string::npos)
+            << message.substr(0, 300);
+    }
+    std::filesystem::remove(path);
+}
+
 /** Members that exclude each other used to load, one of them silently
  *  dropped: a traffic entry's counts beside its byte rates, a custom
  *  cell's "tech" beside its "base", and a grid's "name". */

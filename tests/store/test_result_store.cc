@@ -294,20 +294,6 @@ TEST_F(ResultStoreTest, JournalNumbersThatAreNotWholeAreTorn)
     EXPECT_EQ(readFile(config.outDir + "/results.json"), golden);
 }
 
-/** The message a fatal() under ScopedFatalThrows carries, or "". */
-template <typename Fn>
-std::string
-fatalMessage(Fn &&fn)
-{
-    ScopedFatalThrows guard;
-    try {
-        fn();
-    } catch (const FatalError &e) {
-        return e.what();
-    }
-    return "";
-}
-
 /** results.json and stats.json integers are checked before the cast
  *  too; a bad one is fatal, naming the file, the key and the value. */
 TEST_F(ResultStoreTest, ArtifactIntegersThatAreNotWholeAreFatalByName)

@@ -61,21 +61,6 @@ writeText(const std::string &path, const std::string &text)
     std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
 }
 
-/** The message fatal() raises under ScopedFatalThrows, or "" when
- *  `fn` returns normally. */
-template <typename Fn>
-std::string
-fatalMessage(Fn &&fn)
-{
-    ScopedFatalThrows guard;
-    try {
-        fn();
-    } catch (const FatalError &e) {
-        return e.what();
-    }
-    return "";
-}
-
 /** Members whose values are whole numbers, and values that are not. */
 const char *const kIntegerKeys[] = {
     "bits_per_cell", "min_node_nm", "node_nm", "word_bits", "banks",

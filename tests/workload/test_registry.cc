@@ -59,6 +59,18 @@ TEST_F(RegistryTest, SpecWithoutNameIsFatal)
                     JsonValue::parse(R"(["not", "an", "object"])"),
                     context),
                 ::testing::ExitedWithCode(1), "needs a \"name\" key");
+    // Escaped member names and values, which the reader unescapes into
+    // one buffer, while the spec is searched for its "name".
+    EXPECT_EXIT(trafficFromWorkloadJson(
+                    JsonValue::parse(R"({"n\u0061me_": "\u0041)" +
+                                     std::string(4096, 'x') + R"("})"),
+                    context),
+                ::testing::ExitedWithCode(1), "needs a \"name\" key");
+    EXPECT_EQ(trafficFromWorkloadJson(
+                  JsonValue::parse(R"({"\u006eame": "w\u0061l"})"),
+                  context)
+                  .size(),
+              2u);
 }
 
 namespace {

@@ -60,14 +60,10 @@ bool
 guarded(LintReport &report, const std::string &file,
         const std::string &key, Fn &&fn)
 {
-    ScopedFatalThrows guard;
-    try {
-        fn();
-        return true;
-    } catch (const FatalError &e) {
-        report.add(file, key, e.what());
-        return false;
-    }
+    std::string message = fatalMessage(fn);
+    if (!message.empty())
+        report.add(file, key, message);
+    return message.empty();
 }
 
 } // namespace
