@@ -8,7 +8,11 @@
  * ArrayResult, EvalResult), the results.json envelope, journal entries
  * and cache entries; the journal header and stats.json
  * (store/result_store.cc) and campaign.json (campaign/manifest.cc)
- * declare theirs with the same Field.
+ * declare theirs with the same Field. So do the records that are only
+ * read: a config's (core/config.cc) and a query's (StoreQuery, in
+ * store/result_store.cc, which query.json is also written from).
+ * Reading refuses an unknown or repeated member at any depth, naming
+ * its member path (JsonReader::PathStep) and the known members.
  *
  * Doubles are written in shortest-exact form (util/json), so reading
  * what a table wrote reproduces every field bit-for-bit — the property
