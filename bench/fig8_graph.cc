@@ -36,19 +36,19 @@ addPlots(const std::vector<EvalResult> &results, const char *tag)
     }
     std::string lastSeries;
     for (const auto &ev : results) {
-        if (ev.array.cell.name != lastSeries) {
-            power.addSeries(ev.array.cell.name);
-            latency.addSeries(ev.array.cell.name);
-            lifetime.addSeries(ev.array.cell.name);
-            lastSeries = ev.array.cell.name;
+        if (ev.array->cell.name != lastSeries) {
+            power.addSeries(ev.array->cell.name);
+            latency.addSeries(ev.array->cell.name);
+            lifetime.addSeries(ev.array->cell.name);
+            lastSeries = ev.array->cell.name;
         }
-        power.addPoint(ev.array.cell.name, ev.traffic.readsPerSec,
+        power.addPoint(ev.array->cell.name, ev.traffic->readsPerSec,
                        ev.totalPower);
-        latency.addPoint(ev.array.cell.name, ev.traffic.writesPerSec,
+        latency.addPoint(ev.array->cell.name, ev.traffic->writesPerSec,
                          ev.latencyLoad);
         if (std::isfinite(ev.lifetimeYears())) {
-            lifetime.addPoint(ev.array.cell.name,
-                              ev.traffic.writesPerSec,
+            lifetime.addPoint(ev.array->cell.name,
+                              ev.traffic->writesPerSec,
                               ev.lifetimeYears());
         }
     }
@@ -70,9 +70,9 @@ main()
                    "LatencyLoad", "Lifetime[yr]", "Viable"});
     for (const auto &ev : study.generic) {
         generic.row()
-            .add(ev.array.cell.name)
-            .add(ev.traffic.readsPerSec)
-            .add(ev.traffic.writesPerSec)
+            .add(ev.array->cell.name)
+            .add(ev.traffic->readsPerSec)
+            .add(ev.traffic->writesPerSec)
             .add(ev.totalPower * 1e3)
             .add(ev.latencyLoad)
             .add(ev.lifetimeYears())
@@ -87,8 +87,8 @@ main()
                    "Lifetime[yr]", "Viable"});
     for (const auto &ev : study.kernels) {
         kernels.row()
-            .add(ev.array.cell.name)
-            .add(ev.traffic.name)
+            .add(ev.array->cell.name)
+            .add(ev.traffic->name)
             .add(ev.totalPower * 1e3)
             .add(ev.latencyLoad)
             .add(ev.lifetimeYears())

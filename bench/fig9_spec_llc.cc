@@ -39,27 +39,27 @@ main()
     std::string lastSeries;
     for (const auto &ev : evals) {
         table.row()
-            .add(ev.array.cell.name)
-            .add(ev.traffic.name)
-            .add(ev.traffic.readsPerSec)
-            .add(ev.traffic.writesPerSec)
+            .add(ev.array->cell.name)
+            .add(ev.traffic->name)
+            .add(ev.traffic->readsPerSec)
+            .add(ev.traffic->writesPerSec)
             .add(ev.totalPower * 1e3)
             .add(ev.latencyLoad)
             .add(ev.lifetimeYears())
             .add(ev.viable() ? "yes" : "no");
-        if (ev.array.cell.name != lastSeries) {
-            power.addSeries(ev.array.cell.name);
-            latency.addSeries(ev.array.cell.name);
-            lifetime.addSeries(ev.array.cell.name);
-            lastSeries = ev.array.cell.name;
+        if (ev.array->cell.name != lastSeries) {
+            power.addSeries(ev.array->cell.name);
+            latency.addSeries(ev.array->cell.name);
+            lifetime.addSeries(ev.array->cell.name);
+            lastSeries = ev.array->cell.name;
         }
-        power.addPoint(ev.array.cell.name, ev.traffic.readsPerSec,
+        power.addPoint(ev.array->cell.name, ev.traffic->readsPerSec,
                        ev.totalPower);
-        latency.addPoint(ev.array.cell.name, ev.traffic.writesPerSec,
+        latency.addPoint(ev.array->cell.name, ev.traffic->writesPerSec,
                          ev.latencyLoad);
         if (std::isfinite(ev.lifetimeYears())) {
-            lifetime.addPoint(ev.array.cell.name,
-                              ev.traffic.writesPerSec,
+            lifetime.addPoint(ev.array->cell.name,
+                              ev.traffic->writesPerSec,
                               ev.lifetimeYears());
         }
     }

@@ -17,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <memory>
 
 #include "core/parallel_sweep.hh"
 #include "reliability/reliability.hh"
@@ -55,8 +56,11 @@ runnerFor(int jobs)
  * expanded slot (spec innermost) pays its own base and reliability
  * evaluation, on one thread, into a pre-sized result vector — the
  * same work the committed BENCH_sweep.json reference row timed, so
- * its normalized ratios stay comparable. An empty spec list means the
- * implicit default spec, as in the sweep engine.
+ * its normalized ratios stay comparable. The rows share one handle
+ * per array and per traffic, built before the slot loop as the sweep
+ * builds them, so the loop times evaluation rather than two copies
+ * per point. An empty spec list means the implicit default spec, as
+ * in the sweep engine.
  */
 std::vector<EvalResult>
 evaluatePerPoint(const std::vector<ArrayResult> &arrays,
@@ -67,16 +71,23 @@ evaluatePerPoint(const std::vector<ArrayResult> &arrays,
         specs.emplace_back();
     std::vector<reliability::ReliabilityEvaluator> evaluators(
         specs.begin(), specs.end());
+    std::vector<std::shared_ptr<const ArrayResult>> arrayHandles;
+    for (const auto &array : arrays)
+        arrayHandles.push_back(std::make_shared<const ArrayResult>(array));
+    std::vector<std::shared_ptr<const TrafficPattern>> trafficHandles;
+    for (const auto &traffic : traffics) {
+        trafficHandles.push_back(
+            std::make_shared<const TrafficPattern>(traffic));
+    }
     const std::size_t nspecs = evaluators.size();
     std::vector<EvalResult> results(arrays.size() * traffics.size() *
                                     nspecs);
     for (std::size_t idx = 0; idx < results.size(); ++idx) {
-        const ArrayResult &array =
-            arrays[idx / (traffics.size() * nspecs)];
-        results[idx] =
-            evaluate(array, traffics[(idx / nspecs) % traffics.size()]);
+        const auto &array = arrayHandles[idx / (traffics.size() * nspecs)];
+        results[idx] = evaluate(
+            array, trafficHandles[(idx / nspecs) % traffics.size()]);
         results[idx].reliability =
-            evaluators[idx % nspecs].evaluate(array);
+            evaluators[idx % nspecs].evaluate(*array);
     }
     return results;
 }

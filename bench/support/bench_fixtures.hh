@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,23 +38,27 @@ inline std::vector<EvalResult>
 syntheticResults(std::size_t count)
 {
     Rng rng(0xBE9C);
+    auto traffic = std::make_shared<const TrafficPattern>();
     std::vector<EvalResult> results;
     results.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
+        ArrayResult array;
+        array.capacityBytes = 2.0 * 1024 * 1024;
+        array.readLatency = 1e-9 * (1.0 + rng.uniform() * 99.0);
+        array.writeLatency = array.readLatency *
+            (1.0 + rng.uniform() * 9.0);
+        array.readEnergy = 1e-12 * (1.0 + rng.uniform() * 999.0);
+        array.writeEnergy = array.readEnergy *
+            (1.0 + rng.uniform() * 9.0);
+        array.leakage = 1e-3 * rng.uniform();
+        array.areaM2 = 1e-7 * (1.0 + rng.uniform() * 9.0);
+        array.readBandwidth = 1e9 * (1.0 + rng.uniform() * 99.0);
+        array.writeBandwidth = array.readBandwidth / 4.0;
         EvalResult r;
-        r.array.capacityBytes = 2.0 * 1024 * 1024;
-        r.array.readLatency = 1e-9 * (1.0 + rng.uniform() * 99.0);
-        r.array.writeLatency = r.array.readLatency *
-            (1.0 + rng.uniform() * 9.0);
-        r.array.readEnergy = 1e-12 * (1.0 + rng.uniform() * 999.0);
-        r.array.writeEnergy = r.array.readEnergy *
-            (1.0 + rng.uniform() * 9.0);
-        r.array.leakage = 1e-3 * rng.uniform();
-        r.array.areaM2 = 1e-7 * (1.0 + rng.uniform() * 9.0);
-        r.array.readBandwidth = 1e9 * (1.0 + rng.uniform() * 99.0);
-        r.array.writeBandwidth = r.array.readBandwidth / 4.0;
+        r.array = std::make_shared<const ArrayResult>(array);
+        r.traffic = traffic;
         r.dynamicPower = 1e-3 * (1.0 + rng.uniform() * 499.0);
-        r.leakagePower = r.array.leakage;
+        r.leakagePower = array.leakage;
         r.totalPower = r.dynamicPower + r.leakagePower;
         r.latencyLoad = rng.uniform() * 2.0;
         r.slowdown = r.latencyLoad > 1.0 ? r.latencyLoad : 1.0;

@@ -51,7 +51,7 @@ main()
                 {"Cell", "Power[mW]", "LatencyLoad", "Lifetime[yr]"});
     for (const auto &ev : eligible) {
         table.row()
-            .add(ev.array.cell.name)
+            .add(ev.array->cell.name)
             .add(ev.totalPower * 1e3)
             .add(ev.latencyLoad)
             .add(ev.lifetimeYears());
@@ -63,7 +63,7 @@ main()
     auto front = store::applyQuery(eligible, pareto);
     std::cout << "Pareto-optimal (power x latency load):";
     for (const auto &ev : front)
-        std::cout << " " << ev.array.cell.name;
+        std::cout << " " << ev.array->cell.name;
     std::cout << "\n";
     return 0;
 }

@@ -541,9 +541,9 @@ runExperiment(const ExperimentConfig &config)
                     .require(column->metric, "dashboard schema");
                 table.add(m.eval(ev) * column->scale);
             } else if (column->header == "Cell") {
-                table.add(ev.array.cell.name);
+                table.add(ev.array->cell.name);
             } else if (column->header == "Traffic") {
-                table.add(ev.traffic.name);
+                table.add(ev.traffic->name);
             } else if (column->header == "Viable") {
                 table.add(ev.viable() ? "yes" : "no");
             } else if (column->header == "ECC") {

@@ -99,7 +99,8 @@ class ParallelSweepRunner
      *  and overhead. An empty spec list means the implicit default
      *  spec, reproducing the two-argument overload exactly. Runs the
      *  batched path (eval/batch.hh), which every sweep evaluates
-     *  through. */
+     *  through: the rows share one handle per array and one per
+     *  traffic pattern. */
     std::vector<EvalResult>
     evaluateAll(const std::vector<ArrayResult> &arrays,
                 const std::vector<TrafficPattern> &traffics,

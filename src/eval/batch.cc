@@ -8,31 +8,20 @@ BatchEvalContext::BatchEvalContext(
     const std::vector<ArrayResult> &arrays,
     const std::vector<TrafficPattern> &traffics,
     const std::vector<reliability::ReliabilityEvaluator> &evaluators)
-    : arrays_(arrays), traffics_(traffics),
-      ntraffics_(traffics.size()), nspecs_(evaluators.size()),
+    : evaluators_(evaluators), ntraffics_(traffics.size()),
+      nspecs_(evaluators.size()),
       points_(arrays.size() * traffics.size() * evaluators.size())
 {
     // evaluate() validates per point; once per pattern reaches
     // the same verdict (validate() depends on the pattern alone).
-    for (const auto &traffic : traffics_)
+    traffics_.reserve(traffics.size());
+    for (const auto &traffic : traffics) {
         traffic.validate();
-
-    // Flat pass 1: the spec-independent raw BER, once per array.
-    std::vector<double> rawBer(arrays_.size());
-    for (std::size_t a = 0; a < arrays_.size(); ++a)
-        rawBer[a] = reliability::ReliabilityEvaluator::rawBitErrorRate(
-            arrays_[a]);
-
-    // Flat pass 2: the (array x spec) reliability table. Only the
-    // ECC/scrub terms are re-evaluated along the innermost spec axis;
-    // the FaultModel term comes from pass 1.
-    relTable_.resize(arrays_.size() * nspecs_);
-    for (std::size_t a = 0; a < arrays_.size(); ++a) {
-        for (std::size_t s = 0; s < nspecs_; ++s) {
-            relTable_[a * nspecs_ + s] =
-                evaluators[s].evaluate(arrays_[a], rawBer[a]);
-        }
+        traffics_.push_back(std::make_shared<const TrafficPattern>(traffic));
     }
+    arrays_.reserve(arrays.size());
+    for (const auto &array : arrays)
+        arrays_.push_back(std::make_shared<const ArrayResult>(array));
 }
 
 std::size_t
@@ -47,7 +36,8 @@ BatchEvalContext::defaultBatchSize(int jobs) const
     std::size_t fair = (points_ + workers * 4 - 1) / (workers * 4);
     // ...but a batch below one spec-run would recompute the shared
     // (array, traffic) base on both sides of the split, and above one
-    // array-block there is nothing further to amortize.
+    // array-block there is nothing further to amortize. (Below one
+    // array-block, each batch builds its array's reliability rows.)
     std::size_t block = std::max<std::size_t>(1, ntraffics_ * nspecs_);
     return std::clamp(fair, std::max<std::size_t>(1, nspecs_), block);
 }
@@ -61,15 +51,29 @@ BatchEvalContext::evaluateRange(
     // Slots sharing an (array, traffic) pair are contiguous (the spec
     // axis is innermost), so one forward walk sees each pair as one
     // run: the first live slot of a run pays the base evaluation, the
-    // rest copy it and swap in their spec's reliability row.
+    // rest copy it and swap in their spec's reliability row. An
+    // array's slots are contiguous too, so its reliability rows are
+    // built once, at the first live slot of its block in this range.
     constexpr std::size_t kNone = (std::size_t)-1;
     std::size_t basePair = kNone;
     std::size_t baseSlot = kNone;
+    std::size_t relArray = kNone;
+    std::vector<reliability::ReliabilityResult> rel(nspecs_);
     for (std::size_t idx = begin; idx < end && idx < points_; ++idx) {
         if (todo && !(*todo)[idx])
             continue;
         std::size_t pair = idx / nspecs_;
         std::size_t array = pair / ntraffics_;
+        if (array != relArray) {
+            // The spec-independent raw BER once, then only the
+            // ECC/scrub terms along the spec axis.
+            const ArrayResult &a = *arrays_[array];
+            double rawBer =
+                reliability::ReliabilityEvaluator::rawBitErrorRate(a);
+            for (std::size_t s = 0; s < nspecs_; ++s)
+                rel[s] = evaluators_[s].evaluate(a, rawBer);
+            relArray = array;
+        }
         if (pair != basePair) {
             out[idx] = evaluate(arrays_[array],
                                 traffics_[pair % ntraffics_]);
@@ -78,8 +82,7 @@ BatchEvalContext::evaluateRange(
         } else {
             out[idx] = out[baseSlot];
         }
-        out[idx].reliability =
-            relTable_[array * nspecs_ + (idx - pair * nspecs_)];
+        out[idx].reliability = rel[idx - pair * nspecs_];
         if (onSlot)
             onSlot(idx);
     }

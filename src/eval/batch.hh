@@ -11,12 +11,13 @@
  * axis the same lgamma-heavy binomial tails are recomputed once per
  * traffic pattern, and the same traffic math once per spec.
  *
- * BatchEvalContext hoists both: construction runs two flat-array
- * passes (raw FaultModel BER per array, then the full
- * (array x spec) reliability table re-evaluating only the ECC/scrub
- * terms along the innermost axis), and evaluateRange() computes each
- * (array, traffic) base exactly once per contiguous run of slots.
- * The per-point work left over is a struct copy.
+ * BatchEvalContext hoists both: evaluateRange() computes each
+ * (array, traffic) base exactly once per contiguous run of slots, and
+ * each array's reliability rows (its raw FaultModel BER once, then
+ * only the ECC/scrub terms per spec) once per range it touches. The
+ * sweep engine hands its workers ranges of about one array block, so
+ * the rows are built on the workers, about once per array. The
+ * per-point work left over is a struct copy.
  *
  * This is the only evaluation path of the sweep engine. Bitwise
  * identity with per-point evaluation is a hard requirement (the
@@ -36,6 +37,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "eval/engine.hh"
@@ -46,9 +48,10 @@ namespace nvmexp {
 /**
  * Precomputed state for evaluating one expanded sweep in batches.
  *
- * Holds references to the caller's arrays/traffics/evaluators (they
- * must outlive the context). Construction validates every traffic
- * pattern once and builds the immutable reliability table, so
+ * Holds one shared handle per array and per traffic pattern, which
+ * every row evaluated against them refers to, and a reference to the
+ * caller's evaluators (they must outlive the context). Construction
+ * builds the handles and validates every traffic pattern once;
  * evaluateRange() is const and safe to call concurrently on disjoint
  * slot ranges from the sweep engine's worker threads.
  */
@@ -71,8 +74,9 @@ class BatchEvalContext
      * Slots per batched work item, the size the sweep engine always
      * uses: enough batches to keep `jobs` workers busy, but never
      * splitting below one spec-run so the per-(array, traffic) base
-     * amortizes. Scheduling only — splitting the slots into ranges of
-     * any size produces identical results.
+     * amortizes, nor above one array block. Scheduling only —
+     * splitting the slots into ranges of any size produces identical
+     * results.
      */
     std::size_t defaultBatchSize(int jobs) const;
 
@@ -90,12 +94,9 @@ class BatchEvalContext
         const std::function<void(std::size_t)> &onSlot = {}) const;
 
   private:
-    const std::vector<ArrayResult> &arrays_;
-    const std::vector<TrafficPattern> &traffics_;
-    /** Reliability numbers for (array a, spec s) at a * nspecs_ + s:
-     *  the flat table the innermost axis reads instead of
-     *  re-evaluating the FaultModel per point. */
-    std::vector<reliability::ReliabilityResult> relTable_;
+    std::vector<std::shared_ptr<const ArrayResult>> arrays_;
+    std::vector<std::shared_ptr<const TrafficPattern>> traffics_;
+    const std::vector<reliability::ReliabilityEvaluator> &evaluators_;
     std::size_t ntraffics_;
     std::size_t nspecs_;
     std::size_t points_;

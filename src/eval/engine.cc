@@ -23,12 +23,13 @@ lifetimeSeconds(const ArrayResult &array, double writesPerSec)
 } // namespace
 
 EvalResult
-evaluate(const ArrayResult &array, const TrafficPattern &traffic)
+evaluate(std::shared_ptr<const ArrayResult> arrayHandle,
+         std::shared_ptr<const TrafficPattern> trafficHandle)
 {
+    const ArrayResult &array = *arrayHandle;
+    const TrafficPattern &traffic = *trafficHandle;
     traffic.validate();
     EvalResult r;
-    r.array = array;
-    r.traffic = traffic;
 
     r.dynamicPower = traffic.readsPerSec * array.readEnergy +
         traffic.writesPerSec * array.writeEnergy;
@@ -51,7 +52,16 @@ evaluate(const ArrayResult &array, const TrafficPattern &traffic)
         traffic.writeBytesPerSec(array.wordBits) <= array.writeBandwidth;
 
     r.lifetimeSec = lifetimeSeconds(array, traffic.writesPerSec);
+    r.array = std::move(arrayHandle);
+    r.traffic = std::move(trafficHandle);
     return r;
+}
+
+EvalResult
+evaluate(const ArrayResult &array, const TrafficPattern &traffic)
+{
+    return evaluate(std::make_shared<const ArrayResult>(array),
+                    std::make_shared<const TrafficPattern>(traffic));
 }
 
 IntermittentResult
@@ -147,7 +157,9 @@ evaluateWithWriteBuffer(const ArrayResult &array,
     reduced.writesPerSec =
         traffic.writesPerSec * (1.0 - config.trafficReduction);
 
-    return evaluate(buffered, reduced);
+    return evaluate(
+        std::make_shared<const ArrayResult>(std::move(buffered)),
+        std::make_shared<const TrafficPattern>(std::move(reduced)));
 }
 
 } // namespace nvmexp

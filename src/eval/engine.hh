@@ -14,6 +14,7 @@
 #define NVMEXP_EVAL_ENGINE_HH
 
 #include <limits>
+#include <memory>
 
 #include "eval/traffic.hh"
 #include "nvsim/array_model.hh"
@@ -21,11 +22,22 @@
 
 namespace nvmexp {
 
-/** Application-level metrics for (array, traffic). */
+/**
+ * Application-level metrics for (array, traffic).
+ *
+ * A row refers to its array and traffic through shared, immutable
+ * handles: every row of a sweep that evaluates the same characterized
+ * array (or the same traffic pattern) points at one copy of it, so a
+ * row costs two pointers instead of a copy of each struct. Nothing
+ * changes a handle's pointee in place; changing a row's array or
+ * traffic means building a new value and a new handle for it. A
+ * default-constructed row holds null handles; every row that the
+ * engine, the store readers and the query paths hand out holds both.
+ */
 struct EvalResult
 {
-    ArrayResult array;
-    TrafficPattern traffic;
+    std::shared_ptr<const ArrayResult> array;
+    std::shared_ptr<const TrafficPattern> traffic;
 
     double dynamicPower = 0.0;   ///< W from read/write access energy
     double leakagePower = 0.0;   ///< W
@@ -70,11 +82,17 @@ struct EvalResult
 };
 
 /**
- * Evaluate one array against one traffic pattern.
+ * Evaluate one array against one traffic pattern; the row shares the
+ * two handles.
  *
  * @param array optimized array design from ArrayDesigner
- * @param traffic workload traffic (word-access rates for array.wordBits)
+ * @param traffic workload traffic (word-access rates for
+ *     array->wordBits)
  */
+EvalResult evaluate(std::shared_ptr<const ArrayResult> array,
+                    std::shared_ptr<const TrafficPattern> traffic);
+
+/** evaluate() on handles to copies of `array` and `traffic`. */
 EvalResult evaluate(const ArrayResult &array,
                     const TrafficPattern &traffic);
 

@@ -15,8 +15,8 @@ directionName(Direction direction)
 
 namespace {
 
-/** Builder for the common case: a metric defined on the embedded
- *  ArrayResult, automatically lifted to EvalResult via `.array`. */
+/** Builder for the common case: a metric defined on the row's
+ *  ArrayResult, automatically lifted to EvalResult through `array`. */
 Metric
 arrayMetric(std::string name, std::string unit, std::string description,
             Direction direction,
@@ -28,7 +28,7 @@ arrayMetric(std::string name, std::string unit, std::string description,
     m.description = std::move(description);
     m.direction = direction;
     m.array = accessor;
-    m.eval = [accessor](const EvalResult &r) { return accessor(r.array); };
+    m.eval = [accessor](const EvalResult &r) { return accessor(*r.array); };
     return m;
 }
 
@@ -126,17 +126,17 @@ registerBuiltins(MetricRegistry &registry)
     registry.add(evalMetric("effective_capacity_mib", "MiB",
         "data capacity after ECC code overhead", D::Maximize,
         [](const EvalResult &r) {
-            return r.array.capacityBytes / r.reliability.eccOverhead /
+            return r.array->capacityBytes / r.reliability.eccOverhead /
                 (1024.0 * 1024.0);
         }));
     registry.add(evalMetric("effective_density_mb_per_mm2", "Mb/mm^2",
         "storage density after ECC code overhead", D::Maximize,
         [](const EvalResult &r) {
-            return r.array.densityMbPerMm2() /
+            return r.array->densityMbPerMm2() /
                 r.reliability.eccOverhead;
         }));
 
-    // Array-characterization metrics, lifted through `.array`.
+    // Array-characterization metrics, lifted through `array`.
     registry.add(arrayMetric("read_latency", "s",
         "full read access latency", D::Minimize,
         [](const ArrayResult &a) { return a.readLatency; }));

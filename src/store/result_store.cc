@@ -413,17 +413,17 @@ appendIdentityCsv(std::string &out, const std::string &header,
                   const EvalResult &r)
 {
     if (header == "cell")
-        out += Table::csvEscape(r.array.cell.name);
+        out += Table::csvEscape(r.array->cell.name);
     else if (header == "tech")
-        out += Table::csvEscape(techName(r.array.cell.tech));
+        out += Table::csvEscape(techName(r.array->cell.tech));
     else if (header == "traffic")
-        out += Table::csvEscape(r.traffic.name);
+        out += Table::csvEscape(r.traffic->name);
     else if (header == "capacity_bytes")
-        JsonWriter::appendNumber(out, r.array.capacityBytes);
+        JsonWriter::appendNumber(out, r.array->capacityBytes);
     else if (header == "word_bits")
-        JsonWriter::appendNumber(out, r.array.wordBits);
+        JsonWriter::appendNumber(out, r.array->wordBits);
     else if (header == "node_nm")
-        JsonWriter::appendNumber(out, r.array.nodeNm);
+        JsonWriter::appendNumber(out, r.array->nodeNm);
     else if (header == "ecc_scheme")
         out += Table::csvEscape(r.reliability.scheme);
     else if (header == "scrub_interval_sec")

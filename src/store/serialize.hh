@@ -26,6 +26,7 @@
 #include <bitset>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -115,6 +116,18 @@ struct IsOptional<std::optional<T>> : std::true_type
 {
 };
 
+/** A shared handle to an immutable record (EvalResult's array and
+ *  traffic): written as its pointee, read into a fresh one. */
+template <typename T>
+struct IsHandle : std::false_type
+{
+};
+template <typename T>
+struct IsHandle<std::shared_ptr<const T>> : std::true_type
+{
+    using Pointee = T;
+};
+
 /**
  * The member being read. While it lives, its key (and, inside each(),
  * the element's index) is the innermost step of the reader's member
@@ -135,13 +148,17 @@ class Member
     /** A boolean, a number, a string, a nested record (its readJson),
      *  or, for an integer type, a whole number in [0, INT_MAX] (int) or
      *  [0, 2^53] (wider types), checked before any cast; into a
-     *  std::optional, its value. */
+     *  std::optional, its value; into a handle, a fresh pointee. */
     template <typename T>
     void
     read(T &out)
     {
         if constexpr (IsOptional<T>::value) {
             read(out.emplace());
+        } else if constexpr (IsHandle<T>::value) {
+            auto value = std::make_shared<typename IsHandle<T>::Pointee>();
+            read(*value);
+            out = std::move(value);
         } else if constexpr (std::is_same_v<T, bool>) {
             expect(JsonValue::Kind::Bool, "a boolean");
             out = r_.boolean();
@@ -288,7 +305,9 @@ template <typename T>
 void
 writeValue(JsonWriter &w, const T &value)
 {
-    if constexpr (std::is_same_v<T, bool>)
+    if constexpr (IsHandle<T>::value)
+        writeValue(w, *value);
+    else if constexpr (std::is_same_v<T, bool>)
         w.boolean(value);
     else if constexpr (std::is_arithmetic_v<T>)
         w.number((double)value);

@@ -81,7 +81,7 @@ TEST(Filters, AreaBudget)
 {
     EvalResult r = makeResult();
     EXPECT_FALSE(passes(baselinePlus("area_m2", ConstraintOp::LE,
-                                     r.array.areaM2 * 0.5),
+                                     r.array->areaM2 * 0.5),
                         r));
 }
 
@@ -100,10 +100,10 @@ TEST(Filters, LatencyCeilings)
 {
     EvalResult r = makeResult();
     EXPECT_FALSE(passes(baselinePlus("read_latency", ConstraintOp::LE,
-                                     r.array.readLatency / 2.0),
+                                     r.array->readLatency / 2.0),
                         r));
     EXPECT_FALSE(passes(baselinePlus("write_latency", ConstraintOp::LE,
-                                     r.array.writeLatency / 2.0),
+                                     r.array->writeLatency / 2.0),
                         r));
 }
 

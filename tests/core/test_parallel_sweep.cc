@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -7,11 +9,13 @@
 #include "celldb/tentpole.hh"
 #include "core/parallel_sweep.hh"
 #include "core/sweep.hh"
+#include "store/serialize.hh"
 #include "util/random.hh"
 
 namespace nvmexp {
 namespace {
 
+using testsupport::reliabilitySweep;
 using testsupport::wideSweep;
 
 /** Exact (bitwise, via operator==) equality across every field that
@@ -25,12 +29,12 @@ expectIdentical(const std::vector<EvalResult> &lhs,
         SCOPED_TRACE("result " + std::to_string(i));
         const EvalResult &a = lhs[i];
         const EvalResult &b = rhs[i];
-        EXPECT_EQ(a.array.cell.name, b.array.cell.name);
-        EXPECT_EQ(a.array.capacityBytes, b.array.capacityBytes);
-        EXPECT_EQ(a.array.readLatency, b.array.readLatency);
-        EXPECT_EQ(a.array.writeLatency, b.array.writeLatency);
-        EXPECT_EQ(a.array.areaM2, b.array.areaM2);
-        EXPECT_EQ(a.traffic.name, b.traffic.name);
+        EXPECT_EQ(a.array->cell.name, b.array->cell.name);
+        EXPECT_EQ(a.array->capacityBytes, b.array->capacityBytes);
+        EXPECT_EQ(a.array->readLatency, b.array->readLatency);
+        EXPECT_EQ(a.array->writeLatency, b.array->writeLatency);
+        EXPECT_EQ(a.array->areaM2, b.array->areaM2);
+        EXPECT_EQ(a.traffic->name, b.traffic->name);
         EXPECT_EQ(a.dynamicPower, b.dynamicPower);
         EXPECT_EQ(a.leakagePower, b.leakagePower);
         EXPECT_EQ(a.totalPower, b.totalPower);
@@ -116,11 +120,90 @@ TEST(ParallelSweep, EvaluateAllIsArrayMajor)
     auto evals = runner.evaluateAll(arrays, sweep.traffics);
     ASSERT_EQ(evals.size(), arrays.size() * sweep.traffics.size());
     for (std::size_t i = 0; i < evals.size(); ++i) {
-        EXPECT_EQ(evals[i].array.cell.name,
+        EXPECT_EQ(evals[i].array->cell.name,
                   arrays[i / sweep.traffics.size()].cell.name);
-        EXPECT_EQ(evals[i].traffic.name,
+        EXPECT_EQ(evals[i].traffic->name,
                   sweep.traffics[i % sweep.traffics.size()].name);
     }
+}
+
+/** The sweep's rows share their array and traffic: one handle per
+ *  characterized array and one per traffic pattern, which every row
+ *  evaluated against it points at (arrays x traffics x specs, spec
+ *  innermost). */
+void
+expectSharedHandles(const std::vector<EvalResult> &rows,
+                    std::size_t narrays, std::size_t ntraffics,
+                    std::size_t nspecs)
+{
+    ASSERT_EQ(rows.size(), narrays * ntraffics * nspecs);
+    const std::size_t block = ntraffics * nspecs;
+    std::set<const ArrayResult *> arrays;
+    std::set<const TrafficPattern *> traffics;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        SCOPED_TRACE("slot " + std::to_string(i));
+        ASSERT_TRUE(rows[i].array && rows[i].traffic);
+        arrays.insert(rows[i].array.get());
+        traffics.insert(rows[i].traffic.get());
+        EXPECT_EQ(rows[i].array, rows[i - i % block].array);
+        EXPECT_EQ(rows[i].traffic,
+                  rows[(i / nspecs) % ntraffics * nspecs].traffic);
+    }
+    EXPECT_EQ(arrays.size(), narrays);
+    EXPECT_EQ(traffics.size(), ntraffics);
+}
+
+TEST(ParallelSweep, RowsShareOneHandlePerArrayAndTraffic)
+{
+    SweepConfig sweep = reliabilitySweep();
+    const std::size_t ntraffics = sweep.traffics.size();
+    auto arrays = ParallelSweepRunner(4).characterize(sweep);
+    ASSERT_EQ(arrays.size(), 16u);
+    std::string dir = ::testing::TempDir() + "nvmexp_parallel_shared";
+    for (int jobs : {1, 8}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        ParallelSweepRunner runner(jobs);
+        expectSharedHandles(runner.run(sweep), arrays.size(), ntraffics,
+                            2);
+        expectSharedHandles(
+            runner.evaluateAll(arrays, sweep.traffics, sweep.reliability),
+            arrays.size(), ntraffics, 2);
+        expectSharedHandles(runner.evaluateAll(arrays, sweep.traffics),
+                            arrays.size(), ntraffics, 1);
+
+        // A fresh store-backed run evaluates every slot the same way.
+        SweepConfig stored = sweep;
+        stored.outDir = dir;
+        std::filesystem::remove_all(dir);
+        expectSharedHandles(runner.run(stored), arrays.size(), ntraffics,
+                            2);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+/** A shard run returns only the rows it owns, in slot order, each with
+ *  both handles set and equal to the full run's row. */
+TEST(ParallelSweep, ShardRunReturnsOnlyOwnedRowsWithHandles)
+{
+    SweepConfig sweep = reliabilitySweep();
+    auto full = ParallelSweepRunner(1).run(sweep);
+    ASSERT_EQ(full.size(), 96u);
+    auto owned = [](std::size_t slot) { return slot % 3 == 1; };
+    std::string dir = ::testing::TempDir() + "nvmexp_parallel_shard";
+    for (int jobs : {1, 8}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        std::filesystem::remove_all(dir);
+        SweepConfig shard = sweep;
+        shard.outDir = dir;
+        auto rows = ParallelSweepRunner(jobs).runSelected(shard, owned);
+        ASSERT_EQ(rows.size(), 32u);
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            SCOPED_TRACE("row " + std::to_string(i));
+            ASSERT_TRUE(rows[i].array && rows[i].traffic);
+            EXPECT_TRUE(store::identical(rows[i], full[3 * i + 1]));
+        }
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ParallelSweep, OptimizeAllKeepsCellOrder)

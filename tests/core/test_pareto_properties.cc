@@ -261,7 +261,7 @@ TEST(ParetoNdProperties, TwoMetricFrontMatchesLegacyOnGoldenSweep)
          [](const EvalResult &r) { return r.totalPower; },
          [](const EvalResult &r) { return r.latencyLoad; }},
         {"read_latency", "total_power",
-         [](const EvalResult &r) { return r.array.readLatency; },
+         [](const EvalResult &r) { return r.array->readLatency; },
          [](const EvalResult &r) { return r.totalPower; }},
     };
     auto paretoOver = [&](std::vector<std::string> metrics) {
@@ -284,7 +284,7 @@ TEST(ParetoNdProperties, TwoMetricFrontMatchesLegacyOnGoldenSweep)
     auto folded = paretoFront<EvalResult>(
         results, [](const EvalResult &r) { return r.totalPower; },
         [](const EvalResult &r) {
-            return -r.array.densityMbPerMm2();
+            return -r.array->densityMbPerMm2();
         });
     ASSERT_EQ(mixed.size(), folded.size());
     for (std::size_t i = 0; i < mixed.size(); ++i)

@@ -24,7 +24,7 @@ TEST(Sweep, RunCrossesTraffics)
     EXPECT_EQ(results.size(), 8u * 2u);
     for (const auto &r : results) {
         EXPECT_GT(r.totalPower, 0.0);
-        EXPECT_FALSE(r.traffic.name.empty());
+        EXPECT_FALSE(r.traffic->name.empty());
     }
 }
 

@@ -79,7 +79,9 @@ expandedTraffics(const SweepConfig &config)
 
 /**
  * The per-point oracle: every expanded slot (spec innermost) pays its
- * own base and reliability evaluation. This is the definition the
+ * own base and reliability evaluation, on handles built per point from
+ * the array and traffic values (the value overload of evaluate()), so
+ * it shares nothing with the batched path. This is the definition the
  * batched path must reproduce bit for bit. No specs means the implicit
  * default spec, as in the sweep engine.
  */
@@ -129,20 +131,6 @@ class BatchEquivalenceTest : public testsupport::QuietTest
             "_" + name;
         std::filesystem::remove_all(dir);
         return dir;
-    }
-
-    /** wideSweep with a reliability axis: 16 arrays x 3 traffics x 2
-     *  specs = 96 slots, every axis the batched path hoists over. */
-    SweepConfig
-    reliabilitySweep()
-    {
-        SweepConfig config = testsupport::wideSweep();
-        reliability::ReliabilitySpec none;
-        reliability::ReliabilitySpec secded;
-        secded.ecc = "secded-72-64";
-        secded.scrubIntervalSec = 3600.0;
-        config.reliability = {none, secded};
-        return config;
     }
 };
 
@@ -256,7 +244,7 @@ TEST_F(BatchEquivalenceTest, RandomizedAxesMatchScalar)
  *  stay untouched and onSlot fires exactly for the live ones. */
 TEST_F(BatchEquivalenceTest, AnyRangeSplitMatchesOneFullPass)
 {
-    SweepConfig config = reliabilitySweep();
+    SweepConfig config = testsupport::reliabilitySweep();
     auto arrays = ParallelSweepRunner(4).characterize(config);
     std::vector<reliability::ReliabilityEvaluator> evaluators(
         config.reliability.begin(), config.reliability.end());
@@ -300,8 +288,10 @@ TEST_F(BatchEquivalenceTest, AnyRangeSplitMatchesOneFullPass)
         expectIdentical(split, full, label);
         EXPECT_EQ(fired, live) << label;
         for (std::size_t idx = 0; idx < slots; ++idx) {
-            EXPECT_TRUE(store::identical(
-                masked[idx], todo[idx] ? full[idx] : EvalResult{}))
+            // An untouched slot keeps the default row's null handles.
+            EXPECT_TRUE(todo[idx]
+                            ? store::identical(masked[idx], full[idx])
+                            : !masked[idx].array && !masked[idx].traffic)
                 << label << " slot " << idx;
         }
     }
@@ -314,7 +304,7 @@ TEST_F(BatchEquivalenceTest, MidBatchCheckpointResumeReplaysExactly)
 {
     // 96 slots at 4 jobs run in default batches of 6 slots, so a
     // journal holding 3 completed slots tears mid-batch.
-    SweepConfig config = reliabilitySweep();
+    SweepConfig config = testsupport::reliabilitySweep();
     config.jobs = 4;
     config.outDir = storeDir("uninterrupted");
     ParallelSweepRunner runner(config.jobs);
@@ -347,7 +337,7 @@ TEST_F(BatchEquivalenceTest, MidBatchCheckpointResumeReplaysExactly)
  *  while the changed fingerprint correctly discards the checkpoint. */
 TEST_F(BatchEquivalenceTest, SpecAxisChangeKeepsCharacterizationCached)
 {
-    SweepConfig config = reliabilitySweep();
+    SweepConfig config = testsupport::reliabilitySweep();
     config.jobs = 4;
     config.outDir = storeDir("specaxis");
     ParallelSweepRunner runner(config.jobs);

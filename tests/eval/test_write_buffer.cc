@@ -49,7 +49,7 @@ TEST(WriteBuffer, FullMaskKeepsBufferAccessFloor)
     config.latencyMaskFraction = 1.0;
     EvalResult masked = evaluateWithWriteBuffer(array, t, config);
     // Effective write latency floors at half the read latency.
-    EXPECT_NEAR(masked.array.writeLatency, array.readLatency * 0.5,
+    EXPECT_NEAR(masked.array->writeLatency, array.readLatency * 0.5,
                 array.readLatency * 1e-9);
 }
 

@@ -56,9 +56,9 @@ TEST_F(EccRescueStudy, EccRescuesAnOtherwiseTooFaultyMlcConfiguration)
     // Per cell: does the budget hold under each swept scheme?
     std::map<std::string, std::map<std::string, bool>> passes;
     for (const auto &row : results())
-        passes[row.array.cell.name][row.reliability.scheme] = false;
+        passes[row.array->cell.name][row.reliability.scheme] = false;
     for (const auto &row : store::applyQuery(results(), budgetQuery()))
-        passes[row.array.cell.name][row.reliability.scheme] = true;
+        passes[row.array->cell.name][row.reliability.scheme] = true;
 
     ASSERT_TRUE(passes.count("RRAM-Opt-MLC2"));
     const auto &rram = passes.at("RRAM-Opt-MLC2");

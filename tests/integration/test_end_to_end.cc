@@ -85,7 +85,7 @@ TEST_F(EndToEndTest, DnnTrafficThroughSweepAndFilters)
             return l.totalPower < r.totalPower;
         });
     ASSERT_NE(lowest, viable.end());
-    EXPECT_NE(lowest->array.cell.name, "SRAM");
+    EXPECT_NE(lowest->array->cell.name, "SRAM");
     store::StoreQuery best;
     best.topMetric = "total_power";
     best.topK = 1;

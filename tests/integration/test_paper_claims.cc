@@ -178,10 +178,10 @@ TEST_F(PaperClaimsTest, Fig8_GraphHeadlines)
     std::map<std::string, double> lifetime;
     std::map<std::string, double> power;
     for (const auto &ev : study.kernels) {
-        if (ev.traffic.name != "Wikipedia-BFS")
+        if (ev.traffic->name != "Wikipedia-BFS")
             continue;
-        lifetime[ev.array.cell.name] = ev.lifetimeSec;
-        power[ev.array.cell.name] = ev.totalPower;
+        lifetime[ev.array->cell.name] = ev.lifetimeSec;
+        power[ev.array->cell.name] = ev.totalPower;
     }
     EXPECT_GT(lifetime.at("STT-Opt"), lifetime.at("PCM-Opt"));
     EXPECT_GT(lifetime.at("PCM-Opt"), lifetime.at("RRAM-Opt"));
@@ -189,7 +189,7 @@ TEST_F(PaperClaimsTest, Fig8_GraphHeadlines)
     EXPECT_GT(power.at("SRAM") / power.at("STT-Opt"), 2.0);
     // Pessimistic FeFET cannot keep up with the write traffic.
     for (const auto &ev : study.kernels) {
-        if (ev.array.cell.name == "FeFET-Pess") {
+        if (ev.array->cell.name == "FeFET-Pess") {
             EXPECT_FALSE(ev.viable());
         }
     }
@@ -202,15 +202,15 @@ TEST_F(PaperClaimsTest, Fig8_LowReadRatePowerWinnerIsFeFet)
     // power eNVM; at the highest rate optimistic STT wins.
     double loRate = 1e99, hiRate = 0.0;
     for (const auto &ev : study.generic) {
-        loRate = std::min(loRate, ev.traffic.readsPerSec);
-        hiRate = std::max(hiRate, ev.traffic.readsPerSec);
+        loRate = std::min(loRate, ev.traffic->readsPerSec);
+        hiRate = std::max(hiRate, ev.traffic->readsPerSec);
     }
     std::map<std::string, double> lo, hi;
     for (const auto &ev : study.generic) {
-        if (ev.traffic.readsPerSec == loRate)
-            lo.try_emplace(ev.array.cell.name, ev.totalPower);
-        if (ev.traffic.readsPerSec == hiRate)
-            hi.try_emplace(ev.array.cell.name, ev.totalPower);
+        if (ev.traffic->readsPerSec == loRate)
+            lo.try_emplace(ev.array->cell.name, ev.totalPower);
+        if (ev.traffic->readsPerSec == hiRate)
+            hi.try_emplace(ev.array->cell.name, ev.totalPower);
     }
     EXPECT_LT(lo.at("FeFET-Opt"), lo.at("STT-Opt"));
     EXPECT_LT(lo.at("FeFET-Opt"), lo.at("PCM-Opt"));
@@ -225,14 +225,14 @@ TEST_F(PaperClaimsTest, Fig9_SttWinsHighTrafficLlc)
     const EvalResult *heaviest = nullptr;
     for (const auto &ev : study)
         if (!heaviest ||
-            ev.traffic.readsPerSec > heaviest->traffic.readsPerSec)
+            ev.traffic->readsPerSec > heaviest->traffic->readsPerSec)
             heaviest = &ev;
     ASSERT_NE(heaviest, nullptr);
-    std::string heavyBench = heaviest->traffic.name;
+    std::string heavyBench = heaviest->traffic->name;
     std::map<std::string, const EvalResult *> at;
     for (const auto &ev : study)
-        if (ev.traffic.name == heavyBench)
-            at[ev.array.cell.name] = &ev;
+        if (ev.traffic->name == heavyBench)
+            at[ev.array->cell.name] = &ev;
     for (const char *cell : {"PCM-Opt", "RRAM-Opt", "FeFET-Opt"}) {
         EXPECT_LE(at.at("STT-Opt")->totalPower,
                   at.at(cell)->totalPower) << cell;
@@ -250,11 +250,11 @@ TEST_F(PaperClaimsTest, Fig9_RramNotViableAsLlcLongTerm)
     // for every benchmark with meaningful write traffic.
     int checked = 0;
     for (const auto &ev : study) {
-        if (ev.array.cell.name != "RRAM-Opt")
+        if (ev.array->cell.name != "RRAM-Opt")
             continue;
-        if (ev.traffic.writesPerSec < 1e6)
+        if (ev.traffic->writesPerSec < 1e6)
             continue;  // near-idle benchmarks wear nothing
-        EXPECT_LT(ev.lifetimeYears(), 1.0) << ev.traffic.name;
+        EXPECT_LT(ev.lifetimeYears(), 1.0) << ev.traffic->name;
         ++checked;
     }
     EXPECT_GE(checked, 5);
@@ -266,11 +266,11 @@ TEST_F(PaperClaimsTest, Fig11_BackGatedFefetClosesThePerformanceGap)
     double bgWorst = 0.0, pessWorst = 0.0, sramWorst = 0.0;
     for (const auto &ev : study.generic) {
         double load = ev.latencyLoad;
-        if (ev.array.cell.name == "FeFET-BG")
+        if (ev.array->cell.name == "FeFET-BG")
             bgWorst = std::max(bgWorst, load);
-        if (ev.array.cell.name == "FeFET-Pess")
+        if (ev.array->cell.name == "FeFET-Pess")
             pessWorst = std::max(pessWorst, load);
-        if (ev.array.cell.name == "SRAM")
+        if (ev.array->cell.name == "SRAM")
             sramWorst = std::max(sramWorst, load);
     }
     // BG-FeFET holds SRAM-comparable latency loads where prior FeFETs
@@ -283,8 +283,8 @@ TEST_F(PaperClaimsTest, Fig11_BackGatedFefetClosesThePerformanceGap)
     // range (the leakage-dominated regime its density wins).
     std::map<std::string, double> kernelPower;
     for (const auto &ev : study.kernels)
-        if (ev.traffic.name == "Wikipedia-BFS")
-            kernelPower[ev.array.cell.name] = ev.totalPower;
+        if (ev.traffic->name == "Wikipedia-BFS")
+            kernelPower[ev.array->cell.name] = ev.totalPower;
     EXPECT_LT(kernelPower.at("FeFET-BG"),
               kernelPower.at("FeFET-Pess"));
     EXPECT_LT(kernelPower.at("FeFET-BG"),
@@ -292,11 +292,11 @@ TEST_F(PaperClaimsTest, Fig11_BackGatedFefetClosesThePerformanceGap)
 
     double loRate = 1e99;
     for (const auto &ev : study.generic)
-        loRate = std::min(loRate, ev.traffic.readsPerSec);
+        loRate = std::min(loRate, ev.traffic->readsPerSec);
     std::map<std::string, double> lo;
     for (const auto &ev : study.generic)
-        if (ev.traffic.readsPerSec == loRate)
-            lo.try_emplace(ev.array.cell.name, ev.totalPower);
+        if (ev.traffic->readsPerSec == loRate)
+            lo.try_emplace(ev.array->cell.name, ev.totalPower);
     for (const auto &[name, power] : lo) {
         if (name != "FeFET-BG" && name != "FeFET-Opt") {
             EXPECT_LE(lo.at("FeFET-BG"), power) << name;

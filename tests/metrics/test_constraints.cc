@@ -156,16 +156,16 @@ referenceSatisfies(const EvalResult &result, const FieldBounds &bounds)
     if (bounds.maxPowerWatts > 0.0 &&
         result.totalPower > bounds.maxPowerWatts)
         return false;
-    if (bounds.maxAreaM2 > 0.0 && result.array.areaM2 > bounds.maxAreaM2)
+    if (bounds.maxAreaM2 > 0.0 && result.array->areaM2 > bounds.maxAreaM2)
         return false;
     if (bounds.minLifetimeSec > 0.0 &&
         result.lifetimeSec < bounds.minLifetimeSec)
         return false;
     if (bounds.maxReadLatency > 0.0 &&
-        result.array.readLatency > bounds.maxReadLatency)
+        result.array->readLatency > bounds.maxReadLatency)
         return false;
     if (bounds.maxWriteLatency > 0.0 &&
-        result.array.writeLatency > bounds.maxWriteLatency)
+        result.array->writeLatency > bounds.maxWriteLatency)
         return false;
     if (bounds.requireBandwidth &&
         (!result.meetsReadBandwidth || !result.meetsWriteBandwidth))

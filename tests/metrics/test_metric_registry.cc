@@ -54,14 +54,14 @@ TEST_F(MetricRegistryTest, AccessorsMatchTheUnderlyingFields)
     EXPECT_DOUBLE_EQ(value("latency_load"), r.latencyLoad);
     EXPECT_DOUBLE_EQ(value("lifetime_sec"), r.lifetimeSec);
     EXPECT_DOUBLE_EQ(value("lifetime_years"), r.lifetimeYears());
-    EXPECT_DOUBLE_EQ(value("read_latency"), r.array.readLatency);
-    EXPECT_DOUBLE_EQ(value("write_latency"), r.array.writeLatency);
-    EXPECT_DOUBLE_EQ(value("area_m2"), r.array.areaM2);
-    EXPECT_DOUBLE_EQ(value("area_mm2"), r.array.areaM2 * 1e6);
+    EXPECT_DOUBLE_EQ(value("read_latency"), r.array->readLatency);
+    EXPECT_DOUBLE_EQ(value("write_latency"), r.array->writeLatency);
+    EXPECT_DOUBLE_EQ(value("area_m2"), r.array->areaM2);
+    EXPECT_DOUBLE_EQ(value("area_mm2"), r.array->areaM2 * 1e6);
     EXPECT_DOUBLE_EQ(value("read_edp"),
-                     r.array.readLatency * r.array.readEnergy);
+                     r.array->readLatency * r.array->readEnergy);
     EXPECT_DOUBLE_EQ(value("density_mb_per_mm2"),
-                     r.array.densityMbPerMm2());
+                     r.array->densityMbPerMm2());
     EXPECT_DOUBLE_EQ(value("viable"), r.viable() ? 1.0 : 0.0);
 }
 
@@ -75,7 +75,7 @@ TEST_F(MetricRegistryTest, ArrayAccessorsAgreeWithEvalAccessors)
         if (!m.hasArrayAccessor())
             continue;
         ++arrayMetrics;
-        EXPECT_DOUBLE_EQ(m.array(r.array), m.eval(r)) << name;
+        EXPECT_DOUBLE_EQ(m.array(*r.array), m.eval(r)) << name;
     }
     EXPECT_GE(arrayMetrics, 10);
     // Application-level metrics have no array accessor.

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <memory>
 
 #include "../support/fixtures.hh"
 #include "metrics/metric.hh"
@@ -60,8 +61,8 @@ TEST_F(RefineTest, TopOneFoldsDirection)
         store::applyQuery(results, topQuery("density_mb_per_mm2", 1));
     ASSERT_EQ(densest.size(), 1u);
     for (const auto &r : results)
-        EXPECT_GE(densest[0].array.densityMbPerMm2(),
-                  r.array.densityMbPerMm2());
+        EXPECT_GE(densest[0].array->densityMbPerMm2(),
+                  r.array->densityMbPerMm2());
 
     EXPECT_TRUE(store::applyQuery({}, topQuery("total_power", 1)).empty());
 }
@@ -79,8 +80,8 @@ TEST_F(RefineTest, TopKIsStableAndDirectionAware)
         store::applyQuery(results, topQuery("density_mb_per_mm2", 3));
     ASSERT_EQ(dense.size(), 3u);
     for (std::size_t i = 1; i < dense.size(); ++i)
-        EXPECT_GE(dense[i - 1].array.densityMbPerMm2(),
-                  dense[i].array.densityMbPerMm2());
+        EXPECT_GE(dense[i - 1].array->densityMbPerMm2(),
+                  dense[i].array->densityMbPerMm2());
 
     // k larger than the row count returns everything, still sorted.
     auto all = store::applyQuery(results, topQuery("total_power", 1u << 20));
@@ -93,14 +94,17 @@ TEST_F(RefineTest, TopKKeepsInputOrderOnTies)
     // order among equal keys, which we can observe via traffic names.
     std::vector<EvalResult> rows;
     const auto &results = sweepResults();
-    rows.push_back(results[0]);
-    rows.push_back(results[0]);
-    rows[0].traffic.name = "first";
-    rows[1].traffic.name = "second";
+    for (const char *name : {"first", "second"}) {
+        TrafficPattern traffic = *results[0].traffic;
+        traffic.name = name;
+        rows.push_back(results[0]);
+        rows.back().traffic =
+            std::make_shared<const TrafficPattern>(std::move(traffic));
+    }
     auto top = store::applyQuery(rows, topQuery("total_power", 2));
     ASSERT_EQ(top.size(), 2u);
-    EXPECT_EQ(top[0].traffic.name, "first");
-    EXPECT_EQ(top[1].traffic.name, "second");
+    EXPECT_EQ(top[0].traffic->name, "first");
+    EXPECT_EQ(top[1].traffic->name, "second");
 }
 
 TEST_F(RefineTest, ParetoMatchesTemplateFront)
@@ -115,7 +119,7 @@ TEST_F(RefineTest, ParetoMatchesTemplateFront)
     for (std::size_t i = 0; i < named.size(); ++i) {
         EXPECT_DOUBLE_EQ(named[i].totalPower,
                          legacy[i].totalPower);
-        EXPECT_EQ(named[i].traffic.name, legacy[i].traffic.name);
+        EXPECT_EQ(named[i].traffic->name, legacy[i].traffic->name);
     }
 
     // 3-D: every survivor is non-dominated under folded directions.
@@ -137,7 +141,7 @@ TEST_F(RefineTest, ParetoDropsNanRows)
         m.unit = "W";
         m.description = "total_power, NaN for rows named 'nan-row'";
         m.eval = [](const EvalResult &r) {
-            return r.traffic.name == "nan-row"
+            return r.traffic->name == "nan-row"
                 ? std::numeric_limits<double>::quiet_NaN()
                 : r.totalPower;
         };
@@ -147,13 +151,15 @@ TEST_F(RefineTest, ParetoDropsNanRows)
     ASSERT_TRUE(registered);
 
     auto rows = sweepResults();
-    rows[0].traffic.name = "nan-row";
+    TrafficPattern marked = *rows[0].traffic;
+    marked.name = "nan-row";
+    rows[0].traffic = std::make_shared<const TrafficPattern>(marked);
     auto front = store::applyQuery(
         rows,
         paretoQuery({"test_nan_power", "latency_load", "read_latency"}));
     EXPECT_FALSE(front.empty());
     for (const auto &r : front)
-        EXPECT_NE(r.traffic.name, "nan-row");
+        EXPECT_NE(r.traffic->name, "nan-row");
 
     // NaN-free rows produce the same front with or without the guard.
     const auto &clean = sweepResults();

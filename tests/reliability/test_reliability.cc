@@ -227,7 +227,7 @@ TEST_F(ReliabilityTest, SweepAxisExpandsAndStaysJobCountDeterministic)
         EXPECT_DOUBLE_EQ(
             metrics::metric("effective_density_mb_per_mm2")
                 .eval(serial[i + 1]),
-            serial[i + 1].array.densityMbPerMm2() / (72.0 / 64.0));
+            serial[i + 1].array->densityMbPerMm2() / (72.0 / 64.0));
     }
 
     for (int jobs : {2, 8}) {

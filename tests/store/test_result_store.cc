@@ -531,7 +531,7 @@ TEST_F(ResultStoreTest, QueryStoreFiltersAndExtractsPareto)
     auto front = store::queryStore(config.outDir, pareto);
     auto expected = paretoFront<EvalResult>(
         results, [](const EvalResult &r) { return r.totalPower; },
-        [](const EvalResult &r) { return r.array.readLatency; });
+        [](const EvalResult &r) { return r.array->readLatency; });
     ASSERT_EQ(front.size(), expected.size());
     for (std::size_t i = 0; i < front.size(); ++i)
         EXPECT_TRUE(store::identical(front[i], expected[i]));

@@ -38,15 +38,15 @@ TEST(StoreSerialize, RandomizedEvalResultRoundTripsExactly)
         // Spot-check bitwise equality on representative fields (the
         // identical() helper compares via the same serializer under
         // test, so pin a few fields independently).
-        EXPECT_EQ(original.array.cell.name, restored.array.cell.name);
-        EXPECT_EQ(original.array.cell.tech, restored.array.cell.tech);
-        EXPECT_EQ(original.array.cell.endurance,
-                  restored.array.cell.endurance);
-        EXPECT_EQ(original.array.readLatency,
-                  restored.array.readLatency);
-        EXPECT_EQ(original.array.org.subarray.cols,
-                  restored.array.org.subarray.cols);
-        EXPECT_EQ(original.traffic.name, restored.traffic.name);
+        EXPECT_EQ(original.array->cell.name, restored.array->cell.name);
+        EXPECT_EQ(original.array->cell.tech, restored.array->cell.tech);
+        EXPECT_EQ(original.array->cell.endurance,
+                  restored.array->cell.endurance);
+        EXPECT_EQ(original.array->readLatency,
+                  restored.array->readLatency);
+        EXPECT_EQ(original.array->org.subarray.cols,
+                  restored.array->org.subarray.cols);
+        EXPECT_EQ(original.traffic->name, restored.traffic->name);
         EXPECT_EQ(original.totalPower, restored.totalPower);
         EXPECT_EQ(original.lifetimeSec, restored.lifetimeSec);
         EXPECT_EQ(original.meetsWriteBandwidth,
@@ -266,7 +266,7 @@ TEST(StoreSerialize, StoredDocumentsKeepTheirBytes)
                   R"json("lifetime_sec":2.097152e+15}})json");
 
     store::ResultStore arrays(base + "/array");
-    arrays.storeArray("pinned-array", results[0].array);
+    arrays.storeArray("pinned-array", *results[0].array);
     EXPECT_EQ(onlyFileIn(base + "/array/cache"),
               R"json({"key":"pinned-array","array":)json" + array + "}\n");
     store::ResultStore invalid(base + "/invalid");

@@ -183,8 +183,8 @@ TEST_F(StoreFuzz, EdgeRecordsRoundTripThroughTheReader)
             EXPECT_TRUE(store::identical(result, back));
             expectBitIdentical(result, back);
             ArrayResult array =
-                decode<ArrayResult>(encode(result.array, indent));
-            EXPECT_TRUE(store::identical(result.array, array));
+                decode<ArrayResult>(encode(*result.array, indent));
+            EXPECT_TRUE(store::identical(*result.array, array));
         }
     }
 }
@@ -326,7 +326,7 @@ TEST_F(StoreFuzz, MutatedCacheEntriesMiss)
     Rng rng(0x5EED001A);
     store::ResultStore resultStore(dir);
     const std::string key = "fuzzed-entry";
-    ArrayResult array = edgeEvalResult(rng).array;
+    ArrayResult array = *edgeEvalResult(rng).array;
     resultStore.storeArray(key, array);
     std::string path;
     for (const auto &file : std::filesystem::directory_iterator(dir + "/cache"))

@@ -70,6 +70,20 @@ wideSweep()
     return sweep;
 }
 
+/** wideSweep with a reliability axis: 16 arrays x 3 traffics x 2
+ *  specs = 96 slots, every axis the batched path hoists over. */
+inline SweepConfig
+reliabilitySweep()
+{
+    SweepConfig config = wideSweep();
+    reliability::ReliabilitySpec none;
+    reliability::ReliabilitySpec secded;
+    secded.ecc = "secded-72-64";
+    secded.scrubIntervalSec = 3600.0;
+    config.reliability = {none, secded};
+    return config;
+}
+
 /** The golden-file reference sweep: 3 cells x 2 capacities x 2
  *  targets x 2 traffics = 24 evaluation rows covering SRAM + two eNVM
  *  flavors, both bandwidth regimes, and a finite-lifetime cell. */

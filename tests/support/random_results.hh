@@ -19,6 +19,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -95,33 +96,52 @@ randomCell(Rng &rng)
     return cell;
 }
 
+inline ArrayResult
+randomArray(Rng &rng)
+{
+    ArrayResult a;
+    a.cell = randomCell(rng);
+    a.nodeNm = 1 + (int)rng.range(90);
+    a.capacityBytes = randomDouble(rng);
+    a.wordBits = 1 + (int)rng.range(1024);
+    a.org.banks = 1 + (int)rng.range(16);
+    a.org.subarraysPerBank = 1 + (int)rng.range(64);
+    a.org.subarray.rows = 1 << rng.range(12);
+    a.org.subarray.cols = 1 << rng.range(12);
+    a.org.subarray.sensedBits = 1 + (int)rng.range(512);
+    a.readLatency = randomDouble(rng);
+    a.writeLatency = randomDouble(rng);
+    a.readEnergy = randomDouble(rng);
+    a.writeEnergy = randomDouble(rng);
+    a.leakage = randomDouble(rng);
+    a.areaM2 = randomDouble(rng);
+    a.areaEfficiency = randomDouble(rng);
+    a.readBandwidth = randomDouble(rng);
+    a.writeBandwidth = randomDouble(rng);
+    return a;
+}
+
+inline TrafficPattern
+randomTraffic(Rng &rng)
+{
+    TrafficPattern t;
+    t.name = "traffic,with \"quotes\"\n" + std::to_string(rng.range(1000));
+    t.readsPerSec = randomDouble(rng);
+    t.writesPerSec = randomDouble(rng);
+    t.execTime = randomDouble(rng);
+    return t;
+}
+
+/** A row over a random array and traffic: the values are built first,
+ *  then the handles the row refers to them by. */
 inline EvalResult
 randomEvalResult(Rng &rng)
 {
+    ArrayResult array = randomArray(rng);
+    TrafficPattern traffic = randomTraffic(rng);
     EvalResult r;
-    r.array.cell = randomCell(rng);
-    r.array.nodeNm = 1 + (int)rng.range(90);
-    r.array.capacityBytes = randomDouble(rng);
-    r.array.wordBits = 1 + (int)rng.range(1024);
-    r.array.org.banks = 1 + (int)rng.range(16);
-    r.array.org.subarraysPerBank = 1 + (int)rng.range(64);
-    r.array.org.subarray.rows = 1 << rng.range(12);
-    r.array.org.subarray.cols = 1 << rng.range(12);
-    r.array.org.subarray.sensedBits = 1 + (int)rng.range(512);
-    r.array.readLatency = randomDouble(rng);
-    r.array.writeLatency = randomDouble(rng);
-    r.array.readEnergy = randomDouble(rng);
-    r.array.writeEnergy = randomDouble(rng);
-    r.array.leakage = randomDouble(rng);
-    r.array.areaM2 = randomDouble(rng);
-    r.array.areaEfficiency = randomDouble(rng);
-    r.array.readBandwidth = randomDouble(rng);
-    r.array.writeBandwidth = randomDouble(rng);
-    r.traffic.name = "traffic,with \"quotes\"\n" +
-        std::to_string(rng.range(1000));
-    r.traffic.readsPerSec = randomDouble(rng);
-    r.traffic.writesPerSec = randomDouble(rng);
-    r.traffic.execTime = randomDouble(rng);
+    r.array = std::make_shared<const ArrayResult>(std::move(array));
+    r.traffic = std::make_shared<const TrafficPattern>(std::move(traffic));
     r.dynamicPower = randomDouble(rng);
     r.leakagePower = randomDouble(rng);
     r.totalPower = randomDouble(rng);
@@ -186,14 +206,13 @@ edgeName(Rng &rng)
     return name;
 }
 
-/** Every double field of an EvalResult, in a fixed order. */
-template <typename Result>
+/** Every double field of a row: its array's (the cell's included),
+ *  its traffic's and its own, in a fixed order. */
+template <typename Array, typename Traffic, typename Result>
 auto
-doubleFields(Result &r)
+doubleFields(Array &a, Traffic &t, Result &r)
 {
-    auto &c = r.array.cell;
-    auto &a = r.array;
-    auto &t = r.traffic;
+    auto &c = a.cell;
     auto &rel = r.reliability;
     return std::vector{
         &c.areaF2, &c.aspectRatio, &c.readVoltage, &c.writeVoltage,
@@ -211,15 +230,21 @@ doubleFields(Result &r)
     };
 }
 
+/** A random row with every double and name replaced by a formatter
+ *  edge case; its array and traffic are new values with new handles. */
 inline EvalResult
 edgeEvalResult(Rng &rng)
 {
     EvalResult r = randomEvalResult(rng);
-    for (double *field : doubleFields(r))
+    ArrayResult array = *r.array;
+    TrafficPattern traffic = *r.traffic;
+    for (double *field : doubleFields(array, traffic, r))
         *field = edgeDouble(rng);
-    r.array.cell.name = edgeName(rng);
-    r.traffic.name = edgeName(rng);
+    array.cell.name = edgeName(rng);
+    traffic.name = edgeName(rng);
     r.reliability.scheme = edgeName(rng);
+    r.array = std::make_shared<const ArrayResult>(std::move(array));
+    r.traffic = std::make_shared<const TrafficPattern>(std::move(traffic));
     return r;
 }
 
@@ -236,12 +261,12 @@ bitsOf(double value)
 inline void
 expectBitIdentical(const EvalResult &expected, const EvalResult &actual)
 {
-    auto want = doubleFields(expected);
-    auto got = doubleFields(actual);
+    const ArrayResult &a = *expected.array;
+    const ArrayResult &b = *actual.array;
+    auto want = doubleFields(a, *expected.traffic, expected);
+    auto got = doubleFields(b, *actual.traffic, actual);
     for (std::size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(bitsOf(*want[i]), bitsOf(*got[i])) << "double #" << i;
-    const ArrayResult &a = expected.array;
-    const ArrayResult &b = actual.array;
     EXPECT_EQ(a.cell.name, b.cell.name);
     EXPECT_EQ(a.cell.tech, b.cell.tech);
     EXPECT_EQ(a.cell.flavor, b.cell.flavor);
@@ -257,7 +282,7 @@ expectBitIdentical(const EvalResult &expected, const EvalResult &actual)
     EXPECT_EQ(a.org.subarray.rows, b.org.subarray.rows);
     EXPECT_EQ(a.org.subarray.cols, b.org.subarray.cols);
     EXPECT_EQ(a.org.subarray.sensedBits, b.org.subarray.sensedBits);
-    EXPECT_EQ(expected.traffic.name, actual.traffic.name);
+    EXPECT_EQ(expected.traffic->name, actual.traffic->name);
     EXPECT_EQ(expected.meetsReadBandwidth, actual.meetsReadBandwidth);
     EXPECT_EQ(expected.meetsWriteBandwidth, actual.meetsWriteBandwidth);
     EXPECT_EQ(expected.reliability.scheme, actual.reliability.scheme);
