@@ -14,10 +14,10 @@
  * BatchEvalContext hoists both: evaluateRange() computes each
  * (array, traffic) base exactly once per contiguous run of slots, and
  * each array's reliability rows (its raw FaultModel BER once, then
- * only the ECC/scrub terms per spec) once per range it touches. The
- * sweep engine hands its workers ranges of about one array block, so
- * the rows are built on the workers, about once per array. The
- * per-point work left over is a struct copy.
+ * only the ECC/scrub terms per spec) exactly once per context, on
+ * the worker of the first range that reaches the array, however the
+ * ranges split its block. The per-point work left over is a struct
+ * copy.
  *
  * This is the only evaluation path of the sweep engine. Bitwise
  * identity with per-point evaluation is a hard requirement (the
@@ -38,6 +38,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "eval/engine.hh"
@@ -53,7 +54,8 @@ namespace nvmexp {
  * caller's evaluators (they must outlive the context). Construction
  * builds the handles and validates every traffic pattern once;
  * evaluateRange() is const and safe to call concurrently on disjoint
- * slot ranges from the sweep engine's worker threads.
+ * slot ranges from the sweep engine's worker threads (ranges that
+ * share an array share its one build of the reliability rows).
  */
 class BatchEvalContext
 {
@@ -94,12 +96,21 @@ class BatchEvalContext
         const std::function<void(std::size_t)> &onSlot = {}) const;
 
   private:
+    /** Array `array`'s reliability rows, one per spec, built on the
+     *  first call for that array. */
+    const std::vector<reliability::ReliabilityResult> &
+    reliabilityRows(std::size_t array) const;
+
     std::vector<std::shared_ptr<const ArrayResult>> arrays_;
     std::vector<std::shared_ptr<const TrafficPattern>> traffics_;
     const std::vector<reliability::ReliabilityEvaluator> &evaluators_;
     std::size_t ntraffics_;
     std::size_t nspecs_;
     std::size_t points_;
+    /** Per array: built once under its flag, read-only after. */
+    mutable std::vector<std::once_flag> relOnce_;
+    mutable std::vector<std::vector<reliability::ReliabilityResult>>
+        relRows_;
 };
 
 } // namespace nvmexp
