@@ -1,6 +1,7 @@
 #include "eval/batch.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace nvmexp {
 
@@ -54,11 +55,11 @@ BatchEvalContext::reliabilityRows(std::size_t array) const
         const ArrayResult &a = *arrays_[array];
         double rawBer =
             reliability::ReliabilityEvaluator::rawBitErrorRate(a);
-        std::vector<reliability::ReliabilityResult> &rows =
-            relRows_[array];
+        std::vector<reliability::ReliabilityResult> rows;
         rows.reserve(nspecs_);
         for (const auto &evaluator : evaluators_)
             rows.push_back(evaluator.evaluate(a, rawBer));
+        relRows_[array] = std::move(rows);
     });
     return relRows_[array];
 }
