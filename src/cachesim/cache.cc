@@ -1,10 +1,22 @@
 #include "cachesim/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/logging.hh"
 
 namespace nvmexp {
+
+namespace {
+
+/** Does a set's word hold the line with this tag? */
+auto
+holds(std::uint64_t tag)
+{
+    return [tag](std::uint64_t word) { return word >> 1 == tag; };
+}
+
+} // namespace
 
 Cache::Cache(std::string name, std::size_t capacityBytes, int ways,
              int lineBytes)
@@ -22,76 +34,64 @@ Cache::Cache(std::string name, std::size_t capacityBytes, int ways,
         fatal("cache '", name_, "': set count must be a power of two");
     setMask_ = numSets - 1;
     lineShift_ = std::countr_zero((unsigned)lineBytes);
-    tags_.assign(lines, kEmpty);
-    // No stamp of an invalid way is ever compared: a miss takes the
-    // first invalid way before it compares any.
-    stamps_.resize(lines);
-}
-
-std::size_t
-Cache::find(std::uint64_t tag) const
-{
-    const std::size_t base = setBase(tag);
-    for (std::size_t i = base; i < base + (std::size_t)ways_; ++i)
-        if (tags_[i] == tag)
-            return i;
-    return kAbsent;
+    words_.assign(lines, kEmpty);
 }
 
 Cache::AccessResult
 Cache::access(std::uint64_t address, MemOp op)
 {
-    ++clock_;
     ++stats_.accesses;
     const std::uint64_t tag = address >> lineShift_;
-    const std::uint64_t dirty = op == MemOp::Write ? 1 : 0;
+    std::uint64_t *set = words_.data() + setBase(tag);
+    std::uint64_t *end = set + ways_;
+    std::uint64_t word = tag << 1 | (op == MemOp::Write ? 1 : 0);
 
     AccessResult result;
-    if (std::size_t way = find(tag); way != kAbsent) {
-        stamps_[way] = clock_ << 1 | (stamps_[way] & 1) | dirty;
+    std::uint64_t *line = std::find_if(set, end, holds(tag));
+    if (line != end) {
+        word |= *line;  // a hit keeps the line's dirty bit
         ++stats_.hits;
         result.hit = true;
-        return result;
-    }
-
-    // Miss: allocate into the first invalid way, else the LRU one.
-    ++stats_.misses;
-    const std::size_t base = setBase(tag);
-    std::size_t victim = base;
-    for (std::size_t i = base; i < base + (std::size_t)ways_; ++i) {
-        if (tags_[i] == kEmpty) {
-            victim = i;
-            break;
-        }
-        if (stamps_[i] < stamps_[victim])
-            victim = i;
-    }
-    if (tags_[victim] != kEmpty) {
-        result.evictedLine = tags_[victim] << lineShift_;
-        if (stamps_[victim] & 1) {
-            result.evictedDirty = true;
-            ++stats_.writebacks;
+    } else {
+        // Miss: the set's last word falls out, which is an invalid way
+        // unless the set is full.
+        ++stats_.misses;
+        line = end - 1;
+        if (*line != kEmpty) {
+            result.evictedLine = (*line >> 1) << lineShift_;
+            if (*line & 1) {
+                result.evictedDirty = true;
+                ++stats_.writebacks;
+            }
         }
     }
-    tags_[victim] = tag;
-    stamps_[victim] = clock_ << 1 | dirty;
+    // The accessed line becomes the set's most recent.
+    std::copy_backward(set, line, line + 1);
+    set[0] = word;
     return result;
 }
 
 bool
 Cache::invalidate(std::uint64_t lineAddress)
 {
-    std::size_t way = find(lineAddress >> lineShift_);
-    if (way == kAbsent)
+    const std::uint64_t tag = lineAddress >> lineShift_;
+    std::uint64_t *set = words_.data() + setBase(tag);
+    std::uint64_t *end = set + ways_;
+    std::uint64_t *line = std::find_if(set, end, holds(tag));
+    if (line == end)
         return false;
-    tags_[way] = kEmpty;
+    // Close the gap: the lines behind it keep their recency order.
+    std::copy(line + 1, end, line);
+    end[-1] = kEmpty;
     return true;
 }
 
 bool
 Cache::contains(std::uint64_t lineAddress) const
 {
-    return find(lineAddress >> lineShift_) != kAbsent;
+    const std::uint64_t tag = lineAddress >> lineShift_;
+    const std::uint64_t *set = words_.data() + setBase(tag);
+    return std::any_of(set, set + ways_, holds(tag));
 }
 
 Hierarchy::Hierarchy(const Config &config)

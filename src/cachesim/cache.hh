@@ -38,12 +38,12 @@ struct CacheStats
  * One set-associative, write-back, write-allocate cache with LRU
  * replacement.
  *
- * The lines live in two flat arrays indexed set * ways + way: one of
- * tags (kEmpty marks an invalid way) and one of LRU stamps, so a
- * lookup scans only the set's tags and no set owns a heap block of its
- * own. A stamp is the access clock shifted left one bit, with the
- * line's dirty flag in bit 0; clocks are unique, so comparing stamps
- * orders lines by recency alone.
+ * Each set is one run of `ways` words in a flat array, kept in recency
+ * order: the most recently used line first, the least recently used
+ * last, then the set's invalid ways. A word is the line's tag shifted
+ * left one bit with its dirty flag in bit 0, so a lookup scans only
+ * the set's words, no set owns a heap block of its own, and the LRU
+ * victim of a full set is its last word.
  */
 class Cache
 {
@@ -68,8 +68,8 @@ class Cache
     /**
      * Access a byte address; on a miss the line is allocated (caller
      * handles the downstream fill) and the returned eviction info
-     * propagates dirty victims. The victim is the set's first invalid
-     * way, else its least recently used one.
+     * propagates dirty victims. A miss evicts only from a full set,
+     * and then its least recently used line.
      */
     AccessResult access(std::uint64_t address, MemOp op);
 
@@ -86,28 +86,23 @@ class Cache
     int ways() const { return ways_; }
 
   private:
-    /** Tag of an invalid way: no address shifted right by the line
-     *  size (at least 8 B) reaches it. */
+    /** Word of an invalid way: a line's word is its tag (the address
+     *  shifted right by the line size, at least 8 B) shifted left one,
+     *  plus its dirty bit, so none reaches it. */
     static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
-    /** Index of the first way of the set `tag` maps to. */
+    /** Index of the first word of the set `tag` maps to. */
     std::size_t setBase(std::uint64_t tag) const
     {
         return (std::size_t)(tag & setMask_) * (std::size_t)ways_;
     }
-
-    /** Index of `tag`'s way, or kAbsent when it is not resident. */
-    std::size_t find(std::uint64_t tag) const;
-    static constexpr std::size_t kAbsent = ~std::size_t{0};
 
     std::string name_;
     int ways_;
     int lineBytes_;
     int lineShift_;
     std::uint64_t setMask_;
-    std::vector<std::uint64_t> tags_;
-    std::vector<std::uint64_t> stamps_;
-    std::uint64_t clock_ = 0;
+    std::vector<std::uint64_t> words_;
     CacheStats stats_;
 };
 

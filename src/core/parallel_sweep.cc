@@ -159,12 +159,15 @@ ParallelSweepRunner::characterizeWithStore(
     if (config.cells.empty())
         fatal("sweep has no cells configured");
 
-    // One work item per (cell, capacity) pair; slots keep serial order
-    // even though items complete in any order.
+    // One work item per (cell, capacity) pair; slots, and the warnings
+    // each pair raised, keep serial order even though items complete
+    // in any order.
     std::size_t pairs =
         config.cells.size() * config.capacitiesBytes.size();
     std::vector<std::vector<ArrayResult>> slots(pairs);
+    std::vector<std::string> warnings(pairs);
     shard(pairs, [&](std::size_t idx) {
+        ScopedLogCapture capture(warnings[idx]);
         const MemCell &cell =
             config.cells[idx / config.capacitiesBytes.size()];
         double capacity =
@@ -172,6 +175,8 @@ ParallelSweepRunner::characterizeWithStore(
         slots[idx] = characterizePair(config, cell, capacity,
                                       resultStore);
     });
+    for (const auto &lines : warnings)
+        printCaptured(lines);
 
     std::vector<ArrayResult> arrays;
     arrays.reserve(pairs * config.targets.size());
@@ -329,7 +334,9 @@ ParallelSweepRunner::optimizeAll(const std::vector<MemCell> &cells,
                                  int sramNodeNm) const
 {
     std::vector<ArrayResult> arrays(cells.size());
+    std::vector<std::string> warnings(cells.size());
     shard(cells.size(), [&](std::size_t idx) {
+        ScopedLogCapture capture(warnings[idx]);
         const MemCell &cell = cells[idx];
         ArrayConfig config;
         config.capacityBytes = capacityBytes;
@@ -338,6 +345,8 @@ ParallelSweepRunner::optimizeAll(const std::vector<MemCell> &cells,
         ArrayDesigner designer(cell, config);
         arrays[idx] = designer.optimize(target);
     });
+    for (const auto &lines : warnings)
+        printCaptured(lines);
     return arrays;
 }
 

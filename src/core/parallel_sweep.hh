@@ -54,7 +54,9 @@ class ParallelSweepRunner
     int jobs() const { return jobs_; }
 
     /** Parallel equivalent of characterizeSweep: cells x capacities x
-     *  targets, results in serial sweep order. With config.outDir set,
+     *  targets, results in serial sweep order. The warnings each
+     *  (cell, capacity) pair raises print in that order too, once every
+     *  pair is done. With config.outDir set,
      *  already-characterized arrays are served from the store's cache
      *  (byte-identical to recomputation) and fresh ones persisted, so
      *  an interrupted characterization resumes where it stopped. */
@@ -108,7 +110,7 @@ class ParallelSweepRunner
         const;
 
     /** Optimize one array per cell at a fixed capacity/word width,
-     *  results in cell order. */
+     *  results and warnings in cell order. */
     std::vector<ArrayResult>
     optimizeAll(const std::vector<MemCell> &cells, double capacityBytes,
                 int wordBits, OptTarget target, int nodeNm = 22,

@@ -1,6 +1,7 @@
 #include "graph/graph.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -18,38 +19,56 @@ Graph::fromEdges(Vertex numVertices,
         return src != dst && src < numVertices && dst < numVertices;
     };
 
-    // Bucket every kept edge (and its mirror) by source, then sort and
-    // deduplicate each adjacency list: the CSR a global sort of the
-    // edge list would give, without sorting across sources.
+    // Count every kept arc (an edge, and its mirror when undirected)
+    // by source and by target.
+    const std::size_t n = numVertices;
     Graph g;
-    g.offsets_.assign((std::size_t)numVertices + 1, 0);
+    g.offsets_.assign(n + 1, 0);
+    std::vector<std::size_t> byTarget(n + 1, 0);
     for (const auto &[src, dst] : edges) {
         if (!kept(src, dst))
             continue;
         ++g.offsets_[(std::size_t)src + 1];
-        if (makeUndirected)
+        ++byTarget[(std::size_t)dst + 1];
+        if (makeUndirected) {
             ++g.offsets_[(std::size_t)dst + 1];
+            ++byTarget[(std::size_t)src + 1];
+        }
     }
-    for (std::size_t v = 1; v <= numVertices; ++v)
+    for (std::size_t v = 1; v <= n; ++v) {
         g.offsets_[v] += g.offsets_[v - 1];
-    g.targets_.resize(g.offsets_.back());
-    std::vector<std::size_t> cursor(g.offsets_.begin(),
-                                    g.offsets_.end() - 1);
+        byTarget[v] += byTarget[v - 1];
+    }
+
+    // Two counting passes sort every adjacency list: bucket each arc's
+    // source under its target, then deal the targets in ascending
+    // order into their sources' lists.
+    std::vector<Vertex> sources(byTarget[n]);
+    std::vector<std::size_t> cursor(byTarget.begin(), byTarget.end() - 1);
     for (const auto &[src, dst] : edges) {
         if (!kept(src, dst))
             continue;
-        g.targets_[cursor[src]++] = dst;
+        sources[cursor[dst]++] = src;
         if (makeUndirected)
-            g.targets_[cursor[dst]++] = src;
+            sources[cursor[src]++] = dst;
     }
+    // Free the edge list first, so at most two arc-sized arrays live
+    // at once.
+    edges.clear();
+    edges.shrink_to_fit();
+    g.targets_.resize(g.offsets_[n]);
+    cursor.assign(g.offsets_.begin(), g.offsets_.end() - 1);
+    for (std::size_t t = 0; t < n; ++t)
+        for (std::size_t i = byTarget[t]; i < byTarget[t + 1]; ++i)
+            g.targets_[cursor[sources[i]]++] = (Vertex)t;
 
-    // Compact the deduplicated lists leftwards in place.
+    // Drop each list's (adjacent) duplicates, compacting leftwards in
+    // place.
     Vertex *targets = g.targets_.data();
     std::size_t begin = 0;
     std::size_t out = 0;
-    for (std::size_t v = 0; v < numVertices; ++v) {
+    for (std::size_t v = 0; v < n; ++v) {
         const std::size_t end = g.offsets_[v + 1];
-        std::sort(targets + begin, targets + end);
         Vertex *last = std::unique(targets + begin, targets + end);
         if (out != begin)  // out <= begin: a leftward, forward copy
             std::copy(targets + begin, last, targets + out);
@@ -57,7 +76,7 @@ Graph::fromEdges(Vertex numVertices,
         out += (std::size_t)(last - (targets + begin));
         begin = end;
     }
-    g.offsets_[numVertices] = out;
+    g.offsets_[n] = out;
     g.targets_.resize(out);
     return g;
 }
@@ -87,7 +106,17 @@ Graph::storageBytes() const
 Graph
 generateRmat(const RmatParams &params)
 {
-    if (params.a + params.b + params.c >= 1.0)
+    // The branch-free quadrant draw below needs ordered thresholds.
+    for (auto [name, p] : {std::pair{"a", params.a},
+                           std::pair{"b", params.b},
+                           std::pair{"c", params.c}}) {
+        if (!std::isfinite(p) || p < 0.0)
+            fatal("R-MAT probability ", name,
+                  " must be finite and non-negative, got ", p);
+    }
+    const double ab = params.a + params.b;
+    const double abc = ab + params.c;
+    if (abc >= 1.0)
         fatal("R-MAT probabilities must sum below 1");
     if (params.numVertices < 2)
         fatal("R-MAT needs at least 2 vertices");
@@ -104,19 +133,14 @@ generateRmat(const RmatParams &params)
     for (std::size_t e = 0; e < params.numEdges; ++e) {
         std::size_t src = 0, dst = 0;
         for (std::size_t level = 0; level < scale; ++level) {
-            double u = rng.uniform();
-            src <<= 1;
-            dst <<= 1;
-            if (u < params.a) {
-                // top-left quadrant
-            } else if (u < params.a + params.b) {
-                dst |= 1;
-            } else if (u < params.a + params.b + params.c) {
-                src |= 1;
-            } else {
-                src |= 1;
-                dst |= 1;
-            }
+            // Quadrant 0..3 is top-left, top-right, bottom-left,
+            // bottom-right: its high bit picks the source half, its low
+            // bit the target half.
+            const double u = rng.uniform();
+            const unsigned q = (unsigned)(u >= params.a) +
+                (unsigned)(u >= ab) + (unsigned)(u >= abc);
+            src = src << 1 | q >> 1;
+            dst = dst << 1 | (q & 1);
         }
         src %= params.numVertices;
         dst %= params.numVertices;

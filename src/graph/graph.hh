@@ -59,7 +59,8 @@ struct RmatParams
     std::uint64_t seed = 1;
 };
 
-/** Generate an R-MAT graph (undirected, deduplicated). */
+/** Generate an R-MAT graph (undirected, deduplicated). fatal() unless
+ *  a, b and c are finite, non-negative and sum below 1. */
 Graph generateRmat(const RmatParams &params);
 
 /** Small Facebook-like social graph (~4k vertices, ~81k edges). */

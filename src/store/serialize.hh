@@ -218,12 +218,16 @@ class Member
             out.emplace_back();
             read(out.back());
             // Records of one kind encode to about the same size: the
-            // first sizes the rest, so the rows are never moved.
+            // first sizes the rest, so the rows are rarely moved.
             if (out.size() == 1) {
                 std::size_t first = r_.offset() - begin;
                 out.reserve(1 + (r_.size() - r_.offset()) / first);
             }
         });
+        // A short first record (a reliability sweep's "none" row)
+        // reserves up to twice the rows: release a tail over 1/8.
+        if (out.capacity() - out.size() > out.size() / 8)
+            out.shrink_to_fit();
     }
 
     /** One value or a non-empty array of them: `element` runs once per

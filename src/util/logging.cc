@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <string>
 
 namespace nvmexp {
 
@@ -17,6 +18,23 @@ std::atomic<bool> quietFlag{false};
 /** Thread-local so a lint thread's guard never changes how a
  *  concurrent sweep worker's fatal() behaves. */
 thread_local bool fatalThrowsFlag = false;
+
+/** Where this thread's inform()/warn() lines go while a
+ *  ScopedLogCapture is alive; null prints them. */
+thread_local std::string *capturedLines = nullptr;
+
+/** Print (or capture) one Inform/Warn line unless quiet. */
+void
+emit(const char *prefix, const std::string &msg)
+{
+    if (quietFlag)
+        return;
+    if (capturedLines) {
+        capturedLines->append(prefix).append(msg).push_back('\n');
+        return;
+    }
+    std::fprintf(stderr, "%s%s\n", prefix, msg.c_str());
+}
 
 /**
  * Serialize fatal() exits: sweep workers run on a thread pool, so a
@@ -65,6 +83,23 @@ fatalThrows()
     return fatalThrowsFlag;
 }
 
+ScopedLogCapture::ScopedLogCapture(std::string &lines)
+    : previous_(capturedLines)
+{
+    capturedLines = &lines;
+}
+
+ScopedLogCapture::~ScopedLogCapture()
+{
+    capturedLines = previous_;
+}
+
+void
+printCaptured(const std::string &lines)
+{
+    std::fputs(lines.c_str(), stderr);
+}
+
 void
 setQuiet(bool quiet)
 {
@@ -82,16 +117,16 @@ logMessage(LogLevel level, const std::string &msg)
 {
     switch (level) {
       case LogLevel::Inform:
-        if (!quietFlag)
-            std::fprintf(stderr, "info: %s\n", msg.c_str());
+        emit("info: ", msg);
         break;
       case LogLevel::Warn:
-        if (!quietFlag)
-            std::fprintf(stderr, "warn: %s\n", msg.c_str());
+        emit("warn: ", msg);
         break;
       case LogLevel::Fatal:
         if (fatalThrowsFlag)
             throw FatalError(msg);
+        if (capturedLines)
+            printCaptured(*capturedLines);
         std::fprintf(stderr, "fatal: %s\n", msg.c_str());
         exitOnce(1);
       case LogLevel::Panic:

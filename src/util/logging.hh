@@ -35,6 +35,30 @@ void setQuiet(bool quiet);
 bool isQuiet();
 
 /**
+ * RAII guard: while alive, inform() and warn() on this thread append
+ * their lines to `lines` instead of printing them (and, under
+ * setQuiet(true), drop them as ever). A sweep worker captures each
+ * work item's messages so that the caller can print them in item
+ * order, whatever order the items finished in. A fatal() on this
+ * thread prints the lines captured so far before its own.
+ */
+class ScopedLogCapture
+{
+  public:
+    explicit ScopedLogCapture(std::string &lines);
+    ~ScopedLogCapture();
+
+    ScopedLogCapture(const ScopedLogCapture &) = delete;
+    ScopedLogCapture &operator=(const ScopedLogCapture &) = delete;
+
+  private:
+    std::string *previous_;
+};
+
+/** Print lines a ScopedLogCapture collected, as they were formatted. */
+void printCaptured(const std::string &lines);
+
+/**
  * What fatal() raises while a ScopedFatalThrows guard is active on the
  * calling thread. Carries the formatted message; nothing is printed.
  */

@@ -23,27 +23,40 @@ namespace workload {
 
 namespace {
 
+/** Terms of a Zipf normalizer that are summed exactly. */
+constexpr double kExactTerms = 65536.0;
+
 /**
- * Generalized harmonic number H_n(s) = sum_{i=1..n} i^-s: exact
- * summation for the head, midpoint-rule integral for the tail, so
- * billion-key stores stay O(1)-ish while small stores are exact.
+ * Generalized harmonic number H_n(s) = sum_{i=1..n} i^-s given `head`,
+ * the exact sum of its first min(n, kExactTerms) terms: a
+ * midpoint-rule integral adds the tail, so billion-key stores stay
+ * O(1)-ish while small stores are exact.
  */
 double
-zipfHarmonic(double n, double s)
+zipfHarmonic(double n, double s, double head)
 {
-    const double cutoff = std::min(n, 65536.0);
+    if (n <= kExactTerms)
+        return head;
+    if (s == 1.0)
+        return head + std::log((n + 0.5) / (kExactTerms + 0.5));
+    return head +
+        (std::pow(n + 0.5, 1.0 - s) - std::pow(kExactTerms + 0.5, 1.0 - s)) /
+        (1.0 - s);
+}
+
+/** H_k(s) / H_n(s) for k <= n: one pass sums both heads, recording the
+ *  shorter one on the way. */
+double
+zipfMass(double k, double n, double s)
+{
     double sum = 0.0;
-    for (double i = 1.0; i <= cutoff; i += 1.0)
+    double i = 1.0;
+    for (; i <= std::min(k, kExactTerms); i += 1.0)
         sum += std::pow(i, -s);
-    if (n > cutoff) {
-        if (s == 1.0) {
-            sum += std::log((n + 0.5) / (cutoff + 0.5));
-        } else {
-            sum += (std::pow(n + 0.5, 1.0 - s) -
-                    std::pow(cutoff + 0.5, 1.0 - s)) / (1.0 - s);
-        }
-    }
-    return sum;
+    const double kHead = sum;
+    for (; i <= std::min(n, kExactTerms); i += 1.0)
+        sum += std::pow(i, -s);
+    return zipfHarmonic(k, s, kHead) / zipfHarmonic(n, s, sum);
 }
 
 class KvStoreWorkload final : public Workload
@@ -105,10 +118,7 @@ class KvStoreWorkload final : public Workload
             keys, std::floor(params.number("cache_mib") * 1024.0 *
                              1024.0 / recordBytes));
         const double hitRate =
-            cachedKeys >= 1.0
-                ? zipfHarmonic(cachedKeys, skew) /
-                      zipfHarmonic(keys, skew)
-                : 0.0;
+            cachedKeys >= 1.0 ? zipfMass(cachedKeys, keys, skew) : 0.0;
 
         const double ops = params.number("ops_per_sec");
         const double gets = ops * params.number("get_fraction");

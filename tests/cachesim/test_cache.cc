@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <vector>
+
 #include "cachesim/cache.hh"
+#include "util/random.hh"
 
 namespace nvmexp {
 namespace {
@@ -89,6 +94,140 @@ TEST(Cache, StatsMissRate)
     c.access(0, MemOp::Read);
     c.access(4096, MemOp::Read);
     EXPECT_NEAR(c.stats().missRate(), 2.0 / 3.0, 1e-12);
+}
+
+/** Reference LRU cache: one list per set, most recent line first. */
+class NaiveLru
+{
+  public:
+    NaiveLru(std::size_t sets, int ways, int lineBytes)
+        : sets_(sets), ways_((std::size_t)ways), lineBytes_(lineBytes)
+    {
+    }
+
+    Cache::AccessResult
+    access(std::uint64_t address, MemOp op)
+    {
+        ++stats.accesses;
+        std::uint64_t tag = address / lineBytes_;
+        auto &set = setOf(tag);
+        bool write = op == MemOp::Write;
+        Cache::AccessResult result;
+        auto line = find(set, tag);
+        if (line != set.end()) {
+            ++stats.hits;
+            result.hit = true;
+            Line hit{tag, line->dirty || write};
+            set.erase(line);
+            set.push_front(hit);
+            return result;
+        }
+        ++stats.misses;
+        if (set.size() == ways_) {
+            result.evictedLine = set.back().tag * lineBytes_;
+            if (set.back().dirty) {
+                result.evictedDirty = true;
+                ++stats.writebacks;
+            }
+            set.pop_back();
+        }
+        set.push_front({tag, write});
+        return result;
+    }
+
+    bool
+    invalidate(std::uint64_t lineAddress)
+    {
+        auto &set = setOf(lineAddress / lineBytes_);
+        auto line = find(set, lineAddress / lineBytes_);
+        if (line == set.end())
+            return false;
+        set.erase(line);
+        return true;
+    }
+
+    bool
+    contains(std::uint64_t lineAddress)
+    {
+        auto &set = setOf(lineAddress / lineBytes_);
+        return find(set, lineAddress / lineBytes_) != set.end();
+    }
+
+    CacheStats stats;
+
+  private:
+    struct Line
+    {
+        std::uint64_t tag;
+        bool dirty;
+    };
+
+    std::list<Line> &setOf(std::uint64_t tag)
+    {
+        return sets_[tag % sets_.size()];
+    }
+
+    static std::list<Line>::iterator
+    find(std::list<Line> &set, std::uint64_t tag)
+    {
+        return std::find_if(set.begin(), set.end(), [tag](const Line &l) {
+            return l.tag == tag;
+        });
+    }
+
+    std::vector<std::list<Line>> sets_;
+    std::size_t ways_;
+    std::uint64_t lineBytes_;
+};
+
+TEST(Cache, MatchesNaivePerSetLruLists)
+{
+    Rng rng(2024);
+    for (int geometry = 0; geometry < 300; ++geometry) {
+        int ways = 1 + (int)rng.range(16);
+        std::size_t sets = std::size_t{1} << rng.range(7);   // 1..64
+        int lineBytes = 8 << rng.range(5);                    // 8..128
+        Cache cache("t", sets * (std::size_t)ways * (std::size_t)lineBytes,
+                    ways, lineBytes);
+        NaiveLru naive(sets, ways, lineBytes);
+        // A footprint of up to three times the capacity, placed low,
+        // mid-range or against the top of the address space (where a
+        // line's tag is widest).
+        std::uint64_t span =
+            (1 + rng.range(3 * sets * (std::size_t)ways)) *
+            (std::uint64_t)lineBytes;
+        std::uint64_t regions[] = {0, std::uint64_t{1} << 40,
+                                   ~std::uint64_t{0} - span + 1};
+        std::uint64_t base = regions[rng.range(3)];
+        SCOPED_TRACE(::testing::Message()
+                     << "geometry " << geometry << ": " << sets
+                     << " sets x " << ways << " ways x " << lineBytes
+                     << " B, base " << base << ", span " << span);
+        for (int op = 0; op < 4000; ++op) {
+            std::uint64_t address = base + rng.range(span);
+            std::uint64_t kind = rng.range(20);
+            if (kind < 3) {
+                ASSERT_EQ(cache.invalidate(address),
+                          naive.invalidate(address)) << "op " << op;
+            } else if (kind < 6) {
+                ASSERT_EQ(cache.contains(address),
+                          naive.contains(address)) << "op " << op;
+            } else {
+                MemOp memOp = rng.range(2) ? MemOp::Write : MemOp::Read;
+                auto got = cache.access(address, memOp);
+                auto want = naive.access(address, memOp);
+                ASSERT_EQ(got.hit, want.hit) << "op " << op;
+                ASSERT_EQ(got.evictedDirty, want.evictedDirty)
+                    << "op " << op;
+                ASSERT_EQ(got.evictedLine, want.evictedLine)
+                    << "op " << op;
+            }
+        }
+        EXPECT_EQ(cache.stats().accesses, naive.stats.accesses);
+        EXPECT_EQ(cache.stats().hits, naive.stats.hits);
+        EXPECT_EQ(cache.stats().misses, naive.stats.misses);
+        EXPECT_EQ(cache.stats().writebacks, naive.stats.writebacks);
+    }
 }
 
 } // namespace

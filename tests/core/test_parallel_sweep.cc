@@ -10,6 +10,7 @@
 #include "core/parallel_sweep.hh"
 #include "core/sweep.hh"
 #include "store/serialize.hh"
+#include "util/logging.hh"
 #include "util/random.hh"
 
 namespace nvmexp {
@@ -215,6 +216,35 @@ TEST(ParallelSweep, OptimizeAllKeepsCellOrder)
     ASSERT_EQ(arrays.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i)
         EXPECT_EQ(arrays[i].cell.name, cells[i].name);
+}
+
+TEST(ParallelSweep, WarningsPrintInPairOrderAtAnyJobCount)
+{
+    CellCatalog catalog;
+    SweepConfig config;
+    config.cells = catalog.studyCells();
+    // 1025 B fits no organization: every cell warns there, by name.
+    config.capacitiesBytes = {1025.0, 1.0 * 1024 * 1024,
+                              4.0 * 1024 * 1024};
+    config.targets = {OptTarget::ReadEDP};
+    bool quiet = isQuiet();
+    setQuiet(false);
+    auto stderrAt = [&](int jobs) {
+        ::testing::internal::CaptureStderr();
+        ParallelSweepRunner(jobs).characterize(config);
+        ParallelSweepRunner(jobs).optimizeAll(
+            config.cells, 2.0 * 1024 * 1024, 512, OptTarget::ReadEDP);
+        return ::testing::internal::GetCapturedStderr();
+    };
+    std::string serial = stderrAt(1);
+    EXPECT_NE(serial.find("warn: cell 'PCM-Opt' has not been demonstrated "
+                          "below 28 nm; projecting to 22 nm\n"),
+              std::string::npos);
+    EXPECT_NE(serial.find("warn: cell 'SRAM' has no valid organization"),
+              std::string::npos);
+    for (int run = 0; run < 20; ++run)
+        EXPECT_EQ(stderrAt(8), serial) << "run " << run;
+    setQuiet(quiet);
 }
 
 } // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
 
 #include "graph/graph.hh"
 
@@ -65,6 +68,26 @@ TEST(RmatDeath, RejectsBadProbabilities)
     p.c = 0.3;
     EXPECT_EXIT(generateRmat(p), ::testing::ExitedWithCode(1),
                 "probabilities");
+}
+
+TEST(RmatDeath, RefusesNegativeOrNonFiniteProbabilitiesByName)
+{
+    const double bad[] = {-0.1, std::nan(""), HUGE_VAL, -HUGE_VAL};
+    const std::pair<const char *, double RmatParams::*> members[] = {
+        {"a", &RmatParams::a}, {"b", &RmatParams::b},
+        {"c", &RmatParams::c}};
+    for (double value : bad) {
+        for (auto [name, member] : members) {
+            RmatParams p;
+            p.numVertices = 8;
+            p.numEdges = 8;
+            p.*member = value;
+            EXPECT_EXIT(generateRmat(p), ::testing::ExitedWithCode(1),
+                        std::string("R-MAT probability ") + name +
+                            " must be finite and non-negative")
+                << name << " = " << value;
+        }
+    }
 }
 
 TEST(BuiltinGraphs, HaveDocumentedScale)

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "graph/graph.hh"
+#include "util/random.hh"
 
 namespace nvmexp {
 namespace {
@@ -75,6 +80,48 @@ TEST(Graph, OutOfRangeEdgesDropped)
 {
     Graph g = Graph::fromEdges(2, {{0, 1}, {0, 5}, {9, 1}}, false);
     EXPECT_EQ(g.numEdges(), 1u);
+}
+
+TEST(Graph, FromEdgesMatchesMirrorSortUnique)
+{
+    using Edge = std::pair<Graph::Vertex, Graph::Vertex>;
+    Rng rng(99);
+    for (int trial = 0; trial < 400; ++trial) {
+        auto n = (Graph::Vertex)(1 + rng.range(64));
+        bool undirected = trial % 2 == 0;
+        // Endpoints reach past n (dropped), and a small n makes
+        // self-loops and duplicates common.
+        std::vector<Edge> edges(rng.range(6 * (std::uint64_t)n + 1));
+        for (auto &[src, dst] : edges) {
+            src = (Graph::Vertex)rng.range((std::uint64_t)n + 2);
+            dst = (Graph::Vertex)rng.range((std::uint64_t)n + 2);
+        }
+        if (rng.range(4) == 0)
+            edges.emplace_back(0xFFFFFFFFu, 0);
+
+        std::vector<Edge> arcs;
+        for (auto [src, dst] : edges) {
+            if (src == dst || src >= n || dst >= n)
+                continue;
+            arcs.emplace_back(src, dst);
+            if (undirected)
+                arcs.emplace_back(dst, src);
+        }
+        std::sort(arcs.begin(), arcs.end());
+        arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+        std::vector<std::size_t> offsets(n + 1, 0);
+        std::vector<Graph::Vertex> targets;
+        for (auto [src, dst] : arcs) {
+            ++offsets[src + 1];
+            targets.push_back(dst);
+        }
+        for (std::size_t v = 1; v <= n; ++v)
+            offsets[v] += offsets[v - 1];
+
+        Graph g = Graph::fromEdges(n, edges, undirected);
+        EXPECT_EQ(g.offsets(), offsets) << "trial " << trial;
+        EXPECT_EQ(g.targets(), targets) << "trial " << trial;
+    }
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/fixtures.hh"
 #include "celldb/tentpole.hh"
 #include "core/parallel_sweep.hh"
 #include "store/result_store.hh"
@@ -419,6 +420,21 @@ TEST_F(ResultStoreTest, RunSweepPersistsLoadableResults)
     auto csv = readLines(config.outDir + "/results.csv");
     ASSERT_EQ(csv.size(), 1u + results.size());
     EXPECT_NE(csv[0].find("lifetime_sec"), std::string::npos);
+}
+
+TEST_F(ResultStoreTest, DecodedReliabilitySweepHoldsNoLargeReserve)
+{
+    // The first row (spec "none") encodes shorter than the rest, so
+    // sizing the vector from it alone over-reserves.
+    SweepConfig config = testsupport::reliabilitySweep();
+    config.outDir = storeDir("reliability");
+    auto results = ParallelSweepRunner(4).run(config);
+
+    auto loaded = store::loadResults(config.outDir);
+    ASSERT_EQ(loaded.size(), results.size());
+    EXPECT_LE(loaded.capacity(), loaded.size() + loaded.size() / 8);
+    for (std::size_t i = 0; i < results.size(); ++i)
+        EXPECT_TRUE(store::identical(results[i], loaded[i])) << i;
 }
 
 TEST_F(ResultStoreTest, InterruptedSweepResumesByteIdentically)

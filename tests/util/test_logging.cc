@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+
 #include "util/logging.hh"
 
 namespace nvmexp {
@@ -29,6 +32,55 @@ TEST(Logging, InformAndWarnDoNotTerminate)
     warn("warning ", 2);
     setQuiet(false);
     SUCCEED();
+}
+
+TEST(Logging, CaptureCollectsThisThreadsLinesInOrder)
+{
+    bool initial = isQuiet();
+    setQuiet(false);
+    std::string outer, inner;
+    ::testing::internal::CaptureStderr();
+    {
+        ScopedLogCapture capture(outer);
+        warn("one");
+        {
+            ScopedLogCapture nested(inner);
+            inform("two");
+        }
+        warn("three");
+        std::thread([] { warn("other thread"); }).join();
+    }
+    warn("after");
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "warn: other thread\nwarn: after\n");
+    EXPECT_EQ(outer, "warn: one\nwarn: three\n");
+    EXPECT_EQ(inner, "info: two\n");
+
+    ::testing::internal::CaptureStderr();
+    printCaptured(outer);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), outer);
+
+    setQuiet(true);
+    std::string dropped;
+    {
+        ScopedLogCapture capture(dropped);
+        warn("quiet");
+    }
+    EXPECT_EQ(dropped, "");
+    setQuiet(initial);
+}
+
+TEST(LoggingDeath, FatalPrintsCapturedLinesFirst)
+{
+    EXPECT_EXIT(
+        {
+            setQuiet(false);
+            std::string lines;
+            ScopedLogCapture capture(lines);
+            warn("context");
+            fatal("boom");
+        },
+        ::testing::ExitedWithCode(1), "warn: context\nfatal: boom");
 }
 
 TEST(LoggingDeath, FatalExitsWithCodeOne)
